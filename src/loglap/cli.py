@@ -57,17 +57,22 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _load_grid_file(path, seed):
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    u = grid_from_dict(data)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise PreconditionError(f"{path} is not a valid JSON file: {exc}") from exc
+
+
+def _load_grid_file(path, seed):
+    u = grid_from_dict(_read_json(path))
     u.validate_holder(seed=seed)
     return u
 
 
 def _load_domain_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return domain_from_dict(json.load(fh))
+    return domain_from_dict(_read_json(path))
 
 
 def _worker_count(args) -> int:

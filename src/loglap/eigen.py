@@ -14,13 +14,17 @@ so the difference form (u,v)_j has matrix S^(j).  The assembled operators:
 
 with A^(n) the cell integrals of the outside-unit-ball kernel j_n and M the
 diagonal mass matrix of cell measures.  Eigenpairs of (stiffness, mass) come
-from the diagonally transformed dense symmetric solver (shift-invert
-iteration above 2000 cells); eigenvectors are mass-orthonormal with the
-largest-magnitude entry made positive.
+from the diagonally transformed dense symmetric solver (lowest k by index);
+eigenvectors are mass-orthonormal with the largest-magnitude entry made
+positive.  The convolution part is assembled only for domains of diameter at
+least one; below that no point pair reaches the kernel's support.
 
-Two-dimensional meshes assemble by polar inner integrals (closed-form radial
-antiderivative, angular quadrature) under tensor Gauss points on the outer
-cell; identical full cells share one offset table.
+S^(j) and A^(n) share one pair engine per dimension, the integral of q_n over
+cell pairs at distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  In
+one dimension it is the closed form over unordered pairs; two-dimensional
+meshes assemble by polar inner integrals (closed-form radial antiderivative,
+angular quadrature) under tensor Gauss points on the outer cell, and
+identical full cell pairs share one offset table.
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .coeffs import CoeffLedger, alpha_coeffs
-from .domains import Disk, DomainSpec, Mesh, mesh_intervals
+from .coeffs import CoeffLedger
+from .domains import Disk, Interval, Mesh, mesh_intervals
 from .errors import NumericalError, PreconditionError
 from .kernels import (
     cell_pair_tent_integral,
@@ -45,7 +47,6 @@ from .kernels import (
 )
 from .quadrature import _gauss_unit
 
-_DENSE_LIMIT = 2000
 _FORM_KINDS = ("I", "G", "Q")
 
 
@@ -80,49 +81,18 @@ class EigenResult:
 # 1D assembly (closed forms)
 
 
-def _difference_matrix_1d(n: int, mesh: Mesh, cutoff: float) -> np.ndarray:
+def _pair_matrix_1d(n: int, mesh: Mesh, lo: float, hi: float) -> np.ndarray:
+    """int_Ci int_Cl q_n 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal)."""
     cells = np.asarray(mesh.cells, dtype=float)
-    lo, hi = cells[:, 0], cells[:, 1]
-    A1 = lo[:, None] + np.zeros_like(lo)[None, :]
-    A2 = hi[:, None] + np.zeros_like(lo)[None, :]
-    B1 = np.broadcast_to(lo[None, :], A1.shape)
-    B2 = np.broadcast_to(hi[None, :], A1.shape)
-    mask = ~np.eye(len(lo), dtype=bool)
-    # diagonal entries displaced past the cutoff (masked out afterwards)
-    pair = cell_pair_tent_integral(
-        n,
-        np.where(mask, A1, B2 + 1.0 + cutoff),
-        np.where(mask, A2, B2 + 2.0 + cutoff),
-        B1,
-        B2,
-        0.0,
-        cutoff,
-    )
-    S = -2.0 * np.where(mask, pair, 0.0)
-    S[np.diag_indices_from(S)] = 2.0 * cell_self_energy_1d(n, hi - lo, cutoff)
-    return S
+    i, l = np.triu_indices(len(cells), k=1)
+    P = np.zeros((len(cells), len(cells)))
+    P[i, l] = cell_pair_tent_integral(n, cells[i, 0], cells[i, 1], cells[l, 0], cells[l, 1], lo, hi)
+    return P + P.T
 
 
-def _convolution_matrix_1d(n: int, mesh: Mesh) -> np.ndarray:
+def _self_energies_1d(n: int, mesh: Mesh, cutoff: float) -> np.ndarray:
     cells = np.asarray(mesh.cells, dtype=float)
-    lo, hi = cells[:, 0], cells[:, 1]
-    A1 = np.broadcast_to(lo[:, None], (len(lo), len(lo))).copy()
-    A2 = np.broadcast_to(hi[:, None], A1.shape).copy()
-    B1 = np.broadcast_to(lo[None, :], A1.shape)
-    B2 = np.broadcast_to(hi[None, :], A1.shape)
-    # cells are shorter than the unit support gap, so a cell against itself
-    # never meets the kernel; compute a displaced diagonal and mask it out
-    mask = ~np.eye(len(lo), dtype=bool)
-    out = cell_pair_tent_integral(
-        n,
-        np.where(mask, A1, B2 + 10.0),
-        np.where(mask, A2, B2 + 10.0 + (hi - lo)[None, :]),
-        B1,
-        B2,
-        1.0,
-        np.inf,
-    )
-    return np.where(mask, out, 0.0)
+    return 2.0 * cell_self_energy_1d(n, cells[:, 1] - cells[:, 0], cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +241,7 @@ def _inner_cell_integral_2d(n, px, py, target_cell, disk, lo, hi, order=10):
     return np.sum(seg * wts, axis=1)
 
 
-def _self_energy_2d(n, cell, disk, cutoff, order, angle_order=10):
+def _self_energy_2d(n, cell, disk, cutoff, order=8, angle_order=10):
     px, py, pw = _cell_gauss_points(cell, order)
     px, py, pw = _clip_to_disk(px, py, pw, disk if cell[4] else None)
     phi, wts = _arc_rule(px, py, cell, angle_order)
@@ -286,28 +256,37 @@ def _self_energy_2d(n, cell, disk, cutoff, order, angle_order=10):
     return 2.0 * float(np.sum(inner * pw))
 
 
-def _difference_matrix_2d(n, mesh: Mesh, cutoff, order=6):
+def _mesh_disk(mesh: Mesh) -> Disk | None:
+    return next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
+
+
+def _pair_matrix_2d(n, mesh: Mesh, lo, hi, order=6):
+    """int_Ci int_Cl q_n 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
+
+    Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
+    are skipped; identical unclipped cell pairs share one offset table entry.
+    """
     cells = mesh.cells
-    disk = next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
+    disk = _mesh_disk(mesh)
     ncells = len(cells)
-    S = np.zeros((ncells, ncells))
+    P = np.zeros((ncells, ncells))
     centers = mesh.centers()
     diams = np.array([math.hypot(c[2] - c[0], c[3] - c[1]) for c in cells])
-    # offset table for identical unclipped cell pairs
     table: dict[tuple, float] = {}
     for i in range(ncells):
         ci = cells[i]
-        plain = _cell_gauss_points(ci, order)
+        clip = disk if ci[4] else None
+        plain = _clip_to_disk(*_cell_gauss_points(ci, order), clip)
         for l in range(i + 1, ncells):
             cl = cells[l]
             dist = math.hypot(centers[l][0] - centers[i][0], centers[l][1] - centers[i][1])
-            if dist - 0.5 * (diams[i] + diams[l]) >= cutoff:
+            r_sum = 0.5 * (diams[i] + diams[l])
+            if dist - r_sum >= hi or dist + r_sum <= lo:
                 continue
             key = None
             if not ci[4] and not cl[4]:
                 hx = ci[2] - ci[0]
                 key = (
-                    n,
                     round(hx, 14),
                     round(ci[3] - ci[1], 14),
                     round(cl[2] - cl[0], 14),
@@ -316,58 +295,47 @@ def _difference_matrix_2d(n, mesh: Mesh, cutoff, order=6):
                     round((centers[l][1] - centers[i][1]) / hx, 9),
                 )
                 if key in table:
-                    S[i, l] = S[l, i] = table[key]
+                    P[i, l] = P[l, i] = table[key]
                     continue
-            grade = _pair_grading(ci, cl)
-            px, py, pw = plain if grade == (0, 0) else _cell_gauss_points(ci, order, *grade)
-            px, py, pw = _clip_to_disk(px, py, pw, disk if ci[4] else None)
-            inner = _inner_cell_integral_2d(n, px, py, cl, disk, 0.0, cutoff)
-            val = -2.0 * float(np.sum(inner * pw))
+            # the kernel is singular only when lo == 0: grade toward near targets
+            grade = _pair_grading(ci, cl) if lo == 0.0 else (0, 0)
+            px, py, pw = plain if grade == (0, 0) else _clip_to_disk(*_cell_gauss_points(ci, order, *grade), clip)
+            inner = _inner_cell_integral_2d(n, px, py, cl, disk, lo, hi)
+            val = float(np.sum(inner * pw))
             if key is not None:
                 table[key] = val
-            S[i, l] = S[l, i] = val
-        if ci[4]:
-            S[i, i] = _self_energy_2d(n, ci, disk, cutoff, order + 2)
-        else:
-            S[i, i] = 2.0 * cell_self_energy_2d(n, ci[2] - ci[0], ci[3] - ci[1], cutoff)
-    return S
+            P[i, l] = P[l, i] = val
+    return P
 
 
-def _convolution_matrix_2d(n, mesh: Mesh, order=6):
-    cells = mesh.cells
-    disk = next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
-    ncells = len(cells)
-    A = np.zeros((ncells, ncells))
-    centers = mesh.centers()
-    diams = np.array([math.hypot(c[2] - c[0], c[3] - c[1]) for c in cells])
-    for i in range(ncells):
-        ci = cells[i]
-        px, py, pw = _cell_gauss_points(ci, order)
-        px, py, pw = _clip_to_disk(px, py, pw, disk if ci[4] else None)
-        for l in range(i, ncells):
-            cl = cells[l]
-            dist = math.hypot(centers[l][0] - centers[i][0], centers[l][1] - centers[i][1])
-            if dist + 0.5 * (diams[i] + diams[l]) <= 1.0:
-                continue  # kernel supported beyond unit distance
-            inner = _inner_cell_integral_2d(n, px, py, cl, disk, 1.0, np.inf)
-            A[i, l] = A[l, i] = float(np.sum(inner * pw))
-    return A
+def _self_energies_2d(n, mesh: Mesh, cutoff) -> np.ndarray:
+    disk = _mesh_disk(mesh)
+    return np.array([
+        _self_energy_2d(n, c, disk, cutoff) if c[4]
+        else 2.0 * cell_self_energy_2d(n, c[2] - c[0], c[3] - c[1], cutoff)
+        for c in mesh.cells
+    ])
 
 
 # ---------------------------------------------------------------------------
 # form assembly
 
+# (pair engine, diagonal self-energies) per dimension
+_ENGINES = {1: (_pair_matrix_1d, _self_energies_1d), 2: (_pair_matrix_2d, _self_energies_2d)}
+
 
 def _difference_matrix(n, mesh, cutoff):
-    if mesh.domain.dim == 1:
-        return _difference_matrix_1d(n, mesh, cutoff)
-    return _difference_matrix_2d(n, mesh, cutoff)
+    """S^(n): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
+    pairs, self_energies = _ENGINES[mesh.domain.dim]
+    S = -2.0 * pairs(n, mesh, 0.0, cutoff)
+    np.fill_diagonal(S, self_energies(n, mesh, cutoff))
+    return S
 
 
 def _convolution_matrix(n, mesh):
-    if mesh.domain.dim == 1:
-        return _convolution_matrix_1d(n, mesh)
-    return _convolution_matrix_2d(n, mesh)
+    """A^(n): pair integrals of the kernel beyond unit distance."""
+    pairs, _ = _ENGINES[mesh.domain.dim]
+    return pairs(n, mesh, 1.0, np.inf)
 
 
 def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int | None = None) -> FormMatrices:
@@ -389,7 +357,9 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
         n = order if order is not None else (ledger.m if ledger else None)
         if n is None:
             raise PreconditionError("G form needs a kernel order")
-        stiff = _difference_matrix(n, mesh, 1.0) - _convolution_matrix(n, mesh)
+        stiff = _difference_matrix(n, mesh, 1.0)
+        if mesh.domain.diameter() >= 1.0:
+            stiff = stiff - _convolution_matrix(n, mesh)
         stiff = 0.5 * (stiff + stiff.T)
         return FormMatrices("G", stiff, mass, ledger, mesh)
 
@@ -437,21 +407,12 @@ def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
     d = 1.0 / np.sqrt(matrices.mass)
     B = d[:, None] * matrices.stiffness * d[None, :]
     B = 0.5 * (B + B.T)
+    if not np.all(np.isfinite(B)):
+        raise NumericalError("stiffness matrix has non-finite entries")
     try:
-        if n <= _DENSE_LIMIT:
-            vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
-        else:
-            # shift-invert on the lowest block, shifted below the Gershgorin bound
-            lower = float(np.min(B.diagonal() - (np.sum(np.abs(B), axis=1) - np.abs(B.diagonal()))))
-            sigma = lower - 1.0
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                scipy.sparse.csc_matrix(B), k=k, sigma=sigma, which="LM"
-            )
-            idx = np.argsort(vals)
-            vals, vecs = vals[idx], vecs[:, idx]
-    except Exception as exc:  # factorization/convergence failure
-        cond = float(np.linalg.cond(B)) if n <= _DENSE_LIMIT else float("nan")
-        raise NumericalError(f"eigensolver failed (cond ~ {cond:.3e}): {exc}") from exc
+        vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
     vecs = d[:, None] * vecs  # back to the original variables, M-orthonormal
     # deterministic sign: largest-magnitude entry positive
     for j in range(vecs.shape[1]):
@@ -521,8 +482,9 @@ class FKRow:
 def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> list[FKRow]:
     """First Q_m eigenvalue per equal-measure domain at matched resolution.
 
-    The single-piece centered-ball domain is flagged as the reference
-    minimum.  Requires m >= 2 and every domain inside B_(rm/2).
+    Domains of a single interval or disk piece are flagged as balls; the
+    lowest ball is the reference minimum.  Requires m >= 2 and every domain
+    inside B_(rm/2).
     """
     if ledger.m < 2:
         raise PreconditionError("the ball-minimality comparison needs m >= 2")
@@ -545,7 +507,7 @@ def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> li
             mesh = mesh_rectangles(dom, 1.0 / cells_per_unit)
         mats = assemble("Q", ledger, mesh)
         res = eigensolve(mats, 1)
-        is_ball = len(dom.pieces) == 1
+        is_ball = len(dom.pieces) == 1 and isinstance(dom.pieces[0], (Interval, Disk))
         rows.append(FKRow(idx, is_ball, measures[idx], float(res.eigenvalues[0]), False))
     ball_rows = [r for r in rows if r.is_ball]
     if ball_rows:
@@ -557,13 +519,10 @@ def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> li
 def k_form_first_eig(n: int, mesh: Mesh, k: int = 1) -> EigenResult:
     """Lowest eigenpairs of the dominant-kernel form G_n on a small domain.
 
-    For domains inside B_(1/2) the convolution part vanishes identically
-    (no point pairs at distance beyond one); this is checked exactly.
+    Domains inside B_(1/2) have no point pairs at distance beyond one, so
+    the convolution part of G_n vanishes identically.
     """
     if mesh.domain.bounding_radius() > 0.5 + 1e-12:
         raise PreconditionError("the dominant-kernel eigenproblem needs the domain inside B_(1/2)")
-    conv = _convolution_matrix(n, mesh)
-    if float(np.max(np.abs(conv))) != 0.0:
-        raise NumericalError("convolution part expected to vanish for domains in B_(1/2)")
     mats = assemble("G", None, mesh, order=n)
     return eigensolve(mats, k)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import GridFunction
-from .spectral import _check_support, _check_zero_mode, transform
+from .spectral import SpectrumGrid, _check_support, _check_zero_mode, transform
 
 DEFAULT_S_SAMPLES = tuple(2.0 ** (-k) for k in range(4, 13))
 _SATURATION_FLOOR = 10.0 * np.finfo(float).eps
@@ -80,12 +80,17 @@ def _central_region(u: GridFunction) -> tuple[slice, ...]:
     return tuple(slice(n // 4, 3 * n // 4) for n in u.shape)
 
 
-def _remainder_values(side: str, n: int, s: float, u: GridFunction, s0: float = 0.0) -> np.ndarray:
-    spec = transform(u)
+def _log_lattice(spec: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| on the lattice and L = 2 ln|xi| (zero at xi = 0)."""
     xi = spec.xi_norm()
     L = np.zeros_like(xi)
     pos = xi > 0.0
     L[pos] = 2.0 * np.log(xi[pos])
+    return xi, L
+
+
+def _remainder_values(side: str, n: int, s: float, spec: SpectrumGrid, xi, L, s0: float = 0.0) -> np.ndarray:
+    pos = xi > 0.0
     if side == "fraclap":
         mult = _exp_tail(s * L, n)
     elif side == "riesz":
@@ -96,7 +101,7 @@ def _remainder_values(side: str, n: int, s: float, u: GridFunction, s0: float = 
     else:
         raise PreconditionError(f"unknown expansion side {side!r}")
     mult[~pos] = 0.0
-    out = np.fft.ifftn(mult * spec.coefficients) / u.cell_volume
+    out = np.fft.ifftn(mult * spec.coefficients) / spec.cell_volume
     return out.real
 
 
@@ -113,8 +118,9 @@ def remainder(side: str, n: int, s: float, u: GridFunction) -> GridFunction:
     if n > 4 or n < 0:
         raise PreconditionError("expansion order restricted to 0..4")
     _check_support(u)
-    _check_zero_mode(u, transform(u), allow_mean=False)
-    return u.with_values(_remainder_values(side, n, s, u))
+    spec = transform(u)
+    _check_zero_mode(u, spec, allow_mean=False)
+    return u.with_values(_remainder_values(side, n, s, spec, *_log_lattice(spec)))
 
 
 def _norms(vals: np.ndarray, u: GridFunction, region) -> tuple[float, float]:
@@ -136,11 +142,13 @@ def run_study(
         if not -u.dim / 2.0 + 0.25 <= s0 <= 2.0:
             raise PreconditionError("shifted base point outside (-N/2 + margin, 2]")
     _check_support(u)
-    _check_zero_mode(u, transform(u), allow_mean=False)
+    spec = transform(u)
+    _check_zero_mode(u, spec, allow_mean=False)
+    xi, L = _log_lattice(spec)
     region = _central_region(u)
     sups, l2s = [], []
     for s in s_samples:
-        vals = _remainder_values(side, n, float(s) if side != "shifted" else s0 + float(s), u, s0=s0)
+        vals = _remainder_values(side, n, float(s) if side != "shifted" else s0 + float(s), spec, xi, L, s0=s0)
         a, b = _norms(vals, u, region)
         sups.append(a)
         l2s.append(b)

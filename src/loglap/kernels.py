@@ -299,7 +299,7 @@ def rect_pair_integral_2d(n: int, A, B, lo: float = 0.0, hi: float = 1.0, order:
     grid = np.sort(grid, axis=1)
 
     ta, tb = grid[:, :-1], grid[:, 1:]
-    live = tb > ta + 1e-300
+    live = tb - ta > 1e-12 * tb
     # two-point fit recovers the exact linear tent coefficients per piece
     t1 = ta + 0.25 * (tb - ta)
     t2 = ta + 0.75 * (tb - ta)

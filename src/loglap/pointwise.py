@@ -359,27 +359,37 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, **quad_opts) -
                 total += th_w[it] * float(np.sum(f * (-2.0 * nodes) ** (m - 1) * wts))
                 panels += len(wts) // order
 
-        # h_{m,Omega} ray share: closed-form radial antiderivatives
-        ray_h = 0.0
-        # B1 \ Omega: complement segments within (0, 1)
-        prev = 0.0
-        for (ta, tb) in segs + [(math.inf, math.inf)]:
-            lo, hi = prev, min(ta, 1.0)
-            if hi > lo and lo < 1.0:
-                ray_h += radial_antiderivative(m, hi) - radial_antiderivative(m, max(lo, 1e-300))
-            prev = max(prev, tb)
-            if prev >= 1.0:
-                break
-        # Omega \ B1: domain segments beyond 1
-        for (ta, tb) in segs:
-            lo, hi = max(ta, 1.0), tb
-            if hi > lo:
-                ray_h -= radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
-        h_term += th_w[it] * ray_h
+        h_term += th_w[it] * _ray_h(m, segs)
 
     value = total + h_term * u0
     bound = _holder_bound_log(u, m, inner_cut)
     return EvalReport(float(value), bound, panels)
+
+
+def _ray_h(m: int, segs) -> float:
+    """One ray's share of h_{m,Omega}: int over (B1 \\ Omega) minus (Omega \\ B1) of q_m t^(N-1) dt.
+
+    segs are the sorted domain segments of the ray; the radial parts are
+    closed-form antiderivatives.
+    """
+    ray_h = 0.0
+    # B1 \ Omega: complement segments within (0, 1)
+    prev = 0.0
+    for (ta, tb) in segs + [(math.inf, math.inf)]:
+        lo, hi = prev, min(ta, 1.0)
+        if hi > lo and lo < 1.0:
+            if lo <= 0.0:
+                raise PreconditionError("h_{m,Omega} diverges for x outside the open domain")
+            ray_h += radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
+        prev = max(prev, tb)
+        if prev >= 1.0:
+            break
+    # Omega \ B1: domain segments beyond 1
+    for (ta, tb) in segs:
+        lo, hi = max(ta, 1.0), tb
+        if hi > lo:
+            ray_h -= radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
+    return ray_h
 
 
 def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES) -> float:
@@ -388,23 +398,7 @@ def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES
     thetas, th_w = _directions(dim, n_angles)
     total = 0.0
     for it, theta in enumerate(thetas):
-        segs = domain.ray_segments(x, theta)
-        ray_h = 0.0
-        prev = 0.0
-        for (ta, tb) in segs + [(math.inf, math.inf)]:
-            lo, hi = prev, min(ta, 1.0)
-            if hi > lo and lo < 1.0:
-                if lo <= 0.0:
-                    raise PreconditionError("h_{m,Omega} diverges for x outside the open domain")
-                ray_h += radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
-            prev = max(prev, tb)
-            if prev >= 1.0:
-                break
-        for (ta, tb) in segs:
-            lo, hi = max(ta, 1.0), tb
-            if hi > lo:
-                ray_h -= radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
-        total += th_w[it] * ray_h
+        total += th_w[it] * _ray_h(m, domain.ray_segments(x, theta))
     return float(total)
 
 

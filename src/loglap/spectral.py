@@ -74,28 +74,9 @@ def transform(u: GridFunction) -> SpectrumGrid:
 
 def symbol_value(kind: str, param, xi_norm: float) -> float:
     """Continuous symbol at |xi| = xi_norm: (2 ln xi)^m, xi^(2s) or xi^(-2s)."""
-    if kind == "log":
-        m = int(param)
-        if xi_norm <= 0.0:
-            if m == 0:
-                return 1.0
-            raise PreconditionError("log symbol is singular at xi = 0 (zero-mode convention)")
-        return (2.0 * math.log(xi_norm)) ** m
-    if kind == "frac":
-        s = float(param)
-        if xi_norm <= 0.0:
-            if s > 0.0:
-                return 0.0
-            if s == 0.0:
-                return 1.0
-            raise PreconditionError("frac symbol with s < 0 is singular at xi = 0")
-        return xi_norm ** (2.0 * s)
-    if kind == "riesz":
-        s = float(param)
-        if xi_norm <= 0.0:
-            raise PreconditionError("riesz symbol is singular at xi = 0 (zero-mode convention)")
-        return xi_norm ** (-2.0 * s)
-    raise PreconditionError(f"unknown symbol kind {kind!r}")
+    if _is_singular_kind(kind, param) and xi_norm <= 0.0:
+        raise PreconditionError(f"{kind} symbol is singular at xi = 0 (zero-mode convention)")
+    return float(_multiplier(kind, param, np.array([float(xi_norm)]))[0])
 
 
 def _is_singular_kind(kind: str, param) -> bool:
@@ -186,11 +167,6 @@ def apply_symbol(
     if return_residue:
         return result, residue
     return result
-
-
-def bs_multiplier_apply(u: GridFunction, s: float, allow_mean: bool = False) -> GridFunction:
-    """General-order application B^s = |xi|^(2s) for s in (-N/2, 2]."""
-    return apply_symbol(u, "frac", s, allow_mean=allow_mean)
 
 
 def log_norm(u: GridFunction, m: int) -> float:

@@ -123,6 +123,18 @@ def test_apply_k_fft_mismatch(bump_file, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["eig", "--form", "I", "--m", "1", "--domain", "{bad}", "--cells", "10", "--count", "1"],
+    ["apply", "--op", "L", "--m", "1", "--grid", "{bad}", "--out", "{out}"],
+], ids=["domain", "grid"])
+def test_malformed_json_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "pieces": [')
+    argv = [a.format(bad=bad, out=tmp_path / "x.json") for a in command]
+    assert main(argv) == 3
+    assert "not a valid JSON file" in capsys.readouterr().err
+
+
 def test_eig_command_ascending(quarter_file, tmp_path):
     out = tmp_path / "eig.csv"
     assert main(["eig", "--form", "Q", "--m", "2", "--domain", str(quarter_file),

@@ -52,10 +52,13 @@ def test_difference_matrix_row_sums_positive_semidefinite_structure():
 
 
 def test_small_domain_has_zero_convolution_part():
-    mesh = mesh_intervals(QUARTER, 40)
-    for n in (1, 2, 3):
-        A = _convolution_matrix(n, mesh)
-        assert float(np.max(np.abs(A))) == 0.0
+    disk = DomainSpec(2, (Disk(0.0, 0.0, 0.45),))
+    meshes = [mesh_intervals(QUARTER, 40), mesh_rectangles(disk, 0.15)]
+    assert disk.bounding_radius() <= 0.5 and any(c[4] for c in meshes[1].cells)
+    for mesh in meshes:
+        for n in (1, 2, 3):
+            A = _convolution_matrix(n, mesh)
+            assert float(np.max(np.abs(A))) == 0.0
 
 
 def test_convolution_part_nonzero_for_wide_domain():
@@ -149,16 +152,12 @@ def test_eigensolve_count_bounds():
         eigensolve(mats, 11)
 
 
-def test_shift_invert_path_matches_dense(monkeypatch):
-    import loglap.eigen as eig_mod
-
-    led = alpha_coeffs(2, 1)
-    mesh = mesh_intervals(QUARTER, 120)
-    mats = assemble("I", led, mesh)
-    dense = eigensolve(mats, 4)
-    monkeypatch.setattr(eig_mod, "_DENSE_LIMIT", 50)
-    sparse = eigensolve(mats, 4)
-    assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-9)
+def test_eigensolve_rejects_non_finite_matrix():
+    led = alpha_coeffs(1, 1)
+    mats = assemble("I", led, mesh_intervals(QUARTER, 10))
+    mats.stiffness[3, 4] = mats.stiffness[4, 3] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigensolve(mats, 2)
 
 
 def test_refinement_drift_within_two_percent():
@@ -249,6 +248,17 @@ def test_fk_ball_minimizes():
     rows = faber_krahn_compare(led, [ball, split], cells_per_unit=1000)
     assert rows[0].is_ball and rows[0].reference_min
     assert rows[1].lambda1 > rows[0].lambda1 * 1.01
+
+
+def test_fk_2d_flags_only_the_disk_as_ball():
+    led = alpha_coeffs(2, 2)
+    side = 0.15 * math.sqrt(math.pi)
+    disk = DomainSpec(2, (Disk(0.0, 0.0, 0.15),))
+    square = DomainSpec(2, (Rect(-side / 2, -side / 2, side / 2, side / 2),))
+    rows = faber_krahn_compare(led, [disk, square], cells_per_unit=20)
+    assert rows[0].is_ball and rows[0].reference_min
+    assert not rows[1].is_ball and not rows[1].reference_min
+    assert rows[1].lambda1 > rows[0].lambda1
 
 
 def test_fk_single_domain_is_its_own_minimum():
@@ -369,12 +379,12 @@ def test_2d_whole_domain_energy_cross_check():
 
 
 def test_2d_far_pair_convolution_matches_tensor_gauss():
-    from loglap.eigen import _convolution_matrix_2d
+    from loglap.eigen import _pair_matrix_2d
     from loglap.quadrature import panel_rule, uniform_panels
 
     dom = DomainSpec(2, (Rect(0, 0, 0.3, 0.3), Rect(1.4, 0.0, 1.7, 0.3)))
     mesh = mesh_rectangles(dom, 0.3)
-    A = _convolution_matrix_2d(1, mesh, order=10)
+    A = _pair_matrix_2d(1, mesh, 1.0, np.inf, order=10)
     n1, w1 = panel_rule(uniform_panels(0.0, 0.3, 4), 12)
     n2, w2 = panel_rule(uniform_panels(1.4, 1.7, 4), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")
@@ -386,12 +396,12 @@ def test_2d_far_pair_convolution_matches_tensor_gauss():
 
 
 def test_2d_near_pair_difference_matches_tensor_gauss():
-    from loglap.eigen import _difference_matrix_2d
+    from loglap.eigen import _pair_matrix_2d
     from loglap.quadrature import panel_rule, uniform_panels
 
     dom = DomainSpec(2, (Rect(0, 0, 0.2, 0.2), Rect(0.25, 0.0, 0.45, 0.2)))
     mesh = mesh_rectangles(dom, 0.2)
-    S = _difference_matrix_2d(1, mesh, 1.0, order=10)
+    S = -2.0 * _pair_matrix_2d(1, mesh, 0.0, 1.0, order=10)
     n1, w1 = panel_rule(uniform_panels(0.0, 0.2, 6), 12)
     n2, w2 = panel_rule(uniform_panels(0.25, 0.45, 6), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")

@@ -68,6 +68,14 @@ def test_slopes_are_n_plus_one(bump, side, n):
     assert n + 0.8 <= slope_fit(st) <= n + 1.2
 
 
+def test_study_transforms_input_once(bump, monkeypatch):
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    run_study("fraclap", 1, bump)
+    assert len(calls) == 1
+
+
 def test_riesz_and_fraclap_first_terms_opposite(bump):
     # (Phi_s*u - u) = -((-Delta)^s u - u) + O(s^2)
     region = _central_region(bump)

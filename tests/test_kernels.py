@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -228,8 +229,46 @@ def test_incomplete_log_t_integral_oracle():
 
     for k in (0, 1, 2, 3):
         for h in (0.05, 0.3, 0.9, 1.3):
-            ref = integrate.quad(lambda r: r * (-math.log(r)) ** k, 0, h, epsabs=1e-14)[0]
+            ref = float(mp.quad(lambda r: r * (-mp.log(r)) ** k, [0, h]))
             assert incomplete_log_t_integral(k, h) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _rect_pair_mpmath_oracle(n, A, B):
+    """int over z = x - y of ell_x(z1) ell_y(z2) q_n(|z|) in 2D, split at the tent breakpoints."""
+    ax0, ay0, ax1, ay1 = map(mp.mpf, A)
+    bx0, by0, bx1, by1 = map(mp.mpf, B)
+
+    def tent(z, a0, a1, b0, b1):
+        return max(min(a1, b1 + z) - max(a0, b0 + z), 0)
+
+    def f(z1, z2):
+        r2 = z1 * z1 + z2 * z2
+        if r2 == 0:
+            return mp.mpf(0)
+        return tent(z1, ax0, ax1, bx0, bx1) * tent(z2, ay0, ay1, by0, by1) * (-mp.log(r2)) ** (n - 1) / r2
+
+    zx = sorted({ax0 - bx1, ax0 - bx0, ax1 - bx1, ax1 - bx0})
+    zy = sorted({ay0 - by1, ay0 - by0, ay1 - by1, ay1 - by0})
+    with mp.workdps(15):
+        return float(mp.quad(f, zx, zy))
+
+
+@pytest.mark.parametrize("B", [(0.04, 0.0, 0.08, 0.04), (0.04, 0.04, 0.08, 0.08)], ids=["edge", "corner"])
+def test_rect_pair_integral_2d_touching_pairs_match_mpmath(B):
+    from loglap.kernels import rect_pair_integral_2d
+
+    A = (0.0, 0.0, 0.04, 0.04)
+    assert rect_pair_integral_2d(2, A, B) == pytest.approx(_rect_pair_mpmath_oracle(2, A, B), rel=1e-12)
+
+
+def test_rect_pair_integral_2d_finite_on_lattice_offsets():
+    from loglap.kernels import rect_pair_integral_2d
+
+    h = 0.04
+    A = (0.0, 0.0, h, h)
+    offsets = [(i, j) for i in range(-9, 10) for j in range(-9, 10) if (i, j) != (0, 0)]
+    vals = [rect_pair_integral_2d(2, A, (i * h, j * h, (i + 1) * h, (j + 1) * h)) for i, j in offsets]
+    assert len(vals) == 360 and all(math.isfinite(v) and v > 0.0 for v in vals)
 
 
 def test_cell_self_energy_2d_matches_adaptive_oracle():
