@@ -19,7 +19,7 @@ from .coeffs import CoeffLedger, KappaSeries, alpha_coeffs, c_dim, kappa1, kappa
 from .domains import Disk, DomainSpec, Interval, Mesh, Rect, mesh_intervals, mesh_rectangles
 from .eigen import EigenResult, FormMatrices, assemble, eigensolve, faber_krahn_compare, k_form_first_eig, rearrange_decreasing
 from .errors import LoglapError, NumericalError, PreconditionError
-from .expansion import RemainderStudy, remainder, run_study, shifted_expansion_check, slope_fit
+from .expansion import RemainderStudy, remainder, run_study, shifted_expansion_check
 from .grid import GridFunction, box_indicator, gaussian_bump, gaussian_derivative_bump, load_grid, save_grid
 from .kernels import CombinedKernel, KernelSpec, cell_pair_integral_1d, combined_kernel, outer_integral, q_eval, tail_integral
 from .pointwise import EvalReport, apply_K, apply_L, frac_lap, regional_repr, riesz, weighted_l1_norm
@@ -31,7 +31,7 @@ __all__ = [
     "EigenResult", "FormMatrices", "assemble", "eigensolve", "faber_krahn_compare",
     "k_form_first_eig", "rearrange_decreasing",
     "LoglapError", "NumericalError", "PreconditionError",
-    "RemainderStudy", "remainder", "run_study", "shifted_expansion_check", "slope_fit",
+    "RemainderStudy", "remainder", "run_study", "shifted_expansion_check",
     "GridFunction", "box_indicator", "gaussian_bump", "gaussian_derivative_bump", "load_grid", "save_grid",
     "CombinedKernel", "KernelSpec", "cell_pair_integral_1d", "combined_kernel",
     "outer_integral", "q_eval", "tail_integral",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from .domains import domain_from_dict, mesh_intervals, mesh_rectangles
 from .errors import LoglapError, NumericalError, PreconditionError
 from .grid import gaussian_derivative_bump, grid_from_dict, grid_to_dict
 from .kernels import combined_kernel
+from .quadrature import dyadic_log_panels
 
 _FMT = "%.17g"
 
@@ -108,9 +110,20 @@ def cmd_radii(args) -> int:
     return 0
 
 
+_QUAD_CHUNK_BYTES = 64 * 2**20  # quadrature working set of one apply chunk
+
+
+def _quad_point_bytes(dim: int) -> int:
+    """Working set per point: a radial context peaks at about six float64 arrays over its nodes."""
+    panels = dyadic_log_panels(-math.log(_pointwise.INNER_CUT), _pointwise.MAX_DECADES).size - 1 + _pointwise.OUTER_PANELS
+    return 6 * 8 * (2 if dim == 1 else _pointwise.N_ANGLES) * panels * _pointwise.PANEL_ORDER
+
+
 def _apply_quad(args, u, nodes):
     workers = _worker_count(args)
-    chunks = np.array_split(np.arange(nodes.shape[0]), max(1, min(workers, nodes.shape[0])))
+    count = nodes.shape[0]
+    per_chunk = max(1, _QUAD_CHUNK_BYTES // _quad_point_bytes(u.dim))
+    chunks = np.array_split(np.arange(count), max(1, min(count, max(workers, math.ceil(count / per_chunk)))))
 
     def run(idx):
         pts = nodes[idx]
@@ -126,11 +139,8 @@ def _apply_quad(args, u, nodes):
         vals, bound, _ = _pointwise.riesz_batch(args.s, u, pts)
         return vals, bound
 
-    if len(chunks) == 1:
-        results = [run(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run, chunks))
     values = np.concatenate([r[0] for r in results])
     bound = max(r[1] for r in results)
     return values, bound

@@ -213,8 +213,10 @@ def _ray_piece(p: Piece, x: np.ndarray, d: np.ndarray):
 
 
 def _w_antideriv(u: float, r: float) -> float:
+    """int_0^u sqrt(r^2 - v^2) dv; the factored root and atan2 stay accurate as |u| -> r."""
     u = min(max(u, -r), r)
-    return 0.5 * (u * math.sqrt(max(r * r - u * u, 0.0)) + r * r * math.asin(u / r))
+    s = math.sqrt((r - u) * (r + u))
+    return 0.5 * (u * s + r * r * math.atan2(u, s))
 
 
 def _quadrant_area(x: float, y: float, r: float) -> float:

@@ -19,12 +19,12 @@ eigenvectors are mass-orthonormal with the largest-magnitude entry made
 positive.  The convolution part is assembled only for domains of diameter at
 least one; below that no point pair reaches the kernel's support.
 
-S^(j) and A^(n) share one pair engine per dimension, the integral of q_n over
-cell pairs at distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  In
-one dimension it is the closed form over unordered pairs; two-dimensional
-meshes assemble by polar inner integrals (closed-form radial antiderivative,
-angular quadrature) under tensor Gauss points on the outer cell, and
-identical full cell pairs share one offset table.
+S^(j) and A^(n) share one pair driver, the integral of q_n over cell pairs at
+distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  Pairs of equal
+cell classes and centre offset are integrated once, by the closed form in one
+dimension and in two by polar inner integrals (closed-form radial
+antiderivative, angular quadrature) under tensor Gauss points on the outer
+cell; self-energies are computed once per cell class.
 """
 
 from __future__ import annotations
@@ -81,13 +81,9 @@ class EigenResult:
 # 1D assembly (closed forms)
 
 
-def _pair_matrix_1d(n: int, mesh: Mesh, lo: float, hi: float) -> np.ndarray:
-    """int_Ci int_Cl q_n 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal)."""
+def _pair_values_1d(n, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
     cells = np.asarray(mesh.cells, dtype=float)
-    i, l = np.triu_indices(len(cells), k=1)
-    P = np.zeros((len(cells), len(cells)))
-    P[i, l] = cell_pair_tent_integral(n, cells[i, 0], cells[i, 1], cells[l, 0], cells[l, 1], lo, hi)
-    return P + P.T
+    return cell_pair_tent_integral(n, cells[i, 0], cells[i, 1], cells[l, 0], cells[l, 1], lo, hi)
 
 
 def _self_energies_1d(n: int, mesh: Mesh, cutoff: float) -> np.ndarray:
@@ -260,82 +256,91 @@ def _mesh_disk(mesh: Mesh) -> Disk | None:
     return next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
 
 
-def _pair_matrix_2d(n, mesh: Mesh, lo, hi, order=6):
-    """int_Ci int_Cl q_n 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
-
-    Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
-    are skipped; identical unclipped cell pairs share one offset table entry.
-    """
+def _pair_values_2d(n, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
+    """Tensor Gauss points on cell i times the polar inner integral over cell l, per pair."""
     cells = mesh.cells
     disk = _mesh_disk(mesh)
-    ncells = len(cells)
-    P = np.zeros((ncells, ncells))
-    centers = mesh.centers()
-    diams = np.array([math.hypot(c[2] - c[0], c[3] - c[1]) for c in cells])
-    table: dict[tuple, float] = {}
-    for i in range(ncells):
-        ci = cells[i]
-        clip = disk if ci[4] else None
-        plain = _clip_to_disk(*_cell_gauss_points(ci, order), clip)
-        for l in range(i + 1, ncells):
-            cl = cells[l]
-            dist = math.hypot(centers[l][0] - centers[i][0], centers[l][1] - centers[i][1])
-            r_sum = 0.5 * (diams[i] + diams[l])
-            if dist - r_sum >= hi or dist + r_sum <= lo:
-                continue
-            key = None
-            if not ci[4] and not cl[4]:
-                hx = ci[2] - ci[0]
-                key = (
-                    round(hx, 14),
-                    round(ci[3] - ci[1], 14),
-                    round(cl[2] - cl[0], 14),
-                    round(cl[3] - cl[1], 14),
-                    round((centers[l][0] - centers[i][0]) / hx, 9),
-                    round((centers[l][1] - centers[i][1]) / hx, 9),
-                )
-                if key in table:
-                    P[i, l] = P[l, i] = table[key]
-                    continue
-            # the kernel is singular only when lo == 0: grade toward near targets
-            grade = _pair_grading(ci, cl) if lo == 0.0 else (0, 0)
-            px, py, pw = plain if grade == (0, 0) else _clip_to_disk(*_cell_gauss_points(ci, order, *grade), clip)
-            inner = _inner_cell_integral_2d(n, px, py, cl, disk, lo, hi)
-            val = float(np.sum(inner * pw))
-            if key is not None:
-                table[key] = val
-            P[i, l] = P[l, i] = val
-    return P
+    out = np.empty(len(i))
+    for k, (a, b) in enumerate(zip(i.tolist(), l.tolist())):
+        ci, cl = cells[a], cells[b]
+        # the kernel is singular only when lo == 0: grade toward near targets
+        grade = _pair_grading(ci, cl) if lo == 0.0 else (0, 0)
+        px, py, pw = _clip_to_disk(*_cell_gauss_points(ci, order, *grade), disk if ci[4] else None)
+        out[k] = np.sum(_inner_cell_integral_2d(n, px, py, cl, disk, lo, hi) * pw)
+    return out
 
 
 def _self_energies_2d(n, mesh: Mesh, cutoff) -> np.ndarray:
+    """Diagonal self-energies, computed once per cell class."""
+    _, sides, cls, first = _cell_classes(mesh)
     disk = _mesh_disk(mesh)
     return np.array([
-        _self_energy_2d(n, c, disk, cutoff) if c[4]
-        else 2.0 * cell_self_energy_2d(n, c[2] - c[0], c[3] - c[1], cutoff)
-        for c in mesh.cells
-    ])
+        _self_energy_2d(n, mesh.cells[c], disk, cutoff) if mesh.cells[c][4]
+        else 2.0 * cell_self_energy_2d(n, sides[c, 0], sides[c, 1], cutoff)
+        for c in first
+    ])[cls]
 
 
 # ---------------------------------------------------------------------------
 # form assembly
 
-# (pair engine, diagonal self-energies) per dimension
-_ENGINES = {1: (_pair_matrix_1d, _self_energies_1d), 2: (_pair_matrix_2d, _self_energies_2d)}
+
+def _cell_classes(mesh: Mesh):
+    """Centres, sides, class ids and first cell per class: equal sides (14 decimals), clipped cells alone."""
+    cells = np.asarray(mesh.cells, dtype=float)
+    dim = mesh.domain.dim
+    lo, hi = cells[:, :dim], cells[:, dim : 2 * dim]
+    own = np.where(cells[:, 4] > 0.0, np.arange(1, len(cells) + 1), 0) if dim == 2 else np.zeros(len(cells))
+    _, first, cls = np.unique(np.column_stack([np.round(hi - lo, 14), own]), axis=0, return_index=True, return_inverse=True)
+    return 0.5 * (lo + hi), hi - lo, cls.ravel(), first
+
+
+def _pair_matrix(n, mesh: Mesh, lo, hi) -> np.ndarray:
+    """int_Ci int_Cl q_n 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
+
+    Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
+    are skipped; each group of equal class pair and centre offset is integrated once.
+    """
+    centres, sides, cls, _ = _cell_classes(mesh)
+    ncells = len(cls)
+    i, l = (k.astype(np.int32) for k in np.triu_indices(ncells, k=1))
+    diams = np.hypot.reduce(sides, axis=1)
+    delta = centres[l] - centres[i]
+    dist = np.hypot.reduce(np.abs(delta), axis=1)
+    r_sum = 0.5 * (diams[i] + diams[l])
+    keep = (dist - r_sum < hi) & (dist + r_sum > lo)
+    i, l, delta = i[keep], l[keep], delta[keep]
+    del dist, r_sum, keep
+    keys = (*np.round(delta / sides[i, :1], 9).T, cls[i].astype(np.int64) * ncells + cls[l])
+    del delta
+    order = np.lexsort(keys)  # stable: each group starts at its first pair in row order
+    first = np.zeros(order.size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= np.diff(key[order]) != 0
+    del keys
+    i, l = i[order], l[order]
+    values = _ENGINES[mesh.domain.dim][0](n, mesh, i[first], l[first], lo, hi)[np.cumsum(first) - 1]
+    P = np.zeros((ncells, ncells))
+    P[i, l] = values
+    P[l, i] = values
+    return P
+
+
+# (pair evaluator, diagonal self-energies) per dimension
+_ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_energies_2d)}
 
 
 def _difference_matrix(n, mesh, cutoff):
     """S^(n): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
-    pairs, self_energies = _ENGINES[mesh.domain.dim]
-    S = -2.0 * pairs(n, mesh, 0.0, cutoff)
-    np.fill_diagonal(S, self_energies(n, mesh, cutoff))
+    S = -2.0 * _pair_matrix(n, mesh, 0.0, cutoff)
+    np.fill_diagonal(S, _ENGINES[mesh.domain.dim][1](n, mesh, cutoff))
     return S
 
 
 def _convolution_matrix(n, mesh):
     """A^(n): pair integrals of the kernel beyond unit distance."""
-    pairs, _ = _ENGINES[mesh.domain.dim]
-    return pairs(n, mesh, 1.0, np.inf)
+    return _pair_matrix(n, mesh, 1.0, np.inf)
 
 
 def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int | None = None) -> FormMatrices:

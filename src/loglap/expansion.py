@@ -174,11 +174,6 @@ def _fit_slope(s: np.ndarray, norms: np.ndarray, u: GridFunction) -> float:
     return float(coeffs[0])
 
 
-def slope_fit(study: RemainderStudy) -> float:
-    """Least-squares slope of log sup-norm vs log s (n+1 for analytic remainders)."""
-    return study.fitted_slope
-
-
 def shifted_expansion_check(u: GridFunction, s0: float, n: int, s_samples=DEFAULT_S_SAMPLES) -> RemainderStudy:
     """Remainder study for the base-point expansion of B^s around s0."""
     return run_study("shifted", n, u, s_samples=s_samples, s0=s0)

@@ -6,11 +6,12 @@ kernel j_n.  All radial integrals reduce to the antiderivative
 
     int q_n(t) t^(N-1) dt = -(-2 ln t)^n / (2n)      (per unit sphere measure)
 
-and, in one dimension, the Galerkin cell integrals additionally need
+and the closed-form Galerkin cell integrals additionally need
 
-    G_k(h) = int_0^h (-ln r)^k dr = h * sum_{i<=k} (k!/i!) (-ln h)^i,
+    int_0^h t^p (-ln t)^k dt = h^(p+1) sum_{i<=k} (k!/i!) (-ln h)^i / (p+1)^(k-i+1),
 
-a finite (incomplete-Gamma) sum.  The combined kernel of an order-m ledger,
+a finite (incomplete-Gamma) sum (p = 0 for 1D cells, p = 1 for 2D boxes).
+The combined kernel of an order-m ledger,
 
     h_m(t) = sum_{j=1..m} alpha_j (-2 ln t)^(j-1),
 
@@ -148,8 +149,8 @@ def combined_kernel(ledger: CoeffLedger) -> CombinedKernel:
     return CombinedKernel(ledger=ledger, poly=tuple(p), r0=r0, rm=rm)
 
 
-def incomplete_log_integral(k: int, h) -> float | np.ndarray:
-    """G_k(h) = int_0^h (-ln r)^k dr = h sum_{i<=k} (k!/i!) (-ln h)^i (h > 0)."""
+def incomplete_log_integral(k: int, h, p: int = 0) -> float | np.ndarray:
+    """int_0^h t^p (-ln t)^k dt = h^(p+1) sum_{i<=k} (k!/i!) (-ln h)^i / (p+1)^(k-i+1) (h >= 0)."""
     h = np.asarray(h, dtype=float)
     if np.any(h < 0.0):
         raise PreconditionError("upper limit must be nonnegative")
@@ -157,22 +158,8 @@ def incomplete_log_integral(k: int, h) -> float | np.ndarray:
     acc = np.zeros_like(L)
     kfac = math.factorial(k)
     for i in range(k + 1):
-        acc += (kfac / math.factorial(i)) * L ** i
-    out = np.where(h > 0.0, h * acc, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def incomplete_log_t_integral(k: int, h) -> float | np.ndarray:
-    """H_k(h) = int_0^h t (-ln t)^k dt = (h^2/2) sum_{i<=k} (k!/i!) (-ln h)^i / 2^(k-i)."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0.0):
-        raise PreconditionError("upper limit must be nonnegative")
-    L = np.where(h > 0.0, -np.log(np.where(h > 0.0, h, 1.0)), 0.0)
-    acc = np.zeros_like(L)
-    kfac = math.factorial(k)
-    for i in range(k + 1):
-        acc += (kfac / math.factorial(i)) * L ** i / 2.0 ** (k - i)
-    out = np.where(h > 0.0, 0.5 * h ** 2 * acc, 0.0)
+        acc += (kfac / math.factorial(i)) * L ** i / (p + 1) ** (k - i + 1)
+    out = np.where(h > 0.0, h ** (p + 1) * acc, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -322,7 +309,7 @@ def rect_pair_integral_2d(n: int, A, B, lo: float = 0.0, hi: float = 1.0, order:
     piece = (
         alpha * (radial_antiderivative(n, tb_safe) - radial_antiderivative(n, ta_safe))
         + beta * 2.0 ** (n - 1) * (incomplete_log_integral(n - 1, tb_safe) - incomplete_log_integral(n - 1, ta_safe))
-        + gamma * 2.0 ** (n - 1) * (incomplete_log_t_integral(n - 1, tb_safe) - incomplete_log_t_integral(n - 1, ta_safe))
+        + gamma * 2.0 ** (n - 1) * (incomplete_log_integral(n - 1, tb_safe, p=1) - incomplete_log_integral(n - 1, ta_safe, p=1))
     )
     return float(np.sum(np.where(live, piece, 0.0).sum(axis=1) * wphi))
 
@@ -356,7 +343,7 @@ def cell_self_energy_2d(n: int, a: float, b: float, cutoff: float = 1.0, order: 
         t_b = np.where(s > 0, b / np.where(s > 0, s, 1.0), np.inf)
     t_star = np.minimum(np.minimum(t_a, t_b), cutoff)
     lin = (a * s + b * c) * 2.0 ** (n - 1) * incomplete_log_integral(n - 1, t_star)
-    quad = c * s * 2.0 ** (n - 1) * incomplete_log_t_integral(n - 1, t_star)
+    quad = c * s * 2.0 ** (n - 1) * incomplete_log_integral(n - 1, t_star, p=1)
     tail = a * b * (radial_antiderivative(n, cutoff) - radial_antiderivative(n, t_star))
     tail = np.where(t_star < cutoff, tail, 0.0)
     integrand = lin - quad + tail

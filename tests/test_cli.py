@@ -111,6 +111,28 @@ def test_apply_quad_vs_fft_agree(bump_file, tmp_path):
     assert side["truncation_bound"] >= 0.0
 
 
+def test_apply_quad_chunks_stay_under_byte_budget(bump_file, tmp_path, monkeypatch):
+    from loglap import cli, pointwise
+
+    sizes = []
+    batch = pointwise.apply_L_batch
+
+    def spy(m, u, xs, **opts):
+        sizes.append(len(xs))
+        return batch(m, u, xs, **opts)
+
+    monkeypatch.setattr(pointwise, "apply_L_batch", spy)
+    monkeypatch.setattr(cli, "_QUAD_CHUNK_BYTES", 40 * cli._quad_point_bytes(1))
+    out = tmp_path / "L.json"
+    assert main(["--threads", "2", "apply", "--op", "L", "--m", "2", "--method", "quad",
+                 "--grid", str(bump_file), "--out", str(out)]) == 0
+    u = grid_from_dict(json.loads(bump_file.read_text()))
+    assert sum(sizes) == u.shape[0] and len(sizes) > 2
+    assert max(sizes) * cli._quad_point_bytes(1) <= cli._QUAD_CHUNK_BYTES
+    whole, _, _ = batch(2, u, u.axes()[0][:, None])
+    assert np.array_equal(np.array(json.loads(out.read_text())["values"]), whole)
+
+
 def test_apply_riesz_out_of_range_exit_code(bump_file, tmp_path):
     code = main(["apply", "--op", "riesz", "--s", "0.6", "--method", "quad",
                  "--grid", str(bump_file), "--out", str(tmp_path / "x.json")])

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -118,6 +119,42 @@ def test_circle_box_area_full_and_empty():
     disk = Disk(0, 0, 1)
     assert circle_box_area(disk, -2, -2, 2, 2) == pytest.approx(math.pi, rel=1e-14)
     assert circle_box_area(disk, 2, 2, 3, 3) == 0.0
+
+
+def _circle_box_area_mpmath(disk, x0, y0, x1, y1):
+    """Chord-length integral at 40 digits, split where the chord has kinks."""
+    with mp.workdps(40):
+        cx, cy, r, x0, y0, x1, y1 = map(mp.mpf, (disk.cx, disk.cy, disk.r, x0, y0, x1, y1))
+
+        def chord(x):
+            d2 = r ** 2 - (x - cx) ** 2
+            half = mp.sqrt(d2) if d2 > 0 else mp.mpf(0)
+            return max(min(cy + half, y1) - max(cy - half, y0), mp.mpf(0))
+
+        breaks = {x0, x1}
+        for yb in (y0, y1):
+            d2 = r ** 2 - (yb - cy) ** 2
+            if d2 > 0:
+                breaks.update((cx - mp.sqrt(d2), cx + mp.sqrt(d2)))
+        breaks.update((cx - r, cx + r))
+        return float(mp.quad(chord, sorted(b for b in breaks if x0 <= b <= x1)))
+
+
+def test_tangent_boundary_cell_of_off_centre_disk():
+    # the cell's right edge rounds to 2e-17 inside the disk's tangent line
+    disk = Disk(0.06317071082430645, -0.09945229996597038, 0.2)
+    mesh = mesh_rectangles(DomainSpec(2, (disk,)), 0.04)
+    box = (0.22317071082430642, -0.1394522999659704, 0.26317071082430643, -0.09945229996597038)
+    assert box in [c[:4] for c in mesh.cells]
+    assert circle_box_area(disk, *box) == pytest.approx(_circle_box_area_mpmath(disk, *box), abs=1e-15)
+
+
+def test_off_centre_disks_partition():
+    rng = np.random.default_rng(0)
+    for cx, cy in rng.uniform(-0.1, 0.1, size=(300, 2)):
+        domain = DomainSpec(2, (Disk(float(cx), float(cy), 0.2),))
+        mesh = mesh_rectangles(domain, 0.04)  # raises unless the cells partition the disk
+        assert np.sum(mesh.cell_measure) == pytest.approx(domain.measure(), rel=1e-10)
 
 
 def test_mesh_intervals_partition_exact():

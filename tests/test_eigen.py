@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from loglap import NumericalError, PreconditionError
+from loglap import NumericalError, PreconditionError, eigen
 from loglap.coeffs import EULER_GAMMA, alpha_coeffs, c_dim, omega, rho
 from loglap.domains import Disk, DomainSpec, Interval, Mesh, Rect, mesh_intervals, mesh_rectangles
 from loglap.eigen import (
     _convolution_matrix,
     _difference_matrix,
+    _pair_matrix,
     assemble,
     eigensolve,
     faber_krahn_compare,
@@ -20,7 +21,7 @@ from loglap.eigen import (
     rearrange_decreasing,
 )
 from loglap.grid import GridFunction, estimate_holder_constant
-from loglap.kernels import combined_kernel
+from loglap.kernels import cell_pair_tent_integral, combined_kernel
 from loglap.spectral import log_norm
 
 QUARTER = DomainSpec(1, (Interval(-0.25, 0.25),))
@@ -76,6 +77,45 @@ def test_convolution_part_nonzero_for_wide_domain():
 
     ref = integrate.dblquad(f, cells[i][0], cells[i][1], cells[l][0], cells[l][1], epsabs=1e-12)[0]
     assert A[i, l] == pytest.approx(ref, rel=1e-10)
+
+
+def _pair_matrix_by_brute_force(n, mesh, lo, hi):
+    """The dimension's pair evaluator called on every pair, one at a time."""
+    evaluate, _ = eigen._ENGINES[mesh.domain.dim]
+    P = np.zeros((mesh.n_cells, mesh.n_cells))
+    for i in range(mesh.n_cells):
+        for l in range(i + 1, mesh.n_cells):
+            P[i, l] = P[l, i] = evaluate(n, mesh, np.array([i]), np.array([l]), lo, hi)[0]
+    return P
+
+
+@pytest.mark.parametrize("name", ["1d-two-widths", "2d-clipped-disk"])
+def test_pair_matrix_matches_brute_force_loop(name):
+    if name == "1d-two-widths":
+        # incommensurate cell widths: the offset keys must not merge distinct geometry
+        mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.1), Interval(0.2137, 0.6))), 40)
+    else:
+        mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.6),)), 0.2)
+        assert any(c[4] for c in mesh.cells) and not all(c[4] for c in mesh.cells)
+    for n, lo, hi, tol in ((1, 0.0, 1.0, 1e-13), (2, 0.0, 1.0, 1e-13), (1, 1.0, np.inf, 1e-9)):
+        P = _pair_matrix(n, mesh, lo, hi)
+        ref = _pair_matrix_by_brute_force(n, mesh, lo, hi)
+        assert np.max(np.abs(ref)) > 0.0
+        assert np.max(np.abs(P - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_uniform_1d_mesh_evaluates_one_pair_per_offset(monkeypatch):
+    sizes = []
+
+    def spy(n, a1, *rest):
+        sizes.append(np.size(a1))
+        return cell_pair_tent_integral(n, a1, *rest)
+
+    monkeypatch.setattr(eigen, "cell_pair_tent_integral", spy)
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 300)
+    _difference_matrix(2, mesh, 1.0)
+    _convolution_matrix(2, mesh)
+    assert len(sizes) == 2 and max(sizes) <= mesh.n_cells - 1
 
 
 def test_first_order_form_decomposes_into_g_plus_mass():
@@ -379,29 +419,30 @@ def test_2d_whole_domain_energy_cross_check():
 
 
 def test_2d_far_pair_convolution_matches_tensor_gauss():
-    from loglap.eigen import _pair_matrix_2d
+    from loglap.eigen import _pair_values_2d
     from loglap.quadrature import panel_rule, uniform_panels
 
     dom = DomainSpec(2, (Rect(0, 0, 0.3, 0.3), Rect(1.4, 0.0, 1.7, 0.3)))
     mesh = mesh_rectangles(dom, 0.3)
-    A = _pair_matrix_2d(1, mesh, 1.0, np.inf, order=10)
+    targets = np.arange(1, mesh.n_cells)  # the far rect may mesh into several cells
+    A = _pair_values_2d(1, mesh, np.zeros_like(targets), targets, 1.0, np.inf, order=10)
     n1, w1 = panel_rule(uniform_panels(0.0, 0.3, 4), 12)
     n2, w2 = panel_rule(uniform_panels(1.4, 1.7, 4), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")
     W = (w1[:, None, None, None] * w1[None, :, None, None]
          * w2[None, None, :, None] * w1[None, None, None, :])
     ref = float(np.sum(W / ((X1 - X2) ** 2 + (Y1 - Y2) ** 2)))
-    got = float(np.sum(A[0, 1:]))  # the far rect may mesh into several cells
+    got = float(np.sum(A))
     assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_2d_near_pair_difference_matches_tensor_gauss():
-    from loglap.eigen import _pair_matrix_2d
+    from loglap.eigen import _pair_values_2d
     from loglap.quadrature import panel_rule, uniform_panels
 
     dom = DomainSpec(2, (Rect(0, 0, 0.2, 0.2), Rect(0.25, 0.0, 0.45, 0.2)))
     mesh = mesh_rectangles(dom, 0.2)
-    S = -2.0 * _pair_matrix_2d(1, mesh, 0.0, 1.0, order=10)
+    S01 = -2.0 * _pair_values_2d(1, mesh, np.array([0]), np.array([1]), 0.0, 1.0, order=10)[0]
     n1, w1 = panel_rule(uniform_panels(0.0, 0.2, 6), 12)
     n2, w2 = panel_rule(uniform_panels(0.25, 0.45, 6), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")
@@ -409,7 +450,7 @@ def test_2d_near_pair_difference_matches_tensor_gauss():
          * w2[None, None, :, None] * w1[None, None, None, :])
     D2 = (X1 - X2) ** 2 + (Y1 - Y2) ** 2
     ref = float(np.sum(W / D2))  # all pair distances below the unit cutoff
-    assert S[0, 1] == pytest.approx(-2.0 * ref, rel=1e-8)
+    assert S01 == pytest.approx(-2.0 * ref, rel=1e-8)
 
 
 def test_2d_ball_minimizes_among_equal_measure():

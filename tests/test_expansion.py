@@ -13,7 +13,6 @@ from loglap.expansion import (
     remainder,
     run_study,
     shifted_expansion_check,
-    slope_fit,
 )
 from loglap.grid import gaussian_bump, gaussian_derivative_bump
 from loglap.pointwise import apply_L_batch
@@ -65,7 +64,7 @@ def test_remainder_preconditions(bump):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_slopes_are_n_plus_one(bump, side, n):
     st = run_study(side, n, bump)
-    assert n + 0.8 <= slope_fit(st) <= n + 1.2
+    assert n + 0.8 <= st.fitted_slope <= n + 1.2
 
 
 def test_study_transforms_input_once(bump, monkeypatch):
