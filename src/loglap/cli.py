@@ -6,8 +6,8 @@ ball-minimality comparisons, and order-expansion studies.  Grids and domains
 travel as JSON (schemas in grid.py / domains.py); tabular results are CSV
 with a header row and 17 significant digits.
 
-Exit codes: 0 success, 2 usage, 3 precondition violation, 4 numerical
-failure.  Worker threads come from --threads or LOGLAP_THREADS.
+Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
+4 numerical failure.  Worker threads come from --threads or LOGLAP_THREADS.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .domains import domain_from_dict, mesh_intervals, mesh_rectangles
 from .errors import LoglapError, NumericalError, PreconditionError
 from .grid import gaussian_derivative_bump, grid_from_dict, grid_to_dict
 from .kernels import combined_kernel
-from .quadrature import dyadic_log_panels
 
 _FMT = "%.17g"
 
@@ -113,16 +112,10 @@ def cmd_radii(args) -> int:
 _QUAD_CHUNK_BYTES = 64 * 2**20  # quadrature working set of one apply chunk
 
 
-def _quad_point_bytes(dim: int) -> int:
-    """Working set per point: a radial context peaks at about six float64 arrays over its nodes."""
-    panels = dyadic_log_panels(-math.log(_pointwise.INNER_CUT), _pointwise.MAX_DECADES).size - 1 + _pointwise.OUTER_PANELS
-    return 6 * 8 * (2 if dim == 1 else _pointwise.N_ANGLES) * panels * _pointwise.PANEL_ORDER
-
-
 def _apply_quad(args, u, nodes):
     workers = _worker_count(args)
     count = nodes.shape[0]
-    per_chunk = max(1, _QUAD_CHUNK_BYTES // _quad_point_bytes(u.dim))
+    per_chunk = max(1, _QUAD_CHUNK_BYTES // _pointwise.quad_point_bytes(u.dim))
     chunks = np.array_split(np.arange(count), max(1, min(count, max(workers, math.ceil(count / per_chunk)))))
 
     def run(idx):

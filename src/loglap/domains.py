@@ -2,8 +2,12 @@
 
 Supported pieces: closed intervals (N = 1), axis-aligned rectangles and a
 disk (N = 2).  The geometry needed downstream is exact: measures, diameters,
-containment radius, and the intersection of a ray with the domain (used by
-the regional representation and the polar assembly integrals).
+containment radius, and ray intersections.  This module owns the latter:
+``ray_box`` (slab method) and ``ray_disk`` (chord roots) are the only
+ray-piece formulas, vectorized over points and directions, and serve the
+polar assembly integrals, the pointwise support-box exits and
+``DomainSpec.ray_segments`` (all directions from one point at once, used by
+the regional representation).
 
 Meshes carry a flat list of cells with exact measures; 1D cells are
 intervals, 2D cells are boxes optionally clipped to the disk with the
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -166,47 +171,59 @@ class DomainSpec:
                     return True
         return False
 
-    def ray_segments(self, x, direction) -> list[tuple[float, float]]:
-        """Sorted disjoint parameter intervals {t >= 0 : x + t*dir in domain}."""
+    def ray_segments(self, x, directions) -> list[list[tuple[float, float]]]:
+        """Per unit direction, the sorted disjoint intervals {t >= 0 : x + t*dir in domain}."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.atleast_1d(np.asarray(direction, dtype=float))
-        segs = []
+        d = np.asarray(directions, dtype=float).reshape(-1, self.dim).T
+        spans = []
         for p in self.pieces:
-            seg = _ray_piece(p, x, d)
-            if seg is not None:
-                segs.append(seg)
-        return sorted(segs)
+            if isinstance(p, Disk):
+                t_in, t_out = ray_disk(x, d, (p.cx, p.cy), p.r)
+            elif isinstance(p, Rect):
+                t_in, t_out = ray_box(x, d, (p.x0, p.y0), (p.x1, p.y1))
+            else:
+                t_in, t_out = ray_box(x, d, (p.a,), (p.b,))
+            t_in = np.maximum(t_in, 0.0)
+            spans.append((t_in.tolist(), t_out.tolist(), (t_out > t_in).tolist()))
+        return [sorted((a[k], b[k]) for a, b, hit in spans if hit[k]) for k in range(d.shape[1])]
 
 
-def _ray_piece(p: Piece, x: np.ndarray, d: np.ndarray):
-    if isinstance(p, Interval):
-        lo, hi = np.array([p.a]), np.array([p.b])
-    elif isinstance(p, Rect):
-        lo, hi = np.array([p.x0, p.y0]), np.array([p.x1, p.y1])
-    else:
-        dx = x - np.array([p.cx, p.cy])
-        a = float(d @ d)
-        b = 2.0 * float(dx @ d)
-        c = float(dx @ dx) - p.r ** 2
-        disc = b * b - 4 * a * c
-        if disc <= 0:
-            return None
-        root = math.sqrt(disc)
-        t0, t1 = (-b - root) / (2 * a), (-b + root) / (2 * a)
-        t0, t1 = max(t0, 0.0), t1
-        return (t0, t1) if t1 > t0 else None
-    t_lo, t_hi = 0.0, math.inf
-    for i in range(len(lo)):
-        if d[i] == 0.0:
-            if not lo[i] <= x[i] <= hi[i]:
-                return None
-            continue
-        ta = (lo[i] - x[i]) / d[i]
-        tb = (hi[i] - x[i]) / d[i]
-        if ta > tb:
-            ta, tb = tb, ta
-        t_lo, t_hi = max(t_lo, ta), min(t_hi, tb)
-    return (t_lo, t_hi) if t_hi > t_lo else None
+# -- ray intersections ------------------------------------------------------------
+
+
+def ray_box(x, d, lo, hi):
+    """Parameters (t_in, t_out) where the rays x + t*d cross the box [lo, hi] (slab method).
+
+    x, d, lo and hi hold one array per axis, all broadcast together.  A ray
+    parallel to a face stays inside that slab for every t or for none.
+    t_in is negative for a ray starting inside; the ray (t >= 0) misses the
+    box when t_out <= max(t_in, 0).
+    """
+    t_lo, t_hi = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for xa, da, la, ha in zip(x, d, lo, hi):
+            ta = np.divide(la - xa, da)
+            tb = np.divide(ha - xa, da)
+            inside = (xa >= la) & (xa <= ha)
+            lo_a, hi_a = np.minimum(ta, tb), np.maximum(ta, tb)
+            t_lo.append(np.where(np.isfinite(lo_a), lo_a, np.where(inside, -np.inf, np.inf)))
+            t_hi.append(np.where(np.isfinite(hi_a), hi_a, np.where(inside, np.inf, -np.inf)))
+    return reduce(np.maximum, t_lo), reduce(np.minimum, t_hi)
+
+
+def ray_disk(x, d, centre, r):
+    """Parameters (t_in, t_out) where the rays x + t*d cross the disk |y - centre| <= r.
+
+    x, d and centre are (x, y) pairs of arrays, all broadcast together; the
+    directions d are unit vectors.  A miss, tangent rays included, gives (inf, -inf).
+    """
+    (px, py), (ct, st), (cx, cy) = x, d, centre
+    dx, dy = px - cx, py - cy
+    b = dx * ct + dy * st
+    c = dx * dx + dy * dy - r * r
+    disc = b * b - c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return np.where(disc > 0, -b - root, np.inf), np.where(disc > 0, -b + root, -np.inf)
 
 
 # -- circle-box area -------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .coeffs import CoeffLedger
-from .domains import Disk, Interval, Mesh, mesh_intervals
+from .domains import Disk, Interval, Mesh, mesh_intervals, ray_box, ray_disk
 from .errors import NumericalError, PreconditionError
 from .kernels import (
     cell_pair_tent_integral,
@@ -93,37 +93,6 @@ def _self_energies_1d(n: int, mesh: Mesh, cutoff: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # 2D assembly (polar inner integral, tensor Gauss outer)
-
-
-def _ray_box_exit(px, py, ct, st, x0, y0, x1, y1):
-    """Entry/exit parameters of rays (px,py)+t(ct,st) with the box [x0,x1]x[y0,y1]."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx0 = (x0 - px) / ct
-        tx1 = (x1 - px) / ct
-        ty0 = (y0 - py) / st
-        ty1 = (y1 - py) / st
-    tx_lo, tx_hi = np.minimum(tx0, tx1), np.maximum(tx0, tx1)
-    ty_lo, ty_hi = np.minimum(ty0, ty1), np.maximum(ty0, ty1)
-    inside_x = (px >= x0) & (px <= x1)
-    inside_y = (py >= y0) & (py <= y1)
-    tx_lo = np.where(np.isfinite(tx_lo), tx_lo, np.where(inside_x, -np.inf, np.inf))
-    tx_hi = np.where(np.isfinite(tx_hi), tx_hi, np.where(inside_x, np.inf, -np.inf))
-    ty_lo = np.where(np.isfinite(ty_lo), ty_lo, np.where(inside_y, -np.inf, np.inf))
-    ty_hi = np.where(np.isfinite(ty_hi), ty_hi, np.where(inside_y, np.inf, -np.inf))
-    t_in = np.maximum(tx_lo, ty_lo)
-    t_out = np.minimum(tx_hi, ty_hi)
-    return t_in, t_out
-
-
-def _ray_circle_exit(px, py, ct, st, cx, cy, r):
-    dx, dy = px - cx, py - cy
-    b = dx * ct + dy * st
-    c = dx * dx + dy * dy - r * r
-    disc = b * b - c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t_in = np.where(disc > 0, -b - root, np.inf)
-    t_out = np.where(disc > 0, -b + root, -np.inf)
-    return t_in, t_out
 
 
 def _axis_rule(lo, hi, order, grade):
@@ -223,15 +192,19 @@ def _radial_segment(n, t_in, t_out, lo, hi):
     )
 
 
+def _cell_span(p, d, cell, disk):
+    """(t_in, t_out) of the rays p + t*d with a cell, cut to the disk when the cell is clipped."""
+    t_in, t_out = ray_box(p, d, cell[:2], cell[2:4])
+    if cell[4] and disk is not None:
+        c_in, c_out = ray_disk(p, d, (disk.cx, disk.cy), disk.r)
+        t_in, t_out = np.maximum(t_in, c_in), np.minimum(t_out, c_out)
+    return t_in, t_out
+
+
 def _inner_cell_integral_2d(n, px, py, target_cell, disk, lo, hi, order=10):
     """int_{C_l, lo<|p-y|<hi} q_n(|p-y|) dy by wedge angles and exact radii."""
     phi, wts = _wedge_rule(px, py, target_cell, order)
-    ct, st = np.cos(phi), np.sin(phi)
-    t_in, t_out = _ray_box_exit(px[:, None], py[:, None], ct, st, *target_cell[:4])
-    if target_cell[4] and disk is not None:
-        c_in, c_out = _ray_circle_exit(px[:, None], py[:, None], ct, st, disk.cx, disk.cy, disk.r)
-        t_in = np.maximum(t_in, c_in)
-        t_out = np.minimum(t_out, c_out)
+    t_in, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), target_cell, disk)
     t_in = np.maximum(t_in, 0.0)
     seg = _radial_segment(n, t_in, t_out, lo, hi)
     return np.sum(seg * wts, axis=1)
@@ -241,11 +214,7 @@ def _self_energy_2d(n, cell, disk, cutoff, order=8, angle_order=10):
     px, py, pw = _cell_gauss_points(cell, order)
     px, py, pw = _clip_to_disk(px, py, pw, disk if cell[4] else None)
     phi, wts = _arc_rule(px, py, cell, angle_order)
-    ct, st = np.cos(phi), np.sin(phi)
-    _, t_out = _ray_box_exit(px[:, None], py[:, None], ct, st, *cell[:4])
-    if cell[4] and disk is not None:
-        _, c_out = _ray_circle_exit(px[:, None], py[:, None], ct, st, disk.cx, disk.cy, disk.r)
-        t_out = np.minimum(t_out, c_out)
+    _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
     exit_t = np.clip(t_out, 1e-300, cutoff)
     seg = radial_antiderivative(n, cutoff) - radial_antiderivative(n, exit_t)
     inner = np.sum(np.maximum(seg, 0.0) * wts, axis=1)
@@ -364,8 +333,7 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
             raise PreconditionError("G form needs a kernel order")
         stiff = _difference_matrix(n, mesh, 1.0)
         if mesh.domain.diameter() >= 1.0:
-            stiff = stiff - _convolution_matrix(n, mesh)
-        stiff = 0.5 * (stiff + stiff.T)
+            stiff -= _convolution_matrix(n, mesh)
         return FormMatrices("G", stiff, mass, ledger, mesh)
 
     if ledger is None:
@@ -382,8 +350,7 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
             raise PreconditionError("mesh cells must be smaller than the positivity radius")
         stiff = ledger.alpha[0] * np.diag(mass)
         for j in range(1, m + 1):
-            stiff = stiff + ledger.alpha[j] * _difference_matrix(j, mesh, cutoff)
-        stiff = 0.5 * (stiff + stiff.T)
+            stiff += ledger.alpha[j] * _difference_matrix(j, mesh, cutoff)
         scale = float(np.max(np.abs(stiff))) or 1.0
         lam_min = float(scipy.linalg.eigvalsh(stiff, subset_by_index=[0, 0])[0])
         if lam_min < -1e-8 * scale:
@@ -392,11 +359,10 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
 
     stiff = ledger.alpha[0] * np.diag(mass)
     for j in range(1, m + 1):
-        stiff = stiff + ledger.alpha[j] * _difference_matrix(j, mesh, 1.0)
+        stiff += ledger.alpha[j] * _difference_matrix(j, mesh, 1.0)
     if mesh.domain.diameter() >= 1.0:
         for n in range(1, m + 1):
-            stiff = stiff - ledger.alpha[n] * _convolution_matrix(n, mesh)
-    stiff = 0.5 * (stiff + stiff.T)
+            stiff -= ledger.alpha[n] * _convolution_matrix(n, mesh)
     return FormMatrices("I", stiff, mass, ledger, mesh)
 
 

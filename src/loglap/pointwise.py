@@ -38,7 +38,7 @@ from .coeffs import (
     kappa_ns,
     omega,
 )
-from .domains import DomainSpec
+from .domains import DomainSpec, ray_box
 from .errors import PreconditionError
 from .grid import GridFunction
 from .kernels import radial_antiderivative
@@ -49,6 +49,12 @@ PANEL_ORDER = 16
 MAX_DECADES = 40
 OUTER_PANELS = 48  # resolves support-scale features crossed by the tail rays
 N_ANGLES = 64
+
+
+def quad_point_bytes(dim: int) -> int:
+    """Working set per evaluation point: a radial context peaks at about six float64 arrays over its nodes."""
+    panels = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES).size - 1 + OUTER_PANELS
+    return 6 * 8 * (2 if dim == 1 else N_ANGLES) * panels * PANEL_ORDER
 
 
 @dataclass(frozen=True)
@@ -67,20 +73,6 @@ def _directions(dim: int, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     weights = np.full(n_angles, 2.0 * math.pi / n_angles)
     return thetas, weights
-
-
-def _box_exit(u: GridFunction, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Distance from each x along each direction to the support-box boundary."""
-    lo, hi = u.box_lo, u.box_hi
-    out = np.full((xs.shape[0], thetas.shape[0]), np.inf)
-    for ax in range(u.dim):
-        th = thetas[:, ax][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_pos = (hi[ax] - xs[:, ax][:, None]) / th
-            t_neg = (lo[ax] - xs[:, ax][:, None]) / th
-        cand = np.where(th > 0, t_pos, np.where(th < 0, t_neg, np.inf))
-        out = np.minimum(out, cand)
-    return np.maximum(out, 0.0)
 
 
 def _jump_positions(u: GridFunction) -> tuple[np.ndarray, list[tuple[int, float]]]:
@@ -131,26 +123,21 @@ def _check_dini_clearance(u: GridFunction, xs: np.ndarray, cut: float) -> None:
 class _RadialContext:
     """Shared u-samples and quadrature weights around a batch of points."""
 
-    def __init__(self, u: GridFunction, xs: np.ndarray, inner_cut: float = INNER_CUT,
-                 panel_order: int = PANEL_ORDER, n_angles: int = N_ANGLES,
-                 outer_panels: int = OUTER_PANELS):
+    def __init__(self, u: GridFunction, xs: np.ndarray, n_angles: int = N_ANGLES):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[1] != u.dim:
             raise PreconditionError("evaluation points must match the grid dimension")
         for x in xs:
             if not u.contains(x):
                 raise PreconditionError("evaluation point outside the grid box")
-        _check_dini_clearance(u, xs, inner_cut)
+        _check_dini_clearance(u, xs, INNER_CUT)
         self.u = u
         self.xs = xs
-        self.inner_cut = inner_cut
-        self.tau_max = -math.log(inner_cut)
         thetas, th_w = _directions(u.dim, n_angles)
         self.thetas, self.th_w = thetas, th_w
 
-        bounds = dyadic_log_panels(self.tau_max, MAX_DECADES)
-        self.tau, self.tau_w = panel_rule(bounds, panel_order)
-        self.n_inner_panels = len(bounds) - 1
+        bounds = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
+        self.tau, self.tau_w = panel_rule(bounds, PANEL_ORDER)
         t_in = np.exp(-self.tau)
         # y[x, theta, q] = x + t_q * theta
         y_in = xs[:, None, None, :] + t_in[None, None, :, None] * thetas[None, :, None, :]
@@ -159,17 +146,15 @@ class _RadialContext:
         self.diff_in = self.u0[:, None, None] - u_in
 
         # outer: per-(x, theta) panels in sigma = ln t up to the box exit
-        exit_t = _box_exit(u, xs, thetas)
-        self.sigma_max = np.log(np.maximum(exit_t, 1.0))
-        unit = uniform_panels(0.0, 1.0, outer_panels)
-        un, uw = panel_rule(unit, panel_order)
-        self.sigma = self.sigma_max[:, :, None] * un[None, None, :]
-        self.sigma_w = self.sigma_max[:, :, None] * uw[None, None, :]
+        _, exit_t = ray_box(xs.T[:, :, None], thetas.T[:, None, :], u.box_lo, u.box_hi)
+        sigma_max = np.log(np.maximum(exit_t, 1.0))
+        un, uw = panel_rule(uniform_panels(0.0, 1.0, OUTER_PANELS), PANEL_ORDER)
+        self.sigma = sigma_max[:, :, None] * un[None, None, :]
+        self.sigma_w = sigma_max[:, :, None] * uw[None, None, :]
         t_out = np.exp(self.sigma)
         y_out = xs[:, None, None, :] + t_out[..., None] * thetas[None, :, None, :]
         self.u_out = u(y_out if u.dim == 2 else y_out[..., 0])
-        self.n_outer_panels = outer_panels
-        self.panels = self.n_inner_panels + outer_panels
+        self.panels = len(bounds) - 1 + OUTER_PANELS
 
     def inner(self, weight_of_tau) -> np.ndarray:
         w = weight_of_tau(self.tau) * self.tau_w
@@ -196,9 +181,9 @@ def _holder_bound_power(u: GridFunction, rate: float, cut: float) -> float:
 # public operators
 
 
-def k_values_batch(orders, u: GridFunction, xs, **quad_opts):
+def k_values_batch(orders, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """K_n u at many points for several orders n at once (shared samples)."""
-    ctx = _RadialContext(u, xs, **quad_opts)
+    ctx = _RadialContext(u, xs, n_angles)
     values = {}
     bounds = {}
     for n in orders:
@@ -207,22 +192,22 @@ def k_values_batch(orders, u: GridFunction, xs, **quad_opts):
         inner = ctx.inner(lambda tau: (2.0 * tau) ** (n - 1))
         outer = ctx.outer(lambda sig: (-2.0 * sig) ** (n - 1))
         values[n] = inner - outer
-        bounds[n] = _holder_bound_log(u, n, ctx.inner_cut)
+        bounds[n] = _holder_bound_log(u, n, INNER_CUT)
     return values, bounds, ctx
 
 
-def apply_K(n: int, u: GridFunction, x, **quad_opts) -> EvalReport:
+def apply_K(n: int, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
     """K_n u(x) = int_{B1} (u(x)-u(y)) q_n dy - int_{|y-x|>1} u(y) q_n dy."""
-    values, bounds, ctx = k_values_batch([n], u, np.atleast_2d(x), **quad_opts)
+    values, bounds, ctx = k_values_batch([n], u, np.atleast_2d(x), n_angles)
     return EvalReport(float(values[n][0]), bounds[n], ctx.panels)
 
 
-def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None, **quad_opts):
+def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES):
     """Ledger combination sum_j alpha_j K_j u (with K_0 u = u) at many points."""
     led = ledger if ledger is not None else alpha_coeffs(m, u.dim)
     if led.m != m or led.dim != u.dim:
         raise PreconditionError("ledger order/dimension mismatch")
-    values, bounds, ctx = k_values_batch(range(1, m + 1), u, xs, **quad_opts)
+    values, bounds, ctx = k_values_batch(range(1, m + 1), u, xs, n_angles)
     total = led.alpha[0] * ctx.u0
     bound = 0.0
     for j in range(1, m + 1):
@@ -231,12 +216,12 @@ def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None
     return total, bound, ctx.panels
 
 
-def apply_L(m: int, u: GridFunction, x, ledger: CoeffLedger | None = None, **quad_opts) -> EvalReport:
-    total, bound, panels = apply_L_batch(m, u, np.atleast_2d(x), ledger=ledger, **quad_opts)
+def apply_L(m: int, u: GridFunction, x, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES) -> EvalReport:
+    total, bound, panels = apply_L_batch(m, u, np.atleast_2d(x), ledger, n_angles)
     return EvalReport(float(total[0]), bound, panels)
 
 
-def frac_lap_batch(s: float, u: GridFunction, xs, **quad_opts):
+def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """(-Delta)^s via the split c_{N,s} J-integral + kappa2(-s) u(x)."""
     if not 0.0 < s < 1.0:
         raise PreconditionError("fractional order must lie in (0, 1)")
@@ -244,36 +229,36 @@ def frac_lap_batch(s: float, u: GridFunction, xs, **quad_opts):
         raise PreconditionError(
             "declared Holder exponent must exceed 2s for the split singular integral"
         )
-    ctx = _RadialContext(u, xs, **quad_opts)
+    ctx = _RadialContext(u, xs, n_angles)
     c = c_ns(s, u.dim)
     inner = ctx.inner(lambda tau: np.exp(2.0 * s * tau))
     outer = ctx.outer(lambda sig: np.exp(-2.0 * s * sig))
     values = c * (inner - outer) + kappa2_frac(s, u.dim) * ctx.u0
-    bound = abs(c) * _holder_bound_power(u, u.holder_exponent - 2.0 * s, ctx.inner_cut)
+    bound = abs(c) * _holder_bound_power(u, u.holder_exponent - 2.0 * s, INNER_CUT)
     return values, bound, ctx.panels
 
 
-def frac_lap(s: float, u: GridFunction, x, **quad_opts) -> EvalReport:
-    values, bound, panels = frac_lap_batch(s, u, np.atleast_2d(x), **quad_opts)
+def frac_lap(s: float, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
+    values, bound, panels = frac_lap_batch(s, u, np.atleast_2d(x), n_angles)
     return EvalReport(float(values[0]), bound, panels)
 
 
-def riesz_batch(s: float, u: GridFunction, xs, **quad_opts):
+def riesz_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """Phi_s * u via the compensated split kappa_{N,s} I-integral + kappa2(s) u(x)."""
     if not 0.0 < s < u.dim / 2.0:
         raise PreconditionError("Riesz order must lie in (0, N/2)")
-    ctx = _RadialContext(u, xs, **quad_opts)
+    ctx = _RadialContext(u, xs, n_angles)
     kap = kappa_ns(s, u.dim)
     # I[u](x, y) = u(y) - u(x) inside B_1: sign-flipped inner difference
     inner = -ctx.inner(lambda tau: np.exp(-2.0 * s * tau))
     outer = ctx.outer(lambda sig: np.exp(2.0 * s * sig))
     values = kap * (inner + outer) + kappa2_riesz(s, u.dim) * ctx.u0
-    bound = kap * _holder_bound_power(u, u.holder_exponent + 2.0 * s, ctx.inner_cut)
+    bound = kap * _holder_bound_power(u, u.holder_exponent + 2.0 * s, INNER_CUT)
     return values, bound, ctx.panels
 
 
-def riesz(s: float, u: GridFunction, x, **quad_opts) -> EvalReport:
-    values, bound, panels = riesz_batch(s, u, np.atleast_2d(x), **quad_opts)
+def riesz(s: float, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
+    values, bound, panels = riesz_batch(s, u, np.atleast_2d(x), n_angles)
     return EvalReport(float(values[0]), bound, panels)
 
 
@@ -281,14 +266,14 @@ def riesz(s: float, u: GridFunction, x, **quad_opts) -> EvalReport:
 # regional representation
 
 
-def _segment_panels(a: float, b: float, per_unit_log: int = 6, order: int = PANEL_ORDER):
-    """Log-coordinate panels on a radial segment [a, b], a > 0."""
+def _segment_panels(a: float, b: float):
+    """Log-coordinate panels on a radial segment [a, b], a > 0: six per unit of ln t."""
     la, lb = math.log(a), math.log(b)
-    n = max(2, int(math.ceil((lb - la) * per_unit_log)))
-    return panel_rule(uniform_panels(la, lb, n), order)
+    n = max(2, int(math.ceil((lb - la) * 6)))
+    return panel_rule(uniform_panels(la, lb, n), PANEL_ORDER)
 
 
-def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, **quad_opts) -> EvalReport:
+def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int = N_ANGLES) -> EvalReport:
     """K_m u(x) through the domain-split form with the h_{m,Omega} correction.
 
     T1 = int_Omega (u(x)-u(y)) q_m dy,  T2 = -int_{R^N \\ Omega} u(y) q_m dy,
@@ -302,26 +287,20 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, **quad_opts) -
         raise PreconditionError("evaluation point must lie inside the domain")
     if not u.contains(x):
         raise PreconditionError("evaluation point outside the grid box")
-    inner_cut = quad_opts.pop("inner_cut", INNER_CUT)
-    order = quad_opts.pop("panel_order", PANEL_ORDER)
-    n_angles = quad_opts.pop("n_angles", N_ANGLES)
-    if quad_opts:
-        raise TypeError(f"unknown quadrature options {sorted(quad_opts)}")
-    _check_dini_clearance(u, x[None, :], inner_cut)
+    _check_dini_clearance(u, x[None, :], INNER_CUT)
 
     thetas, th_w = _directions(u.dim, n_angles)
-    exit_t = _box_exit(u, x[None, :], thetas)[0]
+    _, exit_t = ray_box(x, thetas.T, u.box_lo, u.box_hi)
     u0 = float(u(x if u.dim == 2 else x[0]))
-    tau_max = -math.log(inner_cut)
+    tau_max = -math.log(INNER_CUT)
 
     total = 0.0
     h_term = 0.0
     panels = 0
-    for it, theta in enumerate(thetas):
-        segs = domain.ray_segments(x, theta)
+    for it, (theta, segs) in enumerate(zip(thetas, domain.ray_segments(x, thetas))):
         if not segs or segs[0][0] > 1e-14:
             raise PreconditionError("evaluation point sits on the domain boundary")
-        if segs[0][1] <= inner_cut:
+        if segs[0][1] <= INNER_CUT:
             raise PreconditionError("domain boundary within the inner cut of x")
         # cover the grid box and every domain segment: u(x) q_m contributes on
         # all of Omega even past the support box
@@ -346,23 +325,23 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, **quad_opts) -
                 tau_lo = -math.log(min(hi, 1.0))
                 bnds = dyadic_log_panels(tau_max, MAX_DECADES)
                 bnds = np.unique(np.concatenate([[tau_lo], bnds[bnds > tau_lo + 1e-15], [tau_max]]))
-                nodes, wts = panel_rule(bnds, order)
+                nodes, wts = panel_rule(bnds, PANEL_ORDER)
                 t_nodes = np.exp(-nodes)
                 vals = u(x[None, :] + t_nodes[:, None] * theta[None, :]) if u.dim == 2 else u(x[0] + t_nodes * theta[0])
                 total += th_w[it] * float(np.sum((u0 - vals) * (2.0 * nodes) ** (m - 1) * wts))
                 panels += len(bnds) - 1
             else:
-                nodes, wts = _segment_panels(lo, hi, order=order)
+                nodes, wts = _segment_panels(lo, hi)
                 t_nodes = np.exp(nodes)
                 vals = u(x[None, :] + t_nodes[:, None] * theta[None, :]) if u.dim == 2 else u(x[0] + t_nodes * theta[0])
                 f = (u0 - vals) if inside else (-vals)
                 total += th_w[it] * float(np.sum(f * (-2.0 * nodes) ** (m - 1) * wts))
-                panels += len(wts) // order
+                panels += len(wts) // PANEL_ORDER
 
         h_term += th_w[it] * _ray_h(m, segs)
 
     value = total + h_term * u0
-    bound = _holder_bound_log(u, m, inner_cut)
+    bound = _holder_bound_log(u, m, INNER_CUT)
     return EvalReport(float(value), bound, panels)
 
 
@@ -397,8 +376,8 @@ def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES
     x = np.atleast_1d(np.asarray(x, dtype=float))
     thetas, th_w = _directions(dim, n_angles)
     total = 0.0
-    for it, theta in enumerate(thetas):
-        total += th_w[it] * _ray_h(m, domain.ray_segments(x, theta))
+    for w, segs in zip(th_w, domain.ray_segments(x, thetas)):
+        total += w * _ray_h(m, segs)
     return float(total)
 
 

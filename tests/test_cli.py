@@ -122,13 +122,13 @@ def test_apply_quad_chunks_stay_under_byte_budget(bump_file, tmp_path, monkeypat
         return batch(m, u, xs, **opts)
 
     monkeypatch.setattr(pointwise, "apply_L_batch", spy)
-    monkeypatch.setattr(cli, "_QUAD_CHUNK_BYTES", 40 * cli._quad_point_bytes(1))
+    monkeypatch.setattr(cli, "_QUAD_CHUNK_BYTES", 40 * pointwise.quad_point_bytes(1))
     out = tmp_path / "L.json"
     assert main(["--threads", "2", "apply", "--op", "L", "--m", "2", "--method", "quad",
                  "--grid", str(bump_file), "--out", str(out)]) == 0
     u = grid_from_dict(json.loads(bump_file.read_text()))
     assert sum(sizes) == u.shape[0] and len(sizes) > 2
-    assert max(sizes) * cli._quad_point_bytes(1) <= cli._QUAD_CHUNK_BYTES
+    assert max(sizes) * pointwise.quad_point_bytes(1) <= cli._QUAD_CHUNK_BYTES
     whole, _, _ = batch(2, u, u.axes()[0][:, None])
     assert np.array_equal(np.array(json.loads(out.read_text())["values"]), whole)
 
@@ -155,6 +155,20 @@ def test_malformed_json_exit_code(tmp_path, capsys, command):
     argv = [a.format(bad=bad, out=tmp_path / "x.json") for a in command]
     assert main(argv) == 3
     assert "not a valid JSON file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["apply", "--op", "L", "--m", "1", "--grid", "{tmp}/absent.json", "--out", "{tmp}/x.json"],
+    ["coeffs", "--dim", "1", "--order", "1", "--out", "{tmp}/absent/c.csv"],
+], ids=["missing-grid", "out-in-missing-dir"])
+def test_io_error_exit_code(tmp_path, capsys, command):
+    assert main([a.format(tmp=tmp_path) for a in command]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_expand_saturated_remainder_exit_code(tmp_path, capsys):
+    assert main(["expand", "--side", "fraclap", "--n", "12", "--out", str(tmp_path / "ex.csv")]) == 4
+    assert "remainder saturated" in capsys.readouterr().err
 
 
 def test_eig_command_ascending(quarter_file, tmp_path):

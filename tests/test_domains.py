@@ -18,6 +18,8 @@ from loglap.domains import (
     domain_to_dict,
     mesh_intervals,
     mesh_rectangles,
+    ray_box,
+    ray_disk,
 )
 
 
@@ -57,9 +59,9 @@ def test_contains_and_centroid():
 
 def test_ray_segments_interval_union():
     d = DomainSpec(1, (Interval(-1, -0.2), Interval(0.1, 0.6)))
-    segs = d.ray_segments([0.3], [1.0])
+    segs = d.ray_segments([0.3], [1.0])[0]
     assert segs == [(0.0, pytest.approx(0.3))]
-    segs_left = d.ray_segments([0.3], [-1.0])
+    segs_left = d.ray_segments([0.3], [-1.0])[0]
     # leaves the containing piece at t = 0.2, crosses (-1, -0.2) for t in (0.5, 1.3)
     assert segs_left[0] == (0.0, pytest.approx(0.2))
     assert segs_left[1] == (pytest.approx(0.5), pytest.approx(1.3))
@@ -67,15 +69,101 @@ def test_ray_segments_interval_union():
 
 def test_ray_segments_rect_and_disk():
     d = DomainSpec(2, (Rect(-1, -1, 1, 1),))
-    segs = d.ray_segments([0.0, 0.0], [1.0, 0.0])
+    segs = d.ray_segments([0.0, 0.0], [1.0, 0.0])[0]
     assert segs == [(0.0, pytest.approx(1.0))]
-    diag = d.ray_segments([0.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)])
+    diag = d.ray_segments([0.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)])[0]
     assert diag[0][1] == pytest.approx(math.sqrt(2.0))
     dd = DomainSpec(2, (Disk(0.0, 0.0, 1.0),))
-    segs = dd.ray_segments([0.5, 0.0], [1.0, 0.0])
+    segs = dd.ray_segments([0.5, 0.0], [1.0, 0.0])[0]
     assert segs == [(0.0, pytest.approx(0.5))]
-    outside = dd.ray_segments([2.0, 0.0], [-1.0, 0.0])
+    outside = dd.ray_segments([2.0, 0.0], [-1.0, 0.0])[0]
     assert outside == [(pytest.approx(1.0), pytest.approx(3.0))]
+
+
+def test_ray_box_parallel_to_a_face():
+    lo, hi = (0.0, 0.0), (1.0, 1.0)
+    # inside the y slab: the x slab alone decides, the ray starts inside
+    t_in, t_out = ray_box((0.5, 0.2), (1.0, 0.0), lo, hi)
+    assert (t_in, t_out) == (-0.5, 0.5)
+    # outside the y slab: a miss for every t
+    t_in, t_out = ray_box((0.5, 1.5), (-1.0, 0.0), lo, hi)
+    assert (t_in, t_out) == (np.inf, -np.inf)
+    # on a face, parallel to it: the closed slab keeps the ray
+    assert ray_box((0.5, 1.0), (1.0, 0.0), lo, hi) == (-0.5, 0.5)
+
+
+def test_ray_box_start_inside_and_miss():
+    c = math.sqrt(0.5)
+    t_in, t_out = ray_box((0.25, 0.5), (c, c), (0.0, 0.0), (1.0, 1.0))
+    assert t_in == pytest.approx(-0.25 / c, rel=1e-15) and t_out == pytest.approx(0.5 / c, rel=1e-15)
+    t_in, t_out = ray_box((2.0, 0.5), (c, c), (0.0, 0.0), (1.0, 1.0))
+    assert t_out <= t_in
+    # broadcasting: points down the rows, directions across the columns
+    px = np.array([[0.25], [2.0]])
+    phi = np.array([[0.3, 2.0, 4.0]])
+    t_in, t_out = ray_box((px, 0.5), (np.cos(phi), np.sin(phi)), (0.0, 0.0), (1.0, 1.0))
+    assert t_in.shape == (2, 3)
+    for a in range(2):
+        for b in range(3):
+            ref = ray_box((px[a, 0], 0.5), (math.cos(phi[0, b]), math.sin(phi[0, b])), (0.0, 0.0), (1.0, 1.0))
+            assert (t_in[a, b], t_out[a, b]) == ref
+
+
+def test_ray_box_interval():
+    t_in, t_out = ray_box((0.3,), (np.array([1.0, -1.0]),), (0.1,), (0.6,))
+    assert t_in == pytest.approx([-0.2, -0.3], rel=1e-15)
+    assert t_out == pytest.approx([0.3, 0.2], rel=1e-15)
+    # starting right of the interval: the line meets it behind the start when heading right
+    t_in, t_out = ray_box((0.8,), (np.array([1.0, -1.0]),), (0.1,), (0.6,))
+    assert t_out[0] < 0.0
+    assert (t_in[1], t_out[1]) == (pytest.approx(0.2), pytest.approx(0.7))
+
+
+def test_ray_disk_chords_misses_and_tangents():
+    t_in, t_out = ray_disk((-2.0, 0.0), (1.0, 0.0), (0.0, 0.0), 1.0)
+    assert (t_in, t_out) == (1.0, 3.0)
+    t_in, t_out = ray_disk((0.5, 0.0), (1.0, 0.0), (0.0, 0.0), 1.0)
+    assert (t_in, t_out) == (-1.5, 0.5)
+    # miss, and a tangent ray (disc == 0 exactly) counted as a miss
+    assert ray_disk((-2.0, 2.0), (1.0, 0.0), (0.0, 0.0), 1.0) == (np.inf, -np.inf)
+    assert ray_disk((-1.0, 1.0), (1.0, 0.0), (0.0, 0.0), 1.0) == (np.inf, -np.inf)
+    # off-centre disk, broadcast over directions
+    phi = np.linspace(0.0, 2.0 * math.pi, 7)
+    t_in, t_out = ray_disk((0.3, 0.0), (np.cos(phi), np.sin(phi)), (0.3, 0.4), 0.5)
+    assert np.all(t_in < 0.0) and np.all(t_out > 0.0)
+    ends = np.stack([0.3 + t_out * np.cos(phi), t_out * np.sin(phi)])
+    assert np.hypot(ends[0] - 0.3, ends[1] - 0.4) == pytest.approx(np.full(7, 0.5), rel=1e-14)
+
+
+def _segments_by_bisection(dom, x, theta, t_max=3.0, steps=600):
+    """Membership changes along the ray, located on a grid and bisected."""
+    inside = lambda t: dom.contains(x + t * theta)
+    ts = np.linspace(0.0, t_max, steps + 1)
+    flags = [inside(t) for t in ts]
+    edges = [0.0] if flags[0] else []
+    for a, b, fa, fb in zip(ts[:-1], ts[1:], flags[:-1], flags[1:]):
+        if fa == fb:
+            continue
+        for _ in range(45):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if inside(mid) == fa else (a, mid)
+        edges.append(0.5 * (a + b))
+    return list(zip(edges[::2], edges[1::2]))
+
+
+@pytest.mark.parametrize("x", [(0.1, -0.15), (1.0, 0.0), (0.65, 0.35)], ids=["in-disk", "in-rect", "outside"])
+def test_ray_segments_match_bisection_over_64_directions(x):
+    dom = DomainSpec(2, (Disk(0.1, -0.2, 0.7), Rect(0.9, -0.3, 1.4, 0.4), Rect(-1.5, -1.0, -0.8, 1.0)))
+    x = np.array(x)
+    phi = 2.0 * math.pi * (np.arange(64) + 0.5) / 64
+    thetas = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    all_segs = dom.ray_segments(x, thetas)
+    assert len(all_segs) == 64
+    for theta, segs in zip(thetas, all_segs):
+        ref = _segments_by_bisection(dom, x, theta)
+        assert len(segs) == len(ref)
+        for (a, b), (ra, rb) in zip(segs, ref):
+            assert a == pytest.approx(ra, abs=1e-12) and b == pytest.approx(rb, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))

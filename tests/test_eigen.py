@@ -118,6 +118,22 @@ def test_uniform_1d_mesh_evaluates_one_pair_per_offset(monkeypatch):
     assert len(sizes) == 2 and max(sizes) <= mesh.n_cells - 1
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stiffness_is_exactly_symmetric(dim):
+    # the pair driver writes both triangles with one value, so no symmetrization is needed
+    if dim == 1:
+        wide = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 120)
+        small = mesh_intervals(QUARTER, 60)
+    else:
+        wide = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.6),)), 0.3)
+        small = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.2),)), 0.1)
+        assert any(c[4] for c in wide.cells) and any(c[4] for c in small.cells)
+    assert wide.domain.diameter() >= 1.0  # the convolution part is assembled too
+    led = alpha_coeffs(2, dim)
+    for mats in (assemble("I", led, wide), assemble("G", None, wide, order=2), assemble("Q", led, small)):
+        assert np.array_equal(mats.stiffness, mats.stiffness.T)
+
+
 def test_first_order_form_decomposes_into_g_plus_mass():
     led = alpha_coeffs(1, 1)
     mesh = mesh_intervals(QUARTER, 50)
