@@ -1,30 +1,32 @@
 """Galerkin discretization of the nonlocal quadratic forms and eigensolving.
 
 Trial space: piecewise constants on mesh cells.  Indicators of Lipschitz
-cells have finite energy for logarithmic-order kernels, and in one dimension
-every matrix entry is a closed form from the kernels module:
+cells have finite energy for logarithmic-order kernels.  For a kernel k_w
+given by its weight vector w (see the kernels module) the difference matrix is
 
-    S^(j)_ii = 2 int_C int_{B_cut(x) \\ C} q_j,   S^(j)_il = -2 int_Ci int_Cl k_j
+    S(w)_ii = 2 int_C int_{B_cut(x) \\ C} k_w,   S(w)_il = -2 int_Ci int_Cl k_w 1_{|x-y|<cut}
 
-so the difference form (u,v)_j has matrix S^(j).  The assembled operators:
+and A(w) holds the cell integrals of k_w beyond unit distance.  Each form
+integrates one kernel, the ledger's combined kernel w = (alpha_1..alpha_m)
+or the single order q_m:
 
-    I_m:  alpha_0 M + sum_j alpha_j S^(j)     - sum_n alpha_n A^(n)   (cutoff 1)
-    G_m:  S^(m) - A^(m)                                               (cutoff 1)
-    Q_m:  alpha_0 M + sum_j alpha_j S^(j)                             (cutoff r0)
+    I_m:  alpha_0 M + S(w) - A(w)     (cutoff 1)
+    G_m:  S(q_m) - A(q_m)             (cutoff 1)
+    Q_m:  alpha_0 M + S(w)            (cutoff r0)
 
-with A^(n) the cell integrals of the outside-unit-ball kernel j_n and M the
-diagonal mass matrix of cell measures.  Eigenpairs of (stiffness, mass) come
-from the diagonally transformed dense symmetric solver (lowest k by index);
-eigenvectors are mass-orthonormal with the largest-magnitude entry made
-positive.  The convolution part is assembled only for domains of diameter at
-least one; below that no point pair reaches the kernel's support.
+with M the diagonal mass matrix of cell measures.  Eigenpairs of (stiffness,
+mass) come from the diagonally transformed dense symmetric solver (lowest k
+by index); eigenvectors are mass-orthonormal with the largest-magnitude entry
+made positive.  The convolution part is assembled only for domains of
+diameter at least one; below that no point pair reaches the kernel's support.
 
-S^(j) and A^(n) share one pair driver, the integral of q_n over cell pairs at
+S and A share one pair driver, the integral of k_w over cell pairs at
 distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  Pairs of equal
-cell classes and centre offset are integrated once, by the closed form in one
-dimension and in two by polar inner integrals (closed-form radial
-antiderivative, angular quadrature) under tensor Gauss points on the outer
-cell; self-energies are computed once per cell class.
+cell classes and centre offset are integrated once: in one dimension by the
+closed form (a Gauss rule on tent pieces far from the origin), in two by
+polar inner integrals (closed-form radial antiderivative, angular quadrature)
+under tensor Gauss points on the outer cell.  Self-energies are computed once
+per cell class.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ import numpy as np
 import scipy.linalg
 
 from .coeffs import CoeffLedger
-from .domains import Disk, Interval, Mesh, mesh_intervals, ray_box, ray_disk
+from .domains import Disk, Interval, Mesh, mesh_intervals, mesh_rectangles, ray_box, ray_disk
 from .errors import NumericalError, PreconditionError
 from .kernels import (
     cell_pair_tent_integral,
     cell_self_energy_1d,
     cell_self_energy_2d,
     combined_kernel,
+    order_weights,
     radial_antiderivative,
 )
 from .quadrature import _gauss_unit
@@ -81,14 +84,14 @@ class EigenResult:
 # 1D assembly (closed forms)
 
 
-def _pair_values_1d(n, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
+def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
     cells = np.asarray(mesh.cells, dtype=float)
-    return cell_pair_tent_integral(n, cells[i, 0], cells[i, 1], cells[l, 0], cells[l, 1], lo, hi)
+    return cell_pair_tent_integral(w, cells[i, 0], cells[i, 1], cells[l, 0], cells[l, 1], lo, hi)
 
 
-def _self_energies_1d(n: int, mesh: Mesh, cutoff: float) -> np.ndarray:
+def _self_energies_1d(w, mesh: Mesh, cutoff: float) -> np.ndarray:
     cells = np.asarray(mesh.cells, dtype=float)
-    return 2.0 * cell_self_energy_1d(n, cells[:, 1] - cells[:, 0], cutoff)
+    return 2.0 * cell_self_energy_1d(w, cells[:, 1] - cells[:, 0], cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +183,14 @@ def _arc_rule(px, py, cell, order):
     return phi.reshape(px.size, -1), wts.reshape(px.size, -1)
 
 
-def _radial_segment(n, t_in, t_out, lo, hi):
+def _radial_segment(w, t_in, t_out, lo, hi):
     a = np.clip(t_in, lo, hi)
     b = np.clip(t_out, lo, hi)
     good = b > a
     return np.where(
         good,
-        radial_antiderivative(n, np.where(good, b, 1.0))
-        - radial_antiderivative(n, np.where(good, a, 1.0)),
+        radial_antiderivative(w, np.where(good, b, 1.0))
+        - radial_antiderivative(w, np.where(good, a, 1.0)),
         0.0,
     )
 
@@ -201,23 +204,24 @@ def _cell_span(p, d, cell, disk):
     return t_in, t_out
 
 
-def _inner_cell_integral_2d(n, px, py, target_cell, disk, lo, hi, order=10):
-    """int_{C_l, lo<|p-y|<hi} q_n(|p-y|) dy by wedge angles and exact radii."""
+def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi, order=10):
+    """int_{C_l, lo<|p-y|<hi} k_w(p - y) dy by wedge angles and exact radii."""
     phi, wts = _wedge_rule(px, py, target_cell, order)
     t_in, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), target_cell, disk)
     t_in = np.maximum(t_in, 0.0)
-    seg = _radial_segment(n, t_in, t_out, lo, hi)
+    seg = _radial_segment(w, t_in, t_out, lo, hi)
     return np.sum(seg * wts, axis=1)
 
 
-def _self_energy_2d(n, cell, disk, cutoff, order=8, angle_order=10):
+def _self_energy_2d(w, cell, disk, cutoff, order=8, angle_order=10):
     px, py, pw = _cell_gauss_points(cell, order)
     px, py, pw = _clip_to_disk(px, py, pw, disk if cell[4] else None)
     phi, wts = _arc_rule(px, py, cell, angle_order)
     _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
     exit_t = np.clip(t_out, 1e-300, cutoff)
-    seg = radial_antiderivative(n, cutoff) - radial_antiderivative(n, exit_t)
-    inner = np.sum(np.maximum(seg, 0.0) * wts, axis=1)
+    # a combined kernel may be negative between its positivity radius and one
+    seg = radial_antiderivative(w, cutoff) - radial_antiderivative(w, exit_t)
+    inner = np.sum(seg * wts, axis=1)
     return 2.0 * float(np.sum(inner * pw))
 
 
@@ -225,7 +229,7 @@ def _mesh_disk(mesh: Mesh) -> Disk | None:
     return next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
 
 
-def _pair_values_2d(n, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
+def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     """Tensor Gauss points on cell i times the polar inner integral over cell l, per pair."""
     cells = mesh.cells
     disk = _mesh_disk(mesh)
@@ -235,17 +239,17 @@ def _pair_values_2d(n, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
         # the kernel is singular only when lo == 0: grade toward near targets
         grade = _pair_grading(ci, cl) if lo == 0.0 else (0, 0)
         px, py, pw = _clip_to_disk(*_cell_gauss_points(ci, order, *grade), disk if ci[4] else None)
-        out[k] = np.sum(_inner_cell_integral_2d(n, px, py, cl, disk, lo, hi) * pw)
+        out[k] = np.sum(_inner_cell_integral_2d(w, px, py, cl, disk, lo, hi) * pw)
     return out
 
 
-def _self_energies_2d(n, mesh: Mesh, cutoff) -> np.ndarray:
+def _self_energies_2d(w, mesh: Mesh, cutoff) -> np.ndarray:
     """Diagonal self-energies, computed once per cell class."""
     _, sides, cls, first = _cell_classes(mesh)
     disk = _mesh_disk(mesh)
     return np.array([
-        _self_energy_2d(n, mesh.cells[c], disk, cutoff) if mesh.cells[c][4]
-        else 2.0 * cell_self_energy_2d(n, sides[c, 0], sides[c, 1], cutoff)
+        _self_energy_2d(w, mesh.cells[c], disk, cutoff) if mesh.cells[c][4]
+        else 2.0 * cell_self_energy_2d(w, sides[c, 0], sides[c, 1], cutoff)
         for c in first
     ])[cls]
 
@@ -264,8 +268,8 @@ def _cell_classes(mesh: Mesh):
     return 0.5 * (lo + hi), hi - lo, cls.ravel(), first
 
 
-def _pair_matrix(n, mesh: Mesh, lo, hi) -> np.ndarray:
-    """int_Ci int_Cl q_n 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
+def _pair_matrix(w, mesh: Mesh, lo, hi) -> np.ndarray:
+    """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
 
     Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
     are skipped; each group of equal class pair and centre offset is integrated once.
@@ -289,7 +293,7 @@ def _pair_matrix(n, mesh: Mesh, lo, hi) -> np.ndarray:
         first[1:] |= np.diff(key[order]) != 0
     del keys
     i, l = i[order], l[order]
-    values = _ENGINES[mesh.domain.dim][0](n, mesh, i[first], l[first], lo, hi)[np.cumsum(first) - 1]
+    values = _ENGINES[mesh.domain.dim][0](w, mesh, i[first], l[first], lo, hi)[np.cumsum(first) - 1]
     P = np.zeros((ncells, ncells))
     P[i, l] = values
     P[l, i] = values
@@ -300,16 +304,16 @@ def _pair_matrix(n, mesh: Mesh, lo, hi) -> np.ndarray:
 _ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_energies_2d)}
 
 
-def _difference_matrix(n, mesh, cutoff):
-    """S^(n): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
-    S = -2.0 * _pair_matrix(n, mesh, 0.0, cutoff)
-    np.fill_diagonal(S, _ENGINES[mesh.domain.dim][1](n, mesh, cutoff))
+def _difference_matrix(w, mesh, cutoff):
+    """S(w): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
+    S = -2.0 * _pair_matrix(w, mesh, 0.0, cutoff)
+    np.fill_diagonal(S, _ENGINES[mesh.domain.dim][1](w, mesh, cutoff))
     return S
 
 
-def _convolution_matrix(n, mesh):
-    """A^(n): pair integrals of the kernel beyond unit distance."""
-    return _pair_matrix(n, mesh, 1.0, np.inf)
+def _convolution_matrix(w, mesh):
+    """A(w): pair integrals of the kernel beyond unit distance."""
+    return _pair_matrix(w, mesh, 1.0, np.inf)
 
 
 def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int | None = None) -> FormMatrices:
@@ -331,14 +335,11 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
         n = order if order is not None else (ledger.m if ledger else None)
         if n is None:
             raise PreconditionError("G form needs a kernel order")
-        stiff = _difference_matrix(n, mesh, 1.0)
-        if mesh.domain.diameter() >= 1.0:
-            stiff -= _convolution_matrix(n, mesh)
-        return FormMatrices("G", stiff, mass, ledger, mesh)
-
-    if ledger is None:
+        alpha0, w, cutoff = 0.0, order_weights(n), 1.0
+    elif ledger is None:
         raise PreconditionError("I and Q forms need a coefficient ledger")
-    m = ledger.m
+    else:
+        alpha0, w, cutoff = ledger.alpha[0], ledger.alpha[1:], 1.0
     if form_kind == "Q":
         ck = combined_kernel(ledger)
         if mesh.domain.bounding_radius() > 0.5 * ck.r0 + 1e-12:
@@ -348,22 +349,17 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
         cutoff = ck.r0
         if mesh.max_cell_diameter() > cutoff:
             raise PreconditionError("mesh cells must be smaller than the positivity radius")
-        stiff = ledger.alpha[0] * np.diag(mass)
-        for j in range(1, m + 1):
-            stiff += ledger.alpha[j] * _difference_matrix(j, mesh, cutoff)
+
+    stiff = _difference_matrix(w, mesh, cutoff)
+    stiff[np.diag_indices_from(stiff)] += alpha0 * mass
+    if form_kind != "Q" and mesh.domain.diameter() >= 1.0:
+        stiff -= _convolution_matrix(w, mesh)
+    if form_kind == "Q":
         scale = float(np.max(np.abs(stiff))) or 1.0
         lam_min = float(scipy.linalg.eigvalsh(stiff, subset_by_index=[0, 0])[0])
         if lam_min < -1e-8 * scale:
             raise NumericalError(f"Q stiffness not PSD: lambda_min={lam_min:.3e}")
-        return FormMatrices("Q", stiff, mass, ledger, mesh)
-
-    stiff = ledger.alpha[0] * np.diag(mass)
-    for j in range(1, m + 1):
-        stiff += ledger.alpha[j] * _difference_matrix(j, mesh, 1.0)
-    if mesh.domain.diameter() >= 1.0:
-        for n in range(1, m + 1):
-            stiff -= ledger.alpha[n] * _convolution_matrix(n, mesh)
-    return FormMatrices("I", stiff, mass, ledger, mesh)
+    return FormMatrices(form_kind, stiff, mass, ledger, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +469,6 @@ def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> li
         if dom.dim == 1:
             mesh = mesh_intervals(dom, max(2, round(cells_per_unit * dom.measure())))
         else:
-            from .domains import mesh_rectangles
-
             mesh = mesh_rectangles(dom, 1.0 / cells_per_unit)
         mats = assemble("Q", ledger, mesh)
         res = eigensolve(mats, 1)

@@ -2,22 +2,20 @@
 
 The order-n kernel is q_n(t) = t^(-N) (-2 ln t)^(n-1); restricted inside the
 unit ball it is the difference kernel k_n, outside it is the convolution
-kernel j_n.  All radial integrals reduce to the antiderivative
+kernel j_n.  Cell integrals take a kernel t^(-N) p(tau), tau = -2 ln t, as
+the vector w of p's coefficients: order_weights(n) for q_n, ledger.alpha[1:]
+(CombinedKernel.poly) for the combined kernel of an order-m ledger,
+h_m(t) = sum_{j=1..m} alpha_j (-2 ln t)^(j-1), and a scalar c for c q_1
+(numpy's convention, so an order n passed as w means n q_1).  Radial
+integrals reduce to the antiderivative -P(tau)/2 of p(tau)/t (P' = p,
+P(0) = 0) and to the moments sum_k w_k 2^k G_k(h) of the finite
+(incomplete-Gamma) sums
 
-    int q_n(t) t^(N-1) dt = -(-2 ln t)^n / (2n)      (per unit sphere measure)
+    G_k(h) = int_0^h t^j (-ln t)^k dt = h^(j+1) sum_{i<=k} (k!/i!) (-ln h)^i / (j+1)^(k-i+1)
 
-and the closed-form Galerkin cell integrals additionally need
-
-    int_0^h t^p (-ln t)^k dt = h^(p+1) sum_{i<=k} (k!/i!) (-ln h)^i / (p+1)^(k-i+1),
-
-a finite (incomplete-Gamma) sum (p = 0 for 1D cells, p = 1 for 2D boxes).
-The combined kernel of an order-m ledger,
-
-    h_m(t) = sum_{j=1..m} alpha_j (-2 ln t)^(j-1),
-
-is a polynomial p in tau = -2 ln t with positive leading coefficient; its
-positivity radius r0 and monotonicity radius rm are located from the largest
-positive roots of p and p'.
+(j = 0 for 1D cells, j = 1 for 2D boxes).  For h_m, p has positive leading
+coefficient; its positivity radius r0 and monotonicity radius rm are located
+from the largest positive roots of p and p'.
 """
 
 from __future__ import annotations
@@ -26,9 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyint, polyval
 
 from .coeffs import CoeffLedger, omega
 from .errors import PreconditionError
+from .quadrature import _gauss_unit, panel_rule
 
 _ROOT_TAU_MAX = 200.0  # roots beyond tau=200 mean t < e^-100: numerically zero
 
@@ -54,10 +54,19 @@ def q_eval(spec: KernelSpec, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def radial_antiderivative(n: int, t) -> float | np.ndarray:
-    """Antiderivative of (-2 ln t)^(n-1)/t, namely -(-2 ln t)^n / (2n)."""
+def order_weights(n: int) -> tuple[float, ...]:
+    """Weight vector of the single-order kernel q_n."""
+    if n < 1:
+        raise PreconditionError("kernel order must be >= 1")
+    return (0.0,) * (n - 1) + (1.0,)
+
+
+def radial_antiderivative(w, t) -> float | np.ndarray:
+    """Antiderivative of p(tau)/t with tau = -2 ln t, namely -P(tau)/2 with P' = p, P(0) = 0."""
     t = np.asarray(t, dtype=float)
-    out = -((-2.0 * np.log(t)) ** n) / (2.0 * n)
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    P = np.append(0.0, w / np.arange(1, w.size + 1))  # polyint(w), without its per-call overhead
+    out = -0.5 * polyval(-2.0 * np.log(t), P)
     return float(out) if out.ndim == 0 else out
 
 
@@ -163,29 +172,41 @@ def incomplete_log_integral(k: int, h, p: int = 0) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _linear_weighted_piece(n: int, c, d, u, v, lo: float, hi: float) -> np.ndarray:
-    """int_u^v (c + d t) t^(-1) (-2 ln t)^(n-1) dt, clipped to [lo, hi].
+def log_moment(w, h, p: int = 0) -> float | np.ndarray:
+    """int_0^h t^p sum_k w_k (-2 ln t)^k dt = sum_k w_k 2^k G_k(h)  (h >= 0)."""
+    return sum(wk * 2.0 ** k * incomplete_log_integral(k, h, p) for k, wk in enumerate(np.atleast_1d(w)) if wk)
 
-    The constant part uses the radial antiderivative; the linear part uses
-    2^(n-1) G_(n-1).  Pieces with c = 0 tolerate u = 0.
+
+def _linear_weighted_piece(w, c, d, u, v, lo: float, hi: float) -> np.ndarray:
+    """int_u^v (c + d t) t^(-1) p(-2 ln t) dt, clipped to [lo, hi].
+
+    The constant part uses the radial antiderivative, the linear part the
+    moment; pieces with c = 0 tolerate u = 0.  On a piece far from the
+    origin (v - u <= u/4) both parts are about t (v - u) and cancel to a
+    result of about (v - u)^2, so it is integrated by an 8-point Gauss rule
+    instead, whose error there is far below rounding.
     """
     u = np.maximum(np.asarray(u, dtype=float), lo)
     v = np.minimum(np.asarray(v, dtype=float), hi)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
+    c, d, u, v = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(d, dtype=float), u, v)
     live = v > u
     u_s = np.where(live, u, 1.0)  # dead pieces get a harmless finite filler
     v_s = np.where(live, v, 1.0)
     const_part = np.where(
         c != 0.0,
-        c * (radial_antiderivative(n, v_s) - radial_antiderivative(n, np.where(u_s > 0, u_s, 1.0))),
+        c * (radial_antiderivative(w, v_s) - radial_antiderivative(w, np.where(u_s > 0, u_s, 1.0))),
         0.0,
     )
     # c != 0 with u = 0 would be a divergent integral; callers never build it
-    lin_part = d * 2.0 ** (n - 1) * (
-        incomplete_log_integral(n - 1, v_s) - incomplete_log_integral(n - 1, u_s)
-    )
-    return np.where(live, const_part + lin_part, 0.0)
+    lin_part = d * (log_moment(w, v_s) - log_moment(w, u_s))
+    g, gw = _gauss_unit(8)
+    width = v_s - u_s
+    t = u_s[..., None] + width[..., None] * g
+    # c + d t built from its value at u, so the rounding of the nodes t does not enter it
+    ell = (c + d * u_s)[..., None] + (d * width)[..., None] * g
+    gauss = width * ((ell / t * polyval(-2.0 * np.log(t), w)) @ gw)
+    far = (u_s > 0.0) & (width <= 0.25 * u_s)
+    return np.where(live, np.where(far, gauss, const_part + lin_part), 0.0)
 
 
 def _pair_overlap_breaks(a1, a2, b1, b2):
@@ -197,10 +218,10 @@ def _pair_overlap_breaks(a1, a2, b1, b2):
     return t0, t1, t2, t3
 
 
-def cell_pair_tent_integral(n: int, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarray:
-    """int_A int_B q_n(|x-y|) 1_{lo<|x-y|<hi} dy dx for disjoint 1D cells.
+def cell_pair_tent_integral(w, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarray:
+    """int_A int_B p(-2 ln|x-y|)/|x-y| 1_{lo<|x-y|<hi} dy dx for disjoint 1D cells.
 
-    Written as int ell(t) q_n(t) dt with the trapezoidal overlap profile ell
+    Written as int ell(t) p(-2 ln t)/t dt with the trapezoidal overlap profile ell
     of the two cells; each linear piece integrates in closed form.  Cells may
     touch at an endpoint but must not overlap.
     """
@@ -218,9 +239,9 @@ def cell_pair_tent_integral(n: int, a1, a2, b1, b2, lo: float, hi: float) -> np.
     t0, t1, t2, t3 = _pair_overlap_breaks(A1, A2, B1, B2)
     t0 = np.maximum(t0, 0.0)
     plateau = np.minimum(A2 - A1, B2 - B1)
-    total = _linear_weighted_piece(n, -t0, 1.0, t0, t1, lo, hi)
-    total = total + _linear_weighted_piece(n, plateau, 0.0, t1, t2, lo, hi)
-    total = total + _linear_weighted_piece(n, t3, -1.0, t2, t3, lo, hi)
+    total = _linear_weighted_piece(w, -t0, 1.0, t0, t1, lo, hi)
+    total = total + _linear_weighted_piece(w, plateau, 0.0, t1, t2, lo, hi)
+    total = total + _linear_weighted_piece(w, t3, -1.0, t2, t3, lo, hi)
     return total
 
 
@@ -228,8 +249,8 @@ def _overlap_1d(z, a1, a2, b1, b2):
     return np.maximum(np.minimum(a2, b2 + z) - np.maximum(a1, b1 + z), 0.0)
 
 
-def rect_pair_integral_2d(n: int, A, B, lo: float = 0.0, hi: float = 1.0, order: int = 12) -> float:
-    """int_A int_B q_n(|x-y|) 1_{lo<|x-y|<hi} dy dx for disjoint 2D boxes.
+def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int = 12) -> float:
+    """int_A int_B p(-2 ln|x-y|)/|x-y|^2 1_{lo<|x-y|<hi} dy dx for disjoint 2D boxes.
 
     In z = x - y the weight is the separable overlap product
     ell_x(z1) ell_y(z2); along each polar ray that product is piecewise
@@ -263,8 +284,6 @@ def rect_pair_integral_2d(n: int, A, B, lo: float = 0.0, hi: float = 1.0, order:
                 angs.update({a % (2 * math.pi), (math.pi - a) % (2 * math.pi)})
     bounds = np.array(sorted(angs))
     bounds = np.concatenate([bounds, [bounds[0] + 2.0 * math.pi]])
-    from .quadrature import panel_rule  # local import: avoid a module cycle
-
     phi, wphi = panel_rule(bounds, order)
     c, s = np.cos(phi), np.sin(phi)
 
@@ -307,17 +326,17 @@ def rect_pair_integral_2d(n: int, A, B, lo: float = 0.0, hi: float = 1.0, order:
     alpha = np.where(ta <= 1e-150, 0.0, alpha)  # disjointness makes this exact
     tb_safe = np.maximum(tb, 1e-150)
     piece = (
-        alpha * (radial_antiderivative(n, tb_safe) - radial_antiderivative(n, ta_safe))
-        + beta * 2.0 ** (n - 1) * (incomplete_log_integral(n - 1, tb_safe) - incomplete_log_integral(n - 1, ta_safe))
-        + gamma * 2.0 ** (n - 1) * (incomplete_log_integral(n - 1, tb_safe, p=1) - incomplete_log_integral(n - 1, ta_safe, p=1))
+        alpha * (radial_antiderivative(w, tb_safe) - radial_antiderivative(w, ta_safe))
+        + beta * (log_moment(w, tb_safe) - log_moment(w, ta_safe))
+        + gamma * (log_moment(w, tb_safe, p=1) - log_moment(w, ta_safe, p=1))
     )
     return float(np.sum(np.where(live, piece, 0.0).sum(axis=1) * wphi))
 
 
-def cell_self_energy_2d(n: int, a: float, b: float, cutoff: float = 1.0, order: int = 24) -> float:
-    """int_C int_{B_cutoff(x) setminus C} q_n(|x-y|) dy dx for a rectangle cell.
+def cell_self_energy_2d(w, a: float, b: float, cutoff: float = 1.0, order: int = 24) -> float:
+    """int_C int_{B_cutoff(x) setminus C} p(-2 ln|x-y|)/|x-y|^2 dy dx for a rectangle cell.
 
-    In the difference variable z the double integral weighs q_n by
+    In the difference variable z the double integral weighs the kernel by
     ab - (a - |z1|)+ (b - |z2|)+, whose polar t-profile per angle is linear
     then constant; both radial pieces are closed forms, so only a smooth
     angular integral remains (split at the finitely many profile kinks).
@@ -334,27 +353,26 @@ def cell_self_energy_2d(n: int, a: float, b: float, cutoff: float = 1.0, order: 
     if b < cutoff:
         breaks.add(math.asin(b / cutoff))
     bounds = np.array(sorted(breaks))
-    from .quadrature import panel_rule  # local import: avoid a module cycle
-
     phi, wts = panel_rule(bounds, order)
     c, s = np.cos(phi), np.sin(phi)
     with np.errstate(divide="ignore"):
         t_a = np.where(c > 0, a / np.where(c > 0, c, 1.0), np.inf)
         t_b = np.where(s > 0, b / np.where(s > 0, s, 1.0), np.inf)
     t_star = np.minimum(np.minimum(t_a, t_b), cutoff)
-    lin = (a * s + b * c) * 2.0 ** (n - 1) * incomplete_log_integral(n - 1, t_star)
-    quad = c * s * 2.0 ** (n - 1) * incomplete_log_integral(n - 1, t_star, p=1)
-    tail = a * b * (radial_antiderivative(n, cutoff) - radial_antiderivative(n, t_star))
+    lin = (a * s + b * c) * log_moment(w, t_star)
+    quad = c * s * log_moment(w, t_star, p=1)
+    tail = a * b * (radial_antiderivative(w, cutoff) - radial_antiderivative(w, t_star))
     tail = np.where(t_star < cutoff, tail, 0.0)
     integrand = lin - quad + tail
     # quadrant symmetry of |z1|, |z2| gives the factor four
     return float(4.0 * np.sum(integrand * wts))
 
 
-def cell_self_energy_1d(n: int, h, cutoff: float = 1.0) -> np.ndarray:
-    """int_C int_{B_cutoff(x) setminus C} q_n(|x-y|) dy dx for a cell of width h.
+def cell_self_energy_1d(w, h, cutoff: float = 1.0) -> np.ndarray:
+    """int_C int_{B_cutoff(x) setminus C} p(-2 ln|x-y|)/|x-y| dy dx for a cell of width h.
 
-    Closed form (2^n/n) G_n(h) - h (-2 ln cutoff)^n / n, valid for h <= cutoff.
+    Closed form int_0^h P(-2 ln t) dt - h P(-2 ln cutoff) with P' = p,
+    P(0) = 0, valid for h <= cutoff.
     """
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0.0):
@@ -363,7 +381,7 @@ def cell_self_energy_1d(n: int, h, cutoff: float = 1.0) -> np.ndarray:
         raise PreconditionError("cutoff radius must lie in (0, 1]")
     if np.any(h > cutoff):
         raise PreconditionError("cell width exceeds the kernel cutoff")
-    out = (2.0 ** n / n) * incomplete_log_integral(n, h) - h * (-2.0 * math.log(cutoff)) ** n / n
+    out = log_moment(polyint(w), h) + 2.0 * h * radial_antiderivative(w, cutoff)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -382,7 +400,7 @@ def cell_pair_integral_1d(spec: KernelSpec, cellA: tuple[float, float], cellB: t
     if a2 <= a1 or b2 <= b1:
         raise PreconditionError("cells must have positive length")
     if a1 == b1 and a2 == b2:
-        return float(cell_self_energy_1d(spec.n, a2 - a1))
+        return float(cell_self_energy_1d(order_weights(spec.n), a2 - a1))
     if max(a1 - b2, b1 - a2) < -1e-14:
         raise PreconditionError("partially overlapping cells are not meshes")
-    return float(cell_pair_tent_integral(spec.n, a1, a2, b1, b2, 0.0, 1.0))
+    return float(cell_pair_tent_integral(order_weights(spec.n), a1, a2, b1, b2, 0.0, 1.0))

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import gammaincc
 
 from .coeffs import (
@@ -41,7 +42,7 @@ from .coeffs import (
 from .domains import DomainSpec, ray_box
 from .errors import PreconditionError
 from .grid import GridFunction
-from .kernels import radial_antiderivative
+from .kernels import order_weights, radial_antiderivative
 from .quadrature import dyadic_log_panels, panel_rule, uniform_panels
 
 INNER_CUT = 1e-8
@@ -207,12 +208,12 @@ def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None
     led = ledger if ledger is not None else alpha_coeffs(m, u.dim)
     if led.m != m or led.dim != u.dim:
         raise PreconditionError("ledger order/dimension mismatch")
-    values, bounds, ctx = k_values_batch(range(1, m + 1), u, xs, n_angles)
-    total = led.alpha[0] * ctx.u0
-    bound = 0.0
-    for j in range(1, m + 1):
-        total = total + led.alpha[j] * values[j]
-        bound += abs(led.alpha[j]) * bounds[j]
+    ctx = _RadialContext(u, xs, n_angles)
+    w = led.alpha[1:]  # the combined kernel, a polynomial in 2 tau inside B1 and -2 sigma outside
+    inner = ctx.inner(lambda tau: polyval(2.0 * tau, w))
+    outer = ctx.outer(lambda sig: polyval(-2.0 * sig, w))
+    total = led.alpha[0] * ctx.u0 + (inner - outer)
+    bound = sum(abs(led.alpha[j]) * _holder_bound_log(u, j, INNER_CUT) for j in range(1, m + 1))
     return total, bound, ctx.panels
 
 
@@ -351,6 +352,7 @@ def _ray_h(m: int, segs) -> float:
     segs are the sorted domain segments of the ray; the radial parts are
     closed-form antiderivatives.
     """
+    w = order_weights(m)
     ray_h = 0.0
     # B1 \ Omega: complement segments within (0, 1)
     prev = 0.0
@@ -359,7 +361,7 @@ def _ray_h(m: int, segs) -> float:
         if hi > lo and lo < 1.0:
             if lo <= 0.0:
                 raise PreconditionError("h_{m,Omega} diverges for x outside the open domain")
-            ray_h += radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
+            ray_h += radial_antiderivative(w, hi) - radial_antiderivative(w, lo)
         prev = max(prev, tb)
         if prev >= 1.0:
             break
@@ -367,7 +369,7 @@ def _ray_h(m: int, segs) -> float:
     for (ta, tb) in segs:
         lo, hi = max(ta, 1.0), tb
         if hi > lo:
-            ray_h -= radial_antiderivative(m, hi) - radial_antiderivative(m, lo)
+            ray_h -= radial_antiderivative(w, hi) - radial_antiderivative(w, lo)
     return ray_h
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,7 +22,7 @@ from loglap.eigen import (
     rearrange_decreasing,
 )
 from loglap.grid import GridFunction, estimate_holder_constant
-from loglap.kernels import cell_pair_tent_integral, combined_kernel
+from loglap.kernels import cell_pair_tent_integral, combined_kernel, order_weights
 from loglap.spectral import log_norm
 
 QUARTER = DomainSpec(1, (Interval(-0.25, 0.25),))
@@ -34,7 +35,7 @@ QUARTER = DomainSpec(1, (Interval(-0.25, 0.25),))
 def test_single_cell_self_energy_matches_quadrature():
     dom = DomainSpec(1, (Interval(0.0, 0.2),))
     mesh = mesh_intervals(dom, 1)
-    S = _difference_matrix(1, mesh, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0)
 
     def inner(x):
         return -math.log(x) - math.log(0.2 - x)
@@ -45,7 +46,7 @@ def test_single_cell_self_energy_matches_quadrature():
 
 def test_difference_matrix_row_sums_positive_semidefinite_structure():
     mesh = mesh_intervals(QUARTER, 60)
-    S = _difference_matrix(1, mesh, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0)
     assert np.allclose(S, S.T, atol=1e-14)
     # Gershgorin: diagonal dominates for the order-one (positive) kernel
     offdiag = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
@@ -58,14 +59,14 @@ def test_small_domain_has_zero_convolution_part():
     assert disk.bounding_radius() <= 0.5 and any(c[4] for c in meshes[1].cells)
     for mesh in meshes:
         for n in (1, 2, 3):
-            A = _convolution_matrix(n, mesh)
+            A = _convolution_matrix(order_weights(n), mesh)
             assert float(np.max(np.abs(A))) == 0.0
 
 
 def test_convolution_part_nonzero_for_wide_domain():
     dom = DomainSpec(1, (Interval(-1.0, 1.0),))
     mesh = mesh_intervals(dom, 50)
-    A = _convolution_matrix(1, mesh)
+    A = _convolution_matrix(order_weights(1), mesh)
     assert np.max(np.abs(A)) > 0.0
     # matches the direct pair integral for one far pair
     cells = np.asarray(mesh.cells)
@@ -79,13 +80,13 @@ def test_convolution_part_nonzero_for_wide_domain():
     assert A[i, l] == pytest.approx(ref, rel=1e-10)
 
 
-def _pair_matrix_by_brute_force(n, mesh, lo, hi):
+def _pair_matrix_by_brute_force(w, mesh, lo, hi):
     """The dimension's pair evaluator called on every pair, one at a time."""
     evaluate, _ = eigen._ENGINES[mesh.domain.dim]
     P = np.zeros((mesh.n_cells, mesh.n_cells))
     for i in range(mesh.n_cells):
         for l in range(i + 1, mesh.n_cells):
-            P[i, l] = P[l, i] = evaluate(n, mesh, np.array([i]), np.array([l]), lo, hi)[0]
+            P[i, l] = P[l, i] = evaluate(w, mesh, np.array([i]), np.array([l]), lo, hi)[0]
     return P
 
 
@@ -97,24 +98,102 @@ def test_pair_matrix_matches_brute_force_loop(name):
     else:
         mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.6),)), 0.2)
         assert any(c[4] for c in mesh.cells) and not all(c[4] for c in mesh.cells)
-    for n, lo, hi, tol in ((1, 0.0, 1.0, 1e-13), (2, 0.0, 1.0, 1e-13), (1, 1.0, np.inf, 1e-9)):
-        P = _pair_matrix(n, mesh, lo, hi)
-        ref = _pair_matrix_by_brute_force(n, mesh, lo, hi)
+    cases = ((order_weights(1), 0.0, 1.0, 1e-13), (order_weights(2), 0.0, 1.0, 1e-13),
+             (order_weights(1), 1.0, np.inf, 1e-9), (alpha_coeffs(2, mesh.domain.dim).alpha[1:], 0.0, 1.0, 1e-13))
+    for w, lo, hi, tol in cases:
+        P = _pair_matrix(w, mesh, lo, hi)
+        ref = _pair_matrix_by_brute_force(w, mesh, lo, hi)
         assert np.max(np.abs(ref)) > 0.0
         assert np.max(np.abs(P - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_combined_weights_match_the_sum_of_unit_orders(dim):
+    if dim == 1:
+        mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.1), Interval(0.2137, 0.6))), 40)
+    else:
+        mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.6),)), 0.3)
+        assert any(c[4] for c in mesh.cells)
+    w = alpha_coeffs(3, dim).alpha[1:]
+    units = [order_weights(j) for j in (1, 2, 3)]
+    for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
+        P = _pair_matrix(w, mesh, lo, hi)
+        ref = sum(wj * _pair_matrix(u, mesh, lo, hi) for wj, u in zip(w, units))
+        assert np.max(np.abs(ref)) > 0.0
+        assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
+    self_energies = eigen._ENGINES[dim][1]
+    for cutoff in (1.0, 0.5):
+        d = self_energies(w, mesh, cutoff)
+        ref = sum(wj * self_energies(u, mesh, cutoff) for wj, u in zip(w, units))
+        assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _far_pair_mpmath_oracle(w, A, B, lo):
+    """int over t > lo of |A cap (B + t)| p(-2 ln t) / t at 40 digits, A right of B, split at the tent kinks."""
+    with mp.workdps(40):
+        a1, a2 = map(mp.mpf, A)
+        b1, b2 = map(mp.mpf, B)
+        kinks = sorted({a1 - b2, a2 - b2, a1 - b1, a2 - b1, mp.mpf(lo)})
+        pts = [t for t in kinks if t >= max(lo, a1 - b2)]
+        coeffs = [mp.mpf(c) for c in reversed(w)]
+
+        def f(t):
+            return (min(a2, b2 + t) - max(a1, b1 + t)) * mp.polyval(coeffs, -2 * mp.log(t)) / t
+
+        return mp.quad(f, pts)
+
+
+def test_far_1d_pair_entries_match_mpmath():
+    # far tent pieces cancel in closed form; entries must keep 12 digits anyway
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 2400)
+    cells = np.asarray(mesh.cells)
+    rng = np.random.default_rng(5)
+    for w in (order_weights(1), order_weights(2), alpha_coeffs(2, 1).alpha[1:]):
+        A = _convolution_matrix(w, mesh)
+        i, l = np.nonzero(np.triu(A, 1))  # i < l: cell l is right of cell i
+        for k in rng.choice(i.size, 30, replace=False):
+            ref = _far_pair_mpmath_oracle(w, cells[l[k]], cells[i[k]], 1.0)
+            assert abs(A[i[k], l[k]] / ref - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("form", ["I", "G", "Q"])
+def test_assemble_makes_one_pair_pass_per_matrix(form, m, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(eigen, name)
+
+        def counted(w, mesh, *rest):
+            calls.append(name)
+            return real(w, mesh, *rest)
+
+        return counted
+
+    for name in ("_difference_matrix", "_convolution_matrix"):
+        monkeypatch.setattr(eigen, name, spy(name))
+    led = alpha_coeffs(m, 1)
+    half = 0.4 * combined_kernel(led).r0  # inside B_(r0/2), diameter below one
+    small = mesh_intervals(DomainSpec(1, (Interval(-half, half),)), 12)
+    wide = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 12)
+    for mesh in (small, wide) if form != "Q" else (small,):
+        calls.clear()
+        assemble(form, led, mesh)
+        conv = ["_convolution_matrix"] if form != "Q" and mesh.domain.diameter() >= 1.0 else []
+        assert calls == ["_difference_matrix"] + conv
 
 
 def test_uniform_1d_mesh_evaluates_one_pair_per_offset(monkeypatch):
     sizes = []
 
-    def spy(n, a1, *rest):
+    def spy(w, a1, *rest):
         sizes.append(np.size(a1))
-        return cell_pair_tent_integral(n, a1, *rest)
+        return cell_pair_tent_integral(w, a1, *rest)
 
     monkeypatch.setattr(eigen, "cell_pair_tent_integral", spy)
     mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 300)
-    _difference_matrix(2, mesh, 1.0)
-    _convolution_matrix(2, mesh)
+    _difference_matrix(order_weights(2), mesh, 1.0)
+    _convolution_matrix(order_weights(2), mesh)
     assert len(sizes) == 2 and max(sizes) <= mesh.n_cells - 1
 
 
@@ -244,8 +323,8 @@ def test_g1_dilation_scaling_decomposition():
     mesh = mesh_intervals(QUARTER, 40)
     scaled_dom = DomainSpec(1, (Interval(-0.125, 0.125),))
     mesh_t = mesh_intervals(scaled_dom, 40)
-    S = _difference_matrix(1, mesh, 1.0)
-    St = _difference_matrix(1, mesh_t, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0)
+    St = _difference_matrix(order_weights(1), mesh_t, 1.0)
     Mt = mesh_t.cell_measure
     expect = t * S + np.diag(2.0 * omega(1) * (-math.log(t)) * Mt)
     assert np.max(np.abs(St - expect)) < 1e-10 * np.max(np.abs(St))
@@ -379,7 +458,7 @@ def test_energy_vs_spectral_log_norm_ratio():
     dom = QUARTER
     mesh = mesh_intervals(dom, 256)
     centers = mesh.centers()
-    S = _difference_matrix(m, mesh, 1.0)
+    S = _difference_matrix(order_weights(m), mesh, 1.0)
     ratios = []
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -417,7 +496,7 @@ def test_2d_whole_domain_energy_cross_check():
 
     dom = DomainSpec(2, (Rect(-0.2, -0.15, 0.2, 0.15),))
     mesh = mesh_rectangles(dom, 0.05)
-    S = _difference_matrix(1, mesh, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0)
     ones = np.ones(mesh.n_cells)
     lhs = ones @ S @ ones
     # reference: 2 int_Omega h(x) dx with h(x) = int_{B1(x)\Omega} q_1 dy,
@@ -441,7 +520,7 @@ def test_2d_far_pair_convolution_matches_tensor_gauss():
     dom = DomainSpec(2, (Rect(0, 0, 0.3, 0.3), Rect(1.4, 0.0, 1.7, 0.3)))
     mesh = mesh_rectangles(dom, 0.3)
     targets = np.arange(1, mesh.n_cells)  # the far rect may mesh into several cells
-    A = _pair_values_2d(1, mesh, np.zeros_like(targets), targets, 1.0, np.inf, order=10)
+    A = _pair_values_2d(order_weights(1), mesh, np.zeros_like(targets), targets, 1.0, np.inf, order=10)
     n1, w1 = panel_rule(uniform_panels(0.0, 0.3, 4), 12)
     n2, w2 = panel_rule(uniform_panels(1.4, 1.7, 4), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")
@@ -458,7 +537,7 @@ def test_2d_near_pair_difference_matches_tensor_gauss():
 
     dom = DomainSpec(2, (Rect(0, 0, 0.2, 0.2), Rect(0.25, 0.0, 0.45, 0.2)))
     mesh = mesh_rectangles(dom, 0.2)
-    S01 = -2.0 * _pair_values_2d(1, mesh, np.array([0]), np.array([1]), 0.0, 1.0, order=10)[0]
+    S01 = -2.0 * _pair_values_2d(order_weights(1), mesh, np.array([0]), np.array([1]), 0.0, 1.0, order=10)[0]
     n1, w1 = panel_rule(uniform_panels(0.0, 0.2, 6), 12)
     n2, w2 = panel_rule(uniform_panels(0.25, 0.45, 6), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")

@@ -12,12 +12,17 @@ from loglap.coeffs import EULER_GAMMA, alpha_coeffs, omega
 from loglap.kernels import (
     KernelSpec,
     cell_pair_integral_1d,
+    cell_pair_tent_integral,
     cell_self_energy_1d,
+    cell_self_energy_2d,
     combined_kernel,
     incomplete_log_integral,
+    log_moment,
+    order_weights,
     outer_integral,
     q_eval,
     radial_antiderivative,
+    rect_pair_integral_2d,
     tail_integral,
 )
 
@@ -103,8 +108,34 @@ def test_radial_antiderivative_differentiates_back():
     ts = np.linspace(0.1, 2.5, 40)
     h = 1e-6
     for n in (1, 2, 3):
-        num = (radial_antiderivative(n, ts + h) - radial_antiderivative(n, ts - h)) / (2 * h)
+        w = order_weights(n)
+        num = (radial_antiderivative(w, ts + h) - radial_antiderivative(w, ts - h)) / (2 * h)
         assert np.allclose(num, (-2 * np.log(ts)) ** (n - 1) / ts, rtol=1e-7, atol=1e-7)
+
+
+def test_weight_vectors_are_sums_of_unit_orders():
+    w = alpha_coeffs(3, 1).alpha[1:]
+    units = [order_weights(j) for j in (1, 2, 3)]
+    ts = np.linspace(0.05, 2.0, 9)
+
+    def check(f):
+        terms = [wj * np.asarray(f(u)) for wj, u in zip(w, units)]
+        assert np.max(np.abs(f(w) - sum(terms))) <= 1e-13 * np.max(sum(np.abs(t) for t in terms))
+
+    check(lambda v: radial_antiderivative(v, ts))
+    check(lambda v: log_moment(v, ts))
+    check(lambda v: log_moment(v, ts, p=1))
+    # a touching pair (closed-form pieces) and two far pairs (Gauss pieces), inside and beyond the unit radius
+    a1, a2, b1, b2 = np.array([[0.3, 0.5, 1.0], [0.32, 0.52, 1.03], [0.0, 0.0, 0.0], [0.3, 0.02, 0.04]])
+    check(lambda v: cell_pair_tent_integral(v, a1, a2, b1, b2, 0.0, 1.0))
+    check(lambda v: cell_pair_tent_integral(v, a1, a2, b1, b2, 1.0, np.inf))
+    check(lambda v: cell_self_energy_1d(v, np.array([0.05, 0.2]), 0.5))
+    check(lambda v: cell_self_energy_2d(v, 0.05, 0.03, 0.5))
+    check(lambda v: rect_pair_integral_2d(v, (0.0, 0.0, 0.04, 0.04), (0.04, 0.0, 0.08, 0.04)))
+    # a scalar weight c is c q_1
+    assert np.array_equal(radial_antiderivative(2.5, ts), 2.5 * radial_antiderivative(order_weights(1), ts))
+    with pytest.raises(PreconditionError):
+        order_weights(0)
 
 
 def test_incomplete_log_integral_oracle():
@@ -207,7 +238,7 @@ def test_self_energy_matches_quadrature():
                 )
 
             ref = integrate.quad(inner, 0.0, h, epsabs=1e-12, limit=200)[0]
-            assert cell_self_energy_1d(n, h) == pytest.approx(ref, rel=1e-9)
+            assert cell_self_energy_1d(order_weights(n), h) == pytest.approx(ref, rel=1e-9)
 
 
 def test_self_energy_with_smaller_cutoff():
@@ -221,7 +252,7 @@ def test_self_energy_with_smaller_cutoff():
         )
 
     ref = integrate.quad(inner, 0.0, h, epsabs=1e-12, limit=200)[0]
-    assert cell_self_energy_1d(n, h, cutoff=r0) == pytest.approx(ref, rel=1e-9)
+    assert cell_self_energy_1d(order_weights(n), h, cutoff=r0) == pytest.approx(ref, rel=1e-9)
 
 
 def test_incomplete_log_t_integral_oracle():
@@ -255,25 +286,19 @@ def _rect_pair_mpmath_oracle(n, A, B):
 
 @pytest.mark.parametrize("B", [(0.04, 0.0, 0.08, 0.04), (0.04, 0.04, 0.08, 0.08)], ids=["edge", "corner"])
 def test_rect_pair_integral_2d_touching_pairs_match_mpmath(B):
-    from loglap.kernels import rect_pair_integral_2d
-
     A = (0.0, 0.0, 0.04, 0.04)
-    assert rect_pair_integral_2d(2, A, B) == pytest.approx(_rect_pair_mpmath_oracle(2, A, B), rel=1e-12)
+    assert rect_pair_integral_2d(order_weights(2), A, B) == pytest.approx(_rect_pair_mpmath_oracle(2, A, B), rel=1e-12)
 
 
 def test_rect_pair_integral_2d_finite_on_lattice_offsets():
-    from loglap.kernels import rect_pair_integral_2d
-
     h = 0.04
     A = (0.0, 0.0, h, h)
     offsets = [(i, j) for i in range(-9, 10) for j in range(-9, 10) if (i, j) != (0, 0)]
-    vals = [rect_pair_integral_2d(2, A, (i * h, j * h, (i + 1) * h, (j + 1) * h)) for i, j in offsets]
+    vals = [rect_pair_integral_2d(order_weights(2), A, (i * h, j * h, (i + 1) * h, (j + 1) * h)) for i, j in offsets]
     assert len(vals) == 360 and all(math.isfinite(v) and v > 0.0 for v in vals)
 
 
 def test_cell_self_energy_2d_matches_adaptive_oracle():
-    from loglap.kernels import cell_self_energy_2d
-
     def oracle(n, a, b, cutoff):
         # int over the quarter difference plane of q_n against the overlap deficit
         def fr(t, phi):
@@ -287,14 +312,14 @@ def test_cell_self_energy_2d_matches_adaptive_oracle():
         return 4.0 * integrate.quad(inner, 0.0, math.pi / 2.0, epsabs=1e-11, limit=200)[0]
 
     for n, a, b, cutoff in ((1, 0.05, 0.05, 1.0), (2, 0.05, 0.03, 1.0), (1, 0.04, 0.07, 0.5)):
-        got = cell_self_energy_2d(n, a, b, cutoff)
+        got = cell_self_energy_2d(order_weights(n), a, b, cutoff)
         assert got == pytest.approx(oracle(n, a, b, cutoff), rel=1e-8)
 
 
 def test_identical_cells_return_self_energy():
     spec = KernelSpec(2, 1)
     assert cell_pair_integral_1d(spec, (0.0, 0.2), (0.0, 0.2)) == pytest.approx(
-        float(cell_self_energy_1d(2, 0.2)), rel=0.0
+        float(cell_self_energy_1d(order_weights(2), 0.2)), rel=0.0
     )
 
 
