@@ -14,19 +14,28 @@ or the single order q_m:
     G_m:  S(q_m) - A(q_m)             (cutoff 1)
     Q_m:  alpha_0 M + S(w)            (cutoff r0)
 
-with M the diagonal mass matrix of cell measures.  Eigenpairs of (stiffness,
-mass) come from the diagonally transformed dense symmetric solver (lowest k
-by index); eigenvectors are mass-orthonormal with the largest-magnitude entry
-made positive.  The convolution part is assembled only for domains of
-diameter at least one; below that no point pair reaches the kernel's support.
+with M the diagonal mass matrix of cell measures.  The lowest k eigenpairs
+of (stiffness, mass) come from Lanczos iteration (ARPACK) on the diagonally
+transformed matrix B = M^-1/2 K M^-1/2, started from a fixed-seed normal
+vector so that results are deterministic and modes of either parity are
+reached on symmetric domains; dense eigh serves only k >= n - 1.
+Eigenvectors are mass-orthonormal with the largest-magnitude entry made
+positive.  The convolution part is assembled only for domains of diameter
+at least one; below that no point pair reaches the kernel's support.
 
 S and A share one pair driver, the integral of k_w over cell pairs at
-distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  Pairs of equal
-cell classes and centre offset are integrated once: in one dimension by the
-closed form (a Gauss rule on tent pieces far from the origin), in two by
-polar inner integrals (closed-form radial antiderivative, angular quadrature)
-under tensor Gauss points on the outer cell.  Self-energies are computed once
-per cell class.
+distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  It has two
+stages.  Lattice cells, the cells of the most common class at integer
+multiples of its side from its first cell (uniform intervals, the gapped fk
+split, rectangles, a disk's unclipped interior), get one integral per
+integer offset, and their block is filled from that offset table without
+any array over all pairs.  Pairs that touch an off-lattice cell (clipped disk
+cells, a second width) are grouped by class pair and centre offset and
+integrated once per group.  Entries are, in one dimension, the closed form
+(a Gauss rule on tent pieces far from the origin), in two, polar inner
+integrals (closed-form radial antiderivative, angular quadrature) under
+tensor Gauss points on the outer cell.  Self-energies are computed once per
+cell class.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .coeffs import CoeffLedger
 from .domains import Disk, Interval, Mesh, mesh_intervals, mesh_rectangles, ray_box, ray_disk
@@ -268,35 +278,116 @@ def _cell_classes(mesh: Mesh):
     return 0.5 * (lo + hi), hi - lo, cls.ravel(), first
 
 
-def _pair_matrix(w, mesh: Mesh, lo, hi) -> np.ndarray:
-    """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
-
-    Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
-    are skipped; each group of equal class pair and centre offset is integrated once.
-    """
-    centres, sides, cls, _ = _cell_classes(mesh)
-    ncells = len(cls)
-    i, l = (k.astype(np.int32) for k in np.triu_indices(ncells, k=1))
+def _in_range(centres, sides, i, l, lo, hi) -> np.ndarray:
+    """Pairs whose distance range [dist - r_sum, dist + r_sum] meets (lo, hi)."""
     diams = np.hypot.reduce(sides, axis=1)
-    delta = centres[l] - centres[i]
-    dist = np.hypot.reduce(np.abs(delta), axis=1)
+    dist = np.hypot.reduce(np.abs(centres[l] - centres[i]), axis=1)
     r_sum = 0.5 * (diams[i] + diams[l])
-    keep = (dist - r_sum < hi) & (dist + r_sum > lo)
-    i, l, delta = i[keep], l[keep], delta[keep]
-    del dist, r_sum, keep
-    keys = (*np.round(delta / sides[i, :1], 9).T, cls[i].astype(np.int64) * ncells + cls[l])
-    del delta
-    order = np.lexsort(keys)  # stable: each group starts at its first pair in row order
+    return (dist - r_sum < hi) & (dist + r_sum > lo)
+
+
+def _lattice(centres, sides, cls):
+    """Lattice cells (ascending) and their linear positions.
+
+    The lattice is the most common cell class, restricted to the cells whose
+    centre sits an integer number of side lengths from the class's first
+    cell (9 decimals, as the offset keys).  Integer steps s, shifted to start
+    at zero, become positions s_0 (2 S_1 + 1) + s_1 with S_1 the largest s_1,
+    so every offset between two lattice cells is a distinct position
+    difference, positive when its first nonzero step is.
+    """
+    members = np.flatnonzero(cls == np.bincount(cls).argmax())
+    steps = np.round((centres[members] - centres[members[0]]) / sides[members[0]], 9)
+    on = np.all(steps == np.round(steps), axis=1)
+    steps = steps[on].astype(np.int64)
+    steps -= steps.min(axis=0)
+    pos = steps[:, 0]
+    for s in steps.T[1:]:
+        pos = pos * (2 * s.max() + 1) + s
+    return members[on], pos
+
+
+def _lattice_pairs(members, pos):
+    """One pair of lattice cells per position offset that occurs: (offsets, i, l).
+
+    The pair is the first one in cell order; rows are scanned only until
+    every occurring offset, read off the occupancy autocorrelation, has one.
+    """
+    occ = np.zeros(pos.max() + 1)
+    occ[pos] = 1.0
+    cell_at = np.zeros(occ.size, dtype=np.int64)
+    cell_at[pos] = members
+    todo = np.correlate(occ, occ, "full")[occ.size - 1 :] > 0.5
+    todo[0] = False
+    start = np.full(occ.size, -1)
+    for a in pos:
+        if not todo.any():
+            break
+        hit = np.flatnonzero(todo[1 : occ.size - a] & (occ[a + 1 :] > 0.0)) + 1
+        start[hit] = a
+        todo[hit] = False
+    offsets = np.flatnonzero(start >= 0)
+    return offsets, cell_at[start[offsets]], cell_at[start[offsets] + offsets]
+
+
+def _off_lattice_pairs(centres, sides, cls, members, lo, hi):
+    """Pairs with an off-lattice cell, kept by range and grouped: (i, l, first of each group).
+
+    Groups share the class pair and the centre offset rounded to 9 decimals
+    of the first cell's side; each group starts at its first pair in row order.
+    """
+    n = len(cls)
+    off = np.ones(n, dtype=bool)
+    off[members] = False
+    o, a = np.flatnonzero(off)[:, None], np.arange(n)[None, :]
+    valid = (a != o) & ~(off[a] & (a < o))  # pairs of two off-lattice cells once
+    i, l = np.minimum(o, a)[valid], np.maximum(o, a)[valid]
+    order = np.lexsort((l, i))
+    i, l = i[order], l[order]
+    keep = _in_range(centres, sides, i, l, lo, hi)
+    i, l = i[keep], l[keep]
+    keys = (*np.round((centres[l] - centres[i]) / sides[i, :1], 9).T, cls[i].astype(np.int64) * n + cls[l])
+    order = np.lexsort(keys)  # stable
     first = np.zeros(order.size, dtype=bool)
     first[:1] = True
     for key in keys:
         first[1:] |= np.diff(key[order]) != 0
-    del keys
-    i, l = i[order], l[order]
-    values = _ENGINES[mesh.domain.dim][0](w, mesh, i[first], l[first], lo, hi)[np.cumsum(first) - 1]
-    P = np.zeros((ncells, ncells))
-    P[i, l] = values
-    P[l, i] = values
+    return i[order], l[order], first
+
+
+def _pair_matrix(w, mesh: Mesh, lo, hi) -> np.ndarray:
+    """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
+
+    Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
+    are skipped.  Lattice cells pair by offset: one integral per offset, and
+    their block is filled from that table (a Toeplitz view when the lattice
+    is one contiguous run).  Pairs that touch an off-lattice cell are
+    grouped by class pair and centre offset, one integral per group.  Both
+    stages share one evaluator call.
+    """
+    centres, sides, cls, _ = _cell_classes(mesh)
+    n = len(cls)
+    members, pos = _lattice(centres, sides, cls)
+    offsets, li, ll = _lattice_pairs(members, pos)
+    keep = _in_range(centres, sides, li, ll, lo, hi)
+    offsets, li, ll = offsets[keep], li[keep], ll[keep]
+    oi, ol, first = _off_lattice_pairs(centres, sides, cls, members, lo, hi)
+    values = _ENGINES[mesh.domain.dim][0](
+        w, mesh, np.concatenate([li, oi[first]]), np.concatenate([ll, ol[first]]), lo, hi
+    )
+    P = np.zeros((n, n))
+    top = pos.max()
+    table = np.zeros(2 * top + 1)  # table[top + k]: value at position offset k
+    table[top + offsets] = table[top - offsets] = values[: offsets.size]
+    if members[-1] - members[0] == pos.size - 1 and np.array_equal(pos, np.arange(pos.size)):
+        block = slice(members[0], members[-1] + 1)
+        P[block, block] = np.lib.stride_tricks.sliding_window_view(table, pos.size)[::-1]
+    else:
+        for row, a in zip(members, pos):
+            P[row, members] = table[top - a + pos]
+    group_values = values[offsets.size :][np.cumsum(first) - 1]
+    P[oi, ol] = group_values
+    P[ol, oi] = group_values
     return P
 
 
@@ -306,7 +397,8 @@ _ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_
 
 def _difference_matrix(w, mesh, cutoff):
     """S(w): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
-    S = -2.0 * _pair_matrix(w, mesh, 0.0, cutoff)
+    S = _pair_matrix(w, mesh, 0.0, cutoff)
+    S *= -2.0
     np.fill_diagonal(S, _ENGINES[mesh.domain.dim][1](w, mesh, cutoff))
     return S
 
@@ -355,11 +447,21 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
     if form_kind != "Q" and mesh.domain.diameter() >= 1.0:
         stiff -= _convolution_matrix(w, mesh)
     if form_kind == "Q":
-        scale = float(np.max(np.abs(stiff))) or 1.0
-        lam_min = float(scipy.linalg.eigvalsh(stiff, subset_by_index=[0, 0])[0])
-        if lam_min < -1e-8 * scale:
-            raise NumericalError(f"Q stiffness not PSD: lambda_min={lam_min:.3e}")
+        _check_psd(stiff)
     return FormMatrices(form_kind, stiff, mass, ledger, mesh)
+
+
+def _check_psd(stiff) -> None:
+    """Raise unless lambda_min(stiff) >= -1e-8 max|stiff|: Cholesky of the shifted matrix."""
+    scale = float(np.max(np.abs(stiff))) or 1.0
+    shifted = stiff.copy()
+    shifted[np.diag_indices_from(shifted)] += 1e-8 * scale
+    try:
+        # the transpose of the symmetric copy is Fortran-ordered, so it is factored in place
+        scipy.linalg.cholesky(shifted.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        lam_min = float(scipy.linalg.eigvalsh(stiff, subset_by_index=[0, 0])[0])
+        raise NumericalError(f"Q stiffness not PSD: lambda_min={lam_min:.3e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +469,31 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
 
 
 def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
-    """k smallest generalized eigenpairs of (stiffness, diagonal mass)."""
+    """k smallest generalized eigenpairs of (stiffness, diagonal mass).
+
+    Lanczos (ARPACK) on B = M^-1/2 K M^-1/2 from a fixed-seed normal start
+    vector, which reaches modes of either parity on symmetric domains; dense
+    eigh only where ARPACK cannot run (k >= n - 1).
+    """
     n = matrices.n
     if not 1 <= k <= n:
         raise PreconditionError("eigenpair count must lie in [1, n_cells]")
     d = 1.0 / np.sqrt(matrices.mass)
-    B = d[:, None] * matrices.stiffness * d[None, :]
-    B = 0.5 * (B + B.T)
+    B = matrices.stiffness * d[:, None]
+    B *= d
     if not np.all(np.isfinite(B)):
         raise NumericalError("stiffness matrix has non-finite entries")
     try:
-        vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
-    except np.linalg.LinAlgError as exc:
+        if k >= n - 1:
+            vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
+        else:
+            v0 = np.random.default_rng(0).standard_normal(n)
+            vals, vecs = scipy.sparse.linalg.eigsh(B, k, which="SA", v0=v0)
+    except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    vecs = d[:, None] * vecs  # back to the original variables, M-orthonormal
+    del B  # the residual check below needs an n x n temporary of its own
+    order = np.argsort(vals)
+    vals, vecs = vals[order], d[:, None] * vecs[:, order]  # back to the original variables, M-orthonormal
     # deterministic sign: largest-magnitude entry positive
     for j in range(vecs.shape[1]):
         i = int(np.argmax(np.abs(vecs[:, j])))

@@ -177,52 +177,53 @@ def log_moment(w, h, p: int = 0) -> float | np.ndarray:
     return sum(wk * 2.0 ** k * incomplete_log_integral(k, h, p) for k, wk in enumerate(np.atleast_1d(w)) if wk)
 
 
-def _linear_weighted_piece(w, c, d, u, v, lo: float, hi: float) -> np.ndarray:
-    """int_u^v (c + d t) t^(-1) p(-2 ln t) dt, clipped to [lo, hi].
+def _linear_weighted_piece(w, g, su, sv, e, d, lo: float, hi: float) -> np.ndarray:
+    """int ell(t) t^(-1) p(-2 ln t) dt over t = g + s, su <= s <= sv, clipped to [lo, hi].
 
-    The constant part uses the radial antiderivative, the linear part the
-    moment; pieces with c = 0 tolerate u = 0.  On a piece far from the
-    origin (v - u <= u/4) both parts are about t (v - u) and cancel to a
-    result of about (v - u)^2, so it is integrated by an 8-point Gauss rule
-    instead, whose error there is far below rounding.
+    The profile is ell = e + d (s - su), linear in the offset s from the
+    anchor g.  The piece's width and its profile at the start are formed in
+    s, so rounding of the anchor only moves the piece, it does not reshape
+    it.  As ell(t) = c + d t, the constant part uses the radial
+    antiderivative, the linear part the moment; pieces with c = 0 tolerate a
+    start at t = 0.  On a piece far from the origin (width <= u/4 at start
+    u) both parts are about t (v - u) and cancel to a result of about
+    (v - u)^2, so it is integrated by an 8-point Gauss rule instead, whose
+    error there is far below rounding.
     """
-    u = np.maximum(np.asarray(u, dtype=float), lo)
-    v = np.minimum(np.asarray(v, dtype=float), hi)
-    c, d, u, v = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(d, dtype=float), u, v)
-    live = v > u
-    u_s = np.where(live, u, 1.0)  # dead pieces get a harmless finite filler
-    v_s = np.where(live, v, 1.0)
+    g = np.asarray(g, dtype=float)
+    s0 = np.maximum(su, lo - g)
+    s1 = np.minimum(sv, hi - g)
+    g, d, s0, s1 = np.broadcast_arrays(g, np.asarray(d, dtype=float), s0, s1)
+    live = s1 > s0
+    width = np.where(live, s1 - s0, 0.0)
+    e0 = e + d * (s0 - su)  # profile at the clipped start
+    u = np.where(live, g + s0, 1.0)  # dead pieces get a harmless finite filler
+    v = u + width
+    c = e0 - d * u
     const_part = np.where(
         c != 0.0,
-        c * (radial_antiderivative(w, v_s) - radial_antiderivative(w, np.where(u_s > 0, u_s, 1.0))),
+        c * (radial_antiderivative(w, v) - radial_antiderivative(w, np.where(u > 0, u, 1.0))),
         0.0,
     )
     # c != 0 with u = 0 would be a divergent integral; callers never build it
-    lin_part = d * (log_moment(w, v_s) - log_moment(w, u_s))
-    g, gw = _gauss_unit(8)
-    width = v_s - u_s
-    t = u_s[..., None] + width[..., None] * g
-    # c + d t built from its value at u, so the rounding of the nodes t does not enter it
-    ell = (c + d * u_s)[..., None] + (d * width)[..., None] * g
+    lin_part = d * (log_moment(w, v) - log_moment(w, u))
+    nodes, gw = _gauss_unit(8)
+    t = u[..., None] + width[..., None] * nodes
+    ell = e0[..., None] + (d * width)[..., None] * nodes
     gauss = width * ((ell / t * polyval(-2.0 * np.log(t), w)) @ gw)
-    far = (u_s > 0.0) & (width <= 0.25 * u_s)
+    far = (u > 0.0) & (width <= 0.25 * u)
     return np.where(live, np.where(far, gauss, const_part + lin_part), 0.0)
-
-
-def _pair_overlap_breaks(a1, a2, b1, b2):
-    """Breakpoints/slopes of t -> |A cap (B + t)| for intervals A, B (A right of B)."""
-    t0 = a1 - b2
-    t1 = np.minimum(a2 - b2, a1 - b1)
-    t2 = np.maximum(a2 - b2, a1 - b1)
-    t3 = a2 - b1
-    return t0, t1, t2, t3
 
 
 def cell_pair_tent_integral(w, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarray:
     """int_A int_B p(-2 ln|x-y|)/|x-y| 1_{lo<|x-y|<hi} dy dx for disjoint 1D cells.
 
-    Written as int ell(t) p(-2 ln t)/t dt with the trapezoidal overlap profile ell
-    of the two cells; each linear piece integrates in closed form.  Cells may
+    Written as int ell(t) p(-2 ln t)/t dt with the trapezoidal overlap profile
+    ell of the two cells, A right of B.  Its breakpoints are D -+ (wa + wb)/2
+    and D -+ |wa - wb|/2 around the centre distance D, formed as the gap
+    g = D - (wa + wb)/2 plus 0, min(wa, wb), max(wa, wb) and wa + wb, so the
+    profile's shape comes from the widths alone and touching cells start at
+    exactly t = 0.  Each linear piece integrates in closed form.  Cells may
     touch at an endpoint but must not overlap.
     """
     a1 = np.asarray(a1, dtype=float)
@@ -230,18 +231,13 @@ def cell_pair_tent_integral(w, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarr
     gap_ba = np.asarray(b1, dtype=float) - np.asarray(a2, dtype=float)
     if np.any(np.maximum(gap_ab, gap_ba) < -1e-14):
         raise PreconditionError("cells overlap; pair integral defined for disjoint cells only")
-    # orient so A is right of B
-    swap = gap_ba > gap_ab
-    A1 = np.where(swap, b1, a1)
-    A2 = np.where(swap, b2, a2)
-    B1 = np.where(swap, a1, b1)
-    B2 = np.where(swap, a2, b2)
-    t0, t1, t2, t3 = _pair_overlap_breaks(A1, A2, B1, B2)
-    t0 = np.maximum(t0, 0.0)
-    plateau = np.minimum(A2 - A1, B2 - B1)
-    total = _linear_weighted_piece(w, -t0, 1.0, t0, t1, lo, hi)
-    total = total + _linear_weighted_piece(w, plateau, 0.0, t1, t2, lo, hi)
-    total = total + _linear_weighted_piece(w, t3, -1.0, t2, t3, lo, hi)
+    gap = np.maximum(np.maximum(gap_ab, gap_ba), 0.0)
+    wa = np.asarray(a2, dtype=float) - a1
+    wb = np.asarray(b2, dtype=float) - np.asarray(b1, dtype=float)
+    small, big = np.minimum(wa, wb), np.maximum(wa, wb)
+    total = _linear_weighted_piece(w, gap, 0.0, small, 0.0, 1.0, lo, hi)
+    total = total + _linear_weighted_piece(w, gap, small, big, small, 0.0, lo, hi)
+    total = total + _linear_weighted_piece(w, gap, big, wa + wb, small, -1.0, lo, hi)
     return total
 
 

@@ -1,15 +1,20 @@
 """Galerkin forms and eigensolving: assembly oracles, variational facts, scaling."""
 
+import json
 import math
+import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from scipy import integrate
 
-from loglap import NumericalError, PreconditionError, eigen
+from loglap import NumericalError, PreconditionError, cli, eigen
 from loglap.coeffs import EULER_GAMMA, alpha_coeffs, c_dim, omega, rho
-from loglap.domains import Disk, DomainSpec, Interval, Mesh, Rect, mesh_intervals, mesh_rectangles
+from loglap.domains import Disk, DomainSpec, Interval, Mesh, Rect, domain_to_dict, mesh_intervals, mesh_rectangles
 from loglap.eigen import (
     _convolution_matrix,
     _difference_matrix,
@@ -80,31 +85,75 @@ def test_convolution_part_nonzero_for_wide_domain():
     assert A[i, l] == pytest.approx(ref, rel=1e-10)
 
 
-def _pair_matrix_by_brute_force(w, mesh, lo, hi):
-    """The dimension's pair evaluator called on every pair, one at a time."""
+def _pair_matrix_by_brute_force(w, mesh, lo, hi, pairs=None):
+    """The dimension's pair evaluator called on every pair (or the given ones), one at a time."""
     evaluate, _ = eigen._ENGINES[mesh.domain.dim]
+    if pairs is None:
+        pairs = zip(*np.triu_indices(mesh.n_cells, k=1))
     P = np.zeros((mesh.n_cells, mesh.n_cells))
-    for i in range(mesh.n_cells):
-        for l in range(i + 1, mesh.n_cells):
-            P[i, l] = P[l, i] = evaluate(w, mesh, np.array([i]), np.array([l]), lo, hi)[0]
+    for i, l in pairs:
+        P[i, l] = P[l, i] = evaluate(w, mesh, np.array([i]), np.array([l]), lo, hi)[0]
     return P
 
 
-@pytest.mark.parametrize("name", ["1d-two-widths", "2d-clipped-disk"])
+def _lattice_size(mesh):
+    centres, sides, cls, _ = eigen._cell_classes(mesh)
+    return eigen._lattice(centres, sides, cls)[0].size
+
+
+def _rows_and_sample(n, rows, seed=2, count=150):
+    """Every pair in the given rows plus random pairs, as sorted (i < l) tuples."""
+    rng = np.random.default_rng(seed)
+    sample = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(count)}
+    return sorted({(min(r, l), max(r, l)) for r in rows for l in range(n) if l != r} | sample)
+
+
+@pytest.mark.parametrize("name", ["1d-two-widths", "2d-clipped-disk", "1d-uniform", "1d-gapped-split", "2d-square-20x20"])
 def test_pair_matrix_matches_brute_force_loop(name):
+    # lattice meshes: the rows listed hold every offset, the random pairs check the fill elsewhere
+    pairs = None
     if name == "1d-two-widths":
         # incommensurate cell widths: the offset keys must not merge distinct geometry
         mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.1), Interval(0.2137, 0.6))), 40)
-    else:
+    elif name == "2d-clipped-disk":
         mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.6),)), 0.2)
         assert any(c[4] for c in mesh.cells) and not all(c[4] for c in mesh.cells)
+    elif name == "1d-uniform":
+        mesh = mesh_intervals(DomainSpec(1, (Interval(-0.5863, 0.6137),)), 120)
+        pairs = _rows_and_sample(120, (0,))
+    elif name == "1d-gapped-split":
+        # the fk split (two pieces, gap twice the piece length) scaled to diameter 1.2
+        f = 0.0317
+        mesh = mesh_intervals(DomainSpec(1, (Interval(f - 0.6, f - 0.3), Interval(f + 0.3, f + 0.6))), 60)
+        pairs = _rows_and_sample(60, (0, 29))
+    else:
+        mesh = mesh_rectangles(DomainSpec(2, (Rect(0.013, -0.021, 0.813, 0.779),)), 0.04)
+        assert mesh.n_cells == 400
+        pairs = _rows_and_sample(400, (0, 19))
+    n_lattice = _lattice_size(mesh)
+    assert n_lattice == mesh.n_cells if pairs is not None else 1 < n_lattice < mesh.n_cells
     cases = ((order_weights(1), 0.0, 1.0, 1e-13), (order_weights(2), 0.0, 1.0, 1e-13),
              (order_weights(1), 1.0, np.inf, 1e-9), (alpha_coeffs(2, mesh.domain.dim).alpha[1:], 0.0, 1.0, 1e-13))
     for w, lo, hi, tol in cases:
         P = _pair_matrix(w, mesh, lo, hi)
-        ref = _pair_matrix_by_brute_force(w, mesh, lo, hi)
+        ref = _pair_matrix_by_brute_force(w, mesh, lo, hi, pairs)
+        if pairs is not None:
+            checked = tuple(np.array(pairs).T)
+            P, ref = P[checked], ref[checked]
         assert np.max(np.abs(ref)) > 0.0
         assert np.max(np.abs(P - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_uniform_pair_matrix_allocates_one_matrix():
+    # lattice pairs are filled from the offset table: no pair-count-sized index or key arrays
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 2400)
+    tracemalloc.start()
+    try:
+        _pair_matrix(order_weights(1), mesh, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * mesh.n_cells ** 2
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -197,6 +246,21 @@ def test_uniform_1d_mesh_evaluates_one_pair_per_offset(monkeypatch):
     assert len(sizes) == 2 and max(sizes) <= mesh.n_cells - 1
 
 
+def test_lattice_evaluates_only_offsets_in_range(monkeypatch):
+    sizes = []
+
+    def spy(w, a1, *rest):
+        sizes.append(np.size(a1))
+        return cell_pair_tent_integral(w, a1, *rest)
+
+    monkeypatch.setattr(eigen, "cell_pair_tent_integral", spy)
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 301)
+    _difference_matrix(order_weights(1), mesh, 1.0)
+    _convolution_matrix(order_weights(1), mesh)
+    k, h = np.arange(1, 301), 1.2 / 301  # offsets and width; 1/h = 250.8 keeps every offset off the boundary
+    assert sizes == [np.count_nonzero((k - 1) * h < 1.0), np.count_nonzero((k + 1) * h > 1.0)]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stiffness_is_exactly_symmetric(dim):
     # the pair driver writes both triangles with one value, so no symmetrization is needed
@@ -243,6 +307,30 @@ def test_q_form_positive_semidefinite():
     mats = assemble("Q", led, mesh)
     lam = np.linalg.eigvalsh(mats.stiffness)
     assert lam[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
+
+
+def test_psd_check_accepts_exactly_the_margin():
+    # lambda_min >= -1e-8 max|K| passes, below fails
+    eigen._check_psd(np.diag([1.0, 0.5, -0.5e-8]))
+    with pytest.raises(NumericalError, match="lambda_min=-2.000e-08"):
+        eigen._check_psd(np.diag([1.0, 0.5, -2e-8]))
+
+
+def test_indefinite_q_stiffness_is_a_numerical_error(monkeypatch, tmp_path):
+    real = eigen._difference_matrix
+    monkeypatch.setattr(eigen, "_difference_matrix", lambda w, mesh, cutoff: -real(w, mesh, cutoff))
+    led = alpha_coeffs(2, 1)
+    mesh = mesh_intervals(QUARTER, 60)
+    stiff = -real(led.alpha[1:], mesh, combined_kernel(led).r0) + led.alpha[0] * np.diag(mesh.cell_measure)
+    lam_min = np.linalg.eigvalsh(stiff)[0]
+    assert lam_min < -1e-8 * np.max(np.abs(stiff))
+    with pytest.raises(NumericalError, match=re.escape(f"lambda_min={lam_min:.3e}")):
+        assemble("Q", led, mesh)
+    domain = tmp_path / "quarter.json"
+    domain.write_text(json.dumps(domain_to_dict(QUARTER)))
+    argv = ["eig", "--form", "Q", "--m", "2", "--domain", str(domain), "--cells", "60", "--count", "1",
+            "--out", str(tmp_path / "eig.csv")]
+    assert cli.main(argv) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +381,72 @@ def test_eigensolve_rejects_non_finite_matrix():
     mats.stiffness[3, 4] = mats.stiffness[4, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         eigensolve(mats, 2)
+
+
+def _lanczos_problem(name):
+    """(form matrices, k) of the four problems the Lanczos solver is checked on."""
+    if name == "interval-2400":
+        return assemble("I", alpha_coeffs(1, 1), mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 2400)), 6
+    if name == "square-400":
+        mesh = mesh_rectangles(DomainSpec(2, (Rect(0.0, 0.0, 0.5, 0.5),)), 0.025)
+        assert mesh.n_cells == 400
+        return assemble("I", alpha_coeffs(2, 2), mesh), 3
+    if name == "disk-88":
+        mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.2),)), 0.04)
+        assert mesh.n_cells == 88
+        return assemble("Q", alpha_coeffs(2, 2), mesh), 3
+    # the fk split: two equal pieces whose weak coupling leaves a near-degenerate pair
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.2, -0.1), Interval(0.1, 0.2))), 400)
+    return assemble("Q", alpha_coeffs(2, 1), mesh), 3
+
+
+@pytest.mark.parametrize("name", ["interval-2400", "square-400", "disk-88", "fk-split"])
+def test_lanczos_matches_dense_eigh(name):
+    mats, k = _lanczos_problem(name)
+    res = eigensolve(mats, k)
+    d = 1.0 / np.sqrt(mats.mass)
+    B = d[:, None] * mats.stiffness * d[None, :]
+    vals, vecs = scipy.linalg.eigh(0.5 * (B + B.T), subset_by_index=[0, k - 1])
+    assert np.all(np.abs(res.eigenvalues - vals) <= 1e-10 * np.abs(vals))
+    # eigenspaces: clusters of (numerically) equal eigenvalues, compared by their projectors
+    if name == "square-400":
+        assert abs(vals[2] - vals[1]) <= 1e-12 * vals[2]  # the square's double eigenvalue
+    if name == "fk-split":
+        assert 0.0 < vals[1] - vals[0] < 0.1 * vals[0]
+    U = res.vectors / d[:, None]  # orthonormal in the variables of B
+    for cluster in np.split(np.arange(k), np.flatnonzero(np.diff(vals) > 1e-8 * np.abs(vals[1:])) + 1):
+        V = vecs[:, cluster]
+        outside = U[:, cluster] - V @ (V.T @ U[:, cluster])  # ||P_U - P_V||_F = sqrt(2) ||(I - P_V) U||_F
+        assert math.sqrt(2.0) * np.linalg.norm(outside) <= 1e-8
+    again = eigensolve(mats, k)
+    assert np.array_equal(again.eigenvalues, res.eigenvalues) and np.array_equal(again.vectors, res.vectors)
+
+
+def test_eigensolve_holds_one_matrix_temporary():
+    # B = M^-1/2 K M^-1/2 is formed in place and freed before the residual check
+    mats = assemble("I", alpha_coeffs(1, 1), mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 2400))
+    tracemalloc.start()
+    try:
+        eigensolve(mats, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mats.stiffness.nbytes
+
+
+def test_lanczos_no_convergence_is_a_numerical_error(monkeypatch, tmp_path):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    mats = assemble("I", alpha_coeffs(1, 1), mesh_intervals(QUARTER, 40))
+    with pytest.raises(NumericalError, match="No convergence"):
+        eigensolve(mats, 3)
+    domain = tmp_path / "quarter.json"
+    domain.write_text(json.dumps(domain_to_dict(QUARTER)))
+    argv = ["eig", "--form", "I", "--m", "1", "--domain", str(domain), "--cells", "40", "--count", "3",
+            "--out", str(tmp_path / "eig.csv")]
+    assert cli.main(argv) == 4
 
 
 def test_refinement_drift_within_two_percent():
