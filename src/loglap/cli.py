@@ -7,7 +7,9 @@ travel as JSON (schemas in grid.py / domains.py); tabular results are CSV
 with a header row and 17 significant digits.
 
 Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
-4 numerical failure.  Worker threads come from --threads or LOGLAP_THREADS.
+4 numerical failure.  Worker threads come from --threads or LOGLAP_THREADS
+and split the points of a 2D quadrature apply; a 1D apply is one lattice
+convolution, which checks the setting but does not use it.
 """
 
 from __future__ import annotations
@@ -112,31 +114,35 @@ def cmd_radii(args) -> int:
 _QUAD_CHUNK_BYTES = 64 * 2**20  # quadrature working set of one apply chunk
 
 
-def _apply_quad(args, u, nodes):
-    workers = _worker_count(args)
+def _quad_batch(args, u, xs):
+    if args.op == "K":
+        vals, bounds, _ = _pointwise.k_values_batch([args.m], u, xs)
+        return vals[args.m], bounds[args.m]
+    if args.op == "L":
+        vals, bound, _ = _pointwise.apply_L_batch(args.m, u, xs)
+        return vals, bound
+    if args.op == "fraclap":
+        vals, bound, _ = _pointwise.frac_lap_batch(args.s, u, xs)
+        return vals, bound
+    vals, bound, _ = _pointwise.riesz_batch(args.s, u, xs)
+    return vals, bound
+
+
+def _apply_quad(args, u):
+    """Every node of u: one lattice convolution in 1D, threaded point chunks in 2D."""
+    workers = _worker_count(args)  # parsed in 1D too, so a malformed value still exits 3
+    if u.dim == 1:
+        vals, bound = _quad_batch(args, u, None)
+        return vals, bound, "lattice"
+    nodes = u.nodes()
     count = nodes.shape[0]
     per_chunk = max(1, _QUAD_CHUNK_BYTES // _pointwise.quad_point_bytes(u.dim))
     chunks = np.array_split(np.arange(count), max(1, min(count, max(workers, math.ceil(count / per_chunk)))))
-
-    def run(idx):
-        pts = nodes[idx]
-        if args.op == "K":
-            vals, bounds, _ = _pointwise.k_values_batch([args.m], u, pts)
-            return vals[args.m], bounds[args.m]
-        if args.op == "L":
-            vals, bound, _ = _pointwise.apply_L_batch(args.m, u, pts)
-            return vals, bound
-        if args.op == "fraclap":
-            vals, bound, _ = _pointwise.frac_lap_batch(args.s, u, pts)
-            return vals, bound
-        vals, bound, _ = _pointwise.riesz_batch(args.s, u, pts)
-        return vals, bound
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, chunks))
+        results = list(pool.map(lambda idx: _quad_batch(args, u, nodes[idx]), chunks))
     values = np.concatenate([r[0] for r in results])
     bound = max(r[1] for r in results)
-    return values, bound
+    return values, bound, "pointwise"
 
 
 def cmd_apply(args) -> int:
@@ -154,15 +160,9 @@ def cmd_apply(args) -> int:
         sidecar = {"method": "fft", "truncation_bound": 0.0, "note": "lattice-symbol application"}
         values = out.values
     else:
-        axes = u.axes()
-        if u.dim == 1:
-            nodes = axes[0][:, None]
-        else:
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            nodes = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        vals, bound = _apply_quad(args, u, nodes)
+        vals, bound, path = _apply_quad(args, u)
         values = vals.reshape(u.shape)
-        sidecar = {"method": "quad", "truncation_bound": bound}
+        sidecar = {"method": "quad", "truncation_bound": bound, "path": path, "nodes": int(values.size)}
     result = u.with_values(values)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(grid_to_dict(result), fh)
@@ -222,7 +222,7 @@ def cmd_expand(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="loglap", description="m-order logarithmic Laplacian toolkit")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: machine parallelism)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads of a 2D quadrature apply (default: machine parallelism)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized validation sampling")
     sub = p.add_subparsers(dest="command", required=True)
 

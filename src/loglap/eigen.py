@@ -61,6 +61,7 @@ from .kernels import (
 from .quadrature import _gauss_unit
 
 _FORM_KINDS = ("I", "G", "Q")
+_ROW_BLOCK = 256  # rows per block of the residual check's |K| row sums
 
 
 @dataclass(frozen=True)
@@ -491,7 +492,7 @@ def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
             vals, vecs = scipy.sparse.linalg.eigsh(B, k, which="SA", v0=v0)
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    del B  # the residual check below needs an n x n temporary of its own
+    del B
     order = np.argsort(vals)
     vals, vecs = vals[order], d[:, None] * vecs[:, order]  # back to the original variables, M-orthonormal
     # deterministic sign: largest-magnitude entry positive
@@ -508,8 +509,10 @@ def _check_pairs(matrices: FormMatrices, vals, vecs) -> None:
     gram = vecs.T @ (M[:, None] * vecs)
     if float(np.max(np.abs(gram - np.eye(vals.size)))) > 1e-8:
         raise NumericalError("eigenvectors lost mass-orthonormality")
-    scale = float(np.max(np.sum(np.abs(matrices.stiffness), axis=1))) or 1.0
-    res = matrices.stiffness @ vecs - (M[:, None] * vecs) * vals[None, :]
+    K = matrices.stiffness
+    rows = range(0, matrices.n, _ROW_BLOCK)  # the max row sum of |K|, no n x n temporary
+    scale = max(float(np.max(np.sum(np.abs(K[i:i + _ROW_BLOCK]), axis=1))) for i in rows) or 1.0
+    res = K @ vecs - (M[:, None] * vecs) * vals[None, :]
     worst = float(np.max(np.abs(res)))
     if worst > 1e-6 * scale:
         raise NumericalError(f"eigenpair residual {worst:.3e} exceeds 1e-6 * |A|")

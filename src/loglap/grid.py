@@ -76,6 +76,11 @@ class GridFunction:
             o + h * np.arange(n) for o, h, n in zip(self.origin, self.spacing, self.shape)
         )
 
+    def nodes(self) -> np.ndarray:
+        """Every node as a (size, dim) array, in the row-major order of ``values``."""
+        grids = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -108,6 +113,21 @@ class GridFunction:
         flat = pts.reshape(-1, 2)
         vals = self._interpolator(flat)
         return vals.reshape(pts.shape[:-1])
+
+    def cell_coefficients(self) -> np.ndarray:
+        """Local power coefficients of the 1D interpolant, shape (4, n - 1).
+
+        On cell j the interpolant is sum_p D[p, j] s^p with s = x - x_j in
+        [0, h]: the natural cubic spline, or the linear interpolant (D[2] =
+        D[3] = 0) on grids with fewer than 4 nodes.
+        """
+        if self.dim != 1:
+            raise PreconditionError("cell coefficients are defined for 1D grids")
+        if self.shape[0] >= 4:
+            return self._interpolator.c[::-1].copy()
+        v = self.values
+        slope = np.diff(v) / self.spacing[0]
+        return np.stack([v[:-1], slope, np.zeros_like(slope), np.zeros_like(slope)])
 
     def contains(self, point) -> bool:
         p = np.atleast_1d(np.asarray(point, dtype=float))

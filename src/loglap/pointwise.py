@@ -19,6 +19,12 @@ Antipodal directions are summed together, which realizes the principal-value
 symmetrization without a separate code path.  Evaluation of discontinuous
 data (indicators) is refused within the inner cut of any grid jump, since
 the pointwise theory needs a Dini modulus at x.
+
+The batch operators take xs=None to mean every node of u.  On a 1D grid
+that is one lattice convolution: the same inner rule, binned by cell offset
+into moments of the spline's cell coefficients, and an outer integral exact
+per cell, applied to all nodes by FFT with an O(n) working set.  Points
+given explicitly, and every 2D grid, go through the per-point radial rule.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaincc
 
 from .coeffs import (
@@ -128,9 +135,8 @@ class _RadialContext:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[1] != u.dim:
             raise PreconditionError("evaluation points must match the grid dimension")
-        for x in xs:
-            if not u.contains(x):
-                raise PreconditionError("evaluation point outside the grid box")
+        if not np.all((xs >= u.box_lo) & (xs <= u.box_hi)):
+            raise PreconditionError("evaluation point outside the grid box")
         _check_dini_clearance(u, xs, INNER_CUT)
         self.u = u
         self.xs = xs
@@ -166,6 +172,94 @@ class _RadialContext:
         return np.einsum("xtq,t->x", integ, self.th_w)
 
 
+class _LatticeContext:
+    """Every node of a 1D grid at once, as correlations with the cell coefficients.
+
+    The interpolant is sum_p D[p, j] s^p on cell j.  A sample at x_i + y lies
+    in cell i + k, k = floor(y / h), at local position s = y - k h, and
+    k and s are the same for every node i.  So ``inner`` and ``outer`` each
+    bin their weights into a stencil S[p, k] of moments sum w s^p and
+    correlate it with D by FFT; D is zero past the box, which is the zero
+    extension.  The inner rule is the radial context's, node for node.  The
+    two cells touching the node are summed in difference form, u(x_i) minus
+    the cubic, so small t does not cancel against u(x_i); at the end nodes,
+    where one of them lies outside the box, the difference is u(x_i) itself.
+    The outer integral over |t| >= 1 runs one Gauss panel per cell (split to
+    a ratio of at most 2 in t), which is exact up to round-off.
+    """
+
+    def __init__(self, u: GridFunction):
+        n = u.shape[0]
+        self.u, self.xs, self.u0 = u, u.nodes(), u.values
+        _check_dini_clearance(u, self.xs, INNER_CUT)
+        h = u.spacing[0]
+        self.coef = u.cell_coefficients()
+        self.kmin, self.kmax = -(n - 1), n - 2  # cell offsets some node can reach
+        self.fft_len = next_fast_len(3 * n, real=True)
+        self.coef_hat = rfft(self.coef, self.fft_len, axis=1)
+
+        bounds = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
+        self.tau, self.tau_w = panel_rule(bounds, PANEL_ORDER)
+        t = np.exp(-self.tau)
+        y = np.concatenate([t, -t])  # both directions, the tau nodes twice
+        k = np.floor(y / h)
+        self.near_plus, self.near_minus = t < h, t <= h  # k == 0 and k == -1
+        self.far = np.concatenate([~self.near_plus, ~self.near_minus])
+        self.binned = self.far & (k >= self.kmin) & (k <= self.kmax)
+        self.in_k = (k[self.binned] - self.kmin).astype(np.intp)
+        self.in_pow = (y - k * h)[self.binned] ** np.arange(4)[:, None]
+        # u(x_i) - u(x_i + t) on cell i and u(x_i) - u(x_i - t) on cell i - 1,
+        # as the p = 1..3 terms of the cubic's difference
+        tp, tm = t[self.near_plus], t[self.near_minus]
+        self.near_plus_pow = -np.stack([tp, tp ** 2, tp ** 3])
+        self.near_minus_pow = np.stack([tm, 2 * h * tm - tm ** 2, 3 * h * h * tm - 3 * h * tm ** 2 + tm ** 3])
+
+        # outer: the cell edges past t = 1 (none on a box shorter than 1),
+        # with dyadic splits of a first cell that ends beyond t = 2
+        edges = h * np.arange(1, n)
+        edges = edges[edges > 1.0]
+        splits = 2.0 ** np.arange(1, math.ceil(math.log2(edges[0])) if edges.size else 1)
+        t_bounds = np.concatenate([[1.0], splits, edges])
+        self.sigma, self.sigma_w = panel_rule(np.log(t_bounds), PANEL_ORDER)
+        t_out = np.exp(self.sigma)
+        j = np.repeat(np.floor(0.5 * (t_bounds[:-1] + t_bounds[1:]) / h), PANEL_ORDER)
+        self.out_k = np.concatenate([j, -(j + 1)]).astype(np.intp) - self.kmin
+        self.out_pow = np.concatenate([t_out - j * h, (j + 1) * h - t_out]) ** np.arange(4)[:, None]
+        self.panels = len(bounds) - 1 + t_bounds.size - 1
+
+    def _correlate(self, weights, k, powers) -> np.ndarray:
+        """sum_k S[p, k] D[p, i + k] with S[p, k] = sum of weights * powers[p] binned at k."""
+        n = self.u0.size
+        size = self.kmax - self.kmin + 1
+        stencil = np.stack([np.bincount(k, weights * pw, minlength=size) for pw in powers])
+        hat = rfft(stencil[:, ::-1], self.fft_len, axis=1)
+        return irfft(np.sum(hat * self.coef_hat, axis=0), self.fft_len)[n - 2:2 * n - 2]
+
+    def inner(self, weight_of_tau) -> np.ndarray:
+        w = weight_of_tau(self.tau) * self.tau_w
+        wy = np.concatenate([w, w])
+        values = self.u0 * float(np.sum(wy[self.far])) - self._correlate(wy[self.binned], self.in_k, self.in_pow)
+        d = self.coef[1:]
+        values[:-1] += (self.near_plus_pow @ w[self.near_plus]) @ d
+        values[1:] += (self.near_minus_pow @ w[self.near_minus]) @ d
+        values[0] += self.u0[0] * float(np.sum(w[self.near_minus]))
+        values[-1] += self.u0[-1] * float(np.sum(w[self.near_plus]))
+        return values
+
+    def outer(self, weight_of_sigma) -> np.ndarray:
+        w = weight_of_sigma(self.sigma) * self.sigma_w
+        return self._correlate(np.concatenate([w, w]), self.out_k, self.out_pow)
+
+
+def _context(u: GridFunction, xs, n_angles: int):
+    """The lattice context for every node of a 1D grid (xs None), else the radial one."""
+    if xs is None:
+        if u.dim == 1:
+            return _LatticeContext(u)
+        xs = u.nodes()
+    return _RadialContext(u, xs, n_angles)
+
+
 def _holder_bound_log(u: GridFunction, n: int, cut: float) -> float:
     """omega_N C int_0^delta r^(alpha-1) (-2 ln r)^(n-1) dr, via incomplete Gamma."""
     a = u.holder_exponent
@@ -184,7 +278,7 @@ def _holder_bound_power(u: GridFunction, rate: float, cut: float) -> float:
 
 def k_values_batch(orders, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """K_n u at many points for several orders n at once (shared samples)."""
-    ctx = _RadialContext(u, xs, n_angles)
+    ctx = _context(u, xs, n_angles)
     values = {}
     bounds = {}
     for n in orders:
@@ -208,7 +302,7 @@ def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None
     led = ledger if ledger is not None else alpha_coeffs(m, u.dim)
     if led.m != m or led.dim != u.dim:
         raise PreconditionError("ledger order/dimension mismatch")
-    ctx = _RadialContext(u, xs, n_angles)
+    ctx = _context(u, xs, n_angles)
     w = led.alpha[1:]  # the combined kernel, a polynomial in 2 tau inside B1 and -2 sigma outside
     inner = ctx.inner(lambda tau: polyval(2.0 * tau, w))
     outer = ctx.outer(lambda sig: polyval(-2.0 * sig, w))
@@ -230,7 +324,7 @@ def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
         raise PreconditionError(
             "declared Holder exponent must exceed 2s for the split singular integral"
         )
-    ctx = _RadialContext(u, xs, n_angles)
+    ctx = _context(u, xs, n_angles)
     c = c_ns(s, u.dim)
     inner = ctx.inner(lambda tau: np.exp(2.0 * s * tau))
     outer = ctx.outer(lambda sig: np.exp(-2.0 * s * sig))
@@ -248,7 +342,7 @@ def riesz_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """Phi_s * u via the compensated split kappa_{N,s} I-integral + kappa2(s) u(x)."""
     if not 0.0 < s < u.dim / 2.0:
         raise PreconditionError("Riesz order must lie in (0, N/2)")
-    ctx = _RadialContext(u, xs, n_angles)
+    ctx = _context(u, xs, n_angles)
     kap = kappa_ns(s, u.dim)
     # I[u](x, y) = u(y) - u(x) inside B_1: sign-flipped inner difference
     inner = -ctx.inner(lambda tau: np.exp(-2.0 * s * tau))

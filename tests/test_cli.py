@@ -10,7 +10,8 @@ import pytest
 from loglap.cli import main
 from loglap.coeffs import EULER_GAMMA
 from loglap.domains import DomainSpec, Interval, domain_to_dict
-from loglap.grid import gaussian_derivative_bump, grid_from_dict, grid_to_dict
+from loglap.grid import GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict
+from loglap.pointwise import apply_L_batch
 
 
 @pytest.fixture()
@@ -108,12 +109,21 @@ def test_apply_quad_vs_fft_agree(bump_file, tmp_path):
     diff = np.max(np.abs(outs["quad"][core] - outs["fft"][core]))
     assert diff <= 1e-3 * np.max(np.abs(outs["fft"]))
     side = json.loads((tmp_path / "quad.side.json").read_text())
-    assert side["truncation_bound"] >= 0.0
+    assert side["path"] == "lattice" and side["nodes"] == n
+    u = grid_from_dict(json.loads(bump_file.read_text()))
+    assert side["truncation_bound"] == apply_L_batch(1, u, u.axes()[0][:3, None])[1] > 0.0
 
 
-def test_apply_quad_chunks_stay_under_byte_budget(bump_file, tmp_path, monkeypatch):
+def test_apply_quad_chunks_stay_under_byte_budget(tmp_path, monkeypatch):
+    # only the 2D per-point path chunks; a 1D grid is one lattice convolution
     from loglap import cli, pointwise
 
+    x = np.linspace(-1.0, 1.0, 5)
+    vals = ((1.0 - x[:, None] ** 2) * (1.0 - x[None, :] ** 2)) ** 2  # zero on the box faces
+    h = (x[1] - x[0],) * 2
+    u = GridFunction(2, (-1.0, -1.0), h, vals.shape, vals, 1.0, estimate_holder_constant(vals, h, 1.0))
+    src = tmp_path / "bump2d.json"
+    src.write_text(json.dumps(grid_to_dict(u)))
     sizes = []
     batch = pointwise.apply_L_batch
 
@@ -122,15 +132,16 @@ def test_apply_quad_chunks_stay_under_byte_budget(bump_file, tmp_path, monkeypat
         return batch(m, u, xs, **opts)
 
     monkeypatch.setattr(pointwise, "apply_L_batch", spy)
-    monkeypatch.setattr(cli, "_QUAD_CHUNK_BYTES", 40 * pointwise.quad_point_bytes(1))
-    out = tmp_path / "L.json"
+    monkeypatch.setattr(cli, "_QUAD_CHUNK_BYTES", 6 * pointwise.quad_point_bytes(2))
+    out, side = tmp_path / "L.json", tmp_path / "L.side.json"
     assert main(["--threads", "2", "apply", "--op", "L", "--m", "2", "--method", "quad",
-                 "--grid", str(bump_file), "--out", str(out)]) == 0
-    u = grid_from_dict(json.loads(bump_file.read_text()))
-    assert sum(sizes) == u.shape[0] and len(sizes) > 2
-    assert max(sizes) * pointwise.quad_point_bytes(1) <= cli._QUAD_CHUNK_BYTES
-    whole, _, _ = batch(2, u, u.axes()[0][:, None])
+                 "--grid", str(src), "--out", str(out), "--sidecar", str(side)]) == 0
+    assert sum(sizes) == u.values.size and len(sizes) > 2
+    assert max(sizes) * pointwise.quad_point_bytes(2) <= cli._QUAD_CHUNK_BYTES
+    whole, _, _ = batch(2, u, u.nodes())
     assert np.array_equal(np.array(json.loads(out.read_text())["values"]), whole)
+    sidecar = json.loads(side.read_text())
+    assert sidecar["path"] == "pointwise" and sidecar["nodes"] == u.values.size
 
 
 def test_apply_riesz_out_of_range_exit_code(bump_file, tmp_path):

@@ -156,6 +156,22 @@ def test_uniform_pair_matrix_allocates_one_matrix():
     assert peak < 1.5 * 8 * mesh.n_cells ** 2
 
 
+def test_pair_check_allocates_no_matrix_temporary():
+    # the residual scale (max row sum of |K|) is reduced over row blocks
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 1200)
+    mats = assemble("I", alpha_coeffs(1, 1), mesh)
+    vals, vecs = np.array([1.0]), np.zeros((mesh.n_cells, 1))
+    vecs[0, 0] = 1.0 / math.sqrt(mats.mass[0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="residual"):
+            eigen._check_pairs(mats, vals, vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * mesh.n_cells ** 2
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_combined_weights_match_the_sum_of_unit_orders(dim):
     if dim == 1:

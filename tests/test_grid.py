@@ -110,3 +110,36 @@ def test_2d_evaluation_and_containment():
     assert vals[0] == pytest.approx(1.0, rel=1e-6)
     assert vals[1] == 0.0
     assert g.contains([0.5, 0.5]) and not g.contains([4.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_cell_coefficients_reproduce_the_interpolant(n):
+    u = _small_bump(n)
+    h = u.spacing[0]
+    D = u.cell_coefficients()
+    assert D.shape == (4, n - 1)
+    rng = np.random.default_rng(2)
+    x = rng.uniform(u.origin[0], u.box_hi[0], 200)
+    j = np.minimum(((x - u.origin[0]) // h).astype(int), n - 2)
+    s = x - u.axes()[0][j]
+    local = sum(D[p, j] * s ** p for p in range(4))
+    assert np.allclose(local, u(x), rtol=0, atol=1e-13)
+    assert np.allclose(D[0], u.values[:-1], rtol=0, atol=1e-15)
+    if n < 4:
+        assert not np.any(D[2:])  # linear interpolant
+
+
+def test_cell_coefficients_need_a_1d_grid():
+    with pytest.raises(PreconditionError):
+        gaussian_bump(dim=2, nodes=8, halfwidth=1.0).cell_coefficients()
+
+
+def test_nodes_follow_the_value_order():
+    g = gaussian_bump(dim=2, nodes=6, halfwidth=1.0)
+    nodes = g.nodes()
+    assert nodes.shape == (36, 2)
+    ax = g.axes()
+    grid = nodes.reshape(6, 6, 2)
+    assert np.array_equal(grid[:, :, 0], np.repeat(ax[0][:, None], 6, axis=1))
+    assert np.array_equal(grid[:, :, 1], np.repeat(ax[1][None, :], 6, axis=0))
+    assert np.array_equal(_small_bump(8).nodes()[:, 0], _small_bump(8).axes()[0])

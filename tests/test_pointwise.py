@@ -17,8 +17,10 @@ from loglap.coeffs import (
     rho,
 )
 from loglap.domains import Disk, DomainSpec, Interval
-from loglap.grid import GridFunction, gaussian_bump, gaussian_derivative_bump
+from loglap import pointwise
+from loglap.grid import GridFunction, estimate_holder_constant, gaussian_bump, gaussian_derivative_bump
 from loglap.pointwise import (
+    _jump_positions,
     apply_K,
     apply_L,
     apply_L_batch,
@@ -110,8 +112,6 @@ def test_k_near_jump_rejected():
     with pytest.raises(PreconditionError):
         apply_K(1, u, 2.0 - 1e-9)
     # an interior indicator jump is caught the same way
-    from loglap.pointwise import _jump_positions
-
     n = 1025
     h = 6.0 / (n - 1)
     x = -3.0 + h * np.arange(n)
@@ -310,6 +310,74 @@ def test_regional_2d_disk_matches_apply_k():
     ra = regional_repr(1, u, [0.2, -0.1], dom, n_angles=128)
     rk = apply_K(1, u, [0.2, -0.1], n_angles=128)
     assert ra.value == pytest.approx(rk.value, abs=ra.truncation_bound + rk.truncation_bound + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# lattice path: every node of a 1D grid at once (xs=None)
+
+
+LATTICE_OPS = {
+    "K2": lambda u, xs: k_values_batch([2], u, xs)[0][2],
+    "L1": lambda u, xs: apply_L_batch(1, u, xs)[0],
+    "L2": lambda u, xs: apply_L_batch(2, u, xs)[0],
+    "L3": lambda u, xs: apply_L_batch(3, u, xs)[0],
+    "fraclap-0.1": lambda u, xs: frac_lap_batch(0.1, u, xs)[0],
+    "fraclap-0.45": lambda u, xs: frac_lap_batch(0.45, u, xs)[0],
+    "riesz-0.1": lambda u, xs: riesz_batch(0.1, u, xs)[0],
+    "riesz-0.45": lambda u, xs: riesz_batch(0.45, u, xs)[0],
+}
+
+
+def _grid_1d(origin, h, values):
+    vals = np.asarray(values, dtype=float)
+    return GridFunction(1, (origin,), (h,), (vals.size,), vals, 1.0, estimate_holder_constant(vals, (h,), 1.0))
+
+
+@pytest.fixture(scope="module")
+def lattice_grids():
+    return {
+        "bump": gaussian_derivative_bump(dim=1, halfwidth=10.0, nodes=1024),
+        # end values ~2e-3: nonzero, but below the Dini threshold
+        "open-ends": gaussian_bump(dim=1, halfwidth=10.0, nodes=1024, width=4.0),
+        # fewer than 4 nodes: the linear interpolant
+        "three-nodes": _grid_1d(-0.5, 0.5, [0.2, 1.0, 0.3]),
+    }
+
+
+@pytest.mark.parametrize("grid", ["bump", "open-ends", "three-nodes"])
+@pytest.mark.parametrize("op", list(LATTICE_OPS))
+def test_lattice_matches_refined_pointwise(lattice_grids, monkeypatch, grid, op):
+    # per-point values with 16 times the outer panels are the oracle;
+    # the end nodes see a neighbour cell outside the box
+    u = lattice_grids[grid]
+    n = u.shape[0]
+    lattice = LATTICE_OPS[op](u, None)
+    idx = np.unique([0, 1, n // 3, n // 2 + 1, n - 2, n - 1])
+    monkeypatch.setattr(pointwise, "OUTER_PANELS", 768)
+    ref = LATTICE_OPS[op](u, u.axes()[0][idx][:, None])
+    assert lattice.shape == (n,)
+    assert np.max(np.abs(lattice[idx] - ref)) <= 1e-8 * np.max(np.abs(lattice))
+
+
+def test_lattice_end_values_pass_the_dini_check(lattice_grids):
+    u = lattice_grids["open-ends"]
+    assert min(abs(u.values[0]), abs(u.values[-1])) > 1e-3
+    assert _jump_positions(u)[1] == []
+
+
+def test_lattice_keeps_the_bound_and_the_dini_refusal(bump):
+    xs = bump.axes()[0][::512][:, None]
+    assert apply_L_batch(2, bump, None)[1] == apply_L_batch(2, bump, xs)[1]
+    assert riesz_batch(0.3, bump, None)[1] == riesz_batch(0.3, bump, xs)[1]
+    with pytest.raises(PreconditionError, match="Dini"):
+        apply_L_batch(1, _plateau(2.0, nodes=65), None)
+
+
+def test_none_in_2d_means_every_node():
+    u = gaussian_bump(dim=2, halfwidth=1.0, nodes=5, width=0.5)
+    every, _, _ = apply_L_batch(1, u, None, n_angles=8)
+    explicit, _, _ = apply_L_batch(1, u, u.nodes(), n_angles=8)
+    assert np.array_equal(every, explicit)
 
 
 # ---------------------------------------------------------------------------
