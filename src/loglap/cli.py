@@ -165,7 +165,7 @@ def cmd_apply(args) -> int:
         sidecar = {"method": "quad", "truncation_bound": bound, "path": path, "nodes": int(values.size)}
     result = u.with_values(values)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(grid_to_dict(result), fh)
+        fh.write(json.dumps(grid_to_dict(result)))  # json.dump would run the pure-Python encoder
     if args.sidecar:
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh)

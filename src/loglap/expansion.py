@@ -10,10 +10,18 @@ so the order-n remainder after subtracting the partial sum of log-Laplacian
 terms is the exponential tail sum_{j>n} (±sL)^j / j!.  The tail is summed
 directly (never as a difference of nearly equal numbers), which keeps the
 remainder accurate far below the cancellation floor of the naive form and
-makes the fitted slopes of log ||R_n(s)|| vs log s clean n+1 lines.
+makes the fitted slopes of log ||R_n(s)|| vs log s clean n+1 lines.  For
+|x| <= 1 it is x^(n+1) sum_k x^k/(n+1+k)!, summed by Horner's rule with one
+term count per sample; |x| > 1 falls back to e^x minus the partial sum.
 
 Shifted base points s0 use R = tail((s-s0) L, n) * |xi|^(2 s0), the symbol
-form of expanding around B^(s0) u.
+form of expanding around B^(s0) u; the factor |xi|^(2 s0) is formed once per
+study.
+
+A study transforms its input once.  The input is real, so each sample's
+multiplier is applied to the conjugate-symmetric part of its coefficients
+on the real half lattice (the last axis cut to shape[-1]//2 + 1 columns) and
+inverted with ``irfftn``.
 
 The ledger ties in through a separate consistency check: replacing the
 exact-symbol partial sum by the quadrature evaluation of the ledger
@@ -53,19 +61,38 @@ class RemainderStudy:
             raise PreconditionError("remainder norms must be finite")
 
 
+def _tail_terms(a: float, n: int) -> int:
+    """Terms of the tail series to keep for |x| <= a <= 1.
+
+    Term k is x^(n+1+k)/(n+1+k)!; the first dropped one is at most 1e-20 of
+    the first kept one, and at most 38 terms are summed.
+    """
+    ratio, k = 1.0, 0
+    while k < 38 and ratio > 1e-20:
+        k += 1
+        ratio *= a / (n + 1 + k)
+    return k
+
+
 def _exp_tail(x: np.ndarray, n: int) -> np.ndarray:
-    """e^x - sum_{j<=n} x^j/j! as a directly summed tail for small |x|."""
+    """e^x - sum_{j<=n} x^j/j! as a directly summed tail for small |x|.
+
+    For |x| <= 1 the tail is x^(n+1) sum_k x^k/(n+1+k)!, the sum by Horner's
+    rule with one term count for the whole array and the power by repeated
+    multiplication (libm pow is slow on negative bases).
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) <= 1.0
     xs = x[small]
-    term = xs ** (n + 1) / math.factorial(n + 1)
-    acc = term.copy()
-    for j in range(n + 2, n + 40):
-        term = term * xs / j
-        acc += term
-        if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(acc), 1e-300)):
-            break
+    a = float(np.max(np.abs(xs), initial=0.0))
+    coef = [1 / math.factorial(n + 1 + k) for k in range(_tail_terms(a, n))]
+    acc = np.full_like(xs, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= xs
+        acc += c
+    for _ in range(n + 1):
+        acc *= xs
     out[small] = acc
     xl = x[~small]
     if xl.size:
@@ -80,29 +107,36 @@ def _central_region(u: GridFunction) -> tuple[slice, ...]:
     return tuple(slice(n // 4, 3 * n // 4) for n in u.shape)
 
 
-def _log_lattice(spec: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| on the lattice and L = 2 ln|xi| (zero at xi = 0)."""
-    xi = spec.xi_norm()
-    L = np.zeros_like(xi)
-    pos = xi > 0.0
-    L[pos] = 2.0 * np.log(xi[pos])
-    return xi, L
+def _half_lattice(side: str, spec: SpectrumGrid, s0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """L = 2 ln|xi| and the coefficients the tail multiplies, on the real half lattice.
 
-
-def _remainder_values(side: str, n: int, s: float, spec: SpectrumGrid, xi, L, s0: float = 0.0) -> np.ndarray:
-    pos = xi > 0.0
-    if side == "fraclap":
-        mult = _exp_tail(s * L, n)
-    elif side == "riesz":
-        mult = _exp_tail(-s * L, n)
-    elif side == "shifted":
-        mult = _exp_tail((s - s0) * L, n)
-        mult[pos] *= xi[pos] ** (2.0 * s0)
-    else:
+    Real input has conjugate-symmetric coefficients, so the last axis keeps
+    shape[-1]//2 + 1 columns and ``irfftn`` restores the rest.  The kept
+    columns hold the conjugate-symmetric part (F(k) + conj F(-k)) / 2, which
+    is what the real part of a full-lattice inverse uses: the rounding
+    asymmetry of the forward transform, amplified by |xi|^(2 s0) on the
+    shifted side, does not reach the output.  The zero mode is dropped (every
+    side's multiplier vanishes there); on the shifted side the coefficients
+    carry |xi|^(2 s0) once for all samples.
+    """
+    if side not in ("fraclap", "riesz", "shifted"):
         raise PreconditionError(f"unknown expansion side {side!r}")
-    mult[~pos] = 0.0
-    out = np.fft.ifftn(mult * spec.coefficients) / spec.cell_volume
-    return out.real
+    cols = spec.shape[-1] // 2 + 1
+    xi = spec.xi_norm()[..., :cols]
+    pos = xi > 0.0
+    L = np.zeros_like(xi)
+    L[pos] = 2.0 * np.log(xi[pos])
+    mirror = spec.coefficients[np.ix_(*[-np.arange(m) % n for m, n in zip(xi.shape, spec.shape)])]
+    coeffs = np.where(pos, 0.5 * (spec.coefficients[..., :cols] + np.conj(mirror)), 0.0)
+    if side == "shifted":
+        coeffs[pos] *= xi[pos] ** (2.0 * s0)
+    return L, coeffs
+
+
+def _remainder_values(t: float, n: int, spec: SpectrumGrid, L, coeffs) -> np.ndarray:
+    """Inverse transform of tail(t L, n) times the half-lattice coefficients."""
+    out = np.fft.irfftn(_exp_tail(t * L, n) * coeffs, s=spec.shape, axes=tuple(range(spec.dim)))
+    return out / spec.cell_volume
 
 
 def remainder(side: str, n: int, s: float, u: GridFunction) -> GridFunction:
@@ -120,7 +154,8 @@ def remainder(side: str, n: int, s: float, u: GridFunction) -> GridFunction:
     _check_support(u)
     spec = transform(u)
     _check_zero_mode(u, spec, allow_mean=False)
-    return u.with_values(_remainder_values(side, n, s, spec, *_log_lattice(spec)))
+    t = -s if side == "riesz" else s
+    return u.with_values(_remainder_values(t, n, spec, *_half_lattice(side, spec)))
 
 
 def _norms(vals: np.ndarray, u: GridFunction, region) -> tuple[float, float]:
@@ -144,11 +179,12 @@ def run_study(
     _check_support(u)
     spec = transform(u)
     _check_zero_mode(u, spec, allow_mean=False)
-    xi, L = _log_lattice(spec)
+    L, coeffs = _half_lattice(side, spec, s0)
     region = _central_region(u)
     sups, l2s = [], []
+    sign = -1.0 if side == "riesz" else 1.0
     for s in s_samples:
-        vals = _remainder_values(side, n, float(s) if side != "shifted" else s0 + float(s), spec, xi, L, s0=s0)
+        vals = _remainder_values(sign * float(s), n, spec, L, coeffs)
         a, b = _norms(vals, u, region)
         sups.append(a)
         l2s.append(b)

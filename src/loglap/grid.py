@@ -2,11 +2,14 @@
 
 A GridFunction stores node values on a uniform grid in dimension 1 or 2 and
 is treated as identically zero outside its box.  Off-node samples come from
-cubic interpolation; the declared Holder data (exponent alpha, constant C)
-must dominate the interpolant's modulus of continuity, which keeps the
-analytic truncation bounds of the singular quadrature honest.  Validation
-samples random short-distance pairs and rejects declarations the data
-violates.
+cubic interpolation: the natural cubic spline in 1D, and in 2D the not-a-knot
+tensor-product cubic spline, whose coefficients come from two banded 1D
+solves (one per axis) and so reproduce the node values to rounding.  Grids
+with fewer than 4 nodes on an axis interpolate linearly.  The declared
+Holder data (exponent alpha, constant C) must dominate the interpolant's
+modulus of continuity, which keeps the analytic truncation bounds of the
+singular quadrature honest.  Validation samples random short-distance pairs
+and rejects declarations the data violates.
 
 The node lattice is origin + i*spacing, i = 0..shape-1 per axis.  For
 Fourier work the box is treated as periodic with period shape*spacing.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import CubicSpline, NdBSpline, RegularGridInterpolator, make_interp_spline
 
 from .errors import PreconditionError
 
@@ -94,10 +97,12 @@ class GridFunction:
             if self.shape[0] >= 4:
                 return CubicSpline(axes[0], self.values, bc_type="natural", extrapolate=False)
             return lambda x: np.interp(x, axes[0], self.values)
-        method = "cubic" if min(self.shape) >= 4 else "linear"
-        return RegularGridInterpolator(
-            axes, self.values, method=method, bounds_error=False, fill_value=0.0
-        )
+        if min(self.shape) < 4:
+            return RegularGridInterpolator(axes, self.values, method="linear", bounds_error=False, fill_value=0.0)
+        # not-a-knot tensor spline from two banded solves, one per axis
+        s0 = make_interp_spline(axes[0], self.values, k=3, axis=0)
+        s1 = make_interp_spline(axes[1], s0.c, k=3, axis=1)
+        return NdBSpline((s0.t, s1.t), np.ascontiguousarray(s1.c.T), 3, extrapolate=False)
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate at points (shape (..., dim) or (...,) in 1D); zero outside the box."""
@@ -110,9 +115,8 @@ class GridFunction:
                 vals = self._interpolator(np.asarray(x)[inside])
                 out[inside] = np.nan_to_num(vals, nan=0.0)
             return out
-        flat = pts.reshape(-1, 2)
-        vals = self._interpolator(flat)
-        return vals.reshape(pts.shape[:-1])
+        vals = self._interpolator(pts.reshape(-1, 2))
+        return np.nan_to_num(vals, nan=0.0, copy=False).reshape(pts.shape[:-1])
 
     def cell_coefficients(self) -> np.ndarray:
         """Local power coefficients of the 1D interpolant, shape (4, n - 1).
@@ -281,7 +285,7 @@ def grid_from_dict(data: dict, validate: bool = False) -> GridFunction:
 
 def save_grid(u: GridFunction, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(grid_to_dict(u), fh)
+        fh.write(json.dumps(grid_to_dict(u)))
 
 
 def load_grid(path, validate: bool = True) -> GridFunction:

@@ -12,6 +12,7 @@ from loglap.coeffs import EULER_GAMMA
 from loglap.domains import DomainSpec, Interval, domain_to_dict
 from loglap.grid import GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict
 from loglap.pointwise import apply_L_batch
+from loglap.spectral import apply_symbol
 
 
 @pytest.fixture()
@@ -93,6 +94,15 @@ def test_apply_zero_grid(tmp_path):
                  "--grid", str(src), "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert all(v == 0.0 for v in result["values"])
+
+
+def test_apply_output_is_the_json_text_of_the_result(bump_file, tmp_path):
+    out = tmp_path / "L1.json"
+    assert main(["apply", "--op", "L", "--m", "1", "--method", "fft",
+                 "--grid", str(bump_file), "--out", str(out)]) == 0
+    u = grid_from_dict(json.loads(bump_file.read_text()))
+    result = u.with_values(apply_symbol(u, "log", 1).values)
+    assert out.read_text(encoding="utf-8") == json.dumps(grid_to_dict(result))
 
 
 def test_apply_quad_vs_fft_agree(bump_file, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,13 +11,14 @@ from loglap.expansion import (
     DEFAULT_S_SAMPLES,
     RemainderStudy,
     _central_region,
+    _exp_tail,
     remainder,
     run_study,
     shifted_expansion_check,
 )
-from loglap.grid import gaussian_bump, gaussian_derivative_bump
+from loglap.grid import GridFunction, gaussian_bump, gaussian_derivative_bump
 from loglap.pointwise import apply_L_batch
-from loglap.spectral import apply_symbol
+from loglap.spectral import apply_symbol, transform
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +157,112 @@ def test_study_sample_ordering_enforced():
             l2_norms=(1.0, 1.0),
             fitted_slope=2.0,
         )
+
+
+# -- the exponential tail against a high-precision oracle ------------------------
+
+
+def _mp_tail(x: float, n: int) -> float:
+    # 130 digits: at 40 a tail such as x^5/120 at x = 1e-12 cancels away
+    with mpmath.workdps(130):
+        X = mpmath.mpf(x)
+        return float(mpmath.exp(X) - sum(X ** j / mpmath.factorial(j) for j in range(n + 1)))
+
+
+_SMALL_X = [0.0] + [sg * a for a in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0) for sg in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_exp_tail_series_branch_matches_mpmath(n):
+    got = _exp_tail(np.array(_SMALL_X), n)
+    for x, g in zip(_SMALL_X, got):
+        ref = _mp_tail(x, n)
+        assert abs(g - ref) <= 2e-15 * abs(ref), (x, g, ref)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_exp_tail_exp_branch_matches_mpmath(n):
+    xs = [sg * a for a in (1.0 + 1e-9, 1.1, 1.7, 2.5) for sg in (1.0, -1.0)]
+    got = _exp_tail(np.array(xs), n)
+    for x, g in zip(xs, got):
+        ref = _mp_tail(x, n)
+        assert abs(g - ref) <= 1e-13 * abs(ref), (x, g, ref)
+
+
+def test_exp_tail_mixed_branches_and_shape():
+    x = np.array([[0.3, -1.5], [2.0, -1e-4]])
+    got = _exp_tail(x, 2)
+    assert got.shape == x.shape
+    for xv, g in zip(x.ravel(), got.ravel()):
+        assert abs(g - _mp_tail(xv, 2)) <= 1e-13 * abs(_mp_tail(xv, 2))
+
+
+# -- the real half lattice against a full-lattice reference ----------------------
+
+
+def _bump_2d():
+    # odd last axis: the half lattice keeps (45 // 2 + 1) = 23 columns
+    h = 0.125
+    shape = (48, 45)
+    origin = (-3.0, -2.75)
+    x = origin[0] + h * np.arange(shape[0])
+    y = origin[1] + h * np.arange(shape[1])
+    vals = x[:, None] * np.exp(-(x[:, None] ** 2 + y[None, :] ** 2) / 0.25)
+    return GridFunction(2, origin, (h, h), shape, vals, 1.0, 10.0)
+
+
+def _full_lattice_values(side, n, s, u, s0=0.0):
+    spec = transform(u)
+    xi = spec.xi_norm()
+    pos = xi > 0.0
+    L = np.zeros_like(xi)
+    L[pos] = 2.0 * np.log(xi[pos])
+    if side == "riesz":
+        mult = _exp_tail(-s * L, n)
+    else:
+        mult = _exp_tail((s - s0) * L, n)
+    if side == "shifted":
+        mult[pos] *= xi[pos] ** (2.0 * s0)
+    mult[~pos] = 0.0
+    return np.fft.ifftn(mult * spec.coefficients).real / spec.cell_volume
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def lattice_bump(request):
+    return gaussian_derivative_bump(dim=1, nodes=1024, halfwidth=10.0) if request.param == "1d" else _bump_2d()
+
+
+@pytest.mark.parametrize("side", ["fraclap", "riesz"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_half_lattice_remainder_matches_full_lattice(lattice_bump, side, n):
+    for s in (0.25, 2.0 ** -6):
+        ref = _full_lattice_values(side, n, s, lattice_bump)
+        got = remainder(side, n, s, lattice_bump).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "side,s0", [("fraclap", 0.0), ("riesz", 0.0), ("shifted", 0.5), ("shifted", -0.25), ("shifted", 1.5)]
+)
+def test_half_lattice_study_matches_full_lattice(lattice_bump, side, s0):
+    u = lattice_bump
+    st = run_study(side, 1, u, s0=s0)
+    region = _central_region(u)
+    for s, sup, l2 in zip(st.s_samples, st.sup_norms, st.l2_norms):
+        core = _full_lattice_values(side, 1, s0 + s if side == "shifted" else s, u, s0=s0)[region]
+        ref_sup = np.max(np.abs(core))
+        ref_l2 = np.sqrt(np.sum(core ** 2) * u.cell_volume)
+        assert abs(sup - ref_sup) <= 1e-13 * ref_sup
+        assert abs(l2 - ref_l2) <= 1e-13 * ref_l2
+
+
+@pytest.mark.parametrize("side", ["fraclap", "riesz", "shifted"])
+def test_study_inverts_on_the_half_lattice(lattice_bump, side, monkeypatch):
+    u = lattice_bump
+    widths = []
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda a, *r, **k: widths.append(a.shape) or irfftn(a, *r, **k))
+    monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: pytest.fail("full-lattice inverse transform"))
+    st = run_study(side, 1, u, s0=0.5 if side == "shifted" else 0.0)
+    assert len(widths) == len(st.s_samples)
+    assert all(w[:-1] == u.shape[:-1] and w[-1] == u.shape[-1] // 2 + 1 for w in widths)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from loglap import PreconditionError
 from loglap.grid import (
@@ -143,3 +144,42 @@ def test_nodes_follow_the_value_order():
     assert np.array_equal(grid[:, :, 0], np.repeat(ax[0][:, None], 6, axis=1))
     assert np.array_equal(grid[:, :, 1], np.repeat(ax[1][None, :], 6, axis=0))
     assert np.array_equal(_small_bump(8).nodes()[:, 0], _small_bump(8).axes()[0])
+
+
+# -- the 2D tensor spline ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [6, 32, 128])
+def test_2d_interpolant_reproduces_node_values(n):
+    u = gaussian_bump(dim=2, halfwidth=1.0, nodes=n)
+    miss = np.max(np.abs(u(u.nodes()).reshape(u.shape) - u.values))
+    assert miss <= 1e-13 * u.sup_norm()
+
+
+def test_2d_interpolant_is_the_not_a_knot_tensor_spline():
+    u = gaussian_derivative_bump(dim=2, halfwidth=4.0, nodes=96, width=1.0)
+    ref = RectBivariateSpline(*u.axes(), u.values, kx=3, ky=3, s=0)
+    pts = np.random.default_rng(5).uniform(u.box_lo, u.box_hi, size=(20000, 2))
+    diff = np.max(np.abs(u(pts) - ref.ev(pts[:, 0], pts[:, 1])))
+    assert diff <= 1e-13 * u.sup_norm()
+
+
+@pytest.mark.parametrize("shape", [(20, 17), (3, 8)])
+def test_2d_interpolant_is_zero_just_outside_each_face(shape):
+    # a wide bump keeps the face values far from zero
+    h = (0.1, 0.15)
+    origin = (-1.0, -0.7)
+    x, y = (o + hh * np.arange(n) for o, hh, n in zip(origin, h, shape))
+    vals = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2) / 9.0)
+    u = GridFunction(2, origin, h, shape, vals, 1.0, 1.0)
+    lo, hi = u.box_lo, u.box_hi
+    mid = 0.5 * (lo + hi)
+    for ax in range(2):
+        for face, step in ((lo[ax], -np.inf), (hi[ax], np.inf)):
+            on, off = mid.copy(), mid.copy()
+            on[ax] = face
+            off[ax] = np.nextafter(face, step)
+            assert u(on[None, :])[0] > 0.5
+            assert u(off[None, :])[0] == 0.0
+    corners = np.array([[lo[0], lo[1]], [hi[0], hi[1]]])
+    assert np.allclose(u(corners), [vals[0, 0], vals[-1, -1]], rtol=1e-13)
