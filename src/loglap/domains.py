@@ -396,5 +396,7 @@ def domain_from_dict(data: dict) -> DomainSpec:
             else:
                 raise PreconditionError(f"unknown piece type {kind!r}")
         return DomainSpec(dim=int(data["dim"]), pieces=tuple(pieces))
-    except (KeyError, TypeError) as exc:
+    except PreconditionError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed domain file: {exc}") from exc

@@ -18,10 +18,9 @@ Shifted base points s0 use R = tail((s-s0) L, n) * |xi|^(2 s0), the symbol
 form of expanding around B^(s0) u; the factor |xi|^(2 s0) is formed once per
 study.
 
-A study transforms its input once.  The input is real, so each sample's
-multiplier is applied to the conjugate-symmetric part of its coefficients
-on the real half lattice (the last axis cut to shape[-1]//2 + 1 columns) and
-inverted with ``irfftn``.
+A study transforms its input once and inverts each sample's real
+multiplier with ``SpectrumGrid.invert``; the lattice layout stays in
+``spectral``.
 
 The ledger ties in through a separate consistency check: replacing the
 exact-symbol partial sum by the quadrature evaluation of the ledger
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .grid import GridFunction
-from .spectral import SpectrumGrid, _check_support, _check_zero_mode, transform
+from .spectral import SpectrumGrid, _spectrum
 
 DEFAULT_S_SAMPLES = tuple(2.0 ** (-k) for k in range(4, 13))
 _SATURATION_FLOOR = 10.0 * np.finfo(float).eps
@@ -108,35 +107,21 @@ def _central_region(u: GridFunction) -> tuple[slice, ...]:
 
 
 def _half_lattice(side: str, spec: SpectrumGrid, s0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """L = 2 ln|xi| and the coefficients the tail multiplies, on the real half lattice.
+    """L = 2 ln|xi| and the real factor every sample's tail multiplies.
 
-    Real input has conjugate-symmetric coefficients, so the last axis keeps
-    shape[-1]//2 + 1 columns and ``irfftn`` restores the rest.  The kept
-    columns hold the conjugate-symmetric part (F(k) + conj F(-k)) / 2, which
-    is what the real part of a full-lattice inverse uses: the rounding
-    asymmetry of the forward transform, amplified by |xi|^(2 s0) on the
-    shifted side, does not reach the output.  The zero mode is dropped (every
-    side's multiplier vanishes there); on the shifted side the coefficients
-    carry |xi|^(2 s0) once for all samples.
+    The factor is |xi|^(2 s0) on the shifted side and 1 otherwise, formed
+    once per study, and 0 at xi = 0, where every side's multiplier vanishes.
     """
     if side not in ("fraclap", "riesz", "shifted"):
         raise PreconditionError(f"unknown expansion side {side!r}")
-    cols = spec.shape[-1] // 2 + 1
-    xi = spec.xi_norm()[..., :cols]
+    xi = spec.xi_norm()
     pos = xi > 0.0
     L = np.zeros_like(xi)
     L[pos] = 2.0 * np.log(xi[pos])
-    mirror = spec.coefficients[np.ix_(*[-np.arange(m) % n for m, n in zip(xi.shape, spec.shape)])]
-    coeffs = np.where(pos, 0.5 * (spec.coefficients[..., :cols] + np.conj(mirror)), 0.0)
+    factor = pos.astype(float)
     if side == "shifted":
-        coeffs[pos] *= xi[pos] ** (2.0 * s0)
-    return L, coeffs
-
-
-def _remainder_values(t: float, n: int, spec: SpectrumGrid, L, coeffs) -> np.ndarray:
-    """Inverse transform of tail(t L, n) times the half-lattice coefficients."""
-    out = np.fft.irfftn(_exp_tail(t * L, n) * coeffs, s=spec.shape, axes=tuple(range(spec.dim)))
-    return out / spec.cell_volume
+        factor[pos] = xi[pos] ** (2.0 * s0)
+    return L, factor
 
 
 def remainder(side: str, n: int, s: float, u: GridFunction) -> GridFunction:
@@ -151,11 +136,10 @@ def remainder(side: str, n: int, s: float, u: GridFunction) -> GridFunction:
         raise PreconditionError("order parameter restricted to (0, 1/4]")
     if n > 4 or n < 0:
         raise PreconditionError("expansion order restricted to 0..4")
-    _check_support(u)
-    spec = transform(u)
-    _check_zero_mode(u, spec, allow_mean=False)
+    spec = _spectrum(u, allow_mean=False)
     t = -s if side == "riesz" else s
-    return u.with_values(_remainder_values(t, n, spec, *_half_lattice(side, spec)))
+    L, factor = _half_lattice(side, spec)
+    return u.with_values(spec.invert(_exp_tail(t * L, n) * factor))
 
 
 def _norms(vals: np.ndarray, u: GridFunction, region) -> tuple[float, float]:
@@ -176,15 +160,13 @@ def run_study(
     if side == "shifted":
         if not -u.dim / 2.0 + 0.25 <= s0 <= 2.0:
             raise PreconditionError("shifted base point outside (-N/2 + margin, 2]")
-    _check_support(u)
-    spec = transform(u)
-    _check_zero_mode(u, spec, allow_mean=False)
-    L, coeffs = _half_lattice(side, spec, s0)
+    spec = _spectrum(u, allow_mean=False)
+    L, factor = _half_lattice(side, spec, s0)
     region = _central_region(u)
     sups, l2s = [], []
     sign = -1.0 if side == "riesz" else 1.0
     for s in s_samples:
-        vals = _remainder_values(sign * float(s), n, spec, L, coeffs)
+        vals = spec.invert(_exp_tail(sign * float(s) * L, n) * factor)
         a, b = _norms(vals, u, region)
         sups.append(a)
         l2s.append(b)

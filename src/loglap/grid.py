@@ -276,7 +276,9 @@ def grid_from_dict(data: dict, validate: bool = False) -> GridFunction:
             holder_exponent=float(data["holder"]["alpha"]),
             holder_constant=float(data["holder"]["const"]),
         )
-    except (KeyError, TypeError) as exc:
+    except PreconditionError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed grid file: {exc}") from exc
     if validate:
         u.validate_holder()

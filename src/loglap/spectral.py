@@ -15,6 +15,14 @@ non-integrable symbol singularity rather than silently corrupting results.
 This module is the independent oracle for the pointwise quadrature path and
 the engine behind the order-expansion experiments; it also provides the
 logarithmic Sobolev norm |||u|||_m with weight (ln(e + |xi|))^m.
+
+Only this module knows the lattice layout.  ``transform`` makes one forward
+FFT and keeps the real half lattice (shape[-1]//2 + 1 columns on the last
+axis): the conjugate-symmetric part (F(k) + conj F(-k)) / 2, all a real
+output uses, and the antisymmetric rounding (F(k) - conj F(-k)) / 2.  Every
+real multiplier is inverted by ``SpectrumGrid.invert``; the Parseval norm of
+the multiplied antisymmetric part is exactly the L2 norm of the imaginary
+part a full-lattice inverse would carry, ``apply_symbol``'s residue.
 """
 
 from __future__ import annotations
@@ -34,12 +42,13 @@ _BS_RANGE_HI = 2.0
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Discrete Fourier data of a real grid function."""
+    """Discrete Fourier data of a real grid function on the real half lattice."""
 
     dim: int
     shape: tuple[int, ...]
-    frequencies: tuple[np.ndarray, ...]
-    coefficients: np.ndarray  # continuous-FT normalization: FFT * prod(spacing)
+    frequencies: tuple[np.ndarray, ...]  # rfftfreq on the last axis
+    coefficients: np.ndarray  # (F(k) + conj F(-k)) / 2, continuous-FT normalization
+    asymmetry: np.ndarray  # (F(k) - conj F(-k)) / 2: forward-transform rounding
     cell_volume: float
     periods: tuple[float, ...]
 
@@ -49,24 +58,36 @@ class SpectrumGrid:
         fx, fy = np.meshgrid(*self.frequencies, indexing="ij")
         return np.hypot(fx, fy)
 
+    def invert(self, mult: np.ndarray) -> np.ndarray:
+        """Grid values of the inverse transform of mult * coefficients (mult real, even)."""
+        out = np.fft.irfftn(mult * self.coefficients, s=self.shape, axes=tuple(range(self.dim)))
+        return out / self.cell_volume
+
+    def norm(self, values: np.ndarray, weight=1.0) -> float:
+        """Parseval norm (sum weight |X|^2 dxi / (2 pi)^N)^(1/2) of X with |X(-k)| = |X(k)|.
+
+        Each half-lattice column other than 0 and Nyquist counts twice.
+        """
+        k = np.arange(self.shape[-1] // 2 + 1)
+        twice = np.where((k == 0) | (2 * k == self.shape[-1]), 1.0, 2.0)
+        total = np.sum(twice * weight * np.abs(values) ** 2) / float(np.prod(self.periods))
+        return float(np.sqrt(total))
+
 
 def transform(u: GridFunction) -> SpectrumGrid:
-    """Forward transform with continuous normalization; checks conjugate symmetry."""
-    coeffs = np.fft.fftn(u.values) * u.cell_volume
-    freqs = tuple(
-        2.0 * math.pi * np.fft.fftfreq(n, d=h) for n, h in zip(u.shape, u.spacing)
-    )
-    # real input: F(-k) = conj(F(k)); spot check the reversed array
-    rev = coeffs[tuple(slice(None, None, -1) for _ in range(u.dim))]
-    rolled = np.roll(rev, shift=[1] * u.dim, axis=tuple(range(u.dim)))
-    scale = float(np.max(np.abs(coeffs))) or 1.0
-    if float(np.max(np.abs(np.conj(rolled) - coeffs))) > 1e-9 * scale:
-        raise PreconditionError("input values are not real-symmetric in frequency")
+    """One forward FFT with continuous normalization, split on the real half lattice."""
+    full = np.fft.fftn(u.values) * u.cell_volume
+    cols = u.shape[-1] // 2 + 1
+    half = full[..., :cols]
+    mirror = np.conj(full[np.ix_(*[-np.arange(m) % n for m, n in zip(half.shape, u.shape)])])
+    freqs = tuple(2.0 * math.pi * np.fft.fftfreq(n, d=h) for n, h in zip(u.shape[:-1], u.spacing[:-1]))
+    freqs += (2.0 * math.pi * np.fft.rfftfreq(u.shape[-1], d=u.spacing[-1]),)
     return SpectrumGrid(
         dim=u.dim,
         shape=u.shape,
         frequencies=freqs,
-        coefficients=coeffs,
+        coefficients=0.5 * (half + mirror),
+        asymmetry=0.5 * (half - mirror),
         cell_volume=u.cell_volume,
         periods=tuple(float(p) for p in u.periods),
     )
@@ -105,14 +126,16 @@ def _check_support(u: GridFunction) -> None:
             )
 
 
-def _check_zero_mode(u: GridFunction, spec: SpectrumGrid, allow_mean: bool) -> None:
-    if allow_mean:
-        return
+def _spectrum(u: GridFunction, allow_mean: bool) -> SpectrumGrid:
+    """Support check, transform and (unless allow_mean) the zero-mode check."""
+    _check_support(u)
+    spec = transform(u)
     mean_mass = abs(spec.coefficients[(0,) * u.dim])
-    if mean_mass > _ZERO_MODE_TOL * max(u.l1_norm(), 1e-300):
+    if not allow_mean and mean_mass > _ZERO_MODE_TOL * max(u.l1_norm(), 1e-300):
         raise PreconditionError(
             "singular symbol on a non-mean-zero input; pass allow_mean=True to override"
         )
+    return spec
 
 
 def _multiplier(kind: str, param, xi: np.ndarray) -> np.ndarray:
@@ -145,25 +168,20 @@ def apply_symbol(
 ):
     """Inverse transform of symbol * u-hat on the discrete frequency lattice.
 
-    Returns the real part as a new GridFunction; the imaginary residue
-    (relative to the grid L2 norm) is available with return_residue=True and
-    is asserted below 1e-10.
+    Returns the real output as a new GridFunction.  The imaginary residue,
+    the Parseval norm of symbol * asymmetry relative to the grid L2 norm of
+    u, is available with return_residue=True and is asserted below 1e-10.
     """
     if kind == "frac" and not -u.dim / 2.0 < float(param) <= _BS_RANGE_HI:
         raise PreconditionError(f"frac symbol restricted to s in (-N/2, {_BS_RANGE_HI}]")
     if kind == "riesz" and not 0.0 < float(param) < u.dim / 2.0:
         raise PreconditionError("riesz symbol restricted to s in (0, N/2)")
-    _check_support(u)
-    spec = transform(u)
-    if _is_singular_kind(kind, param):
-        _check_zero_mode(u, spec, allow_mean)
+    spec = _spectrum(u, allow_mean or not _is_singular_kind(kind, param))
     mult = _multiplier(kind, param, spec.xi_norm())
-    out = np.fft.ifftn(mult * spec.coefficients) / u.cell_volume
-    scale = max(u.l2_norm(), 1e-300)
-    residue = float(np.sqrt(np.sum(out.imag ** 2) * u.cell_volume)) / scale
+    residue = spec.norm(mult * spec.asymmetry) / max(u.l2_norm(), 1e-300)
     if residue > _IMAG_RESIDUE_TOL:
         raise PreconditionError(f"imaginary residue {residue:.2e} exceeds tolerance")
-    result = u.with_values(out.real)
+    result = u.with_values(spec.invert(mult))
     if return_residue:
         return result, residue
     return result
@@ -177,10 +195,7 @@ def log_norm(u: GridFunction, m: int) -> float:
     if m < 0:
         raise PreconditionError("norm order must be nonnegative")
     spec = transform(u)
-    w = np.log(math.e + spec.xi_norm()) ** m
-    dxi = float(np.prod([2.0 * math.pi / p for p in spec.periods]))
-    total = np.sum(w * np.abs(spec.coefficients) ** 2) * dxi / (2.0 * math.pi) ** u.dim
-    return float(np.sqrt(total))
+    return spec.norm(spec.coefficients, np.log(math.e + spec.xi_norm()) ** m)
 
 
 def _central_weights(m: int, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -206,14 +221,11 @@ def derivative_in_order(u: GridFunction, m: int, s0: float, step: float) -> Grid
     s_hi = s0 + float(offsets[-1]) * step
     if s_lo <= -u.dim / 2.0 or s_hi > _BS_RANGE_HI:
         raise PreconditionError("difference stencil leaves the valid order range")
-    _check_support(u)
-    spec = transform(u)
-    _check_zero_mode(u, spec, allow_mean=False)
+    spec = _spectrum(u, allow_mean=False)
     xi = spec.xi_norm()
     mult = np.zeros_like(xi)
     pos = xi > 0.0
     lam = xi[pos]
     for off, wj in zip(offsets, w):
         mult[pos] += wj * lam ** (2.0 * (s0 + off * step))
-    out = np.fft.ifftn(mult * spec.coefficients) / u.cell_volume
-    return u.with_values(out.real)
+    return u.with_values(spec.invert(mult))

@@ -178,6 +178,32 @@ def test_malformed_json_exit_code(tmp_path, capsys, command):
     assert "not a valid JSON file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("grid", "dim", "x"),
+    ("grid", "values", "string"),
+    ("domain", "a", "zero"),
+], ids=["grid-dim", "grid-values", "domain-piece"])
+def test_non_numeric_field_exit_code(bump_file, quarter_file, tmp_path, capsys, kind, field, value):
+    src = bump_file if kind == "grid" else quarter_file
+    data = json.loads(src.read_text())
+    if field == "values":
+        data["values"][3] = value
+    elif field == "a":
+        data["pieces"][0]["a"] = value
+    else:
+        data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    if kind == "grid":
+        argv = ["apply", "--op", "L", "--m", "1", "--grid", str(bad), "--out", str(tmp_path / "x.json")]
+    else:
+        argv = ["eig", "--form", "I", "--m", "1", "--domain", str(bad), "--cells", "10", "--count", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"malformed {kind} file" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["apply", "--op", "L", "--m", "1", "--grid", "{tmp}/absent.json", "--out", "{tmp}/x.json"],
     ["coeffs", "--dim", "1", "--order", "1", "--out", "{tmp}/absent/c.csv"],

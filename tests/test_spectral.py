@@ -69,13 +69,42 @@ def test_parseval_and_realness(bump):
     out, residue = apply_symbol(bump, "log", 1, return_residue=True)
     assert residue <= 1e-10
     # Parseval: grid L2 of the output equals the weighted spectral sum
-    spec = transform(bump)
-    xi = spec.xi_norm()
+    xi = np.abs(2.0 * math.pi * np.fft.fftfreq(bump.shape[0], d=bump.spacing[0]))
     mult = np.zeros_like(xi)
     mult[xi > 0] = 2.0 * np.log(xi[xi > 0])
-    dxi = 2.0 * math.pi / spec.periods[0]
-    spectral_l2 = math.sqrt(np.sum(np.abs(mult * spec.coefficients) ** 2) * dxi / (2 * math.pi))
+    coefficients = np.fft.fftn(bump.values) * bump.cell_volume
+    dxi = 2.0 * math.pi / bump.periods[0]
+    spectral_l2 = math.sqrt(np.sum(np.abs(mult * coefficients) ** 2) * dxi / (2 * math.pi))
     assert out.l2_norm() == pytest.approx(spectral_l2, rel=1e-10)
+
+
+def test_residue_guard_stays_live():
+    u = gaussian_derivative_bump(dim=1)
+    with pytest.raises(PreconditionError, match="imaginary residue"):
+        apply_symbol(u, "frac", 2.0)  # residue 6.1e-7
+    _, residue = apply_symbol(u, "frac", 1.0, return_residue=True)
+    # the imaginary part a full-lattice inverse carries, relative to |u|_2
+    xi = np.abs(2.0 * math.pi * np.fft.fftfreq(u.shape[0], d=u.spacing[0]))
+    imag = np.fft.ifftn(xi ** 2 * np.fft.fftn(u.values)).imag
+    ref = math.sqrt(np.sum(imag ** 2) * u.cell_volume) / u.l2_norm()
+    assert residue == pytest.approx(ref, rel=1e-2)
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (48, 45), (48, 46)])
+def test_transform_splits_the_real_half_lattice(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    values = rng.standard_normal(shape)
+    u = GridFunction(len(shape), (0.0,) * len(shape), (0.1,) * len(shape), shape, values, 1.0, 1.0)
+    spec = transform(u)
+    cols = shape[-1] // 2 + 1
+    full = np.fft.fftn(values) * u.cell_volume
+    assert spec.coefficients.shape == spec.asymmetry.shape == full[..., :cols].shape
+    assert np.allclose(spec.coefficients + spec.asymmetry, full[..., :cols], rtol=0, atol=1e-15 * np.max(np.abs(full)))
+    assert np.max(np.abs(spec.asymmetry)) < 1e-14 * np.max(np.abs(full))
+    assert np.allclose(spec.frequencies[-1], 2.0 * math.pi * np.fft.rfftfreq(shape[-1], d=0.1))
+    assert np.allclose(spec.invert(np.ones(spec.xi_norm().shape)), values, rtol=0, atol=1e-14)
+    # Parseval on the half lattice: columns other than 0 and Nyquist count twice
+    assert spec.norm(spec.coefficients) == pytest.approx(u.l2_norm(), rel=1e-13)
 
 
 def test_log_norm_basics(bump):
