@@ -32,10 +32,24 @@ integer offset, and their block is filled from that offset table without
 any array over all pairs.  Pairs that touch an off-lattice cell (clipped disk
 cells, a second width) are grouped by class pair and centre offset and
 integrated once per group.  Entries are, in one dimension, the closed form
-(a Gauss rule on tent pieces far from the origin), in two, polar inner
-integrals (closed-form radial antiderivative, angular quadrature) under
-tensor Gauss points on the outer cell.  Self-energies are computed once per
-cell class.
+(a Gauss rule on tent pieces far from the origin).  In two, the pairs split
+by admissibility into three classes:
+
+* far: the box gap is at least the larger box diameter and every distance
+  lies inside (lo, hi).  The kernel is smooth there, and all such pairs are
+  one batched point-pair sum sum_a sum_b w_a w_b k_w(|x_a - y_b|) over
+  per-cell rules built once: 6 x 6 tensor Gauss points on an unclipped box,
+  and on a clipped cell an exact-geometry chord rule (Gauss nodes along the
+  exact chords of box cap disk, panels split where the circle crosses the
+  box).  The sums run in chunks of a fixed element budget.
+* near, two unclipped boxes: the closed form rect_pair_integral_2d.
+* near, with a clipped cell: a polar inner integral over the target
+  (closed-form radial antiderivative, angular Gauss panels split at the box
+  corners and at the circle crossings) under graded points on the outer
+  cell, which is the unclipped one if there is one; a clipped outer cell
+  takes the chord rule on its graded sub-boxes.
+
+Self-energies are computed once per cell class.
 """
 
 from __future__ import annotations
@@ -57,11 +71,14 @@ from .kernels import (
     combined_kernel,
     order_weights,
     radial_antiderivative,
+    rect_pair_integral_2d,
 )
 from .quadrature import _gauss_unit
 
 _FORM_KINDS = ("I", "G", "Q")
 _ROW_BLOCK = 256  # rows per block of the residual check's |K| row sums
+_GRADING = np.array([0.0, 1.0 / 1024.0, 1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0])  # toward near targets
+_CHUNK = 1 << 13  # elements per chunk of a far sum (point pairs) or of a near pair's rays
 
 
 @dataclass(frozen=True)
@@ -106,37 +123,47 @@ def _self_energies_1d(w, mesh: Mesh, cutoff: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 2D assembly (polar inner integral, tensor Gauss outer)
+# 2D assembly (far: point-pair sums on per-cell rules; near: closed form or polar)
 
 
-def _axis_rule(lo, hi, order, grade):
-    """Gauss nodes on [lo, hi]; grade=+1/-1 packs geometric panels at that end.
+def _sub_boxes(cell, grade):
+    """Sub-boxes (K, 4) of a cell's box, graded toward a near target.
 
-    Near-pair inner integrals blow up like log(distance to the target cell),
-    so the outer rule needs refinement toward the shared boundary.
+    Near-pair inner integrals blow up like log(distance to the target cell).
+    Toward a target across one side (grade +1/-1 on one axis) the panels
+    shrink geometrically to that side; toward a corner neighbour, singular
+    at one point only, nested L-shaped layers (three boxes each) shrink to
+    that corner.
     """
-    if grade == 0:
-        g, w = _gauss_unit(order)
-        return lo + (hi - lo) * g, (hi - lo) * w
-    width = hi - lo
-    fracs = np.array([0.0, 1.0 / 1024.0, 1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0])
-    if grade > 0:
-        bounds = hi - width * fracs[::-1]
+    f = _GRADING
+    if grade[0] and grade[1]:
+        layers = [(0.0, 0.0, f[1], f[1])]
+        for a, b in zip(f[1:-1], f[2:]):
+            layers += [(a, 0.0, b, a), (0.0, a, a, b), (a, a, b, b)]
+        frac = np.array(layers)
+    elif grade[0] or grade[1]:
+        frac = np.column_stack([f[:-1], np.zeros(f.size - 1), f[1:], np.ones(f.size - 1)])
+        if grade[1]:
+            frac = frac[:, [1, 0, 3, 2]]
     else:
-        bounds = lo + width * fracs
-    g, w = _gauss_unit(order)
-    nodes = (bounds[:-1, None] + np.diff(bounds)[:, None] * g[None, :]).ravel()
-    wts = (np.diff(bounds)[:, None] * w[None, :]).ravel()
-    return nodes, wts
+        frac = np.array([[0.0, 0.0, 1.0, 1.0]])
+    boxes = np.empty_like(frac)
+    for ax in (0, 1):
+        lo, hi = cell[ax], cell[ax + 2]
+        if grade[ax] > 0:  # fractions run from the hi side
+            boxes[:, ax], boxes[:, ax + 2] = hi - (hi - lo) * frac[:, ax + 2], hi - (hi - lo) * frac[:, ax]
+        else:
+            boxes[:, ax], boxes[:, ax + 2] = lo + (hi - lo) * frac[:, ax], lo + (hi - lo) * frac[:, ax + 2]
+    return boxes
 
 
-def _cell_gauss_points(cell, order, grade_x=0, grade_y=0):
-    x0, y0, x1, y1, _ = cell
-    gx, wx = _axis_rule(x0, x1, order, grade_x)
-    gy, wy = _axis_rule(y0, y1, order, grade_y)
-    px, py = np.meshgrid(gx, gy, indexing="ij")
-    pw = np.outer(wx, wy)
-    return px.ravel(), py.ravel(), pw.ravel()
+def _box_gauss(boxes, order):
+    """order x order tensor Gauss points and weights, each (K, order^2), on K boxes."""
+    g, gw = _gauss_unit(order)
+    side = boxes[:, 2:4] - boxes[:, :2]
+    x, y = boxes[:, :1] + side[:, :1] * g, boxes[:, 1:2] + side[:, 1:2] * g
+    wts = (side[:, :1] * gw)[:, :, None] * (side[:, 1:2] * gw)[:, None, :]
+    return np.repeat(x, order, axis=1), np.tile(y, order), wts.reshape(len(boxes), -1)
 
 
 def _pair_grading(ci, cl):
@@ -152,23 +179,88 @@ def _pair_grading(ci, cl):
     return gx, gy
 
 
-def _clip_to_disk(px, py, pw, disk: Disk | None):
-    if disk is None:
-        return px, py, pw
-    keep = (px - disk.cx) ** 2 + (py - disk.cy) ** 2 <= disk.r ** 2
-    return px[keep], py[keep], pw[keep]
+def _chord_rule(boxes, disk: Disk, order):
+    """Points and weights (x, y, w), each (K, 7 order^2), on box cap disk for K boxes.
+
+    The outer variable u runs along the axis on which the disk's half-width
+    s(u) is smooth over the box: y for boxes nearer the disk's left/right
+    extremes, x otherwise.  Its panels split where the circle crosses the
+    box's v-edges (kinks of the chord) and at the disk's u-extremes, and
+    each takes its Gauss nodes in sqrt|u - e| from the nearer extreme e,
+    which removes the square-root branch point of s at e.  At every outer
+    node the inner Gauss nodes span the exact chord
+    [max(v0, c_v - s), min(v1, c_v + s)].  Empty panels and chords carry
+    zero weight.
+    """
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    k = np.arange(len(boxes))
+    centre, r = np.array([disk.cx, disk.cy]), disk.r
+    mid = 0.5 * (boxes[:, :2] + boxes[:, 2:])
+    swap = np.abs(mid[:, 0] - centre[0]) > np.abs(mid[:, 1] - centre[1])
+    ax = swap.astype(int)  # the outer axis
+    u0, u1, v0, v1 = boxes[k, ax], boxes[k, ax + 2], boxes[k, 1 - ax], boxes[k, 3 - ax]
+    cu, cv = centre[ax], centre[1 - ax]
+    s0, s1 = (np.sqrt(np.maximum((r - abs(v - cv)) * (r + abs(v - cv)), 0.0)) for v in (v0, v1))
+    cand = np.stack([u0, u1, cu - r, cu + r, cu - s0, cu + s0, cu - s1, cu + s1], axis=1)
+    bounds = np.sort(np.clip(cand, u0[:, None], u1[:, None]), axis=1)
+    p0, p1 = bounds[:, :-1, None], bounds[:, 1:, None]
+    g, gw = _gauss_unit(order)
+    # Gauss in sigma = sqrt(|u - e|) from the nearer extreme e, where s(u) = sigma sqrt(2r - sigma^2) is smooth
+    side = np.where(p0 + p1 < 2.0 * cu[:, None, None], 1.0, -1.0)
+    e = cu[:, None, None] - side * r
+    sig0, sig1 = (np.sqrt(np.maximum(side * (p - e), 0.0)) for p in (p0, p1))
+    sig = np.minimum(sig0, sig1) + np.abs(sig1 - sig0) * g
+    u = e + side * sig * sig
+    wu = 2.0 * sig * np.abs(sig1 - sig0) * gw
+    du = np.abs(u - cu[:, None, None])
+    s = np.sqrt(np.maximum((r - du) * (r + du), 0.0))
+    v_lo = np.maximum(v0[:, None, None], cv[:, None, None] - s)
+    chord = np.maximum(np.minimum(v1[:, None, None], cv[:, None, None] + s) - v_lo, 0.0)
+    v = v_lo[..., None] + chord[..., None] * g
+    u = np.broadcast_to(u[..., None], v.shape)
+    wts = (wu * chord)[..., None] * gw
+    flip = swap[:, None, None, None]
+    shape = (len(boxes), -1)
+    return np.where(flip, v, u).reshape(shape), np.where(flip, u, v).reshape(shape), wts.reshape(shape)
 
 
-def _wedge_rule(px, py, cell, order):
+def _outer_rule(cell, disk, order, grade=(0, 0)):
+    """Points and weights on a cell, graded toward a near target (_sub_boxes).
+
+    Tensor Gauss on the sub-boxes of an unclipped box; the chord rule on
+    those of a clipped one, so the points cover exactly the cell's part of
+    the disk.
+    """
+    boxes = _sub_boxes(cell, grade)
+    px, py, pw = (a.ravel() for a in (_chord_rule(boxes, disk, order) if cell[4] else _box_gauss(boxes, order)))
+    live = pw > 0.0
+    return px[live], py[live], pw[live]
+
+
+def _circle_crossings(cell, disk):
+    """Points (xs, ys) where the disk's circle meets the boundary of a cell's box."""
+    x0, y0, x1, y1 = cell[:4]
+    edge = np.array([x0, x1, y0, y1])  # two vertical, then two horizontal edges
+    vertical = np.array([True, True, False, False])[:, None]
+    d = np.abs(edge - np.where(vertical[:, 0], disk.cx, disk.cy))
+    half = np.sqrt(np.maximum((disk.r - d) * (disk.r + d), 0.0))
+    along = np.where(vertical, disk.cy, disk.cx) + half[:, None] * np.array([-1.0, 1.0])
+    hit = (d <= disk.r)[:, None] & (along >= np.where(vertical, y0, x0)) & (along <= np.where(vertical, y1, x1))
+    return np.where(vertical, edge[:, None], along)[hit], np.where(vertical, along, edge[:, None])[hit]
+
+
+def _wedge_rule(px, py, cell, order, extra=((), ())):
     """Angular Gauss nodes covering the wedge a rectangle subtends from p.
 
     The radial entry/exit of a ray into a convex box is smooth in the angle
     except where the active face changes, i.e. at the corner directions; the
     wedge between the extreme corner angles is split there, giving three
-    smooth panels per source point.
+    smooth panels per source point.  The directions of the extra boundary
+    points (xs, ys) split it too: for a cell clipped to the disk, where the
+    exit switches between a box face and the circle (_circle_crossings).
     """
-    cx = np.array([cell[0], cell[0], cell[2], cell[2]])
-    cy = np.array([cell[1], cell[3], cell[1], cell[3]])
+    cx = np.array([cell[0], cell[0], cell[2], cell[2], *extra[0]])
+    cy = np.array([cell[1], cell[3], cell[1], cell[3], *extra[1]])
     ctr = np.arctan2(0.5 * (cell[1] + cell[3]) - py, 0.5 * (cell[0] + cell[2]) - px)
     raw = np.arctan2(cy[None, :] - py[:, None], cx[None, :] - px[:, None])
     rel = np.sort((raw - ctr[:, None] + math.pi) % (2.0 * math.pi) - math.pi, axis=1)
@@ -216,17 +308,25 @@ def _cell_span(p, d, cell, disk):
 
 
 def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi, order=10):
-    """int_{C_l, lo<|p-y|<hi} k_w(p - y) dy by wedge angles and exact radii."""
-    phi, wts = _wedge_rule(px, py, target_cell, order)
-    t_in, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), target_cell, disk)
-    t_in = np.maximum(t_in, 0.0)
-    seg = _radial_segment(w, t_in, t_out, lo, hi)
-    return np.sum(seg * wts, axis=1)
+    """int_{C_l, lo<|p-y|<hi} k_w(p - y) dy per point p, by wedge angles and exact radii.
+
+    The points run in chunks of at most _CHUNK rays.
+    """
+    extra = _circle_crossings(target_cell, disk) if disk is not None and target_cell[4] else ((), ())
+    step = max(1, _CHUNK // ((3 + len(extra[0])) * order))
+    out = np.empty(px.size)
+    for s in range(0, px.size, step):
+        x, y = px[s : s + step], py[s : s + step]
+        phi, wts = _wedge_rule(x, y, target_cell, order, extra)
+        t_in, t_out = _cell_span((x[:, None], y[:, None]), (np.cos(phi), np.sin(phi)), target_cell, disk)
+        out[s : s + step] = np.sum(_radial_segment(w, np.maximum(t_in, 0.0), t_out, lo, hi) * wts, axis=1)
+    return out
 
 
 def _self_energy_2d(w, cell, disk, cutoff, order=8, angle_order=10):
-    px, py, pw = _cell_gauss_points(cell, order)
-    px, py, pw = _clip_to_disk(px, py, pw, disk if cell[4] else None)
+    px, py, pw = (a.ravel() for a in _box_gauss(np.array([cell[:4]]), order))
+    inside = (px - disk.cx) ** 2 + (py - disk.cy) ** 2 <= disk.r ** 2  # box Gauss points in the disk
+    px, py, pw = px[inside], py[inside], pw[inside]
     phi, wts = _arc_rule(px, py, cell, angle_order)
     _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
     exit_t = np.clip(t_out, 1e-300, cutoff)
@@ -240,17 +340,105 @@ def _mesh_disk(mesh: Mesh) -> Disk | None:
     return next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
 
 
+def _far_pairs(cells, i, l, lo, hi) -> np.ndarray:
+    """Admissible pairs: box gap at least the larger box diameter, every distance inside (lo, hi)."""
+    lo_i, hi_i, lo_l, hi_l = cells[i, :2], cells[i, 2:4], cells[l, :2], cells[l, 2:4]
+    gap = np.hypot.reduce(np.maximum(np.maximum(lo_i - hi_l, lo_l - hi_i), 0.0), axis=1)
+    span = np.hypot.reduce(np.maximum(hi_i - lo_l, hi_l - lo_i), axis=1)
+    diam = np.maximum(np.hypot.reduce(hi_i - lo_i, axis=1), np.hypot.reduce(hi_l - lo_l, axis=1))
+    # the slack keeps a gap equal to the diameter (the (2, 2) lattice offset) far in every translate
+    return (gap >= (1.0 - 1e-9) * diam) & (gap > lo) & (span < hi)
+
+
+def _cell_rules(cells, disk, order):
+    """Every cell's far rule, flat: points and weights (x, y, w) with each cell's start and size.
+
+    order x order tensor Gauss points on an unclipped box, the live points of
+    the chord rule on a clipped cell (built for at most _CHUNK candidate
+    points at a time).  A cell's points depend only on that cell.
+    """
+    per_box = order * order
+    x, y, wts = (a.ravel() for a in _box_gauss(cells[:, :4], order))
+    keep = np.repeat(cells[:, 4] == 0.0, per_box)
+    parts = [(np.repeat(np.arange(len(cells)), per_box)[keep], x[keep], y[keep], wts[keep])]
+    clipped = np.flatnonzero(cells[:, 4] > 0.0)
+    step = max(1, _CHUNK // (7 * per_box))
+    for s in range(0, clipped.size, step):
+        c = clipped[s : s + step]
+        x, y, wts = (a.ravel() for a in _chord_rule(cells[c, :4], disk, order))
+        live = wts > 0.0
+        parts.append((np.repeat(c, 7 * per_box)[live], x[live], y[live], wts[live]))
+    owner, x, y, wts = (np.concatenate(p) for p in zip(*parts))
+    by_cell = np.argsort(owner, kind="stable")
+    size = np.bincount(owner, minlength=len(cells))
+    return x[by_cell], y[by_cell], wts[by_cell], np.cumsum(size) - size, size
+
+
+def _far_values(w, rules, i, l) -> np.ndarray:
+    """sum_a sum_b w_a w_b k_w(|x_a - y_b|) per pair, batched by the pair's two rule sizes.
+
+    Chunks hold at most _CHUNK point pairs.  Each pair reduces over its
+    own points along contiguous last axes, so its value does not depend on
+    which other pairs share its chunk.
+    """
+    x, y, wts, start, size = rules
+    out = np.empty(i.size)
+    kinds = size[i] * (size.max() + 1) + size[l]
+    coef = np.atleast_1d(np.asarray(w, dtype=float))
+    for kind in np.unique(kinds):
+        sel = np.flatnonzero(kinds == kind)
+        na, nb = size[i[sel[0]]], size[l[sel[0]]]
+        step = max(1, _CHUNK // (na * nb))
+        for s in range(0, sel.size, step):
+            p = sel[s : s + step]
+            a = start[i[p], None] + np.arange(na)
+            b = start[l[p], None] + np.arange(nb)
+            d2 = x[a][:, :, None] - x[b][:, None, :]
+            d2 *= d2
+            dy = y[a][:, :, None] - y[b][:, None, :]
+            dy *= dy
+            d2 += dy
+            np.log(d2, out=dy)
+            dy *= -1.0  # tau = -2 ln t
+            k = np.full_like(d2, coef[-1])
+            for c in coef[-2::-1]:
+                k *= dy
+                k += c
+            k /= d2
+            k *= wts[b][:, None, :]
+            out[p] = np.sum(np.sum(k, axis=2) * wts[a], axis=1)
+    return out
+
+
+def _polar_pair_value(w, cells, disk, a, b, lo, hi, order) -> float:
+    """Points on cell a (graded toward cell b when lo == 0) times the polar inner integral over b."""
+    grade = _pair_grading(cells[a], cells[b]) if lo == 0.0 else (0, 0)
+    px, py, pw = _outer_rule(cells[a], disk, order, grade)
+    return float(np.sum(_inner_cell_integral_2d(w, px, py, cells[b], disk, lo, hi) * pw))
+
+
 def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
-    """Tensor Gauss points on cell i times the polar inner integral over cell l, per pair."""
-    cells = mesh.cells
+    """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} per pair, split by admissibility.
+
+    Far pairs (_far_pairs) are one batched point-pair sum over per-cell
+    rules of the given order.  Near pairs of two unclipped boxes take the
+    closed form rect_pair_integral_2d; other near pairs the polar path, with
+    the unclipped cell (if any) as the outer one.
+    """
+    cells = np.asarray(mesh.cells, dtype=float)
     disk = _mesh_disk(mesh)
-    out = np.empty(len(i))
-    for k, (a, b) in enumerate(zip(i.tolist(), l.tolist())):
-        ci, cl = cells[a], cells[b]
-        # the kernel is singular only when lo == 0: grade toward near targets
-        grade = _pair_grading(ci, cl) if lo == 0.0 else (0, 0)
-        px, py, pw = _clip_to_disk(*_cell_gauss_points(ci, order, *grade), disk if ci[4] else None)
-        out[k] = np.sum(_inner_cell_integral_2d(w, px, py, cl, disk, lo, hi) * pw)
+    i, l = np.asarray(i), np.asarray(l)
+    far = _far_pairs(cells, i, l, lo, hi)
+    out = np.empty(i.size)
+    if far.any():  # rules for the cells of far pairs only; a cell's rule depends on that cell alone
+        used, at = np.unique(np.concatenate([i[far], l[far]]), return_inverse=True)
+        out[far] = _far_values(w, _cell_rules(cells[used], disk, order), *np.split(at.ravel(), 2))
+    for k in np.flatnonzero(~far):
+        a, b = (l[k], i[k]) if cells[i[k], 4] and not cells[l[k], 4] else (i[k], l[k])
+        if cells[b, 4]:
+            out[k] = _polar_pair_value(w, cells, disk, a, b, lo, hi, order)
+        else:
+            out[k] = rect_pair_integral_2d(w, cells[a], cells[b], lo, hi)
     return out
 
 

@@ -170,7 +170,8 @@ def apply_symbol(
 
     Returns the real output as a new GridFunction.  The imaginary residue,
     the Parseval norm of symbol * asymmetry relative to the grid L2 norm of
-    u, is available with return_residue=True and is asserted below 1e-10.
+    the output, is available with return_residue=True and is asserted below
+    1e-10.
     """
     if kind == "frac" and not -u.dim / 2.0 < float(param) <= _BS_RANGE_HI:
         raise PreconditionError(f"frac symbol restricted to s in (-N/2, {_BS_RANGE_HI}]")
@@ -178,7 +179,8 @@ def apply_symbol(
         raise PreconditionError("riesz symbol restricted to s in (0, N/2)")
     spec = _spectrum(u, allow_mean or not _is_singular_kind(kind, param))
     mult = _multiplier(kind, param, spec.xi_norm())
-    residue = spec.norm(mult * spec.asymmetry) / max(u.l2_norm(), 1e-300)
+    # the output's L2 norm, by Parseval
+    residue = spec.norm(mult * spec.asymmetry) / max(spec.norm(mult * spec.coefficients), 1e-300)
     if residue > _IMAG_RESIDUE_TOL:
         raise PreconditionError(f"imaginary residue {residue:.2e} exceeds tolerance")
     result = u.with_values(spec.invert(mult))

@@ -14,7 +14,17 @@ from scipy import integrate
 
 from loglap import NumericalError, PreconditionError, cli, eigen
 from loglap.coeffs import EULER_GAMMA, alpha_coeffs, c_dim, omega, rho
-from loglap.domains import Disk, DomainSpec, Interval, Mesh, Rect, domain_to_dict, mesh_intervals, mesh_rectangles
+from loglap.domains import (
+    Disk,
+    DomainSpec,
+    Interval,
+    Mesh,
+    Rect,
+    circle_box_area,
+    domain_to_dict,
+    mesh_intervals,
+    mesh_rectangles,
+)
 from loglap.eigen import (
     _convolution_matrix,
     _difference_matrix,
@@ -27,7 +37,7 @@ from loglap.eigen import (
     rearrange_decreasing,
 )
 from loglap.grid import GridFunction, estimate_holder_constant
-from loglap.kernels import cell_pair_tent_integral, combined_kernel, order_weights
+from loglap.kernels import cell_pair_tent_integral, combined_kernel, order_weights, rect_pair_integral_2d
 from loglap.spectral import log_norm
 
 QUARTER = DomainSpec(1, (Interval(-0.25, 0.25),))
@@ -742,3 +752,137 @@ def test_2d_disk_q_form_runs():
     res = eigensolve(mats, 2)
     assert res.eigenvalues[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
     assert np.all(np.diff(res.eigenvalues) >= -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# 2D pair engine: far point-pair sums, near closed form and polar path
+
+
+def _disk_mesh(r=0.2, h=0.04, centre=(0.0, 0.0)):
+    return mesh_rectangles(DomainSpec(2, (Disk(centre[0], centre[1], r),)), h)
+
+
+def test_chord_rule_weights_give_the_clipped_areas():
+    # exact geometry: the weights of box cap disk integrate its area (compared with the box's
+    # circle_box_area, not the cell measure, which also holds any merged sliver)
+    def worst_error(centres, h):
+        worst = 0.0
+        for cx, cy in centres:
+            mesh = _disk_mesh(h=h, centre=(cx, cy))
+            disk = mesh.domain.pieces[0]
+            boxes = np.array([c[:4] for c in mesh.cells if c[4]])
+            _, _, wts = eigen._chord_rule(boxes, disk, 6)
+            areas = np.array([circle_box_area(disk, *box) for box in boxes])
+            worst = max(worst, float(np.max(np.abs(wts.sum(axis=1) - areas) / areas)))
+        return worst
+
+    rng = np.random.default_rng(0)
+    tangent = (0.06317071082430645, -0.09945229996597038)  # a cell edge 2e-17 inside the tangent line
+    assert worst_error([tangent] + rng.uniform(-0.1, 0.1, size=(300, 2)).tolist(), 0.04) <= 1e-12  # reads 5.9e-14
+    # coarse meshes put the disk's extremes near the cells' panels (4, 5 and 6 cells across: 2.3e-12;
+    # 3 across reads 8.9e-11 and 2 across, one quadrant per cell, 4.3e-8)
+    for across in (4, 5, 6):
+        assert worst_error(rng.uniform(-0.1, 0.1, size=(10, 2)), 0.4 / across) <= 1e-10
+
+
+def test_far_square_entries_match_the_closed_form():
+    # far pairs of unclipped boxes: the 6 x 6 point-pair sum against rect_pair_integral_2d
+    square = mesh_rectangles(DomainSpec(2, (Rect(0.013, -0.021, 0.513, 0.479),)), 0.025)
+    wide = mesh_rectangles(DomainSpec(2, (Rect(0.0, 0.0, 1.6, 0.6),)), 0.1)
+    row_0 = (np.zeros(square.n_cells - 1, dtype=int), np.arange(1, square.n_cells))
+    for mesh, (i, l), lo, hi in ((square, row_0, 0.0, 1.0), (wide, np.triu_indices(wide.n_cells, k=1), 1.0, np.inf)):
+        cells = np.asarray(mesh.cells)
+        far = np.flatnonzero(eigen._far_pairs(cells, i, l, lo, hi))[::3]
+        assert far.size >= 50
+        for w in (order_weights(1), order_weights(2), alpha_coeffs(2, 2).alpha[1:]):
+            got = eigen._pair_values_2d(w, mesh, i[far], l[far], lo, hi)
+            ref = np.array([rect_pair_integral_2d(w, cells[a], cells[b], lo, hi) for a, b in zip(i[far], l[far])])
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-10
+
+
+def test_near_square_entries_are_the_closed_form():
+    # near pairs of unclipped boxes (touching ones included) take rect_pair_integral_2d itself
+    mesh = mesh_rectangles(DomainSpec(2, (Rect(0.0, 0.0, 0.5, 0.5),)), 0.025)
+    cells = np.asarray(mesh.cells)
+    w = alpha_coeffs(2, 2).alpha[1:]
+    l = np.array([1, 2, 20, 21, 22, 40, 41])
+    i = np.zeros_like(l)
+    assert not np.any(eigen._far_pairs(cells, i, l, 0.0, 1.0))
+    got = eigen._pair_values_2d(w, mesh, i, l, 0.0, 1.0)
+    assert np.array_equal(got, [rect_pair_integral_2d(w, cells[0], cells[k], 0.0, 1.0) for k in l])
+
+
+def test_pair_value_does_not_depend_on_its_batch():
+    mesh = _disk_mesh(centre=(0.031, -0.017))
+    cells = np.asarray(mesh.cells)
+    i, l = np.triu_indices(mesh.n_cells, k=1)
+    far = eigen._far_pairs(cells, i, l, 0.0, 1.0)
+    clipped = cells[i, 4] + cells[l, 4]
+    assert all(np.any(far & (clipped == c)) for c in (0, 1, 2))  # far pairs of every kind
+    w = alpha_coeffs(2, 2).alpha[1:]
+    batch = eigen._pair_values_2d(w, mesh, i, l, 0.0, 1.0)
+    pick = np.random.default_rng(3).choice(i.size, 60, replace=False)
+    pick = np.concatenate([pick, np.flatnonzero(far & (clipped == 2))[:5], np.flatnonzero(~far)[:5]])
+    alone = [eigen._pair_values_2d(w, mesh, i[k : k + 1], l[k : k + 1], 0.0, 1.0)[0] for k in pick]
+    assert np.array_equal(batch[pick], alone)
+
+
+def test_far_pairs_on_the_polar_path_match_the_point_pair_sum():
+    # the wedge rule splits where the circle crosses a clipped target box; without that split
+    # these entries err by up to 1.3e-3 at the default order
+    mesh = _disk_mesh()
+    disk = mesh.domain.pieces[0]
+    cells = np.asarray(mesh.cells)
+    i, l = np.nonzero(np.ones((mesh.n_cells, mesh.n_cells), dtype=bool))
+    keep = (cells[i, 4] == 0) & (cells[l, 4] > 0) & eigen._far_pairs(cells, i, l, 0.0, 1.0)
+    i, l = i[keep][::7], l[keep][::7]
+    w = alpha_coeffs(2, 2).alpha[1:]
+    far = eigen._pair_values_2d(w, mesh, i, l, 0.0, 1.0)
+    polar = np.array([eigen._polar_pair_value(w, cells, disk, a, b, 0.0, 1.0, 6) for a, b in zip(i, l)])
+    assert np.max(np.abs(polar / far - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["clipped-unclipped", "clipped-clipped"])
+def test_touching_pairs_agree_when_swapped(kind):
+    # the outer cell carries exact-geometry points whether or not it is clipped, so swapping the two
+    # cells of a touching pair moves its value by at most 1.7e-5 / 2.1e-5 (clipped-unclipped /
+    # clipped-clipped) at the default order and 7.1e-6 / 2.8e-6 at outer order 10, where the wedge
+    # order sets the floor; 1.4% and 2.2% when clipped outer cells dropped their points outside the disk
+    mesh = _disk_mesh(r=0.15, h=0.05)
+    disk = mesh.domain.pieces[0]
+    cells = np.asarray(mesh.cells)
+    w = alpha_coeffs(2, 2).alpha[1:]
+    i, l = np.triu_indices(mesh.n_cells, k=1)
+    touching = np.array([eigen._pair_grading(cells[a], cells[b]) != (0, 0) for a, b in zip(i, l)])
+    both = 2 if kind == "clipped-clipped" else 1
+    pairs = [(a, b) for a, b in zip(i[touching], l[touching]) if cells[a, 4] + cells[b, 4] == both]
+    assert len(pairs) >= 10
+    for order, tol in ((6, 5e-5), (10, 1e-5)):
+        worst = max(
+            abs(eigen._polar_pair_value(w, cells, disk, a, b, 0.0, 1.0, order)
+                / eigen._polar_pair_value(w, cells, disk, b, a, 0.0, 1.0, order) - 1.0)
+            for a, b in pairs
+        )
+        assert worst <= tol
+
+
+def test_pair_matrix_temporaries_stay_within_the_chunk_budget(monkeypatch):
+    # far sums and near rays run in chunks of _CHUNK elements: the 2D evaluator adds a fixed budget
+    # to what _pair_matrix holds without it (the matrix and its index arrays), whatever the number of pairs
+    mesh = _disk_mesh(h=0.02)
+    assert mesh.n_cells == 344
+    w = alpha_coeffs(2, 2).alpha[1:]
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            _pair_matrix(w, mesh, 0.0, 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak()
+    monkeypatch.setitem(eigen._ENGINES, 2, (lambda w, mesh, i, l, lo, hi: np.zeros(len(i)), None))
+    baseline = traced_peak()
+    assert baseline >= 8 * mesh.n_cells ** 2
+    assert peak - baseline <= 32 * 8 * eigen._CHUNK

@@ -1,11 +1,12 @@
 """Fourier-multiplier path: symbols, Parseval, zero-mode policy, compositions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from loglap import PreconditionError
+from loglap import PreconditionError, spectral
 from loglap.grid import GridFunction, gaussian_bump, gaussian_derivative_bump
 from loglap.spectral import (
     apply_symbol,
@@ -78,16 +79,40 @@ def test_parseval_and_realness(bump):
     assert out.l2_norm() == pytest.approx(spectral_l2, rel=1e-10)
 
 
-def test_residue_guard_stays_live():
+def test_residue_guard_stays_live(monkeypatch):
     u = gaussian_derivative_bump(dim=1)
-    with pytest.raises(PreconditionError, match="imaginary residue"):
-        apply_symbol(u, "frac", 2.0)  # residue 6.1e-7
     _, residue = apply_symbol(u, "frac", 1.0, return_residue=True)
-    # the imaginary part a full-lattice inverse carries, relative to |u|_2
+    # the imaginary part a full-lattice inverse carries, relative to the output's L2 norm
     xi = np.abs(2.0 * math.pi * np.fft.fftfreq(u.shape[0], d=u.spacing[0]))
-    imag = np.fft.ifftn(xi ** 2 * np.fft.fftn(u.values)).imag
-    ref = math.sqrt(np.sum(imag ** 2) * u.cell_volume) / u.l2_norm()
+    full = np.fft.ifftn(xi ** 2 * np.fft.fftn(u.values))
+    ref = math.sqrt(np.sum(full.imag ** 2) / np.sum(full.real ** 2))
     assert residue == pytest.approx(ref, rel=1e-2)
+
+    # an antisymmetric part of relative size eps is read back as residue eps and refused above 1e-10
+    real_transform = spectral.transform
+    eps = 1e-11
+
+    def skewed(v):
+        spec = real_transform(v)
+        return dataclasses.replace(spec, asymmetry=spec.asymmetry + 1j * eps * spec.coefficients)
+
+    monkeypatch.setattr(spectral, "transform", skewed)
+    _, residue = apply_symbol(u, "frac", 1.0, return_residue=True)
+    assert residue == pytest.approx(eps, rel=1e-3)
+    eps = 1e-9
+    with pytest.raises(PreconditionError, match="imaginary residue"):
+        apply_symbol(u, "frac", 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_high_orders_pass_the_residue_guard(dim):
+    # the residue is measured against the output, which grows with the order like the residue
+    # does (1D: frac s = 2 reads 7.7e-11, log m = 8 1.7e-13; 2D: 2.3e-14 and 4.4e-15)
+    u = gaussian_derivative_bump(dim=dim)
+    for kind, param in (("frac", 2.0), ("log", 8)):
+        out, residue = apply_symbol(u, kind, param, return_residue=True)
+        assert 0.0 < residue <= 1e-10
+        assert np.all(np.isfinite(out.values))
 
 
 @pytest.mark.parametrize("shape", [(64,), (63,), (48, 45), (48, 46)])
