@@ -47,9 +47,14 @@ by admissibility into three classes:
   (closed-form radial antiderivative, angular Gauss panels split at the box
   corners and at the circle crossings) under graded points on the outer
   cell, which is the unclipped one if there is one; a clipped outer cell
-  takes the chord rule on its graded sub-boxes.
+  takes the chord rule on its graded sub-boxes.  The disk's grid is
+  centred on the disk, so these pairs fall into orbits of up to 8
+  congruent pairs under the symmetries x -> +-x, y -> +-y, x <-> y about
+  the centre; each orbit is integrated once, on the pair rebuilt from its
+  key (_orbits).
 
-Self-energies are computed once per cell class.
+Self-energies of unclipped cells are closed forms, computed once per cell
+class; those of clipped cells once per orbit, as the near pairs.
 """
 
 from __future__ import annotations
@@ -191,6 +196,13 @@ def _chord_rule(boxes, disk: Disk, order):
     node the inner Gauss nodes span the exact chord
     [max(v0, c_v - s), min(v1, c_v + s)].  Empty panels and chords carry
     zero weight.
+
+    On a diagonal cell (|dx| == |dy| from the centre) the outer axis is a
+    tie that an ulp of the box edges decides, and the two rules agree only
+    to the quadrature error (mirrored near pairs differed by up to 1.9e-5
+    when each was evaluated on its own cells).  Near pairs and clipped
+    self-energies therefore evaluate each orbit on the cells rebuilt from
+    its key (_orbits), never on a member's own edges.
     """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     k = np.arange(len(boxes))
@@ -417,12 +429,61 @@ def _polar_pair_value(w, cells, disk, a, b, lo, hi, order) -> float:
     return float(np.sum(_inner_cell_integral_2d(w, px, py, cells[b], disk, lo, hi) * pw))
 
 
+def _box_images(rel) -> np.ndarray:
+    """The 8 images (8, ..., 4) of boxes (..., 4) under x -> +-x, y -> +-y and x <-> y."""
+    x0, y0, x1, y1 = np.moveaxis(rel, -1, 0)
+    out = []
+    for ax, bx in ((x0, x1), (-x1, -x0)):
+        for ay, by in ((y0, y1), (-y1, -y0)):
+            out += [np.stack([ax, ay, bx, by], axis=-1), np.stack([ay, ax, by, bx], axis=-1)]
+    return np.stack(out)
+
+
+def _orbits(cells, disk, members):
+    """Tuples of cells grouped by their orbit under the 8 symmetries of the disk grid.
+
+    mesh_rectangles centres a disk's grid on the disk, so x -> +-x,
+    y -> +-y and x <-> y about the centre map its cells onto cells.  A
+    tuple's key is its clipped flags and the lexicographically smallest of
+    its 8 images, in box coordinates relative to the centre in units of the
+    clipped cells' side, rounded to 9 decimals; a pair of two clipped cells
+    also takes the 8 images of its reversed order.  members (K, m) holds
+    the tuples' cells.  Returns one tuple per distinct key, (U, m, 5),
+    rebuilt as centre + key * side, and the key index of each tuple.
+
+    A value computed on the rebuilt tuple is the same for every member of
+    an orbit and in any batch.  On a member's own boxes it is not: mirrored
+    linspace edges differ by an ulp, on which the chord rule's outer axis
+    (diagonal cells) and _pair_grading's half-side gap threshold can flip.
+    """
+    k, m = members.shape
+    centre = np.array([disk.cx, disk.cy, disk.cx, disk.cy])
+    first = cells[np.argmax(cells[:, 4] > 0.0)]
+    side = first[2] - first[0]
+    rel = np.round((cells[members, :4] - centre) / side, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+    cand = _box_images(rel)
+    if m == 2:
+        rev = _box_images(rel[:, ::-1])
+        rev[:, ~np.all(cells[members, 4] > 0.0, axis=1)] = np.inf
+        cand = np.concatenate([cand, rev])
+    cand = cand.reshape(len(cand), k, 4 * m)
+    best = np.ones(cand.shape[:2], dtype=bool)
+    for col in np.moveaxis(cand, 2, 0):  # narrow to the smallest candidates, one column at a time
+        col = np.where(best, col, np.inf)
+        best &= col == col.min(axis=0)
+    canon = cand[np.argmax(best, axis=0), np.arange(k)]
+    keys, inv = np.unique(np.column_stack([cells[members, 4], canon]), axis=0, return_inverse=True)
+    boxes = centre + keys[:, m:].reshape(-1, m, 4) * side
+    return np.concatenate([boxes, keys[:, :m, None]], axis=2), inv.ravel()
+
+
 def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} per pair, split by admissibility.
 
     Far pairs (_far_pairs) are one batched point-pair sum over per-cell
     rules of the given order.  Near pairs of two unclipped boxes take the
-    closed form rect_pair_integral_2d; other near pairs the polar path, with
+    closed form rect_pair_integral_2d.  Other near pairs take the polar
+    path once per orbit (_orbits), on the pair rebuilt from its key, with
     the unclipped cell (if any) as the outer one.
     """
     cells = np.asarray(mesh.cells, dtype=float)
@@ -433,24 +494,34 @@ def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     if far.any():  # rules for the cells of far pairs only; a cell's rule depends on that cell alone
         used, at = np.unique(np.concatenate([i[far], l[far]]), return_inverse=True)
         out[far] = _far_values(w, _cell_rules(cells[used], disk, order), *np.split(at.ravel(), 2))
-    for k in np.flatnonzero(~far):
-        a, b = (l[k], i[k]) if cells[i[k], 4] and not cells[l[k], 4] else (i[k], l[k])
-        if cells[b, 4]:
-            out[k] = _polar_pair_value(w, cells, disk, a, b, lo, hi, order)
-        else:
-            out[k] = rect_pair_integral_2d(w, cells[a], cells[b], lo, hi)
+    near = np.flatnonzero(~far)
+    clipped = (cells[i[near], 4] > 0.0) | (cells[l[near], 4] > 0.0)
+    for k in near[~clipped]:
+        out[k] = rect_pair_integral_2d(w, cells[i[k]], cells[l[k]], lo, hi)
+    polar = near[clipped]
+    if polar.size:
+        outer_l = cells[l[polar], 4] == 0.0
+        a, b = np.where(outer_l, l[polar], i[polar]), np.where(outer_l, i[polar], l[polar])
+        pairs, at = _orbits(cells, disk, np.column_stack([a, b]))
+        values = np.array([_polar_pair_value(w, pair, disk, 0, 1, lo, hi, order) for pair in pairs])
+        out[polar] = values[at]
     return out
 
 
 def _self_energies_2d(w, mesh: Mesh, cutoff) -> np.ndarray:
-    """Diagonal self-energies, computed once per cell class."""
+    """Diagonal self-energies: the closed form once per box class, the polar rule once per orbit of clipped cells."""
     _, sides, cls, first = _cell_classes(mesh)
-    disk = _mesh_disk(mesh)
-    return np.array([
-        _self_energy_2d(w, mesh.cells[c], disk, cutoff) if mesh.cells[c][4]
-        else 2.0 * cell_self_energy_2d(w, sides[c, 0], sides[c, 1], cutoff)
+    cells = np.asarray(mesh.cells, dtype=float)
+    out = np.array([
+        0.0 if cells[c, 4] else 2.0 * cell_self_energy_2d(w, sides[c, 0], sides[c, 1], cutoff)
         for c in first
     ])[cls]
+    clipped = np.flatnonzero(cells[:, 4] > 0.0)
+    if clipped.size:
+        disk = _mesh_disk(mesh)
+        orbit, at = _orbits(cells, disk, clipped[:, None])
+        out[clipped] = np.array([_self_energy_2d(w, cell[0], disk, cutoff) for cell in orbit])[at]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -754,13 +825,15 @@ def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> li
     """First Q_m eigenvalue per equal-measure domain at matched resolution.
 
     Domains of a single interval or disk piece are flagged as balls; the
-    lowest ball is the reference minimum.  Requires m >= 2 and every domain
-    inside B_(rm/2).
+    lowest ball is the reference minimum.  Requires m >= 2, every domain in
+    the ledger's dimension and inside B_(rm/2).
     """
     if ledger.m < 2:
         raise PreconditionError("the ball-minimality comparison needs m >= 2")
-    ck = combined_kernel(ledger)
     domains = list(domains)
+    if any(d.dim != ledger.dim for d in domains):
+        raise PreconditionError(f"every domain must have the ledger's dimension {ledger.dim}")
+    ck = combined_kernel(ledger)
     measures = [d.measure() for d in domains]
     if max(measures) - min(measures) > 1e-12 * max(measures):
         raise PreconditionError("domains must have equal measure")

@@ -9,7 +9,7 @@ import pytest
 
 from loglap.cli import main
 from loglap.coeffs import EULER_GAMMA
-from loglap.domains import DomainSpec, Interval, domain_to_dict
+from loglap.domains import Disk, DomainSpec, Interval, domain_to_dict
 from loglap.grid import GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict
 from loglap.pointwise import apply_L_batch
 from loglap.spectral import apply_symbol
@@ -241,6 +241,17 @@ def test_fk_command_flags_ball(tmp_path):
     by_file = {r[0]: r for r in rows}
     assert by_file[str(ball)][4] == "1"  # reference_min
     assert float(by_file[str(split)][3]) > float(by_file[str(ball)][3])
+
+
+def test_fk_command_refuses_mixed_dimensions(tmp_path, capsys):
+    disk = tmp_path / "disk.json"
+    line = tmp_path / "line.json"
+    disk.write_text(json.dumps(domain_to_dict(DomainSpec(2, (Disk(0.0, 0.0, 0.2),)))))
+    line.write_text(json.dumps(domain_to_dict(DomainSpec(1, (Interval(-0.02 * math.pi, 0.02 * math.pi),)))))
+    out = tmp_path / "fk.csv"
+    assert main(["fk", "--m", "2", "--domains", str(disk), str(line), "--cells-per-unit", "20", "--out", str(out)]) == 3
+    assert "dimension" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_expand_command(tmp_path):

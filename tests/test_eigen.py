@@ -595,6 +595,11 @@ def test_fk_preconditions():
     wide = DomainSpec(1, (Interval(-0.3, 0.3),))
     with pytest.raises(PreconditionError):
         faber_krahn_compare(led, [wide], 100)  # leaves B_(rm/2)
+    length = DomainSpec(1, (Interval(-0.02 * math.pi, 0.02 * math.pi),))  # the measure of a disk of radius 0.2
+    disk = DomainSpec(2, (Disk(0.0, 0.0, 0.2),))
+    for ledger, domains in ((alpha_coeffs(2, 2), [disk, length]), (led, [length, disk]), (led, [disk])):
+        with pytest.raises(PreconditionError, match="dimension"):
+            faber_krahn_compare(ledger, domains, 20)  # a length against an area
 
 
 def test_fk_ball_eigenvector_radially_non_increasing():
@@ -864,6 +869,86 @@ def test_touching_pairs_agree_when_swapped(kind):
             for a, b in pairs
         )
         assert worst <= tol
+
+
+def _grid_symmetries(mesh):
+    """Per symmetry x -> +-x, y -> +-y, x <-> y about the disk centre, the cell permutation it induces."""
+    disk = mesh.domain.pieces[0]
+    cells = np.asarray(mesh.cells)
+    side = cells[0, 2] - cells[0, 0]
+    rel = (cells[:, :4] - [disk.cx, disk.cy, disk.cx, disk.cy]) / side
+    index = {tuple(np.round(box, 6) + 0.0): k for k, box in enumerate(rel)}
+    x0, y0, x1, y1 = rel.T
+    perms = []
+    for sx in (1.0, -1.0):
+        for sy in (1.0, -1.0):
+            for swap in (False, True):
+                ax0, ax1 = (x0, x1) if sx > 0 else (-x1, -x0)
+                ay0, ay1 = (y0, y1) if sy > 0 else (-y1, -y0)
+                image = np.column_stack([ay0, ax0, ay1, ax1] if swap else [ax0, ay0, ax1, ay1])
+                perm = np.array([index[tuple(np.round(box, 6) + 0.0)] for box in image])
+                assert np.array_equal(cells[perm, 4], cells[:, 4])
+                perms.append(perm)
+    return perms
+
+
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (0.031, -0.017)])
+def test_pair_matrix_is_invariant_under_the_grid_symmetries(centre):
+    # near pairs with a clipped cell share one value per orbit, computed on the pair rebuilt from its key;
+    # evaluated on each pair's own cells they broke this by 1.0e-5 of max|P| (reads 9.9e-12)
+    mesh = _disk_mesh(centre=centre)
+    P = _pair_matrix(alpha_coeffs(2, 2).alpha[1:], mesh, 0.0, 1.0)
+    for perm in _grid_symmetries(mesh):
+        assert np.max(np.abs(P[np.ix_(perm, perm)] - P)) <= 1e-10 * np.max(np.abs(P))
+
+
+def test_polar_path_runs_once_per_orbit(monkeypatch):
+    calls = []
+    real = eigen._polar_pair_value
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eigen, "_polar_pair_value", spy)
+    w = alpha_coeffs(2, 2).alpha[1:]
+    for mesh, expected in ((_disk_mesh(), 32), (_disk_mesh(centre=(0.031, -0.017)), 32),
+                           (_disk_mesh(r=0.15, h=0.05), 21)):  # 248, 248 and 156 pairs on the polar path
+        calls.clear()
+        _pair_matrix(w, mesh, 0.0, 1.0)
+        assert len(calls) == expected
+
+
+def test_clipped_self_energies_run_once_per_orbit(monkeypatch):
+    calls = []
+    real = eigen._self_energy_2d
+
+    def spy(w, cell, *rest):
+        calls.append(cell)
+        return real(w, cell, *rest)
+
+    mesh = _disk_mesh()
+    w = alpha_coeffs(2, 2).alpha[1:]
+    monkeypatch.setattr(eigen, "_self_energy_2d", spy)
+    diag = eigen._self_energies_2d(w, mesh, 1.0)
+    assert len(calls) == 4  # 28 clipped cells
+    for perm in _grid_symmetries(mesh):
+        assert np.array_equal(diag[perm], diag)
+    cells = np.asarray(mesh.cells)
+    clipped = np.flatnonzero(cells[:, 4])
+    own = np.array([real(w, cells[k], mesh.domain.pieces[0], 1.0) for k in clipped])
+    assert np.max(np.abs(diag[clipped] / own - 1.0)) <= 1e-12
+
+
+def test_pair_matrix_matches_brute_force_beside_a_disk():
+    # the rect's gap to the disk column is half a cell side, the grading threshold, so a pair's value must
+    # come from the pair rebuilt from its key; on the first orbit member's own cells, a batch and the
+    # single-pair calls differ by 8.2e-9 of max|P|
+    mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.2), Rect(0.22, -0.06, 0.30, 0.06))), 0.04)
+    w = alpha_coeffs(2, 2).alpha[1:]
+    P = _pair_matrix(w, mesh, 0.0, 1.0)
+    ref = _pair_matrix_by_brute_force(w, mesh, 0.0, 1.0)
+    assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_pair_matrix_temporaries_stay_within_the_chunk_budget(monkeypatch):
