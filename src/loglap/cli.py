@@ -7,9 +7,9 @@ travel as JSON (schemas in grid.py / domains.py); tabular results are CSV
 with a header row and 17 significant digits.
 
 Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
-4 numerical failure.  Worker threads come from --threads or LOGLAP_THREADS
-and split the points of a 2D quadrature apply; a 1D apply is one lattice
-convolution, which checks the setting but does not use it.
+4 numerical failure.  --threads splits the nodes of a 2D quadrature apply
+over worker threads (default: the machine's parallelism); a 1D apply is one
+lattice convolution and ignores it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -78,18 +77,6 @@ def _load_domain_file(path):
     return domain_from_dict(_read_json(path))
 
 
-def _worker_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LOGLAP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise PreconditionError(f"LOGLAP_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -111,38 +98,19 @@ def cmd_radii(args) -> int:
     return 0
 
 
-_QUAD_CHUNK_BYTES = 64 * 2**20  # quadrature working set of one apply chunk
-
-
-def _quad_batch(args, u, xs):
-    if args.op == "K":
-        vals, bounds, _ = _pointwise.k_values_batch([args.m], u, xs)
-        return vals[args.m], bounds[args.m]
-    if args.op == "L":
-        vals, bound, _ = _pointwise.apply_L_batch(args.m, u, xs)
-        return vals, bound
-    if args.op == "fraclap":
-        vals, bound, _ = _pointwise.frac_lap_batch(args.s, u, xs)
-        return vals, bound
-    vals, bound, _ = _pointwise.riesz_batch(args.s, u, xs)
-    return vals, bound
-
-
 def _apply_quad(args, u):
-    """Every node of u: one lattice convolution in 1D, threaded point chunks in 2D."""
-    workers = _worker_count(args)  # parsed in 1D too, so a malformed value still exits 3
+    """Every node of u: one lattice convolution in 1D, one point batch per worker thread in 2D."""
+    batch = {"K": _pointwise.apply_K_batch, "L": _pointwise.apply_L_batch,
+             "fraclap": _pointwise.frac_lap_batch, "riesz": _pointwise.riesz_batch}[args.op]
+    param = args.m if args.op in ("K", "L") else args.s
     if u.dim == 1:
-        vals, bound = _quad_batch(args, u, None)
-        return vals, bound, "lattice"
-    nodes = u.nodes()
-    count = nodes.shape[0]
-    per_chunk = max(1, _QUAD_CHUNK_BYTES // _pointwise.quad_point_bytes(u.dim))
-    chunks = np.array_split(np.arange(count), max(1, min(count, max(workers, math.ceil(count / per_chunk)))))
+        values, bound, _ = batch(param, u, None)
+        return values, bound, "lattice"
+    workers = max(1, args.threads) if args.threads is not None else (os.cpu_count() or 1)
+    parts = np.array_split(u.nodes(), min(workers, u.values.size))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda idx: _quad_batch(args, u, nodes[idx]), chunks))
-    values = np.concatenate([r[0] for r in results])
-    bound = max(r[1] for r in results)
-    return values, bound, "pointwise"
+        results = list(pool.map(lambda xs: batch(param, u, xs), parts))
+    return np.concatenate([r[0] for r in results]), max(r[1] for r in results), "pointwise"
 
 
 def cmd_apply(args) -> int:

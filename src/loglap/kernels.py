@@ -50,7 +50,7 @@ def q_eval(spec: KernelSpec, t) -> float | np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise PreconditionError("kernel argument must be positive")
-    out = t ** (-spec.dim) * (-2.0 * np.log(t)) ** (spec.n - 1)
+    out = t ** (-spec.dim) * polyval(-2.0 * np.log(t), order_weights(spec.n))
     return float(out) if out.ndim == 0 else out
 
 
@@ -74,14 +74,16 @@ def tail_integral(spec: KernelSpec, a: float) -> float:
     """Ball integral int_{a<|z|<1} q_n(|z|) dz = omega_N (-2 ln a)^n / (2n)."""
     if not 0.0 < a < 1.0:
         raise PreconditionError("inner radius must lie in (0, 1)")
-    return omega(spec.dim) * (-2.0 * math.log(a)) ** spec.n / (2.0 * spec.n)
+    w = order_weights(spec.n)
+    return omega(spec.dim) * (radial_antiderivative(w, 1.0) - radial_antiderivative(w, a))
 
 
 def outer_integral(spec: KernelSpec, R: float) -> float:
     """Shell integral int_{1<|z|<R} q_n(|z|) dz = (-1)^(n-1) omega_N (2 ln R)^n / (2n)."""
     if R <= 1.0:
         raise PreconditionError("outer radius must exceed 1")
-    return (-1.0) ** (spec.n - 1) * omega(spec.dim) * (2.0 * math.log(R)) ** spec.n / (2.0 * spec.n)
+    w = order_weights(spec.n)
+    return omega(spec.dim) * (radial_antiderivative(w, R) - radial_antiderivative(w, 1.0))
 
 
 def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:

@@ -24,7 +24,9 @@ The batch operators take xs=None to mean every node of u.  On a 1D grid
 that is one lattice convolution: the same inner rule, binned by cell offset
 into moments of the spline's cell coefficients, and an outer integral exact
 per cell, applied to all nodes by FFT with an O(n) working set.  Points
-given explicitly, and every 2D grid, go through the per-point radial rule.
+given explicitly, and every node of a 2D grid, go through the per-point
+radial rule in chunks of a fixed byte budget, one chunk at a time, so the
+working set does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -57,12 +59,16 @@ PANEL_ORDER = 16
 MAX_DECADES = 40
 OUTER_PANELS = 48  # resolves support-scale features crossed by the tail rays
 N_ANGLES = 64
+_CHUNK_BYTES = 64 * 2**20  # working set of one radial context
+
+# the inner rule in tau = -ln t over [INNER_CUT, 1], one panel per dyadic decade of t
+_INNER_BOUNDS = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
+_INNER_TAU, _INNER_W = panel_rule(_INNER_BOUNDS, PANEL_ORDER)
 
 
-def quad_point_bytes(dim: int) -> int:
+def _point_bytes(dim: int, n_angles: int) -> int:
     """Working set per evaluation point: a radial context peaks at about six float64 arrays over its nodes."""
-    panels = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES).size - 1 + OUTER_PANELS
-    return 6 * 8 * (2 if dim == 1 else N_ANGLES) * panels * PANEL_ORDER
+    return 6 * 8 * (2 if dim == 1 else n_angles) * (_INNER_TAU.size + OUTER_PANELS * PANEL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,11 @@ def _directions(dim: int, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     weights = np.full(n_angles, 2.0 * math.pi / n_angles)
     return thetas, weights
+
+
+def _sample(u: GridFunction, points: np.ndarray) -> np.ndarray:
+    """u at points of shape (..., dim); 1D grids take the bare coordinates."""
+    return u(points if u.dim == 2 else points[..., 0])
 
 
 def _jump_positions(u: GridFunction) -> tuple[np.ndarray, list[tuple[int, float]]]:
@@ -132,7 +143,6 @@ class _RadialContext:
     """Shared u-samples and quadrature weights around a batch of points."""
 
     def __init__(self, u: GridFunction, xs: np.ndarray, n_angles: int = N_ANGLES):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[1] != u.dim:
             raise PreconditionError("evaluation points must match the grid dimension")
         if not np.all((xs >= u.box_lo) & (xs <= u.box_hi)):
@@ -143,14 +153,12 @@ class _RadialContext:
         thetas, th_w = _directions(u.dim, n_angles)
         self.thetas, self.th_w = thetas, th_w
 
-        bounds = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
-        self.tau, self.tau_w = panel_rule(bounds, PANEL_ORDER)
+        self.tau, self.tau_w = _INNER_TAU, _INNER_W
         t_in = np.exp(-self.tau)
         # y[x, theta, q] = x + t_q * theta
         y_in = xs[:, None, None, :] + t_in[None, None, :, None] * thetas[None, :, None, :]
-        self.u0 = u(xs if u.dim == 2 else xs[:, 0])
-        u_in = u(y_in if u.dim == 2 else y_in[..., 0])
-        self.diff_in = self.u0[:, None, None] - u_in
+        self.u0 = _sample(u, xs)
+        self.diff_in = self.u0[:, None, None] - _sample(u, y_in)
 
         # outer: per-(x, theta) panels in sigma = ln t up to the box exit
         _, exit_t = ray_box(xs.T[:, :, None], thetas.T[:, None, :], u.box_lo, u.box_hi)
@@ -160,8 +168,8 @@ class _RadialContext:
         self.sigma_w = sigma_max[:, :, None] * uw[None, None, :]
         t_out = np.exp(self.sigma)
         y_out = xs[:, None, None, :] + t_out[..., None] * thetas[None, :, None, :]
-        self.u_out = u(y_out if u.dim == 2 else y_out[..., 0])
-        self.panels = len(bounds) - 1 + OUTER_PANELS
+        self.u_out = _sample(u, y_out)
+        self.panels = _INNER_BOUNDS.size - 1 + OUTER_PANELS
 
     def inner(self, weight_of_tau) -> np.ndarray:
         w = weight_of_tau(self.tau) * self.tau_w
@@ -198,8 +206,7 @@ class _LatticeContext:
         self.fft_len = next_fast_len(3 * n, real=True)
         self.coef_hat = rfft(self.coef, self.fft_len, axis=1)
 
-        bounds = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
-        self.tau, self.tau_w = panel_rule(bounds, PANEL_ORDER)
+        self.tau, self.tau_w = _INNER_TAU, _INNER_W
         t = np.exp(-self.tau)
         y = np.concatenate([t, -t])  # both directions, the tau nodes twice
         k = np.floor(y / h)
@@ -225,7 +232,7 @@ class _LatticeContext:
         j = np.repeat(np.floor(0.5 * (t_bounds[:-1] + t_bounds[1:]) / h), PANEL_ORDER)
         self.out_k = np.concatenate([j, -(j + 1)]).astype(np.intp) - self.kmin
         self.out_pow = np.concatenate([t_out - j * h, (j + 1) * h - t_out]) ** np.arange(4)[:, None]
-        self.panels = len(bounds) - 1 + t_bounds.size - 1
+        self.panels = _INNER_BOUNDS.size - 1 + t_bounds.size - 1
 
     def _correlate(self, weights, k, powers) -> np.ndarray:
         """sum_k S[p, k] D[p, i + k] with S[p, k] = sum of weights * powers[p] binned at k."""
@@ -251,13 +258,25 @@ class _LatticeContext:
         return self._correlate(np.concatenate([w, w]), self.out_k, self.out_pow)
 
 
-def _context(u: GridFunction, xs, n_angles: int):
-    """The lattice context for every node of a 1D grid (xs None), else the radial one."""
-    if xs is None:
-        if u.dim == 1:
-            return _LatticeContext(u)
-        xs = u.nodes()
-    return _RadialContext(u, xs, n_angles)
+def _evaluate(u: GridFunction, xs, n_angles: int, weight_of_tau, weight_of_sigma):
+    """inner(weight_of_tau) - outer(weight_of_sigma) and u at the points, with the panel count.
+
+    xs None on a 1D grid is one lattice context over every node.  Every other
+    request (explicit points, every node of a 2D grid) runs radial contexts
+    over chunks of at most _CHUNK_BYTES, each built and dropped before the
+    next; no value depends on its chunk.
+    """
+
+    def run(ctx):
+        return ctx.inner(weight_of_tau) - ctx.outer(weight_of_sigma), ctx.u0, ctx.panels
+
+    if xs is None and u.dim == 1:
+        return run(_LatticeContext(u))
+    xs = u.nodes() if xs is None else np.atleast_2d(np.asarray(xs, dtype=float))
+    per_chunk = max(1, _CHUNK_BYTES // _point_bytes(u.dim, n_angles))
+    parts = np.array_split(xs, max(1, math.ceil(xs.shape[0] / per_chunk)))
+    diffs, u0s, panels = zip(*[run(_RadialContext(u, part, n_angles)) for part in parts])
+    return np.concatenate(diffs), np.concatenate(u0s), panels[0]
 
 
 def _holder_bound_log(u: GridFunction, n: int, cut: float) -> float:
@@ -272,29 +291,30 @@ def _holder_bound_power(u: GridFunction, rate: float, cut: float) -> float:
     return omega(u.dim) * u.holder_constant * cut ** rate / rate
 
 
+def _log_term(u: GridFunction, xs, w, n_angles: int):
+    """sum_j w[j-1] K_j u at the points, u there, the Holder bound summed over the weights, the panels.
+
+    The kernel is the polynomial w in 2 tau inside B1 and in -2 sigma outside.
+    """
+    diff, u0, panels = _evaluate(u, xs, n_angles, lambda tau: polyval(2.0 * tau, w), lambda sig: polyval(-2.0 * sig, w))
+    bound = sum(abs(wj) * _holder_bound_log(u, j, INNER_CUT) for j, wj in enumerate(w, 1))
+    return diff, u0, bound, panels
+
+
 # ---------------------------------------------------------------------------
 # public operators
 
 
-def k_values_batch(orders, u: GridFunction, xs, n_angles: int = N_ANGLES):
-    """K_n u at many points for several orders n at once (shared samples)."""
-    ctx = _context(u, xs, n_angles)
-    values = {}
-    bounds = {}
-    for n in orders:
-        if n < 1:
-            raise PreconditionError("kernel order must be >= 1")
-        inner = ctx.inner(lambda tau: (2.0 * tau) ** (n - 1))
-        outer = ctx.outer(lambda sig: (-2.0 * sig) ** (n - 1))
-        values[n] = inner - outer
-        bounds[n] = _holder_bound_log(u, n, INNER_CUT)
-    return values, bounds, ctx
+def apply_K_batch(n: int, u: GridFunction, xs, n_angles: int = N_ANGLES):
+    """K_n u at many points: the log-kernel term on the weights of q_n."""
+    values, _, bound, panels = _log_term(u, xs, order_weights(n), n_angles)
+    return values, bound, panels
 
 
 def apply_K(n: int, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
     """K_n u(x) = int_{B1} (u(x)-u(y)) q_n dy - int_{|y-x|>1} u(y) q_n dy."""
-    values, bounds, ctx = k_values_batch([n], u, np.atleast_2d(x), n_angles)
-    return EvalReport(float(values[n][0]), bounds[n], ctx.panels)
+    values, bound, panels = apply_K_batch(n, u, np.atleast_2d(x), n_angles)
+    return EvalReport(float(values[0]), bound, panels)
 
 
 def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES):
@@ -302,13 +322,8 @@ def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None
     led = ledger if ledger is not None else alpha_coeffs(m, u.dim)
     if led.m != m or led.dim != u.dim:
         raise PreconditionError("ledger order/dimension mismatch")
-    ctx = _context(u, xs, n_angles)
-    w = led.alpha[1:]  # the combined kernel, a polynomial in 2 tau inside B1 and -2 sigma outside
-    inner = ctx.inner(lambda tau: polyval(2.0 * tau, w))
-    outer = ctx.outer(lambda sig: polyval(-2.0 * sig, w))
-    total = led.alpha[0] * ctx.u0 + (inner - outer)
-    bound = sum(abs(led.alpha[j]) * _holder_bound_log(u, j, INNER_CUT) for j in range(1, m + 1))
-    return total, bound, ctx.panels
+    diff, u0, bound, panels = _log_term(u, xs, led.alpha[1:], n_angles)
+    return led.alpha[0] * u0 + diff, bound, panels
 
 
 def apply_L(m: int, u: GridFunction, x, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES) -> EvalReport:
@@ -324,13 +339,11 @@ def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
         raise PreconditionError(
             "declared Holder exponent must exceed 2s for the split singular integral"
         )
-    ctx = _context(u, xs, n_angles)
+    diff, u0, panels = _evaluate(u, xs, n_angles, lambda tau: np.exp(2.0 * s * tau), lambda sig: np.exp(-2.0 * s * sig))
     c = c_ns(s, u.dim)
-    inner = ctx.inner(lambda tau: np.exp(2.0 * s * tau))
-    outer = ctx.outer(lambda sig: np.exp(-2.0 * s * sig))
-    values = c * (inner - outer) + kappa2_frac(s, u.dim) * ctx.u0
+    values = c * diff + kappa2_frac(s, u.dim) * u0
     bound = abs(c) * _holder_bound_power(u, u.holder_exponent - 2.0 * s, INNER_CUT)
-    return values, bound, ctx.panels
+    return values, bound, panels
 
 
 def frac_lap(s: float, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
@@ -342,14 +355,12 @@ def riesz_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """Phi_s * u via the compensated split kappa_{N,s} I-integral + kappa2(s) u(x)."""
     if not 0.0 < s < u.dim / 2.0:
         raise PreconditionError("Riesz order must lie in (0, N/2)")
-    ctx = _context(u, xs, n_angles)
+    diff, u0, panels = _evaluate(u, xs, n_angles, lambda tau: np.exp(-2.0 * s * tau), lambda sig: np.exp(2.0 * s * sig))
     kap = kappa_ns(s, u.dim)
-    # I[u](x, y) = u(y) - u(x) inside B_1: sign-flipped inner difference
-    inner = -ctx.inner(lambda tau: np.exp(-2.0 * s * tau))
-    outer = ctx.outer(lambda sig: np.exp(2.0 * s * sig))
-    values = kap * (inner + outer) + kappa2_riesz(s, u.dim) * ctx.u0
+    # I[u](x, y) = u(y) - u(x) inside B_1: the sign-flipped inner difference
+    values = kap * -diff + kappa2_riesz(s, u.dim) * u0
     bound = kap * _holder_bound_power(u, u.holder_exponent + 2.0 * s, INNER_CUT)
-    return values, bound, ctx.panels
+    return values, bound, panels
 
 
 def riesz(s: float, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
@@ -386,8 +397,8 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
 
     thetas, th_w = _directions(u.dim, n_angles)
     _, exit_t = ray_box(x, thetas.T, u.box_lo, u.box_hi)
-    u0 = float(u(x if u.dim == 2 else x[0]))
-    tau_max = -math.log(INNER_CUT)
+    u0 = float(_sample(u, x))
+    w = order_weights(m)
 
     total = 0.0
     h_term = 0.0
@@ -418,35 +429,30 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
                 if not inside:
                     raise PreconditionError("x must be interior to the domain")
                 tau_lo = -math.log(min(hi, 1.0))
-                bnds = dyadic_log_panels(tau_max, MAX_DECADES)
-                bnds = np.unique(np.concatenate([[tau_lo], bnds[bnds > tau_lo + 1e-15], [tau_max]]))
+                bnds = np.unique(np.concatenate([[tau_lo], _INNER_BOUNDS[_INNER_BOUNDS > tau_lo + 1e-15]]))
                 nodes, wts = panel_rule(bnds, PANEL_ORDER)
-                t_nodes = np.exp(-nodes)
-                vals = u(x[None, :] + t_nodes[:, None] * theta[None, :]) if u.dim == 2 else u(x[0] + t_nodes * theta[0])
-                total += th_w[it] * float(np.sum((u0 - vals) * (2.0 * nodes) ** (m - 1) * wts))
-                panels += len(bnds) - 1
+                t_nodes, kernel = np.exp(-nodes), polyval(2.0 * nodes, w)
             else:
                 nodes, wts = _segment_panels(lo, hi)
-                t_nodes = np.exp(nodes)
-                vals = u(x[None, :] + t_nodes[:, None] * theta[None, :]) if u.dim == 2 else u(x[0] + t_nodes * theta[0])
-                f = (u0 - vals) if inside else (-vals)
-                total += th_w[it] * float(np.sum(f * (-2.0 * nodes) ** (m - 1) * wts))
-                panels += len(wts) // PANEL_ORDER
+                t_nodes, kernel = np.exp(nodes), polyval(-2.0 * nodes, w)
+            vals = _sample(u, x + t_nodes[:, None] * theta)
+            f = (u0 - vals) if inside else (-vals)
+            total += th_w[it] * float(np.sum(f * kernel * wts))
+            panels += len(wts) // PANEL_ORDER
 
-        h_term += th_w[it] * _ray_h(m, segs)
+        h_term += th_w[it] * _ray_h(w, segs)
 
     value = total + h_term * u0
     bound = _holder_bound_log(u, m, INNER_CUT)
     return EvalReport(float(value), bound, panels)
 
 
-def _ray_h(m: int, segs) -> float:
+def _ray_h(w, segs) -> float:
     """One ray's share of h_{m,Omega}: int over (B1 \\ Omega) minus (Omega \\ B1) of q_m t^(N-1) dt.
 
-    segs are the sorted domain segments of the ray; the radial parts are
-    closed-form antiderivatives.
+    w is the weight vector of q_m; segs are the sorted domain segments of
+    the ray; the radial parts are closed-form antiderivatives.
     """
-    w = order_weights(m)
     ray_h = 0.0
     # B1 \ Omega: complement segments within (0, 1)
     prev = 0.0
@@ -471,9 +477,10 @@ def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES
     """h_{m,Omega}(x) alone (closed-form radial parts, angular quadrature in 2D)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     thetas, th_w = _directions(dim, n_angles)
+    w = order_weights(m)
     total = 0.0
-    for w, segs in zip(th_w, domain.ray_segments(x, thetas)):
-        total += w * _ray_h(m, segs)
+    for weight, segs in zip(th_w, domain.ray_segments(x, thetas)):
+        total += weight * _ray_h(w, segs)
     return float(total)
 
 

@@ -125,8 +125,9 @@ def test_apply_quad_vs_fft_agree(bump_file, tmp_path):
 
 
 def test_apply_quad_chunks_stay_under_byte_budget(tmp_path, monkeypatch):
-    # only the 2D per-point path chunks; a 1D grid is one lattice convolution
-    from loglap import cli, pointwise
+    # a 2D grid goes to pointwise in one batch per thread, which pointwise
+    # splits into chunks of its byte budget; a 1D grid is one lattice convolution
+    from loglap import pointwise
 
     x = np.linspace(-1.0, 1.0, 5)
     vals = ((1.0 - x[:, None] ** 2) * (1.0 - x[None, :] ** 2)) ** 2  # zero on the box faces
@@ -136,19 +137,18 @@ def test_apply_quad_chunks_stay_under_byte_budget(tmp_path, monkeypatch):
     src.write_text(json.dumps(grid_to_dict(u)))
     sizes = []
     batch = pointwise.apply_L_batch
+    whole, _, _ = batch(2, u, u.nodes())
 
     def spy(m, u, xs, **opts):
         sizes.append(len(xs))
         return batch(m, u, xs, **opts)
 
     monkeypatch.setattr(pointwise, "apply_L_batch", spy)
-    monkeypatch.setattr(cli, "_QUAD_CHUNK_BYTES", 6 * pointwise.quad_point_bytes(2))
+    monkeypatch.setattr(pointwise, "_CHUNK_BYTES", 6 * pointwise._point_bytes(2, pointwise.N_ANGLES))
     out, side = tmp_path / "L.json", tmp_path / "L.side.json"
     assert main(["--threads", "2", "apply", "--op", "L", "--m", "2", "--method", "quad",
                  "--grid", str(src), "--out", str(out), "--sidecar", str(side)]) == 0
-    assert sum(sizes) == u.values.size and len(sizes) > 2
-    assert max(sizes) * pointwise.quad_point_bytes(2) <= cli._QUAD_CHUNK_BYTES
-    whole, _, _ = batch(2, u, u.nodes())
+    assert sum(sizes) == u.values.size and len(sizes) == 2
     assert np.array_equal(np.array(json.loads(out.read_text())["values"]), whole)
     sidecar = json.loads(side.read_text())
     assert sidecar["path"] == "pointwise" and sidecar["nodes"] == u.values.size
@@ -267,17 +267,6 @@ def test_outputs_deterministic(tmp_path):
     main(["coeffs", "--dim", "1", "--order", "2", "--out", str(a)])
     main(["coeffs", "--dim", "1", "--order", "2", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_env_fallback(bump_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("LOGLAP_THREADS", "2")
-    out = tmp_path / "t.json"
-    assert main(["apply", "--op", "L", "--m", "1", "--method", "quad",
-                 "--grid", str(bump_file), "--out", str(out)]) == 0
-    monkeypatch.setenv("LOGLAP_THREADS", "nope")
-    code = main(["apply", "--op", "L", "--m", "1", "--method", "quad",
-                 "--grid", str(bump_file), "--out", str(out)])
-    assert code == 3
 
 
 def test_seventeen_digit_csv(tmp_path):

@@ -1,6 +1,7 @@
 """Singular quadrature operators vs closed forms, identities, and the FFT oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from loglap.grid import GridFunction, estimate_holder_constant, gaussian_bump, g
 from loglap.pointwise import (
     _jump_positions,
     apply_K,
+    apply_K_batch,
     apply_L,
     apply_L_batch,
     frac_lap,
     frac_lap_batch,
     h_regional,
-    k_values_batch,
     regional_repr,
     riesz,
     riesz_batch,
@@ -93,11 +94,11 @@ def test_k_linearity(bump):
     a, b = rng.uniform(-2, 2, 2)
     combo = bump.with_values(a * bump.values + b * other.values)
     xs = np.array([[0.1], [-0.4], [1.3]])
-    v_combo, _, _ = k_values_batch([2], combo, xs)
-    v_u, _, _ = k_values_batch([2], bump, xs)
-    v_w, _, _ = k_values_batch([2], other, xs)
-    scale = np.max(np.abs(v_combo[2])) + 1.0
-    assert np.allclose(v_combo[2], a * v_u[2] + b * v_w[2], rtol=0, atol=1e-12 * scale)
+    v_combo, _, _ = apply_K_batch(2, combo, xs)
+    v_u, _, _ = apply_K_batch(2, bump, xs)
+    v_w, _, _ = apply_K_batch(2, other, xs)
+    scale = np.max(np.abs(v_combo)) + 1.0
+    assert np.allclose(v_combo, a * v_u + b * v_w, rtol=0, atol=1e-12 * scale)
 
 
 def test_k_outside_box_rejected(bump):
@@ -165,16 +166,16 @@ def test_l2_remark_coefficient_swap_disagrees_with_symbol(bump):
     ref = apply_symbol(bump, "log", 2)
     scale = np.max(np.abs(ref.values))
     ser = kappa_series(1, 2)
-    values, _, ctx = k_values_batch([1, 2], bump, xs)
+    k1, k2, u0 = apply_K_batch(1, bump, xs)[0], apply_K_batch(2, bump, xs)[0], bump(xs[:, 0])
     ledger_path = (
-        ser.kappa2_deriv(2) * ctx.u0
-        - 2.0 * ser.kappa1_deriv(1) * values[1]
-        + 2.0 * ser.kappa1_deriv(0) * values[2]
+        ser.kappa2_deriv(2) * u0
+        - 2.0 * ser.kappa1_deriv(1) * k1
+        + 2.0 * ser.kappa1_deriv(0) * k2
     )
     swapped_path = (
-        ser.kappa2_deriv(2) * ctx.u0
-        + 2.0 * ser.kappa1_deriv(0) * values[1]
-        - 2.0 * ser.kappa1_deriv(1) * values[2]
+        ser.kappa2_deriv(2) * u0
+        + 2.0 * ser.kappa1_deriv(0) * k1
+        - 2.0 * ser.kappa1_deriv(1) * k2
     )
     assert np.max(np.abs(ledger_path - ref.values[idx])) / scale < 1e-3
     assert np.max(np.abs(swapped_path - ref.values[idx])) / scale > 1e-2
@@ -317,7 +318,7 @@ def test_regional_2d_disk_matches_apply_k():
 
 
 LATTICE_OPS = {
-    "K2": lambda u, xs: k_values_batch([2], u, xs)[0][2],
+    "K2": lambda u, xs: apply_K_batch(2, u, xs)[0],
     "L1": lambda u, xs: apply_L_batch(1, u, xs)[0],
     "L2": lambda u, xs: apply_L_batch(2, u, xs)[0],
     "L3": lambda u, xs: apply_L_batch(3, u, xs)[0],
@@ -378,6 +379,35 @@ def test_none_in_2d_means_every_node():
     every, _, _ = apply_L_batch(1, u, None, n_angles=8)
     explicit, _, _ = apply_L_batch(1, u, u.nodes(), n_angles=8)
     assert np.array_equal(every, explicit)
+
+
+@pytest.mark.parametrize("nodes", [5, 7])
+def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, nodes):
+    # every node of a 2D grid in chunks of 6 points (at least 4 chunks): the
+    # traced peak stays near one chunk's budget whatever the node count, and
+    # the values are those of one whole batch, bit for bit
+    u = gaussian_bump(dim=2, halfwidth=1.0, nodes=nodes, width=0.5)
+    whole, _, _ = apply_L_batch(2, u, u.nodes(), n_angles=16)  # one chunk; builds the spline
+    budget = 6 * pointwise._point_bytes(2, 16)
+    assert pointwise._CHUNK_BYTES >= u.values.size * pointwise._point_bytes(2, 16)
+    monkeypatch.setattr(pointwise, "_CHUNK_BYTES", budget)
+    built = []
+    context = pointwise._RadialContext
+
+    def spy(u, xs, n_angles):
+        built.append(len(xs))
+        return context(u, xs, n_angles)
+
+    monkeypatch.setattr(pointwise, "_RadialContext", spy)
+    tracemalloc.start()
+    try:
+        chunked, _, _ = apply_L_batch(2, u, None, n_angles=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) >= 4 and max(built) <= 6 and sum(built) == u.values.size
+    assert peak <= 1.25 * budget
+    assert np.array_equal(chunked, whole)
 
 
 # ---------------------------------------------------------------------------
