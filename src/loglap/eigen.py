@@ -54,12 +54,14 @@ by admissibility into three classes:
   key (_orbits).
 
 Self-energies of unclipped cells are closed forms, computed once per cell
-class; those of clipped cells once per orbit, as the near pairs.
+class; those of clipped cells once per orbit, as the near pairs.  All of
+these rules share one core: Gauss panels from quadrature.panel_rule,
+angular panels split at kink directions from quadrature.angle_rule, and
+radial pieces in the closed form of kernels._profile_integral.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,15 +72,15 @@ from .coeffs import CoeffLedger
 from .domains import Disk, Interval, Mesh, mesh_intervals, mesh_rectangles, ray_box, ray_disk
 from .errors import NumericalError, PreconditionError
 from .kernels import (
+    _profile_integral,
     cell_pair_tent_integral,
     cell_self_energy_1d,
     cell_self_energy_2d,
     combined_kernel,
     order_weights,
-    radial_antiderivative,
     rect_pair_integral_2d,
 )
-from .quadrature import _gauss_unit
+from .quadrature import angle_rule, panel_rule
 
 _FORM_KINDS = ("I", "G", "Q")
 _ROW_BLOCK = 256  # rows per block of the residual check's |K| row sums
@@ -164,10 +166,8 @@ def _sub_boxes(cell, grade):
 
 def _box_gauss(boxes, order):
     """order x order tensor Gauss points and weights, each (K, order^2), on K boxes."""
-    g, gw = _gauss_unit(order)
-    side = boxes[:, 2:4] - boxes[:, :2]
-    x, y = boxes[:, :1] + side[:, :1] * g, boxes[:, 1:2] + side[:, 1:2] * g
-    wts = (side[:, :1] * gw)[:, :, None] * (side[:, 1:2] * gw)[:, None, :]
+    (x, wx), (y, wy) = panel_rule(boxes[:, [0, 2]], order), panel_rule(boxes[:, [1, 3]], order)
+    wts = wx[:, :, None] * wy[:, None, :]
     return np.repeat(x, order, axis=1), np.tile(y, order), wts.reshape(len(boxes), -1)
 
 
@@ -215,22 +215,21 @@ def _chord_rule(boxes, disk: Disk, order):
     s0, s1 = (np.sqrt(np.maximum((r - abs(v - cv)) * (r + abs(v - cv)), 0.0)) for v in (v0, v1))
     cand = np.stack([u0, u1, cu - r, cu + r, cu - s0, cu + s0, cu - s1, cu + s1], axis=1)
     bounds = np.sort(np.clip(cand, u0[:, None], u1[:, None]), axis=1)
-    p0, p1 = bounds[:, :-1, None], bounds[:, 1:, None]
-    g, gw = _gauss_unit(order)
+    p0, p1 = bounds[:, :-1, None], bounds[:, 1:, None]  # (K, 7, 1): one row per panel
     # Gauss in sigma = sqrt(|u - e|) from the nearer extreme e, where s(u) = sigma sqrt(2r - sigma^2) is smooth
     side = np.where(p0 + p1 < 2.0 * cu[:, None, None], 1.0, -1.0)
     e = cu[:, None, None] - side * r
-    sig0, sig1 = (np.sqrt(np.maximum(side * (p - e), 0.0)) for p in (p0, p1))
-    sig = np.minimum(sig0, sig1) + np.abs(sig1 - sig0) * g
+    sig = np.concatenate([np.sqrt(np.maximum(side * (p - e), 0.0)) for p in (p0, p1)], axis=2)
+    sig, wsig = panel_rule(np.sort(sig, axis=2), order)
     u = e + side * sig * sig
-    wu = 2.0 * sig * np.abs(sig1 - sig0) * gw
+    wu = 2.0 * sig * wsig
     du = np.abs(u - cu[:, None, None])
     s = np.sqrt(np.maximum((r - du) * (r + du), 0.0))
     v_lo = np.maximum(v0[:, None, None], cv[:, None, None] - s)
-    chord = np.maximum(np.minimum(v1[:, None, None], cv[:, None, None] + s) - v_lo, 0.0)
-    v = v_lo[..., None] + chord[..., None] * g
+    v_hi = np.maximum(np.minimum(v1[:, None, None], cv[:, None, None] + s), v_lo)  # empty chords: zero width
+    v, wv = panel_rule(np.stack([v_lo, v_hi], axis=-1), order)
     u = np.broadcast_to(u[..., None], v.shape)
-    wts = (wu * chord)[..., None] * gw
+    wts = wu[..., None] * wv
     flip = swap[:, None, None, None]
     shape = (len(boxes), -1)
     return np.where(flip, v, u).reshape(shape), np.where(flip, u, v).reshape(shape), wts.reshape(shape)
@@ -271,43 +270,17 @@ def _wedge_rule(px, py, cell, order, extra=((), ())):
     points (xs, ys) split it too: for a cell clipped to the disk, where the
     exit switches between a box face and the circle (_circle_crossings).
     """
-    cx = np.array([cell[0], cell[0], cell[2], cell[2], *extra[0]])
-    cy = np.array([cell[1], cell[3], cell[1], cell[3], *extra[1]])
+    cx, cy = np.concatenate([cell[[0, 0, 2, 2]], extra[0]]), np.concatenate([cell[[1, 3, 1, 3]], extra[1]])
     ctr = np.arctan2(0.5 * (cell[1] + cell[3]) - py, 0.5 * (cell[0] + cell[2]) - px)
-    raw = np.arctan2(cy[None, :] - py[:, None], cx[None, :] - px[:, None])
-    rel = np.sort((raw - ctr[:, None] + math.pi) % (2.0 * math.pi) - math.pi, axis=1)
-    g, w = _gauss_unit(order)
-    lo = rel[:, :-1]
-    width = np.diff(rel, axis=1)
-    phi = ctr[:, None, None] + lo[:, :, None] + width[:, :, None] * g[None, None, :]
-    wts = width[:, :, None] * w[None, None, :]
-    return phi.reshape(px.size, -1), wts.reshape(px.size, -1)
-
-
-def _arc_rule(px, py, cell, order):
-    """Angular Gauss nodes over the full circle, split at the own-cell corners."""
-    cx = np.array([cell[0], cell[0], cell[2], cell[2]])
-    cy = np.array([cell[1], cell[3], cell[1], cell[3]])
-    raw = np.sort(np.arctan2(cy[None, :] - py[:, None], cx[None, :] - px[:, None]), axis=1)
-    bounds = np.concatenate([raw, raw[:, :1] + 2.0 * math.pi], axis=1)
-    g, w = _gauss_unit(order)
-    lo = bounds[:, :-1]
-    width = np.diff(bounds, axis=1)
-    phi = lo[:, :, None] + width[:, :, None] * g[None, None, :]
-    wts = width[:, :, None] * w[None, None, :]
-    return phi.reshape(px.size, -1), wts.reshape(px.size, -1)
+    return angle_rule(cx - px[:, None], cy - py[:, None], order, ref=ctr)
 
 
 def _radial_segment(w, t_in, t_out, lo, hi):
+    """int_{t_in}^{t_out} p(-2 ln t) dt / t per ray, the segment clipped to [lo, hi]."""
     a = np.clip(t_in, lo, hi)
     b = np.clip(t_out, lo, hi)
-    good = b > a
-    return np.where(
-        good,
-        radial_antiderivative(w, np.where(good, b, 1.0))
-        - radial_antiderivative(w, np.where(good, a, 1.0)),
-        0.0,
-    )
+    good = b > a  # other rays get the empty piece [1, 1]
+    return _profile_integral(w, np.where(good, a, 1.0), np.where(good, b, 1.0), 1.0, 0.0, 0.0)
 
 
 def _cell_span(p, d, cell, disk):
@@ -331,7 +304,7 @@ def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi, order=10):
         x, y = px[s : s + step], py[s : s + step]
         phi, wts = _wedge_rule(x, y, target_cell, order, extra)
         t_in, t_out = _cell_span((x[:, None], y[:, None]), (np.cos(phi), np.sin(phi)), target_cell, disk)
-        out[s : s + step] = np.sum(_radial_segment(w, np.maximum(t_in, 0.0), t_out, lo, hi) * wts, axis=1)
+        out[s : s + step] = np.sum(_radial_segment(w, t_in, t_out, lo, hi) * wts, axis=1)
     return out
 
 
@@ -339,12 +312,10 @@ def _self_energy_2d(w, cell, disk, cutoff, order=8, angle_order=10):
     px, py, pw = (a.ravel() for a in _box_gauss(np.array([cell[:4]]), order))
     inside = (px - disk.cx) ** 2 + (py - disk.cy) ** 2 <= disk.r ** 2  # box Gauss points in the disk
     px, py, pw = px[inside], py[inside], pw[inside]
-    phi, wts = _arc_rule(px, py, cell, angle_order)
+    phi, wts = angle_rule(cell[[0, 0, 2, 2]] - px[:, None], cell[[1, 3, 1, 3]] - py[:, None], angle_order)
     _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
-    exit_t = np.clip(t_out, 1e-300, cutoff)
-    # a combined kernel may be negative between its positivity radius and one
-    seg = radial_antiderivative(w, cutoff) - radial_antiderivative(w, exit_t)
-    inner = np.sum(seg * wts, axis=1)
+    # from the exit to the cutoff: a combined kernel may be negative between its positivity radius and one
+    inner = np.sum(_radial_segment(w, t_out, cutoff, 1e-300, cutoff) * wts, axis=1)
     return 2.0 * float(np.sum(inner * pw))
 
 

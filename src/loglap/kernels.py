@@ -28,7 +28,7 @@ from numpy.polynomial.polynomial import polyint, polyval
 
 from .coeffs import CoeffLedger, omega
 from .errors import PreconditionError
-from .quadrature import _gauss_unit, panel_rule
+from .quadrature import angle_rule, panel_rule
 
 _ROOT_TAU_MAX = 200.0  # roots beyond tau=200 mean t < e^-100: numerically zero
 
@@ -179,18 +179,36 @@ def log_moment(w, h, p: int = 0) -> float | np.ndarray:
     return sum(wk * 2.0 ** k * incomplete_log_integral(k, h, p) for k, wk in enumerate(np.atleast_1d(w)) if wk)
 
 
+def _profile_integral(w, ta, tb, alpha, beta, gamma) -> np.ndarray:
+    """int_ta^tb (alpha + beta t + gamma t^2) p(-2 ln t) dt / t in closed form.
+
+    alpha [A] + beta [M0] + gamma [M1] over [ta, tb], with A the radial
+    antiderivative and M0, M1 the log moments with p = 0 and p = 1.  A piece
+    from ta = 0 must have alpha = 0 (it would diverge), and its alpha part
+    is dropped.  Needs tb > 0.  A coefficient passed as the scalar 0 skips
+    its closed form.
+    """
+    ta = np.asarray(ta, dtype=float)
+    out = 0.0
+    if np.ndim(alpha) or alpha:
+        out = alpha * (radial_antiderivative(w, tb) - radial_antiderivative(w, np.where(ta > 0.0, ta, tb)))
+    for p, coef in ((0, beta), (1, gamma)):
+        if np.ndim(coef) or coef:
+            out = out + coef * (log_moment(w, tb, p) - log_moment(w, ta, p))
+    return out
+
+
 def _linear_weighted_piece(w, g, su, sv, e, d, lo: float, hi: float) -> np.ndarray:
     """int ell(t) t^(-1) p(-2 ln t) dt over t = g + s, su <= s <= sv, clipped to [lo, hi].
 
     The profile is ell = e + d (s - su), linear in the offset s from the
     anchor g.  The piece's width and its profile at the start are formed in
     s, so rounding of the anchor only moves the piece, it does not reshape
-    it.  As ell(t) = c + d t, the constant part uses the radial
-    antiderivative, the linear part the moment; pieces with c = 0 tolerate a
-    start at t = 0.  On a piece far from the origin (width <= u/4 at start
-    u) both parts are about t (v - u) and cancel to a result of about
-    (v - u)^2, so it is integrated by an 8-point Gauss rule instead, whose
-    error there is far below rounding.
+    it.  As ell(t) = c + d t, the piece is a profile integral; pieces with
+    c = 0 tolerate a start at t = 0.  On a piece far from the origin
+    (width <= u/4 at start u) its two parts are about t (v - u) and cancel
+    to a result of about (v - u)^2, so it is integrated by an 8-point Gauss
+    rule instead, whose error there is far below rounding.
     """
     g = np.asarray(g, dtype=float)
     s0 = np.maximum(su, lo - g)
@@ -200,21 +218,12 @@ def _linear_weighted_piece(w, g, su, sv, e, d, lo: float, hi: float) -> np.ndarr
     width = np.where(live, s1 - s0, 0.0)
     e0 = e + d * (s0 - su)  # profile at the clipped start
     u = np.where(live, g + s0, 1.0)  # dead pieces get a harmless finite filler
-    v = u + width
-    c = e0 - d * u
-    const_part = np.where(
-        c != 0.0,
-        c * (radial_antiderivative(w, v) - radial_antiderivative(w, np.where(u > 0, u, 1.0))),
-        0.0,
-    )
-    # c != 0 with u = 0 would be a divergent integral; callers never build it
-    lin_part = d * (log_moment(w, v) - log_moment(w, u))
-    nodes, gw = _gauss_unit(8)
-    t = u[..., None] + width[..., None] * nodes
-    ell = e0[..., None] + (d * width)[..., None] * nodes
-    gauss = width * ((ell / t * polyval(-2.0 * np.log(t), w)) @ gw)
+    closed = _profile_integral(w, u, u + width, e0 - d * u, d, 0.0)
+    s, sw = panel_rule(np.stack([np.zeros_like(width), width], axis=-1), 8)  # offsets from u
+    t = u[..., None] + s
+    gauss = np.sum((e0[..., None] + d[..., None] * s) / t * polyval(-2.0 * np.log(t), w) * sw, axis=-1)
     far = (u > 0.0) & (width <= 0.25 * u)
-    return np.where(live, np.where(far, gauss, const_part + lin_part), 0.0)
+    return np.where(live, np.where(far, gauss, closed), 0.0)
 
 
 def cell_pair_tent_integral(w, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarray:
@@ -264,25 +273,18 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     if lo <= 0.0 and _overlap_1d(0.0, ax0, ax1, bx0, bx1) * _overlap_1d(0.0, ay0, ay1, by0, by1) > 1e-14:
         raise PreconditionError("overlapping boxes diverge under the singular kernel")
 
-    angs = {0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi}
-    for bx in breaks_x:
-        for by in breaks_y:
-            if bx != 0.0 or by != 0.0:
-                angs.add(math.atan2(by, bx) % (2.0 * math.pi))
+    # kinks: the breakpoint grid (its origin adds nothing), the axes, the clip circles' crossings
+    kx = [bx for _ in breaks_y for bx in breaks_x] + [1.0, 0.0, -1.0, 0.0]
+    ky = [by for by in breaks_y for _ in breaks_x] + [0.0, 1.0, 0.0, -1.0]
     for r in (lo, hi):
-        if not 0.0 < r < math.inf:
-            continue
-        for bx in breaks_x:
-            if abs(bx) <= r:
-                a = math.acos(max(min(bx / r, 1.0), -1.0))
-                angs.update({a % (2 * math.pi), (-a) % (2 * math.pi)})
-        for by in breaks_y:
-            if abs(by) <= r:
-                a = math.asin(max(min(by / r, 1.0), -1.0))
-                angs.update({a % (2 * math.pi), (math.pi - a) % (2 * math.pi)})
-    bounds = np.array(sorted(angs))
-    bounds = np.concatenate([bounds, [bounds[0] + 2.0 * math.pi]])
-    phi, wphi = panel_rule(bounds, order)
+        if 0.0 < r < math.inf:
+            for bx in (b for b in breaks_x if abs(b) <= r):
+                h = math.sqrt((r - bx) * (r + bx))
+                kx, ky = kx + [bx, bx], ky + [h, -h]
+            for by in (b for b in breaks_y if abs(b) <= r):
+                h = math.sqrt((r - by) * (r + by))
+                kx, ky = kx + [h, -h], ky + [by, by]
+    phi, wphi = angle_rule(np.array(kx) + 0.0, np.array(ky) + 0.0, order)  # + 0.0 turns -0.0 into 0.0
     c, s = np.cos(phi), np.sin(phi)
 
     # positive radial crossings of all tent breakpoints, clipped to [lo, hi]
@@ -302,7 +304,7 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     grid = np.stack([np.clip(cr, lo, hi_eff) for cr in cross] + [np.full_like(phi, lo), hi_eff], axis=1)
     grid = np.sort(grid, axis=1)
 
-    ta, tb = grid[:, :-1], grid[:, 1:]
+    ta, tb = np.ascontiguousarray(grid[:, :-1]), np.ascontiguousarray(grid[:, 1:])
     live = tb - ta > 1e-12 * tb
     # two-point fit recovers the exact linear tent coefficients per piece
     t1 = ta + 0.25 * (tb - ta)
@@ -320,14 +322,8 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     beta = cx * dys + cy * dxc
     gamma = dxc * dys
 
-    ta_safe = np.maximum(ta, 1e-150)
     alpha = np.where(ta <= 1e-150, 0.0, alpha)  # disjointness makes this exact
-    tb_safe = np.maximum(tb, 1e-150)
-    piece = (
-        alpha * (radial_antiderivative(w, tb_safe) - radial_antiderivative(w, ta_safe))
-        + beta * (log_moment(w, tb_safe) - log_moment(w, ta_safe))
-        + gamma * (log_moment(w, tb_safe, p=1) - log_moment(w, ta_safe, p=1))
-    )
+    piece = _profile_integral(w, ta, np.maximum(tb, 1e-150), alpha, beta, gamma)
     return float(np.sum(np.where(live, piece, 0.0).sum(axis=1) * wphi))
 
 
@@ -345,23 +341,21 @@ def cell_self_energy_2d(w, a: float, b: float, cutoff: float = 1.0, order: int =
         raise PreconditionError("cutoff radius must lie in (0, 1]")
     if math.hypot(a, b) > cutoff:
         raise PreconditionError("cell diameter exceeds the kernel cutoff")
-    breaks = {0.0, math.pi / 2.0, math.atan2(b, a)}
+    # kinks in the first quadrant: the axes, the corner (a, b) and the cutoff crossings
+    kx, ky = [a, 0.0, a], [0.0, b, b]
     if a < cutoff:
-        breaks.add(math.acos(a / cutoff))
+        kx, ky = kx + [a], ky + [math.sqrt((cutoff - a) * (cutoff + a))]
     if b < cutoff:
-        breaks.add(math.asin(b / cutoff))
-    bounds = np.array(sorted(breaks))
-    phi, wts = panel_rule(bounds, order)
+        kx, ky = kx + [math.sqrt((cutoff - b) * (cutoff + b))], ky + [b]
+    phi, wts = angle_rule(np.array(kx), np.array(ky), order, ref=0.0)
     c, s = np.cos(phi), np.sin(phi)
     with np.errstate(divide="ignore"):
         t_a = np.where(c > 0, a / np.where(c > 0, c, 1.0), np.inf)
         t_b = np.where(s > 0, b / np.where(s > 0, s, 1.0), np.inf)
     t_star = np.minimum(np.minimum(t_a, t_b), cutoff)
-    lin = (a * s + b * c) * log_moment(w, t_star)
-    quad = c * s * log_moment(w, t_star, p=1)
-    tail = a * b * (radial_antiderivative(w, cutoff) - radial_antiderivative(w, t_star))
-    tail = np.where(t_star < cutoff, tail, 0.0)
-    integrand = lin - quad + tail
+    # profile ab - (a - t c)(b - t s) up to the box exit t_star, ab beyond
+    integrand = _profile_integral(w, 0.0, t_star, 0.0, a * s + b * c, -c * s)
+    integrand = integrand + _profile_integral(w, t_star, cutoff, a * b, 0.0, 0.0)
     # quadrant symmetry of |z1|, |z2| gives the factor four
     return float(4.0 * np.sum(integrand * wts))
 

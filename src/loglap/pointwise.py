@@ -52,7 +52,7 @@ from .domains import DomainSpec, ray_box
 from .errors import PreconditionError
 from .grid import GridFunction
 from .kernels import order_weights, radial_antiderivative
-from .quadrature import dyadic_log_panels, panel_rule, uniform_panels
+from .quadrature import dyadic_log_panels, panel_rule
 
 INNER_CUT = 1e-8
 PANEL_ORDER = 16
@@ -163,7 +163,7 @@ class _RadialContext:
         # outer: per-(x, theta) panels in sigma = ln t up to the box exit
         _, exit_t = ray_box(xs.T[:, :, None], thetas.T[:, None, :], u.box_lo, u.box_hi)
         sigma_max = np.log(np.maximum(exit_t, 1.0))
-        un, uw = panel_rule(uniform_panels(0.0, 1.0, OUTER_PANELS), PANEL_ORDER)
+        un, uw = panel_rule(np.linspace(0.0, 1.0, OUTER_PANELS + 1), PANEL_ORDER)
         self.sigma = sigma_max[:, :, None] * un[None, None, :]
         self.sigma_w = sigma_max[:, :, None] * uw[None, None, :]
         t_out = np.exp(self.sigma)
@@ -171,13 +171,14 @@ class _RadialContext:
         self.u_out = _sample(u, y_out)
         self.panels = _INNER_BOUNDS.size - 1 + OUTER_PANELS
 
+    # sums along fixed axes, in an order that does not depend on the number of points
     def inner(self, weight_of_tau) -> np.ndarray:
         w = weight_of_tau(self.tau) * self.tau_w
-        return np.einsum("xtq,q,t->x", self.diff_in, w, self.th_w)
+        return np.sum(np.sum(self.diff_in * w, axis=2) * self.th_w, axis=1)
 
     def outer(self, weight_of_sigma) -> np.ndarray:
         integ = weight_of_sigma(self.sigma) * self.sigma_w * self.u_out
-        return np.einsum("xtq,t->x", integ, self.th_w)
+        return np.sum(np.sum(integ, axis=2) * self.th_w, axis=1)
 
 
 class _LatticeContext:
@@ -376,7 +377,7 @@ def _segment_panels(a: float, b: float):
     """Log-coordinate panels on a radial segment [a, b], a > 0: six per unit of ln t."""
     la, lb = math.log(a), math.log(b)
     n = max(2, int(math.ceil((lb - la) * 6)))
-    return panel_rule(uniform_panels(la, lb, n), PANEL_ORDER)
+    return panel_rule(np.linspace(la, lb, n + 1), PANEL_ORDER)
 
 
 def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int = N_ANGLES) -> EvalReport:

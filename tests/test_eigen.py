@@ -700,14 +700,14 @@ def test_2d_whole_domain_energy_cross_check():
 
 def test_2d_far_pair_convolution_matches_tensor_gauss():
     from loglap.eigen import _pair_values_2d
-    from loglap.quadrature import panel_rule, uniform_panels
+    from loglap.quadrature import panel_rule
 
     dom = DomainSpec(2, (Rect(0, 0, 0.3, 0.3), Rect(1.4, 0.0, 1.7, 0.3)))
     mesh = mesh_rectangles(dom, 0.3)
     targets = np.arange(1, mesh.n_cells)  # the far rect may mesh into several cells
     A = _pair_values_2d(order_weights(1), mesh, np.zeros_like(targets), targets, 1.0, np.inf, order=10)
-    n1, w1 = panel_rule(uniform_panels(0.0, 0.3, 4), 12)
-    n2, w2 = panel_rule(uniform_panels(1.4, 1.7, 4), 12)
+    n1, w1 = panel_rule(np.linspace(0.0, 0.3, 5), 12)
+    n2, w2 = panel_rule(np.linspace(1.4, 1.7, 5), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")
     W = (w1[:, None, None, None] * w1[None, :, None, None]
          * w2[None, None, :, None] * w1[None, None, None, :])
@@ -718,13 +718,13 @@ def test_2d_far_pair_convolution_matches_tensor_gauss():
 
 def test_2d_near_pair_difference_matches_tensor_gauss():
     from loglap.eigen import _pair_values_2d
-    from loglap.quadrature import panel_rule, uniform_panels
+    from loglap.quadrature import panel_rule
 
     dom = DomainSpec(2, (Rect(0, 0, 0.2, 0.2), Rect(0.25, 0.0, 0.45, 0.2)))
     mesh = mesh_rectangles(dom, 0.2)
     S01 = -2.0 * _pair_values_2d(order_weights(1), mesh, np.array([0]), np.array([1]), 0.0, 1.0, order=10)[0]
-    n1, w1 = panel_rule(uniform_panels(0.0, 0.2, 6), 12)
-    n2, w2 = panel_rule(uniform_panels(0.25, 0.45, 6), 12)
+    n1, w1 = panel_rule(np.linspace(0.0, 0.2, 7), 12)
+    n2, w2 = panel_rule(np.linspace(0.25, 0.45, 7), 12)
     X1, Y1, X2, Y2 = np.meshgrid(n1, n1, n2, n1, indexing="ij")
     W = (w1[:, None, None, None] * w1[None, :, None, None]
          * w2[None, None, :, None] * w1[None, None, None, :])

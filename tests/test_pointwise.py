@@ -410,6 +410,20 @@ def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, nodes):
     assert np.array_equal(chunked, whole)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_point_values_equal_batched_values(dim):
+    # the radial sums run along fixed axes, so a point's value does not
+    # depend on how many other points share its batch
+    u = gaussian_derivative_bump(dim=dim, halfwidth=4.0, nodes=256 if dim == 1 else 32, width=0.8)
+    nodes = u.nodes()
+    xs = nodes[np.linspace(3, len(nodes) - 4, 37 if dim == 1 else 8).astype(int)]
+    ops = [(apply_L_batch, apply_L, 2), (riesz_batch, riesz, 0.3), (frac_lap_batch, frac_lap, 0.3)]
+    for batch_op, point_op, p in ops:
+        batched, _, _ = batch_op(p, u, xs, n_angles=16)
+        single = np.array([point_op(p, u, x, n_angles=16).value for x in xs])
+        assert np.array_equal(single, batched), batch_op.__name__
+
+
 # ---------------------------------------------------------------------------
 # two-dimensional quadrature vs the spectral oracle
 
