@@ -18,10 +18,8 @@ obtained by exponentiating the series of
 
     ln kappa2(s) = -2s ln2 + ln Gamma((N-2s)/2) - ln Gamma(N/2) - ln Gamma(1+s),
 
-whose derivatives at 0 reduce to polygamma values at N/2 and 1.  Since the
-only polygamma arguments ever needed are positive half-integers, psi^(k) is
-computed from the exact closed forms at 1 and 1/2 (zeta values) plus the
-upward recurrence, giving full double precision without asymptotic series.
+whose derivatives at 0 reduce to polygamma values at N/2 and 1, taken from
+scipy.special (digamma and polygamma, accurate to a few ulp there).
 """
 
 from __future__ import annotations
@@ -29,66 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from scipy.special import digamma, polygamma
+
 from .errors import PreconditionError
 
 EULER_GAMMA = 0.5772156649015329
 
-# zeta(2)..zeta(13); validated against partial sums + integral tail in tests
-_ZETA = {
-    2: 1.6449340668482264,
-    3: 1.2020569031595943,
-    4: 1.0823232337111382,
-    5: 1.0369277551433699,
-    6: 1.0173430619844491,
-    7: 1.0083492773819228,
-    8: 1.0040773561979443,
-    9: 1.0020083928260822,
-    10: 1.0009945751278181,
-    11: 1.0004941886041195,
-    12: 1.0002460865533080,
-    13: 1.0001227133475785,
-}
-
-_MAX_POLYGAMMA_ORDER = 12
 _MAX_SERIES_ORDER = 10
 _MAX_LEDGER_ORDER = 8
-
-
-def zeta_int(k: int) -> float:
-    """Riemann zeta at an integer argument 2 <= k <= 13 (stored literal)."""
-    if k not in _ZETA:
-        raise PreconditionError(f"zeta literal table covers 2..13, got {k}")
-    return _ZETA[k]
-
-
-def polygamma_at(k: int, z: float) -> float:
-    """psi^(k)(z) for a positive half-integer z and 0 <= k <= 12.
-
-    Built from psi^(k)(1) = -gamma resp. (-1)^(k+1) k! zeta(k+1), the
-    analogous closed form at 1/2 with the extra factor (2^(k+1) - 1), and
-    the recurrence psi^(k)(z+1) = psi^(k)(z) + (-1)^k k! z^(-k-1).
-    """
-    if not isinstance(k, int) or k < 0 or k > _MAX_POLYGAMMA_ORDER:
-        raise PreconditionError(f"polygamma order must be an integer in [0, 12], got {k}")
-    j = 2.0 * z
-    if not math.isclose(j, round(j), abs_tol=1e-12) or round(j) < 1:
-        raise PreconditionError(f"polygamma argument must be a positive half-integer, got {z}")
-    j = int(round(j))
-
-    if j % 2 == 0:
-        base_val = -EULER_GAMMA if k == 0 else (-1.0) ** (k + 1) * math.factorial(k) * zeta_int(k + 1)
-        base = 1.0
-        steps = j // 2 - 1
-    else:
-        if k == 0:
-            base_val = -EULER_GAMMA - 2.0 * math.log(2.0)
-        else:
-            base_val = (-1.0) ** (k + 1) * math.factorial(k) * (2.0 ** (k + 1) - 1.0) * zeta_int(k + 1)
-        base = 0.5
-        steps = (j - 1) // 2
-    terms = [base_val]
-    terms += [(-1.0) ** k * math.factorial(k) * (base + i) ** (-k - 1) for i in range(steps)]
-    return math.fsum(terms)
 
 
 def omega(N: int) -> float:
@@ -107,7 +53,7 @@ def c_dim(N: int) -> float:
 
 def rho(N: int) -> float:
     """2 ln2 + psi(N/2) - gamma, the zero-order weight of the first-order operator."""
-    return 2.0 * math.log(2.0) + polygamma_at(0, N / 2.0) - EULER_GAMMA
+    return 2.0 * math.log(2.0) + float(digamma(N / 2.0)) - EULER_GAMMA
 
 
 def _check_s_domain(s: float, N: int) -> None:
@@ -194,7 +140,7 @@ def _log_kappa2_coeffs(N: int, M: int) -> list[float]:
     if M >= 1:
         a[1] = -rho(N)
     for k in range(2, M + 1):
-        a[k] = ((-1.0) ** k * polygamma_at(k - 1, N / 2.0) - polygamma_at(k - 1, 1.0)) / math.factorial(k)
+        a[k] = float((-1.0) ** k * polygamma(k - 1, N / 2.0) - polygamma(k - 1, 1.0)) / math.factorial(k)
     return a
 
 

@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import PreconditionError
 
+_SLIVER_FRACTION = 1e-3  # clipped cells below this share of a full box merge into a neighbour
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -313,7 +315,7 @@ def mesh_intervals(domain: DomainSpec, n_cells: int) -> Mesh:
     return Mesh(domain=domain, cells=tuple(cells), cell_measure=measures)
 
 
-def mesh_rectangles(domain: DomainSpec, target_h: float, sliver_fraction: float = 1e-3) -> Mesh:
+def mesh_rectangles(domain: DomainSpec, target_h: float) -> Mesh:
     """Box mesh of a 2D domain; disk pieces get exact clipped boundary cells."""
     if domain.dim != 2:
         raise PreconditionError("rectangle meshes are two-dimensional")
@@ -345,7 +347,7 @@ def mesh_rectangles(domain: DomainSpec, target_h: float, sliver_fraction: float 
             # merge slivers into the neighbor nearest the disk center
             keep, slivers = [], []
             for entry in raw:
-                (slivers if entry[5] < sliver_fraction * full else keep).append(entry)
+                (slivers if entry[5] < _SLIVER_FRACTION * full else keep).append(entry)
             for sl in slivers:
                 scx, scy = (sl[0] + sl[2]) / 2.0, (sl[1] + sl[3]) / 2.0
                 best, best_d = None, math.inf

@@ -29,11 +29,13 @@ stages.  Lattice cells, the cells of the most common class at integer
 multiples of its side from its first cell (uniform intervals, the gapped fk
 split, rectangles, a disk's unclipped interior), get one integral per
 integer offset, and their block is filled from that offset table without
-any array over all pairs.  Pairs that touch an off-lattice cell (clipped disk
-cells, a second width) are grouped by class pair and centre offset and
-integrated once per group.  Entries are, in one dimension, the closed form
-(a Gauss rule on tent pieces far from the origin).  In two, the pairs split
-by admissibility into three classes:
+any array over all pairs.  Pairs that touch an off-lattice cell (a second
+width, clipped disk cells) are grouped by class pair and centre offset and
+integrated once per group.  Every clipped cell is a class of its own, so a
+pair with a clipped cell is a group of one; only the near ones among them
+share work, by symmetry orbit (below).  Entries are, in one dimension, the
+closed form (a Gauss rule on tent pieces far from the origin).  In two, the
+pairs split by admissibility into three classes:
 
 * far: the box gap is at least the larger box diameter and every distance
   lies inside (lo, hi).  The kernel is smooth there, and all such pairs are
@@ -85,6 +87,8 @@ from .quadrature import angle_rule, panel_rule
 _FORM_KINDS = ("I", "G", "Q")
 _ROW_BLOCK = 256  # rows per block of the residual check's |K| row sums
 _GRADING = np.array([0.0, 1.0 / 1024.0, 1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0])  # toward near targets
+_SELF_ORDER = 8  # clipped self-energy: box Gauss points per axis
+_SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
 _CHUNK = 1 << 13  # elements per chunk of a far sum (point pairs) or of a near pair's rays
 
 
@@ -308,11 +312,11 @@ def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi, order=10):
     return out
 
 
-def _self_energy_2d(w, cell, disk, cutoff, order=8, angle_order=10):
-    px, py, pw = (a.ravel() for a in _box_gauss(np.array([cell[:4]]), order))
+def _self_energy_2d(w, cell, disk, cutoff):
+    px, py, pw = (a.ravel() for a in _box_gauss(np.array([cell[:4]]), _SELF_ORDER))
     inside = (px - disk.cx) ** 2 + (py - disk.cy) ** 2 <= disk.r ** 2  # box Gauss points in the disk
     px, py, pw = px[inside], py[inside], pw[inside]
-    phi, wts = angle_rule(cell[[0, 0, 2, 2]] - px[:, None], cell[[1, 3, 1, 3]] - py[:, None], angle_order)
+    phi, wts = angle_rule(cell[[0, 0, 2, 2]] - px[:, None], cell[[1, 3, 1, 3]] - py[:, None], _SELF_ANGLE_ORDER)
     _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
     # from the exit to the cutoff: a combined kernel may be negative between its positivity radius and one
     inner = np.sum(_radial_segment(w, t_out, cutoff, 1e-300, cutoff) * wts, axis=1)
@@ -593,8 +597,9 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> np.ndarray:
     are skipped.  Lattice cells pair by offset: one integral per offset, and
     their block is filled from that table (a Toeplitz view when the lattice
     is one contiguous run).  Pairs that touch an off-lattice cell are
-    grouped by class pair and centre offset, one integral per group.  Both
-    stages share one evaluator call.
+    grouped by class pair and centre offset, one integral per group; with a
+    clipped cell, whose class is its own, each such group is a single pair.
+    Both stages share one evaluator call.
     """
     centres, sides, cls, _ = _cell_classes(mesh)
     n = len(cls)

@@ -26,6 +26,8 @@ from scipy.interpolate import CubicSpline, NdBSpline, RegularGridInterpolator, m
 
 from .errors import PreconditionError
 
+_HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -160,16 +162,16 @@ class GridFunction:
         c = estimate_holder_constant(vals, self.spacing, a) if const is None else const
         return GridFunction(self.dim, self.origin, self.spacing, self.shape, vals, a, c)
 
-    def validate_holder(self, n_samples: int = 4000, seed: int = 0) -> None:
+    def validate_holder(self, seed: int = 0) -> None:
         """Check the declared (alpha, C) dominates the interpolant by sampling.
 
         Raises PreconditionError on violation; meant for load time.
         """
         rng = np.random.default_rng(seed)
         lo, hi = self.box_lo, self.box_hi
-        a = rng.uniform(lo, hi, size=(n_samples, self.dim))
-        dist = np.exp(rng.uniform(np.log(1e-3 * min(self.spacing)), np.log(1.0), n_samples))
-        direction = rng.normal(size=(n_samples, self.dim))
+        a = rng.uniform(lo, hi, size=(_HOLDER_SAMPLES, self.dim))
+        dist = np.exp(rng.uniform(np.log(1e-3 * min(self.spacing)), np.log(1.0), _HOLDER_SAMPLES))
+        direction = rng.normal(size=(_HOLDER_SAMPLES, self.dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         b = a + direction * dist[:, None]
         ua = self(a if self.dim == 2 else a[:, 0])

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyint, polyval
+from scipy.optimize import brentq
 
 from .coeffs import CoeffLedger, omega
 from .errors import PreconditionError
@@ -89,7 +90,7 @@ def outer_integral(spec: KernelSpec, R: float) -> float:
 def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
     """Largest real root of sum_k coeffs[k] tau^k in (0, _ROOT_TAU_MAX], or None.
 
-    Companion-matrix roots refined by bisection whenever a sign change
+    Companion-matrix roots refined by Brent's method whenever a sign change
     brackets the root; near-double roots keep the polished companion value.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
@@ -105,21 +106,10 @@ def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
     if not real:
         return None
     best = max(real)
-    # bisection polish on a bracket around the companion estimate
+    # polish on a bracket around the companion estimate
     lo, hi = best - 1e-3 * max(1.0, best), best + 1e-3 * max(1.0, best)
-    flo, fhi = poly(lo), poly(hi)
-    if flo * fhi < 0.0:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = poly(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        best = 0.5 * (lo + hi)
+    if poly(lo) * poly(hi) < 0.0:
+        best = brentq(poly, lo, hi, xtol=1e-300)  # tiny xtol: stop on brentq's relative tolerance, 4 eps
     if abs(poly(best)) > 1e-6 * scale * max(1.0, best ** (c.size - 1)):
         return None  # spurious companion artifact, no actual crossing
     return best
@@ -215,15 +205,18 @@ def _linear_weighted_piece(w, g, su, sv, e, d, lo: float, hi: float) -> np.ndarr
     s1 = np.minimum(sv, hi - g)
     g, d, s0, s1 = np.broadcast_arrays(g, np.asarray(d, dtype=float), s0, s1)
     live = s1 > s0
-    width = np.where(live, s1 - s0, 0.0)
+    u, width = g + s0, s1 - s0
     e0 = e + d * (s0 - su)  # profile at the clipped start
-    u = np.where(live, g + s0, 1.0)  # dead pieces get a harmless finite filler
-    closed = _profile_integral(w, u, u + width, e0 - d * u, d, 0.0)
-    s, sw = panel_rule(np.stack([np.zeros_like(width), width], axis=-1), 8)  # offsets from u
-    t = u[..., None] + s
-    gauss = np.sum((e0[..., None] + d[..., None] * s) / t * polyval(-2.0 * np.log(t), w) * sw, axis=-1)
-    far = (u > 0.0) & (width <= 0.25 * u)
-    return np.where(live, np.where(far, gauss, closed), 0.0)
+    far = live & (u > 0.0) & (width <= 0.25 * u)
+    near = live & ~far
+    out = np.zeros(u.shape)
+    un, dn = u[near], d[near]
+    out[near] = _profile_integral(w, un, un + width[near], e0[near] - dn * un, dn, 0.0)
+    uf = u[far]
+    s, sw = panel_rule(np.stack([np.zeros_like(uf), width[far]], axis=-1), 8)  # offsets from u
+    t = uf[:, None] + s
+    out[far] = np.sum((e0[far][:, None] + d[far][:, None] * s) / t * polyval(-2.0 * np.log(t), w) * sw, axis=-1)
+    return out
 
 
 def cell_pair_tent_integral(w, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarray:
@@ -256,6 +249,21 @@ def _overlap_1d(z, a1, a2, b1, b2):
     return np.maximum(np.minimum(a2, b2 + z) - np.maximum(a1, b1 + z), 0.0)
 
 
+def _tent_breaks(a0, a1, b0, b1) -> list[float]:
+    """Sorted kinks a0 - b1, a0 - b0, a1 - b1, a1 - b0 of the overlap tent _overlap_1d.
+
+    Kinks closer than 1e-12 of the longer side are rounding twins of one
+    kink (a0 - b0 and a1 - b1 for equal sides at offset coordinates), so the
+    smallest of them stands for all.
+    """
+    tol = 1e-12 * max(a1 - a0, b1 - b0)
+    out = []
+    for v in sorted((a0 - b1, a0 - b0, a1 - b1, a1 - b0)):
+        if not out or v - out[-1] > tol:
+            out.append(v)
+    return out
+
+
 def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int = 12) -> float:
     """int_A int_B p(-2 ln|x-y|)/|x-y|^2 1_{lo<|x-y|<hi} dy dx for disjoint 2D boxes.
 
@@ -268,8 +276,8 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     """
     ax0, ay0, ax1, ay1 = A[:4]
     bx0, by0, bx1, by1 = B[:4]
-    breaks_x = sorted({ax0 - bx1, ax0 - bx0, ax1 - bx1, ax1 - bx0})
-    breaks_y = sorted({ay0 - by1, ay0 - by0, ay1 - by1, ay1 - by0})
+    breaks_x = _tent_breaks(ax0, ax1, bx0, bx1)
+    breaks_y = _tent_breaks(ay0, ay1, by0, by1)
     if lo <= 0.0 and _overlap_1d(0.0, ax0, ax1, bx0, bx1) * _overlap_1d(0.0, ay0, ay1, by0, by1) > 1e-14:
         raise PreconditionError("overlapping boxes diverge under the singular kernel")
 

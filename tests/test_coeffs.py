@@ -1,21 +1,20 @@
 """Special-function layer: closed forms vs independent oracles.
 
-Oracles used here: mpmath evaluation of the kappa formulas with Richardson
-finite differences (independent of the series-exponentiation path), direct
-series summation for polygamma, scipy.special as a third opinion, and
-partial sums with integral tail brackets for the stored zeta literals.
+Oracles used here: mpmath evaluation of the kappa formulas, by Taylor
+expansion and by Richardson finite differences, both independent of the
+series-exponentiation path, and mpmath polygamma plus direct series
+summation for the polygamma values inside the log series.
 """
 
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
-from scipy import special
 
 from loglap import PreconditionError
 from loglap.coeffs import (
     EULER_GAMMA,
+    _log_kappa2_coeffs,
     alpha_coeffs,
     c_dim,
     c_ns,
@@ -26,9 +25,7 @@ from loglap.coeffs import (
     kappa_ns,
     kappa_series,
     omega,
-    polygamma_at,
     rho,
-    zeta_int,
 )
 
 mp.mp.dps = 40
@@ -60,77 +57,60 @@ def _fd_derivative(f, order, h=mp.mpf("1e-3"), levels=2):
 
 
 # ---------------------------------------------------------------------------
-# zeta literals
+# polygamma values the series is built from
+#
+# The Taylor coefficients of ln kappa2 are a_1 = -rho_N and, for k >= 1,
+# a_(k+1) = ((-1)^(k+1) psi^(k)(N/2) - psi^(k)(1)) / (k+1)!, so every
+# polygamma value the ledgers use is read back from rho and the log series.
 
 
-@pytest.mark.parametrize("k", range(2, 14))
-def test_zeta_literals_bracketed_by_partial_sum_and_tail(k):
-    M = 4000
-    partial = math.fsum(n ** (-float(k)) for n in range(1, M + 1))
-    upper = partial + (M ** (1 - k)) / (k - 1)
-    lower = partial + ((M + 1) ** (1 - k)) / (k - 1)
-    slack = 5e-16  # endpoint rounding: the bracket itself is float arithmetic
-    assert lower - slack <= zeta_int(k) <= upper + slack
-
-
-def test_zeta_rejects_out_of_table():
-    with pytest.raises(PreconditionError):
-        zeta_int(14)
-
-
-# ---------------------------------------------------------------------------
-# polygamma
+def _mp_log_coeff(N, k):
+    # a_(k+1) from mpmath's polygamma; the -2s ln2 term adds to a_1 only
+    z = mp.mpf(N) / 2
+    a = ((-1) ** (k + 1) * mp.polygamma(k, z) - mp.polygamma(k, 1)) / mp.factorial(k + 1)
+    return a - 2 * mp.log(2) if k == 0 else a
 
 
 def test_digamma_at_one_is_minus_gamma():
     # oracle: numeric differentiation of ln Gamma
     h = 1e-6
     fd = (math.lgamma(1 + h) - math.lgamma(1 - h)) / (2 * h)
-    assert polygamma_at(0, 1.0) == pytest.approx(-EULER_GAMMA, abs=1e-14)
-    assert polygamma_at(0, 1.0) == pytest.approx(fd, abs=1e-9)
+    psi1 = rho(2) - 2 * math.log(2) + EULER_GAMMA
+    assert psi1 == pytest.approx(-EULER_GAMMA, abs=1e-14)
+    assert psi1 == pytest.approx(fd, abs=1e-9)
 
 
 def test_trigamma_at_half_is_pi_squared_over_two():
-    # oracle: psi'(1/2) = sum (n + 1/2)^-2
+    # oracle: psi'(1/2) = sum (n + 1/2)^-2; a_2 at N = 1 is (psi'(1/2) - pi^2/6) / 2
     series = sum((n + 0.5) ** -2 for n in range(200000))
     series += 1.0 / 200000.5  # integral tail
-    assert polygamma_at(1, 0.5) == pytest.approx(math.pi ** 2 / 2, rel=1e-14)
-    assert polygamma_at(1, 0.5) == pytest.approx(series, rel=1e-10)
+    trigamma = 2.0 * _log_kappa2_coeffs(1, 2)[2] + math.pi ** 2 / 6
+    assert trigamma == pytest.approx(math.pi ** 2 / 2, rel=1e-14)
+    assert trigamma == pytest.approx(series, rel=1e-10)
 
 
 def test_recurrence_steps_to_three_halves():
-    assert polygamma_at(0, 1.5) == pytest.approx(polygamma_at(0, 0.5) + 2.0, rel=1e-15)
+    # psi(3/2) = psi(1/2) + 2 carries over to rho
+    assert rho(3) == pytest.approx(rho(1) + 2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("k", range(0, 13))
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 7, 8, 11])
 def test_polygamma_matches_scipy(k, j):
-    z = j / 2.0
-    ref = float(special.polygamma(k, z))
-    # the upward recurrence is exact arithmetic on terms of size |psi^(k)(base)|;
-    # allow for that conditioning when the target value is much smaller
-    base = float(special.polygamma(k, 1.0 if j % 2 == 0 else 0.5))
-    cond = abs(base) / max(abs(ref), 1e-300)
-    tol = 1e-12 + 5e-15 * cond
-    assert polygamma_at(k, z) == pytest.approx(ref, rel=tol, abs=1e-12)
+    # psi^(k)(j/2) and psi^(k)(1), taken from scipy, against mpmath
+    got = _log_kappa2_coeffs(j, k + 1)[k + 1]
+    assert got == pytest.approx(float(_mp_log_coeff(j, k)), rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("k", range(0, 13))
 @pytest.mark.parametrize("j", range(1, 12))
 def test_polygamma_recurrence_invariant(k, j):
+    # Gamma(z + 1 - s) = (z - s) Gamma(z - s) gives kappa1(s, N + 2) =
+    # kappa1(s, N) (z - s) / pi, so ln kappa2 gains ln(1 - s/z), z = N/2
     z = j / 2.0
-    lhs = polygamma_at(k, z + 1.0)
-    rhs = polygamma_at(k, z) + (-1.0) ** k * math.factorial(k) * z ** (-k - 1)
+    lhs = _log_kappa2_coeffs(j + 2, k + 1)[k + 1]
+    rhs = _log_kappa2_coeffs(j, k + 1)[k + 1] - z ** (-k - 1) / (k + 1)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_polygamma_rejects_bad_arguments():
-    with pytest.raises(PreconditionError):
-        polygamma_at(0, 0.3)
-    with pytest.raises(PreconditionError):
-        polygamma_at(13, 1.0)
-    with pytest.raises(PreconditionError):
-        polygamma_at(-1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +193,17 @@ def test_series_derivatives_match_richardson_fd(N, order):
     fd2 = float(_fd_derivative(lambda s: _mp_kappa2(s, N), order))
     assert ser.kappa1_deriv(order) == pytest.approx(fd1, rel=1e-6)
     assert ser.kappa2_deriv(order) == pytest.approx(fd2, rel=1e-6)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_series_coefficients_match_mpmath_taylor(N):
+    ser = kappa_series(N, 10)
+    with mp.workdps(40):
+        ref = mp.taylor(lambda s: _mp_kappa1(s, N), 0, 10)
+        ref2 = [c / ref[0] for c in ref]
+    for j in range(11):
+        assert ser.kappa1_coeffs[j] == pytest.approx(float(ref[j]), rel=2e-13)
+        assert ser.kappa2_coeffs[j] == pytest.approx(float(ref2[j]), rel=2e-13)
 
 
 def test_series_order_cap():

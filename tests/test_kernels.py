@@ -11,6 +11,7 @@ from loglap import PreconditionError
 from loglap.coeffs import EULER_GAMMA, alpha_coeffs, omega
 from loglap.kernels import (
     KernelSpec,
+    _tent_breaks,
     cell_pair_integral_1d,
     cell_pair_tent_integral,
     cell_self_energy_1d,
@@ -168,6 +169,25 @@ def test_radii_second_order_dim_two_no_root():
     assert ck.r0 == 1.0 and ck.rm == 1.0
 
 
+def _mp_radius(p):
+    # exp(-tau/2) for the largest real root tau of p in (0, 200], capped at one
+    roots = mp.polyroots(list(reversed(p)), maxsteps=200, extraprec=200)
+    real = [mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -25 and 0 < mp.re(r) <= 200]
+    return min(mp.mpf(1), mp.exp(-max(real) / 2)) if real else mp.mpf(1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_radii_match_mpmath_roots(m, N):
+    ck = combined_kernel(alpha_coeffs(m, N))
+    with mp.workdps(40):
+        p = [mp.mpf(c) for c in ck.poly]
+        r0 = _mp_radius(p)
+        rm = min(r0, _mp_radius([k * c for k, c in enumerate(p)][1:]))
+    assert ck.r0 == pytest.approx(float(r0), rel=1e-14)
+    assert ck.rm == pytest.approx(float(rm), rel=1e-14)
+
+
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_kernel_positive_and_monotone_inside_radii(m, N):
     ck = combined_kernel(alpha_coeffs(m, N))
@@ -288,6 +308,12 @@ def _rect_pair_mpmath_oracle(n, A, B):
 def test_rect_pair_integral_2d_touching_pairs_match_mpmath(B):
     A = (0.0, 0.0, 0.04, 0.04)
     assert rect_pair_integral_2d(order_weights(2), A, B) == pytest.approx(_rect_pair_mpmath_oracle(2, A, B), rel=1e-12)
+
+
+def test_tent_breaks_merge_rounding_twins_only():
+    # 0 - 0.05 and 0.025 - 0.075 are one kink, apart by rounding (-0.05 vs -0.049999999999999996)
+    assert _tent_breaks(0.0, 0.025, 0.05, 0.075) == [-0.075, -0.05, -0.025]
+    assert len(_tent_breaks(0.0, 0.025, 0.05, 0.075 + 1e-9)) == 4  # unequal sides: two kinks
 
 
 def test_rect_pair_integral_2d_finite_on_lattice_offsets():
