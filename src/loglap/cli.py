@@ -8,8 +8,8 @@ with a header row and 17 significant digits.
 
 Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
 4 numerical failure.  --threads splits the nodes of a 2D quadrature apply
-over worker threads (default: the machine's parallelism); a 1D apply is one
-lattice convolution and ignores it.
+over worker threads (default and cap: the CPUs this process may run on; a
+value below 1 exits 2); a 1D apply is one lattice convolution and ignores it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ _FMT = "%.17g"
 
 def _fmt(x) -> str:
     return _FMT % float(x)
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _positive_int(text: str) -> int:
@@ -106,8 +110,8 @@ def _apply_quad(args, u):
     if u.dim == 1:
         values, bound, _ = batch(param, u, None)
         return values, bound, "lattice"
-    workers = max(1, args.threads) if args.threads is not None else (os.cpu_count() or 1)
-    parts = np.array_split(u.nodes(), min(workers, u.values.size))
+    workers = min(args.threads or _cpu_count(), _cpu_count(), u.values.size)
+    parts = np.array_split(u.nodes(), workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda xs: batch(param, u, xs), parts))
     return np.concatenate([r[0] for r in results]), max(r[1] for r in results), "pointwise"
@@ -150,10 +154,7 @@ def cmd_eig(args) -> int:
     domain = _load_domain_file(args.domain)
     mesh = _domain_mesh(domain, args.cells)
     ledger = _coeffs.alpha_coeffs(args.m, domain.dim)
-    if args.form == "G":
-        mats = _eigen.assemble("G", None, mesh, order=args.m)
-    else:
-        mats = _eigen.assemble(args.form, ledger, mesh)
+    mats = _eigen.assemble(args.form, ledger, mesh)  # G takes its order from ledger.m
     res = _eigen.eigensolve(mats, args.count)
     rows = [(k + 1, v) for k, v in enumerate(res.eigenvalues)]
     _write_csv(args.out, ["k", "lambda_k"], rows)
@@ -190,7 +191,7 @@ def cmd_expand(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="loglap", description="m-order logarithmic Laplacian toolkit")
-    p.add_argument("--threads", type=int, default=None, help="worker threads of a 2D quadrature apply (default: machine parallelism)")
+    p.add_argument("--threads", type=_positive_int, default=None, help="worker threads of a 2D quadrature apply (default and cap: the process's CPUs)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized validation sampling")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -55,11 +55,13 @@ pairs split by admissibility into three classes:
   the centre; each orbit is integrated once, on the pair rebuilt from its
   key (_orbits).
 
-Self-energies of unclipped cells are closed forms, computed once per cell
-class; those of clipped cells once per orbit, as the near pairs.  All of
-these rules share one core: Gauss panels from quadrature.panel_rule,
-angular panels split at kink directions from quadrature.angle_rule, and
-radial pieces in the closed form of kernels._profile_integral.
+The self-energy of an unclipped cell is the pair closed form on the cell
+paired with itself, whose profile is |C| - ov in place of the overlap ov:
+all cells in one call in 1D, once per cell class in 2D.  Those of clipped
+cells are taken once per orbit, as the near pairs.  All of these rules
+share one core: Gauss panels from quadrature.panel_rule, angular panels
+split at kink directions from quadrature.angle_rule, and radial pieces in
+the closed form of kernels._profile_integral.
 """
 
 from __future__ import annotations
@@ -72,12 +74,11 @@ import scipy.sparse.linalg
 
 from .coeffs import CoeffLedger
 from .domains import Disk, Interval, Mesh, mesh_intervals, mesh_rectangles, ray_box, ray_disk
+from . import kernels
 from .errors import NumericalError, PreconditionError
 from .kernels import (
     _profile_integral,
     cell_pair_tent_integral,
-    cell_self_energy_1d,
-    cell_self_energy_2d,
     combined_kernel,
     order_weights,
     rect_pair_integral_2d,
@@ -89,6 +90,7 @@ _ROW_BLOCK = 256  # rows per block of the residual check's |K| row sums
 _GRADING = np.array([0.0, 1.0 / 1024.0, 1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0])  # toward near targets
 _SELF_ORDER = 8  # clipped self-energy: box Gauss points per axis
 _SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
+_BOX_SELF_ORDER = 24  # unclipped self-energy: angular Gauss points per panel (12 leaves an aspect-5 box up to 3e-10 off)
 _CHUNK = 1 << 13  # elements per chunk of a far sum (point pairs) or of a near pair's rays
 
 
@@ -129,8 +131,9 @@ def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
 
 
 def _self_energies_1d(w, mesh: Mesh, cutoff: float) -> np.ndarray:
+    # each cell paired with itself, called through kernels: eigen's own name is wrapped to count pair integrals
     cells = np.asarray(mesh.cells, dtype=float)
-    return 2.0 * cell_self_energy_1d(w, cells[:, 1] - cells[:, 0], cutoff)
+    return 2.0 * kernels.cell_pair_tent_integral(w, cells[:, 0], cells[:, 1], cells[:, 0], cells[:, 1], 0.0, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +487,11 @@ def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
 
 
 def _self_energies_2d(w, mesh: Mesh, cutoff) -> np.ndarray:
-    """Diagonal self-energies: the closed form once per box class, the polar rule once per orbit of clipped cells."""
-    _, sides, cls, first = _cell_classes(mesh)
+    """Diagonal self-energies: the box paired with itself once per box class, the polar rule once per orbit of clipped cells."""
+    _, _, cls, first = _cell_classes(mesh)
     cells = np.asarray(mesh.cells, dtype=float)
-    out = np.array([
-        0.0 if cells[c, 4] else 2.0 * cell_self_energy_2d(w, sides[c, 0], sides[c, 1], cutoff)
-        for c in first
-    ])[cls]
+    boxes = [0.0 if cells[c, 4] else 2.0 * rect_pair_integral_2d(w, cells[c], cells[c], 0.0, cutoff, _BOX_SELF_ORDER) for c in first]
+    out = np.array(boxes)[cls]
     clipped = np.flatnonzero(cells[:, 4] > 0.0)
     if clipped.size:
         disk = _mesh_disk(mesh)

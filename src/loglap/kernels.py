@@ -13,9 +13,13 @@ P(0) = 0) and to the moments sum_k w_k 2^k G_k(h) of the finite
 
     G_k(h) = int_0^h t^j (-ln t)^k dt = h^(j+1) sum_{i<=k} (k!/i!) (-ln h)^i / (j+1)^(k-i+1)
 
-(j = 0 for 1D cells, j = 1 for 2D boxes).  For h_m, p has positive leading
-coefficient; its positivity radius r0 and monotonicity radius rm are located
-from the largest positive roots of p and p'.
+(j = 0 for 1D cells, j = 1 for 2D boxes).  A cell pair integrates the
+kernel against its overlap profile ov in one closed form per dimension
+(cell_pair_tent_integral, rect_pair_integral_2d); a cell paired with itself
+gives its self-energy int_C int_{B_cut(x) setminus C}, with the profile
+|C| - ov.  For h_m, p has positive leading coefficient; its positivity
+radius r0 and monotonicity radius rm are located from the largest positive
+roots of p and p'.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyint, polyval
+from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from .coeffs import CoeffLedger, omega
@@ -229,20 +233,27 @@ def cell_pair_tent_integral(w, a1, a2, b1, b2, lo: float, hi: float) -> np.ndarr
     profile's shape comes from the widths alone and touching cells start at
     exactly t = 0.  Each linear piece integrates in closed form.  Cells may
     touch at an endpoint but must not overlap.
+
+    A cell paired with itself gives its self-energy int_A int_{B_hi(x) setminus A}
+    (with lo < |x-y|), profile min(t, h) on both sides: twice a rising piece
+    on (0, h) and a flat one on (h, hi), so hi must be finite.
     """
     a1 = np.asarray(a1, dtype=float)
+    same = (a1 == b1) & (np.asarray(a2) == b2)
+    if np.any(same) and not math.isfinite(hi):
+        raise PreconditionError("a cell's self-energy needs a finite cutoff")
     gap_ab = a1 - np.asarray(b2, dtype=float)
     gap_ba = np.asarray(b1, dtype=float) - np.asarray(a2, dtype=float)
-    if np.any(np.maximum(gap_ab, gap_ba) < -1e-14):
+    if np.any((np.maximum(gap_ab, gap_ba) < -1e-14) & ~same):
         raise PreconditionError("cells overlap; pair integral defined for disjoint cells only")
-    gap = np.maximum(np.maximum(gap_ab, gap_ba), 0.0)
+    gap = np.maximum(np.maximum(gap_ab, gap_ba), 0.0)  # 0 for a cell with itself
     wa = np.asarray(a2, dtype=float) - a1
     wb = np.asarray(b2, dtype=float) - np.asarray(b1, dtype=float)
-    small, big = np.minimum(wa, wb), np.maximum(wa, wb)
+    small, big = np.minimum(wa, wb), np.where(same, hi, np.maximum(wa, wb))  # a cell with itself: flat up to hi, no falling piece
     total = _linear_weighted_piece(w, gap, 0.0, small, 0.0, 1.0, lo, hi)
     total = total + _linear_weighted_piece(w, gap, small, big, small, 0.0, lo, hi)
     total = total + _linear_weighted_piece(w, gap, big, wa + wb, small, -1.0, lo, hi)
-    return total
+    return np.where(same, 2.0 * total, total)
 
 
 def _overlap_1d(z, a1, a2, b1, b2):
@@ -273,12 +284,18 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     radial piece is a closed form and only a piecewise-smooth angular
     integral remains.  The angular rule splits at all candidate kink
     directions (breakpoint corners, clip-circle crossings, axes).
+
+    A box paired with itself gives its self-energy int_A int_{B_hi(x) setminus A}
+    (with lo < |x-y|), weight |A| - ell_x ell_y, so hi must be finite.
     """
     ax0, ay0, ax1, ay1 = A[:4]
     bx0, by0, bx1, by1 = B[:4]
+    same = (ax0, ay0, ax1, ay1) == (bx0, by0, bx1, by1)
+    if same and not math.isfinite(hi):
+        raise PreconditionError("a box's self-energy needs a finite cutoff")
     breaks_x = _tent_breaks(ax0, ax1, bx0, bx1)
     breaks_y = _tent_breaks(ay0, ay1, by0, by1)
-    if lo <= 0.0 and _overlap_1d(0.0, ax0, ax1, bx0, bx1) * _overlap_1d(0.0, ay0, ay1, by0, by1) > 1e-14:
+    if lo <= 0.0 and not same and _overlap_1d(0.0, ax0, ax1, bx0, bx1) * _overlap_1d(0.0, ay0, ay1, by0, by1) > 1e-14:
         raise PreconditionError("overlapping boxes diverge under the singular kernel")
 
     # kinks: the breakpoint grid (its origin adds nothing), the axes, the clip circles' crossings
@@ -297,14 +314,10 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
 
     # positive radial crossings of all tent breakpoints, clipped to [lo, hi]
     cross = []
-    for brk in breaks_x:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = brk / c
-        cross.append(np.where(np.isfinite(t) & (t > 0.0), t, lo))
-    for brk in breaks_y:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = brk / s
-        cross.append(np.where(np.isfinite(t) & (t > 0.0), t, lo))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for brk, d in [(b, c) for b in breaks_x] + [(b, s) for b in breaks_y]:
+            t = brk / d
+            cross.append(np.where(np.isfinite(t) & (t > 0.0), t, lo))
     hi_eff = np.full_like(phi, hi)
     if not math.isfinite(hi):
         # support of the tent product ends at the largest finite crossing
@@ -329,67 +342,19 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     alpha = cx * cy
     beta = cx * dys + cy * dxc
     gamma = dxc * dys
+    if same:
+        alpha, beta, gamma = (ax1 - ax0) * (ay1 - ay0) - alpha, -beta, -gamma
 
-    alpha = np.where(ta <= 1e-150, 0.0, alpha)  # disjointness makes this exact
+    alpha = np.where(ta <= 1e-150, 0.0, alpha)  # disjointness (for a self-energy, a zero profile at 0) makes this exact
     piece = _profile_integral(w, ta, np.maximum(tb, 1e-150), alpha, beta, gamma)
     return float(np.sum(np.where(live, piece, 0.0).sum(axis=1) * wphi))
-
-
-def cell_self_energy_2d(w, a: float, b: float, cutoff: float = 1.0, order: int = 24) -> float:
-    """int_C int_{B_cutoff(x) setminus C} p(-2 ln|x-y|)/|x-y|^2 dy dx for a rectangle cell.
-
-    In the difference variable z the double integral weighs the kernel by
-    ab - (a - |z1|)+ (b - |z2|)+, whose polar t-profile per angle is linear
-    then constant; both radial pieces are closed forms, so only a smooth
-    angular integral remains (split at the finitely many profile kinks).
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise PreconditionError("cell sides must be positive")
-    if not 0.0 < cutoff <= 1.0:
-        raise PreconditionError("cutoff radius must lie in (0, 1]")
-    if math.hypot(a, b) > cutoff:
-        raise PreconditionError("cell diameter exceeds the kernel cutoff")
-    # kinks in the first quadrant: the axes, the corner (a, b) and the cutoff crossings
-    kx, ky = [a, 0.0, a], [0.0, b, b]
-    if a < cutoff:
-        kx, ky = kx + [a], ky + [math.sqrt((cutoff - a) * (cutoff + a))]
-    if b < cutoff:
-        kx, ky = kx + [math.sqrt((cutoff - b) * (cutoff + b))], ky + [b]
-    phi, wts = angle_rule(np.array(kx), np.array(ky), order, ref=0.0)
-    c, s = np.cos(phi), np.sin(phi)
-    with np.errstate(divide="ignore"):
-        t_a = np.where(c > 0, a / np.where(c > 0, c, 1.0), np.inf)
-        t_b = np.where(s > 0, b / np.where(s > 0, s, 1.0), np.inf)
-    t_star = np.minimum(np.minimum(t_a, t_b), cutoff)
-    # profile ab - (a - t c)(b - t s) up to the box exit t_star, ab beyond
-    integrand = _profile_integral(w, 0.0, t_star, 0.0, a * s + b * c, -c * s)
-    integrand = integrand + _profile_integral(w, t_star, cutoff, a * b, 0.0, 0.0)
-    # quadrant symmetry of |z1|, |z2| gives the factor four
-    return float(4.0 * np.sum(integrand * wts))
-
-
-def cell_self_energy_1d(w, h, cutoff: float = 1.0) -> np.ndarray:
-    """int_C int_{B_cutoff(x) setminus C} p(-2 ln|x-y|)/|x-y| dy dx for a cell of width h.
-
-    Closed form int_0^h P(-2 ln t) dt - h P(-2 ln cutoff) with P' = p,
-    P(0) = 0, valid for h <= cutoff.
-    """
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0):
-        raise PreconditionError("cell width must be positive")
-    if not 0.0 < cutoff <= 1.0:
-        raise PreconditionError("cutoff radius must lie in (0, 1]")
-    if np.any(h > cutoff):
-        raise PreconditionError("cell width exceeds the kernel cutoff")
-    out = log_moment(polyint(w), h) + 2.0 * h * radial_antiderivative(w, cutoff)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def cell_pair_integral_1d(spec: KernelSpec, cellA: tuple[float, float], cellB: tuple[float, float]) -> float:
     """Exact int_A int_B k_n(x - y) dy dx for 1D mesh cells.
 
     Disjoint (possibly touching) cells use the overlap-profile closed form.
-    The identical-cell case returns the Galerkin self-energy
+    Identical cells give the Galerkin self-energy
     int_A int_{B_1(x) setminus A} q_n, since the raw double integral
     diverges there; partially overlapping cells are rejected.
     """
@@ -399,8 +364,4 @@ def cell_pair_integral_1d(spec: KernelSpec, cellA: tuple[float, float], cellB: t
     b1, b2 = map(float, cellB)
     if a2 <= a1 or b2 <= b1:
         raise PreconditionError("cells must have positive length")
-    if a1 == b1 and a2 == b2:
-        return float(cell_self_energy_1d(order_weights(spec.n), a2 - a1))
-    if max(a1 - b2, b1 - a2) < -1e-14:
-        raise PreconditionError("partially overlapping cells are not meshes")
     return float(cell_pair_tent_integral(order_weights(spec.n), a1, a2, b1, b2, 0.0, 1.0))

@@ -60,6 +60,7 @@ MAX_DECADES = 40
 OUTER_PANELS = 48  # resolves support-scale features crossed by the tail rays
 N_ANGLES = 64
 _CHUNK_BYTES = 64 * 2**20  # working set of one radial context
+_CLEARANCE_BLOCK = 1 << 16  # point-jump pairs per block of the 2D Dini clearance check
 
 # the inner rule in tau = -ln t over [INNER_CUT, 1], one panel per dyadic decade of t
 _INNER_BOUNDS = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
@@ -125,11 +126,17 @@ def _jump_positions(u: GridFunction) -> tuple[np.ndarray, list[tuple[int, float]
 
 
 def _check_dini_clearance(u: GridFunction, xs: np.ndarray, cut: float) -> None:
+    """Refuse points within cut of a jump midpoint or a nonzero box face, in a working set not of points x jumps."""
     jumps, planes = _jump_positions(u)
     dist = np.full(xs.shape[0], np.inf)
-    if jumps.size:
-        d2 = np.min(np.sum((xs[:, None, :] - jumps[None, :, :]) ** 2, axis=2), axis=1)
-        dist = np.minimum(dist, np.sqrt(d2))
+    if jumps.size and u.dim == 1:  # the nearer of the two sorted jumps around each point
+        j = np.sort(jumps[:, 0])
+        at = np.searchsorted(j, xs[:, 0])
+        dist = np.minimum(np.abs(xs[:, 0] - j[np.maximum(at - 1, 0)]), np.abs(xs[:, 0] - j[np.minimum(at, j.size - 1)]))
+    elif jumps.size:  # blocks of at most _CLEARANCE_BLOCK point-jump pairs
+        step = max(1, _CLEARANCE_BLOCK // len(jumps))
+        for s in range(0, xs.shape[0], step):
+            dist[s : s + step] = np.sqrt(np.min(np.sum((xs[s : s + step, None, :] - jumps) ** 2, axis=2), axis=1))
     for ax, coord in planes:
         dist = np.minimum(dist, np.abs(xs[:, ax] - coord))
     if np.any(dist <= cut):

@@ -154,6 +154,47 @@ def test_apply_quad_chunks_stay_under_byte_budget(tmp_path, monkeypatch):
     assert sidecar["path"] == "pointwise" and sidecar["nodes"] == u.values.size
 
 
+def test_threads_are_positive_and_capped_at_the_cpus(tmp_path, monkeypatch):
+    # a serial stand-in for the pool records the worker count it is asked for;
+    # no real pool is started, whatever --threads says
+    from loglap import cli
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            return map(fn, parts)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    x = np.linspace(-1.0, 1.0, 5)
+    vals = ((1.0 - x[:, None] ** 2) * (1.0 - x[None, :] ** 2)) ** 2  # zero on the box faces
+    h = (x[1] - x[0],) * 2
+    u = GridFunction(2, (-1.0, -1.0), h, vals.shape, vals, 1.0, estimate_holder_constant(vals, h, 1.0))
+    src = tmp_path / "bump2d.json"
+    src.write_text(json.dumps(grid_to_dict(u)))
+    apply = ["apply", "--op", "fraclap", "--s", "0.2", "--grid", str(src), "--out", str(tmp_path / "out.json")]
+    outputs = []
+    for threads in (["--threads", "100000"], [], ["--threads", "2"]):
+        assert main([*threads, *apply]) == 0
+        outputs.append((tmp_path / "out.json").read_text())
+    assert asked == [3, 3, 2] and outputs[0] == outputs[1] == outputs[2]
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", bad, *apply])
+        assert exc.value.code == 2
+    assert len(asked) == 3
+
+
 def test_apply_riesz_out_of_range_exit_code(bump_file, tmp_path):
     code = main(["apply", "--op", "riesz", "--s", "0.6", "--method", "quad",
                  "--grid", str(bump_file), "--out", str(tmp_path / "x.json")])

@@ -4,6 +4,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.polynomial import polyint
 import pytest
 from scipy import integrate
 
@@ -14,8 +15,6 @@ from loglap.kernels import (
     _tent_breaks,
     cell_pair_integral_1d,
     cell_pair_tent_integral,
-    cell_self_energy_1d,
-    cell_self_energy_2d,
     combined_kernel,
     incomplete_log_integral,
     log_moment,
@@ -130,8 +129,9 @@ def test_weight_vectors_are_sums_of_unit_orders():
     a1, a2, b1, b2 = np.array([[0.3, 0.5, 1.0], [0.32, 0.52, 1.03], [0.0, 0.0, 0.0], [0.3, 0.02, 0.04]])
     check(lambda v: cell_pair_tent_integral(v, a1, a2, b1, b2, 0.0, 1.0))
     check(lambda v: cell_pair_tent_integral(v, a1, a2, b1, b2, 1.0, np.inf))
-    check(lambda v: cell_self_energy_1d(v, np.array([0.05, 0.2]), 0.5))
-    check(lambda v: cell_self_energy_2d(v, 0.05, 0.03, 0.5))
+    h = np.array([0.05, 0.2])
+    check(lambda v: cell_pair_tent_integral(v, 0.0, h, 0.0, h, 0.0, 0.5))
+    check(lambda v: rect_pair_integral_2d(v, (0.0, 0.0, 0.05, 0.03), (0.0, 0.0, 0.05, 0.03), 0.0, 0.5, order=24))
     check(lambda v: rect_pair_integral_2d(v, (0.0, 0.0, 0.04, 0.04), (0.04, 0.0, 0.08, 0.04)))
     # a scalar weight c is c q_1
     assert np.array_equal(radial_antiderivative(2.5, ts), 2.5 * radial_antiderivative(order_weights(1), ts))
@@ -258,7 +258,7 @@ def test_self_energy_matches_quadrature():
                 )
 
             ref = integrate.quad(inner, 0.0, h, epsabs=1e-12, limit=200)[0]
-            assert cell_self_energy_1d(order_weights(n), h) == pytest.approx(ref, rel=1e-9)
+            assert cell_pair_tent_integral(order_weights(n), 0.0, h, 0.0, h, 0.0, 1.0) == pytest.approx(ref, rel=1e-9)
 
 
 def test_self_energy_with_smaller_cutoff():
@@ -272,7 +272,7 @@ def test_self_energy_with_smaller_cutoff():
         )
 
     ref = integrate.quad(inner, 0.0, h, epsabs=1e-12, limit=200)[0]
-    assert cell_self_energy_1d(order_weights(n), h, cutoff=r0) == pytest.approx(ref, rel=1e-9)
+    assert cell_pair_tent_integral(order_weights(n), 0.0, h, 0.0, h, 0.0, r0) == pytest.approx(ref, rel=1e-9)
 
 
 def test_incomplete_log_t_integral_oracle():
@@ -338,17 +338,36 @@ def test_cell_self_energy_2d_matches_adaptive_oracle():
         return 4.0 * integrate.quad(inner, 0.0, math.pi / 2.0, epsabs=1e-11, limit=200)[0]
 
     for n, a, b, cutoff in ((1, 0.05, 0.05, 1.0), (2, 0.05, 0.03, 1.0), (1, 0.04, 0.07, 0.5)):
-        got = cell_self_energy_2d(order_weights(n), a, b, cutoff)
+        got = rect_pair_integral_2d(order_weights(n), (0.0, 0.0, a, b), (0.0, 0.0, a, b), 0.0, cutoff, order=24)
         assert got == pytest.approx(oracle(n, a, b, cutoff), rel=1e-8)
 
 
 def test_identical_cells_return_self_energy():
     spec = KernelSpec(2, 1)
+    # the closed form int_0^h P(-2 ln t) dt - h P(-2 ln cutoff) with P' = p, P(0) = 0; cutoff 1 drops its second term
     assert cell_pair_integral_1d(spec, (0.0, 0.2), (0.0, 0.2)) == pytest.approx(
-        float(cell_self_energy_1d(order_weights(2), 0.2)), rel=0.0
+        float(log_moment(polyint(order_weights(2)), 0.2)), rel=0.0
     )
 
 
 def test_partial_overlap_rejected():
     with pytest.raises(PreconditionError):
         cell_pair_integral_1d(KernelSpec(1, 1), (0.0, 0.3), (0.2, 0.5))
+
+
+def test_self_pairs_need_a_finite_cutoff_and_leave_other_rows_alone():
+    w = order_weights(2)
+    with pytest.raises(PreconditionError):
+        cell_pair_tent_integral(w, 0.0, 0.2, 0.0, 0.2, 1.0, np.inf)
+    with pytest.raises(PreconditionError):
+        rect_pair_integral_2d(w, (0.0, 0.0, 0.1, 0.1), (0.0, 0.0, 0.1, 0.1), 1.0, np.inf)
+    with pytest.raises(PreconditionError):  # partial overlap, with or without a self pair in the batch
+        cell_pair_tent_integral(w, np.array([0.0, 0.0]), 0.3, np.array([0.0, 0.2]), np.array([0.3, 0.5]), 0.0, 1.0)
+    with pytest.raises(PreconditionError):
+        rect_pair_integral_2d(w, (0.0, 0.0, 0.1, 0.1), (0.05, 0.0, 0.15, 0.1))
+    # a self row in a batch does not change the other rows' arithmetic
+    a1, a2, b1, b2 = np.array([[0.0, 0.3, 1.0], [0.2, 0.5, 1.03], [0.0, 0.0, 0.0], [0.2, 0.02, 0.04]])
+    batch = cell_pair_tent_integral(w, a1, a2, b1, b2, 0.0, 1.0)
+    for k in (1, 2):
+        assert batch[k] == cell_pair_tent_integral(w, a1[k], a2[k], b1[k], b2[k], 0.0, 1.0)
+    assert batch[0] == cell_pair_tent_integral(w, 0.0, 0.2, 0.0, 0.2, 0.0, 1.0)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -374,6 +375,58 @@ def test_lattice_keeps_the_bound_and_the_dini_refusal(bump):
         apply_L_batch(1, _plateau(2.0, nodes=65), None)
 
 
+def _sawtooth(dim, n):
+    """1e-3 exp(-|x|^2) on odd nodes of [-20, 20)^dim, zero on even ones, declared Lipschitz with C = 1e-9.
+
+    Every odd node jumps against the declared modulus where the Gaussian
+    exceeds about 1e-7: 1724 jump midpoints on 8192 nodes in 1D.
+    """
+    h = 40.0 / n
+    x = -20.0 + h * np.arange(n)
+    r2 = x * x if dim == 1 else x[:, None] ** 2 + x[None, :] ** 2
+    odd = np.arange(n) % 2 == 1 if dim == 1 else (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2 == 1
+    return GridFunction(dim, (-20.0,) * dim, (h,) * dim, (n,) * dim, np.where(odd, 1e-3 * np.exp(-r2), 0.0), 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8192), (2, 128)])
+def test_dini_clearance_memory_does_not_grow_with_points_times_jumps(dim, n):
+    # an all-pairs distance array of points x jumps x dim floats would take
+    # 113 MB in 1D (8192 x 1724) and over 200 MB in 2D
+    u = _sawtooth(dim, n)
+    jumps, planes = _jump_positions(u)
+    xs = u.nodes().reshape(-1, dim)
+    assert len(xs) * len(jumps) * dim * 8 > 100 * 2**20 and planes == []
+    tracemalloc.start()
+    try:
+        pointwise._check_dini_clearance(u, xs, pointwise.INNER_CUT)  # nodes are h/2 from every midpoint
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dini_clearance_still_refuses_points_at_a_jump_or_a_nonzero_face(dim):
+    u = _sawtooth(dim, 512 if dim == 1 else 64)
+    jumps, _ = _jump_positions(u)
+    cut = pointwise.INNER_CUT
+    safe = u.nodes().reshape(-1, dim)[::7]
+    for k in (0, len(jumps) // 2, len(jumps) - 1):
+        xs = np.vstack([safe, jumps[k] + 0.5 * cut])
+        with pytest.raises(PreconditionError, match="Dini"):
+            pointwise._check_dini_clearance(u, xs, cut)
+    pointwise._check_dini_clearance(u, safe, cut)
+    # a nonzero value on the last node of axis 0 is a drop to the zero extension at that box face
+    vals = u.values.copy()
+    vals[-1] = 1e-3
+    face = u.with_values(vals, const=u.holder_constant)
+    assert (0, float(u.box_hi[0])) in _jump_positions(face)[1]
+    near_face = safe[-1:].copy()
+    near_face[0, 0] = u.box_hi[0] - 0.5 * cut
+    with pytest.raises(PreconditionError, match="Dini"):
+        pointwise._check_dini_clearance(face, np.vstack([safe, near_face]), cut)
+
+
 def test_none_in_2d_means_every_node():
     u = gaussian_bump(dim=2, halfwidth=1.0, nodes=5, width=0.5)
     every, _, _ = apply_L_batch(1, u, None, n_angles=8)
@@ -446,6 +499,59 @@ def test_2d_operators_match_spectral():
         refv = np.array([ref.values[i, j] for i in sel for j in sel])
         rel = np.max(np.abs(vals - refv)) / np.max(np.abs(ref.values))
         assert rel < 1e-3, (kind, p, rel)
+
+
+# ---------------------------------------------------------------------------
+# the continuous operators on a Gaussian (mpmath oracle)
+
+
+def _gaussian_oracle(x, s, m=0, dim=1):
+    """(-Delta)^s e^(-|x|^2) = 4^s Gamma(N/2 + s) / Gamma(N/2) 1F1(N/2 + s; N/2; -|x|^2), exact.
+
+    The Riesz potential Phi_s * e^(-|x|^2) is the same expression at -s, and
+    L_m e^(-|x|^2) is its m-th s-derivative at s = 0, since the symbol of L_m
+    is the m-th s-derivative (ln |xi|^2)^m of |xi|^(2s) there.
+    """
+    with mp.workdps(20):
+        b = mp.mpf(dim) / 2
+        return float(mp.diff(lambda t: 4 ** t * mp.gamma(b + t) / mp.gamma(b) * mp.hyp1f1(b + t, b, -mp.mpf(x) ** 2), s, m))
+
+
+# each tolerance is at least twice the largest absolute error measured on gaussian_bump(dim=1)
+# (4096 nodes on [-20, 20)): 3.8e-10, 7.5e-9, 8.6e-11, 9.2e-11, 1.7e-9, 2.5e-8, 3.4e-7
+GAUSSIAN_CASES = {
+    "fraclap-0.1": (lambda u, xs: frac_lap_batch(0.1, u, xs)[0], lambda x: _gaussian_oracle(x, 0.1), 8e-10),
+    "fraclap-0.3": (lambda u, xs: frac_lap_batch(0.3, u, xs)[0], lambda x: _gaussian_oracle(x, 0.3), 1.5e-8),
+    "riesz-0.1": (lambda u, xs: riesz_batch(0.1, u, xs)[0], lambda x: _gaussian_oracle(x, -0.1), 2e-10),
+    "riesz-0.3": (lambda u, xs: riesz_batch(0.3, u, xs)[0], lambda x: _gaussian_oracle(x, -0.3), 2e-10),
+    "L1": (lambda u, xs: apply_L_batch(1, u, xs)[0], lambda x: _gaussian_oracle(x, 0.0, 1), 3.5e-9),
+    "L2": (lambda u, xs: apply_L_batch(2, u, xs)[0], lambda x: _gaussian_oracle(x, 0.0, 2), 6e-8),
+    "L3": (lambda u, xs: apply_L_batch(3, u, xs)[0], lambda x: _gaussian_oracle(x, 0.0, 3), 7e-7),
+}
+
+
+@pytest.fixture(scope="module")
+def gauss():
+    return gaussian_bump(dim=1)
+
+
+@pytest.mark.parametrize("case", list(GAUSSIAN_CASES))
+def test_operators_on_a_gaussian_match_the_continuous_operator(gauss, case):
+    # the lattice path (xs=None) at 41 nodes spread over the whole grid, box faces
+    # included, and the per-point path at explicit off-node points
+    op, oracle, tol = GAUSSIAN_CASES[case]
+    ax = gauss.axes()[0]
+    idx = np.linspace(0, ax.size - 1, 41).astype(int)
+    lattice = op(gauss, None)[idx]
+    assert np.max(np.abs(lattice - [oracle(x) for x in ax[idx]])) <= tol
+    xs = np.array([0.0, 0.37, -1.3, 2.9, -5.5])
+    assert np.max(np.abs(op(gauss, xs[:, None]) - [oracle(x) for x in xs])) <= tol
+
+
+def test_l1_of_a_gaussian_at_the_origin_is_minus_euler_gamma(gauss):
+    # 4^s Gamma(1/2 + s) / Gamma(1/2) has the s-derivative ln 4 + psi(1/2) = -gamma at 0
+    assert _gaussian_oracle(0.0, 0.0, 1) == pytest.approx(-EULER_GAMMA, rel=1e-15)
+    assert abs(apply_L_batch(1, gauss, np.array([[0.0]]))[0][0] + EULER_GAMMA) <= 3.5e-9
 
 
 # ---------------------------------------------------------------------------
