@@ -21,7 +21,7 @@ from .eigen import EigenResult, FormMatrices, assemble, eigensolve, faber_krahn_
 from .errors import LoglapError, NumericalError, PreconditionError
 from .expansion import RemainderStudy, remainder, run_study, shifted_expansion_check
 from .grid import GridFunction, box_indicator, gaussian_bump, gaussian_derivative_bump, load_grid, save_grid
-from .kernels import CombinedKernel, KernelSpec, cell_pair_integral_1d, combined_kernel, outer_integral, q_eval, tail_integral
+from .kernels import CombinedKernel, KernelSpec, combined_kernel, outer_integral, q_eval, tail_integral
 from .pointwise import EvalReport, apply_K, apply_L, frac_lap, regional_repr, riesz, weighted_l1_norm
 from .spectral import SpectrumGrid, apply_symbol, derivative_in_order, log_norm, symbol_value
 
@@ -33,7 +33,7 @@ __all__ = [
     "LoglapError", "NumericalError", "PreconditionError",
     "RemainderStudy", "remainder", "run_study", "shifted_expansion_check",
     "GridFunction", "box_indicator", "gaussian_bump", "gaussian_derivative_bump", "load_grid", "save_grid",
-    "CombinedKernel", "KernelSpec", "cell_pair_integral_1d", "combined_kernel",
+    "CombinedKernel", "KernelSpec", "combined_kernel",
     "outer_integral", "q_eval", "tail_integral",
     "EvalReport", "apply_K", "apply_L", "frac_lap", "regional_repr", "riesz", "weighted_l1_norm",
     "SpectrumGrid", "apply_symbol", "derivative_in_order", "log_norm", "symbol_value",

@@ -14,28 +14,42 @@ or the single order q_m:
     G_m:  S(q_m) - A(q_m)             (cutoff 1)
     Q_m:  alpha_0 M + S(w)            (cutoff r0)
 
-with M the diagonal mass matrix of cell measures.  The lowest k eigenpairs
-of (stiffness, mass) come from Lanczos iteration (ARPACK) on the diagonally
-transformed matrix B = M^-1/2 K M^-1/2, started from a fixed-seed normal
+with M the diagonal mass matrix of cell measures.  The convolution part is
+assembled only for domains of diameter at least one; below that no point
+pair reaches the kernel's support.
+
+Every matrix is kept as three parts (StiffnessParts), K = diag(d) +
+Lat(table) + Off, and applied as an operator; no n x n array is built
+unless asked for.  d holds the self-energies plus alpha_0 M.  Lat is the
+lattice block, one value per integer offset: lattice cells sit at linear
+positions, and Lat x is one real 1D correlation of the offset table with x
+scattered to those positions, applied by FFT.  Off is a symmetric CSR
+matrix of the pairs that touch an off-lattice cell.  S and A share the
+lattice, so I_m's parts are -2 table_S - table_A, -2 Off_S - Off_A and d.
+Storage is O(n) on lattice meshes.  FormMatrices.stiffness, the dense
+matrix, is built on first access; the Q form's PSD check (a Cholesky
+factorization) and dense eigh use it.
+
+The lowest k eigenpairs of (stiffness, mass) come from Lanczos iteration
+(ARPACK) on the operator M^-1/2 K M^-1/2, started from a fixed-seed normal
 vector so that results are deterministic and modes of either parity are
 reached on symmetric domains; dense eigh serves only k >= n - 1.
 Eigenvectors are mass-orthonormal with the largest-magnitude entry made
-positive.  The convolution part is assembled only for domains of diameter
-at least one; below that no point pair reaches the kernel's support.
+positive.  The residual check applies K from its parts too.
 
 S and A share one pair driver, the integral of k_w over cell pairs at
 distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  It has two
 stages.  Lattice cells, the cells of the most common class at integer
-multiples of its side from its first cell (uniform intervals, the gapped fk
-split, rectangles, a disk's unclipped interior), get one integral per
-integer offset, and their block is filled from that offset table without
-any array over all pairs.  Pairs that touch an off-lattice cell (a second
-width, clipped disk cells) are grouped by class pair and centre offset and
-integrated once per group.  Every clipped cell is a class of its own, so a
-pair with a clipped cell is a group of one; only the near ones among them
-share work, by symmetry orbit (below).  Entries are, in one dimension, the
-closed form (a Gauss rule on tent pieces far from the origin).  In two, the
-pairs split by admissibility into three classes:
+multiples of its mean side from its first cell (uniform intervals, the
+gapped fk split, rectangles, a disk's unclipped interior), get one integral
+per integer offset, which makes the offset table.  Pairs that touch an
+off-lattice cell (a second width, clipped disk cells) are grouped by class
+pair and centre offset and integrated once per group.  Every clipped cell
+is a class of its own, so a pair with a clipped cell is a group of one;
+only the near ones among them share work, by symmetry orbit (below).
+Entries are, in one dimension, the closed form (a Gauss rule on tent pieces
+far from the origin).  In two, the pairs split by admissibility into three
+classes:
 
 * far: the box gap is at least the larger box diameter and every distance
   lies inside (lo, hi).  The kernel is smooth there, and all such pairs are
@@ -66,10 +80,13 @@ the closed form of kernels._profile_integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .coeffs import CoeffLedger
@@ -86,18 +103,92 @@ from .kernels import (
 from .quadrature import angle_rule, panel_rule
 
 _FORM_KINDS = ("I", "G", "Q")
-_ROW_BLOCK = 256  # rows per block of the residual check's |K| row sums
 _GRADING = np.array([0.0, 1.0 / 1024.0, 1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0])  # toward near targets
 _SELF_ORDER = 8  # clipped self-energy: box Gauss points per axis
 _SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
 _BOX_SELF_ORDER = 24  # unclipped self-energy: angular Gauss points per panel (12 leaves an aspect-5 box up to 3e-10 off)
-_CHUNK = 1 << 13  # elements per chunk of a far sum (point pairs) or of a near pair's rays
+_CHUNK = 1 << 13  # elements per chunk: point pairs of a far sum, rays of a near pair, 1D closed-form pairs
+
+
+@dataclass(eq=False)
+class StiffnessParts:
+    """A symmetric cell matrix K = diag(d) + Lat(table) + Off, applied as K @ x.
+
+    Lat is the lattice block: lattice cell members[j], at linear position
+    pos[j] (_lattice), meets members[k] in table[top - pos[j] + pos[k]],
+    with table of length 2 top + 1 and top = pos.max().  Off is a symmetric
+    CSR matrix of the pairs that touch an off-lattice cell.  The diagonal,
+    the lattice pairs and the off-lattice pairs have disjoint supports.
+    """
+
+    diag: np.ndarray
+    members: np.ndarray
+    pos: np.ndarray
+    table: np.ndarray
+    off: scipy.sparse.csr_array
+
+    @functools.cached_property
+    def _lattice_plan(self):
+        """FFT length, the table's spectrum and where each lattice cell's output sits.
+
+        The table is symmetric, so Lat x is its convolution with the
+        occupancy vector (x[members] at pos).  An FFT of 2 top + 1 points
+        holds the outputs top..2 top free of wrap-around; cell j reads
+        top + pos[j].  numpy's FFT, not scipy's: its smaller call overhead
+        matters on meshes of a few hundred cells.
+        """
+        size = scipy.fft.next_fast_len(self.table.size, real=True)
+        return size, np.fft.rfft(self.table, size), self.table.size // 2 + self.pos
+
+    def __matmul__(self, x) -> np.ndarray:
+        """K x for a vector (n,) or for the columns of a matrix (n, k)."""
+        x = np.asarray(x, dtype=float)
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        y = self.diag[col] * x
+        if self.off.nnz:
+            y += self.off @ x
+        size, spectrum, at = self._lattice_plan
+        occ = np.zeros((size,) + x.shape[1:])
+        occ[self.pos] = x[self.members]
+        y[self.members] += np.fft.irfft(np.fft.rfft(occ, axis=0) * spectrum[col], size, axis=0)[at]
+        return y
+
+    def __neg__(self) -> StiffnessParts:
+        return replace(self, diag=-self.diag, table=-self.table, off=-self.off)
+
+    def __abs__(self) -> StiffnessParts:
+        return replace(self, diag=np.abs(self.diag), table=np.abs(self.table), off=abs(self.off))
+
+    def __sub__(self, other: StiffnessParts) -> StiffnessParts:
+        """The difference of two matrices on one mesh, which share its lattice."""
+        return replace(self, diag=self.diag - other.diag, table=self.table - other.table, off=self.off - other.off)
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix: the lattice block filled from the table, then Off and the diagonal.
+
+        The lattice block is a Toeplitz view of the table when the lattice
+        is one contiguous run, one row of table values per lattice cell
+        otherwise.
+        """
+        n, members, pos = self.diag.size, self.members, self.pos
+        K = np.zeros((n, n))
+        top = self.table.size // 2
+        if members[-1] - members[0] == pos.size - 1 and np.array_equal(pos, np.arange(pos.size)):
+            block = slice(members[0], members[-1] + 1)
+            K[block, block] = np.lib.stride_tricks.sliding_window_view(self.table, pos.size)[::-1]
+        else:
+            for row, a in zip(members, pos):
+                K[row, members] = self.table[top - a + pos]
+        off = self.off.tocoo()
+        K[off.coords] = off.data
+        K[np.diag_indices(n)] = self.diag
+        return K
 
 
 @dataclass(frozen=True)
 class FormMatrices:
     form_kind: str
-    stiffness: np.ndarray
+    parts: StiffnessParts = field(repr=False)
     mass: np.ndarray  # diagonal entries (cell measures)
     ledger: CoeffLedger | None
     mesh: Mesh = field(repr=False)
@@ -105,6 +196,11 @@ class FormMatrices:
     @property
     def n(self) -> int:
         return self.mass.size
+
+    @functools.cached_property
+    def stiffness(self) -> np.ndarray:
+        """The dense stiffness matrix, built from the parts on first access."""
+        return self.parts.toarray()
 
 
 @dataclass(frozen=True)
@@ -125,15 +221,24 @@ class EigenResult:
 # 1D assembly (closed forms)
 
 
-def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
+def _tent_values(evaluate, w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
+    """evaluate(w, a1, a2, b1, b2, lo, hi) on the cell pairs (i, l), _CHUNK pairs per call."""
     cells = np.asarray(mesh.cells, dtype=float)
-    return cell_pair_tent_integral(w, cells[i, 0], cells[i, 1], cells[l, 0], cells[l, 1], lo, hi)
+    out = np.empty(np.size(i))
+    for s in range(0, out.size, _CHUNK):
+        a, b = cells[i[s : s + _CHUNK]], cells[l[s : s + _CHUNK]]
+        out[s : s + _CHUNK] = evaluate(w, a[:, 0], a[:, 1], b[:, 0], b[:, 1], lo, hi)
+    return out
+
+
+def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
+    return _tent_values(cell_pair_tent_integral, w, mesh, i, l, lo, hi)
 
 
 def _self_energies_1d(w, mesh: Mesh, cutoff: float) -> np.ndarray:
     # each cell paired with itself, called through kernels: eigen's own name is wrapped to count pair integrals
-    cells = np.asarray(mesh.cells, dtype=float)
-    return 2.0 * kernels.cell_pair_tent_integral(w, cells[:, 0], cells[:, 1], cells[:, 0], cells[:, 1], 0.0, cutoff)
+    every = np.arange(mesh.n_cells)
+    return 2.0 * _tent_values(kernels.cell_pair_tent_integral, w, mesh, every, every, 0.0, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +632,16 @@ def _lattice(centres, sides, cls):
 
     The lattice is the most common cell class, restricted to the cells whose
     centre sits an integer number of side lengths from the class's first
-    cell (9 decimals, as the offset keys).  Integer steps s, shifted to start
-    at zero, become positions s_0 (2 S_1 + 1) + s_1 with S_1 the largest s_1,
-    so every offset between two lattice cells is a distinct position
-    difference, positive when its first nonzero step is.
+    cell (9 decimals, as the offset keys).  The side is the class's mean
+    side: one cell's own side carries the rounding of its two edges, which
+    a step count of 10^4 amplifies past the 9 decimals, while the mean side
+    of a linspace run is its length over its count.  Integer steps s,
+    shifted to start at zero, become positions s_0 (2 S_1 + 1) + s_1 with
+    S_1 the largest s_1, so every offset between two lattice cells is a
+    distinct position difference, positive when its first nonzero step is.
     """
     members = np.flatnonzero(cls == np.bincount(cls).argmax())
-    steps = np.round((centres[members] - centres[members[0]]) / sides[members[0]], 9)
+    steps = np.round((centres[members] - centres[members[0]]) / sides[members].mean(axis=0), 9)
     on = np.all(steps == np.round(steps), axis=1)
     steps = steps[on].astype(np.int64)
     steps -= steps.min(axis=0)
@@ -547,13 +655,15 @@ def _lattice_pairs(members, pos):
     """One pair of lattice cells per position offset that occurs: (offsets, i, l).
 
     The pair is the first one in cell order; rows are scanned only until
-    every occurring offset, read off the occupancy autocorrelation, has one.
+    every occurring offset, read off the occupancy autocorrelation (by FFT),
+    has one.
     """
     occ = np.zeros(pos.max() + 1)
     occ[pos] = 1.0
     cell_at = np.zeros(occ.size, dtype=np.int64)
     cell_at[pos] = members
-    todo = np.correlate(occ, occ, "full")[occ.size - 1 :] > 0.5
+    size = scipy.fft.next_fast_len(2 * occ.size - 1, real=True)
+    todo = np.fft.irfft(np.abs(np.fft.rfft(occ, size)) ** 2, size)[: occ.size] > 0.5
     todo[0] = False
     start = np.full(occ.size, -1)
     for a in pos:
@@ -591,13 +701,12 @@ def _off_lattice_pairs(centres, sides, cls, members, lo, hi):
     return i[order], l[order], first
 
 
-def _pair_matrix(w, mesh: Mesh, lo, hi) -> np.ndarray:
-    """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal).
+def _pair_matrix(w, mesh: Mesh, lo, hi) -> StiffnessParts:
+    """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal), as parts.
 
     Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
-    are skipped.  Lattice cells pair by offset: one integral per offset, and
-    their block is filled from that table (a Toeplitz view when the lattice
-    is one contiguous run).  Pairs that touch an off-lattice cell are
+    are skipped.  Lattice cells pair by offset: one integral per offset,
+    kept as the offset table.  Pairs that touch an off-lattice cell are
     grouped by class pair and centre offset, one integral per group; with a
     clipped cell, whose class is its own, each such group is a single pair.
     Both stages share one evaluator call.
@@ -612,35 +721,26 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> np.ndarray:
     values = _ENGINES[mesh.domain.dim][0](
         w, mesh, np.concatenate([li, oi[first]]), np.concatenate([ll, ol[first]]), lo, hi
     )
-    P = np.zeros((n, n))
     top = pos.max()
     table = np.zeros(2 * top + 1)  # table[top + k]: value at position offset k
     table[top + offsets] = table[top - offsets] = values[: offsets.size]
-    if members[-1] - members[0] == pos.size - 1 and np.array_equal(pos, np.arange(pos.size)):
-        block = slice(members[0], members[-1] + 1)
-        P[block, block] = np.lib.stride_tricks.sliding_window_view(table, pos.size)[::-1]
-    else:
-        for row, a in zip(members, pos):
-            P[row, members] = table[top - a + pos]
     group_values = values[offsets.size :][np.cumsum(first) - 1]
-    P[oi, ol] = group_values
-    P[ol, oi] = group_values
-    return P
+    rows, cols = np.concatenate([oi, ol]), np.concatenate([ol, oi])
+    off = scipy.sparse.csr_array((np.concatenate([group_values, group_values]), (rows, cols)), shape=(n, n))
+    return StiffnessParts(np.zeros(n), members, pos, table, off)
 
 
 # (pair evaluator, diagonal self-energies) per dimension
 _ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_energies_2d)}
 
 
-def _difference_matrix(w, mesh, cutoff):
+def _difference_matrix(w, mesh, cutoff) -> StiffnessParts:
     """S(w): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
-    S = _pair_matrix(w, mesh, 0.0, cutoff)
-    S *= -2.0
-    np.fill_diagonal(S, _ENGINES[mesh.domain.dim][1](w, mesh, cutoff))
-    return S
+    P = _pair_matrix(w, mesh, 0.0, cutoff)
+    return replace(P, diag=_ENGINES[mesh.domain.dim][1](w, mesh, cutoff), table=-2.0 * P.table, off=-2.0 * P.off)
 
 
-def _convolution_matrix(w, mesh):
+def _convolution_matrix(w, mesh) -> StiffnessParts:
     """A(w): pair integrals of the kernel beyond unit distance."""
     return _pair_matrix(w, mesh, 1.0, np.inf)
 
@@ -680,12 +780,13 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
             raise PreconditionError("mesh cells must be smaller than the positivity radius")
 
     stiff = _difference_matrix(w, mesh, cutoff)
-    stiff[np.diag_indices_from(stiff)] += alpha0 * mass
+    stiff = replace(stiff, diag=stiff.diag + alpha0 * mass)
     if form_kind != "Q" and mesh.domain.diameter() >= 1.0:
-        stiff -= _convolution_matrix(w, mesh)
+        stiff = stiff - _convolution_matrix(w, mesh)
+    mats = FormMatrices(form_kind, stiff, mass, ledger, mesh)
     if form_kind == "Q":
-        _check_psd(stiff)
-    return FormMatrices(form_kind, stiff, mass, ledger, mesh)
+        _check_psd(mats.stiffness)
+    return mats
 
 
 def _check_psd(stiff) -> None:
@@ -708,27 +809,36 @@ def _check_psd(stiff) -> None:
 def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
     """k smallest generalized eigenpairs of (stiffness, diagonal mass).
 
-    Lanczos (ARPACK) on B = M^-1/2 K M^-1/2 from a fixed-seed normal start
-    vector, which reaches modes of either parity on symmetric domains; dense
-    eigh only where ARPACK cannot run (k >= n - 1).
+    Lanczos (ARPACK) on the operator x -> M^-1/2 K M^-1/2 x, with K applied
+    from its parts (StiffnessParts: the lattice block by FFT, the
+    off-lattice pairs as CSR), so no n x n array is formed.  It starts from
+    a fixed-seed normal vector, which reaches modes of either parity on
+    symmetric domains.  Dense eigh on the dense stiffness only where ARPACK
+    cannot run (k >= n - 1).
     """
     n = matrices.n
     if not 1 <= k <= n:
         raise PreconditionError("eigenpair count must lie in [1, n_cells]")
-    d = 1.0 / np.sqrt(matrices.mass)
-    B = matrices.stiffness * d[:, None]
-    B *= d
-    if not np.all(np.isfinite(B)):
+    K = matrices.parts
+    if not all(np.all(np.isfinite(a)) for a in (K.diag, K.table, K.off.data)):
         raise NumericalError("stiffness matrix has non-finite entries")
+    d = 1.0 / np.sqrt(matrices.mass)
+
+    def scaled(x):  # M^-1/2 K M^-1/2 x for a vector or the columns of a matrix
+        dx = d.reshape((-1,) + (1,) * (x.ndim - 1))
+        return dx * (K @ (dx * x))
+
     try:
         if k >= n - 1:
+            B = matrices.stiffness * d[:, None]
+            B *= d
             vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
         else:
+            B = scipy.sparse.linalg.LinearOperator((n, n), matvec=scaled, matmat=scaled, dtype=float)
             v0 = np.random.default_rng(0).standard_normal(n)
             vals, vecs = scipy.sparse.linalg.eigsh(B, k, which="SA", v0=v0)
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    del B
     order = np.argsort(vals)
     vals, vecs = vals[order], d[:, None] * vecs[:, order]  # back to the original variables, M-orthonormal
     # deterministic sign: largest-magnitude entry positive
@@ -745,13 +855,17 @@ def _check_pairs(matrices: FormMatrices, vals, vecs) -> None:
     gram = vecs.T @ (M[:, None] * vecs)
     if float(np.max(np.abs(gram - np.eye(vals.size)))) > 1e-8:
         raise NumericalError("eigenvectors lost mass-orthonormality")
-    K = matrices.stiffness
-    rows = range(0, matrices.n, _ROW_BLOCK)  # the max row sum of |K|, no n x n temporary
-    scale = max(float(np.max(np.sum(np.abs(K[i:i + _ROW_BLOCK]), axis=1))) for i in rows) or 1.0
+    K = matrices.parts
     res = K @ vecs - (M[:, None] * vecs) * vals[None, :]
     worst = float(np.max(np.abs(res)))
+    scale = _residual_scale(K)
     if worst > 1e-6 * scale:
         raise NumericalError(f"eigenpair residual {worst:.3e} exceeds 1e-6 * |A|")
+
+
+def _residual_scale(K: StiffnessParts) -> float:
+    """The max row sum of |K|: the parts' supports are disjoint, so |K| is the sum of their moduli."""
+    return float(np.max(abs(K) @ np.ones(K.diag.size))) or 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +900,7 @@ def rearrange_decreasing(coeffs, mesh: Mesh) -> np.ndarray:
 
 def form_energy(matrices: FormMatrices, coeffs) -> float:
     v = np.asarray(coeffs, dtype=float)
-    return float(v @ matrices.stiffness @ v)
+    return float(v @ (matrices.parts @ v))
 
 
 @dataclass(frozen=True)

@@ -348,20 +348,3 @@ def rect_pair_integral_2d(w, A, B, lo: float = 0.0, hi: float = 1.0, order: int 
     alpha = np.where(ta <= 1e-150, 0.0, alpha)  # disjointness (for a self-energy, a zero profile at 0) makes this exact
     piece = _profile_integral(w, ta, np.maximum(tb, 1e-150), alpha, beta, gamma)
     return float(np.sum(np.where(live, piece, 0.0).sum(axis=1) * wphi))
-
-
-def cell_pair_integral_1d(spec: KernelSpec, cellA: tuple[float, float], cellB: tuple[float, float]) -> float:
-    """Exact int_A int_B k_n(x - y) dy dx for 1D mesh cells.
-
-    Disjoint (possibly touching) cells use the overlap-profile closed form.
-    Identical cells give the Galerkin self-energy
-    int_A int_{B_1(x) setminus A} q_n, since the raw double integral
-    diverges there; partially overlapping cells are rejected.
-    """
-    if spec.dim != 1:
-        raise PreconditionError("closed-form cell integrals are one-dimensional")
-    a1, a2 = map(float, cellA)
-    b1, b2 = map(float, cellB)
-    if a2 <= a1 or b2 <= b1:
-        raise PreconditionError("cells must have positive length")
-    return float(cell_pair_tent_integral(order_weights(spec.n), a1, a2, b1, b2, 0.0, 1.0))

@@ -210,7 +210,7 @@ def test_criterion_7_dominant_kernel_problem():
     ok = True
     mus = []
     for m in (1, 2, 3):
-        conv = _convolution_matrix(order_weights(m), mesh)
+        conv = _convolution_matrix(order_weights(m), mesh).toarray()
         ok = ok and float(np.max(np.abs(conv))) == 0.0
         res = k_form_first_eig(m, mesh, k=2)
         mus.append(res.eigenvalues[0])

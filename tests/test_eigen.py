@@ -50,7 +50,7 @@ QUARTER = DomainSpec(1, (Interval(-0.25, 0.25),))
 def test_single_cell_self_energy_matches_quadrature():
     dom = DomainSpec(1, (Interval(0.0, 0.2),))
     mesh = mesh_intervals(dom, 1)
-    S = _difference_matrix(order_weights(1), mesh, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
 
     def inner(x):
         return -math.log(x) - math.log(0.2 - x)
@@ -61,7 +61,7 @@ def test_single_cell_self_energy_matches_quadrature():
 
 def test_difference_matrix_row_sums_positive_semidefinite_structure():
     mesh = mesh_intervals(QUARTER, 60)
-    S = _difference_matrix(order_weights(1), mesh, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
     assert np.allclose(S, S.T, atol=1e-14)
     # Gershgorin: diagonal dominates for the order-one (positive) kernel
     offdiag = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
@@ -74,14 +74,14 @@ def test_small_domain_has_zero_convolution_part():
     assert disk.bounding_radius() <= 0.5 and any(c[4] for c in meshes[1].cells)
     for mesh in meshes:
         for n in (1, 2, 3):
-            A = _convolution_matrix(order_weights(n), mesh)
+            A = _convolution_matrix(order_weights(n), mesh).toarray()
             assert float(np.max(np.abs(A))) == 0.0
 
 
 def test_convolution_part_nonzero_for_wide_domain():
     dom = DomainSpec(1, (Interval(-1.0, 1.0),))
     mesh = mesh_intervals(dom, 50)
-    A = _convolution_matrix(order_weights(1), mesh)
+    A = _convolution_matrix(order_weights(1), mesh).toarray()
     assert np.max(np.abs(A)) > 0.0
     # matches the direct pair integral for one far pair
     cells = np.asarray(mesh.cells)
@@ -145,7 +145,7 @@ def test_pair_matrix_matches_brute_force_loop(name):
     cases = ((order_weights(1), 0.0, 1.0, 1e-13), (order_weights(2), 0.0, 1.0, 1e-13),
              (order_weights(1), 1.0, np.inf, 1e-9), (alpha_coeffs(2, mesh.domain.dim).alpha[1:], 0.0, 1.0, 1e-13))
     for w, lo, hi, tol in cases:
-        P = _pair_matrix(w, mesh, lo, hi)
+        P = _pair_matrix(w, mesh, lo, hi).toarray()
         ref = _pair_matrix_by_brute_force(w, mesh, lo, hi, pairs)
         if pairs is not None:
             checked = tuple(np.array(pairs).T)
@@ -192,8 +192,8 @@ def test_combined_weights_match_the_sum_of_unit_orders(dim):
     w = alpha_coeffs(3, dim).alpha[1:]
     units = [order_weights(j) for j in (1, 2, 3)]
     for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
-        P = _pair_matrix(w, mesh, lo, hi)
-        ref = sum(wj * _pair_matrix(u, mesh, lo, hi) for wj, u in zip(w, units))
+        P = _pair_matrix(w, mesh, lo, hi).toarray()
+        ref = sum(wj * _pair_matrix(u, mesh, lo, hi).toarray() for wj, u in zip(w, units))
         assert np.max(np.abs(ref)) > 0.0
         assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
     self_energies = eigen._ENGINES[dim][1]
@@ -224,7 +224,7 @@ def test_far_1d_pair_entries_match_mpmath():
     cells = np.asarray(mesh.cells)
     rng = np.random.default_rng(5)
     for w in (order_weights(1), order_weights(2), alpha_coeffs(2, 1).alpha[1:]):
-        A = _convolution_matrix(w, mesh)
+        A = _convolution_matrix(w, mesh).toarray()
         i, l = np.nonzero(np.triu(A, 1))  # i < l: cell l is right of cell i
         for k in rng.choice(i.size, 30, replace=False):
             ref = _far_pair_mpmath_oracle(w, cells[l[k]], cells[i[k]], 1.0)
@@ -347,7 +347,7 @@ def test_indefinite_q_stiffness_is_a_numerical_error(monkeypatch, tmp_path):
     monkeypatch.setattr(eigen, "_difference_matrix", lambda w, mesh, cutoff: -real(w, mesh, cutoff))
     led = alpha_coeffs(2, 1)
     mesh = mesh_intervals(QUARTER, 60)
-    stiff = -real(led.alpha[1:], mesh, combined_kernel(led).r0) + led.alpha[0] * np.diag(mesh.cell_measure)
+    stiff = -real(led.alpha[1:], mesh, combined_kernel(led).r0).toarray() + led.alpha[0] * np.diag(mesh.cell_measure)
     lam_min = np.linalg.eigvalsh(stiff)[0]
     assert lam_min < -1e-8 * np.max(np.abs(stiff))
     with pytest.raises(NumericalError, match=re.escape(f"lambda_min={lam_min:.3e}")):
@@ -401,10 +401,15 @@ def test_eigensolve_count_bounds():
         eigensolve(mats, 11)
 
 
-def test_eigensolve_rejects_non_finite_matrix():
+def test_eigensolve_rejects_non_finite_matrix(monkeypatch):
+    def one_nan(*args):
+        values = cell_pair_tent_integral(*args)
+        values[0] = np.nan  # the first integer offset
+        return values
+
+    monkeypatch.setattr(eigen, "cell_pair_tent_integral", one_nan)
     led = alpha_coeffs(1, 1)
     mats = assemble("I", led, mesh_intervals(QUARTER, 10))
-    mats.stiffness[3, 4] = mats.stiffness[4, 3] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         eigensolve(mats, 2)
 
@@ -460,6 +465,64 @@ def test_eigensolve_holds_one_matrix_temporary():
     assert peak < 1.5 * mats.stiffness.nbytes
 
 
+def _operator_mesh(name, scale):
+    """The meshes the stiffness operator is checked on; 1D domains dilated by scale (Q needs them inside B_(r0/2))."""
+    f = 0.0317
+    pieces = {
+        "uniform-interval": ((-0.6, 0.6),),
+        "gapped-split": ((f - 0.6, f - 0.3), (f + 0.3, f + 0.6)),  # the fk split at diameter 1.2
+        "incommensurate-pieces": ((-0.6, 0.1), (0.2137, 0.6)),  # a second width: off-lattice cells in 1D
+    }
+    if name in pieces:
+        cells = {"uniform-interval": 300, "gapped-split": 60, "incommensurate-pieces": 40}[name]
+        return mesh_intervals(DomainSpec(1, tuple(Interval(scale * a, scale * b) for a, b in pieces[name])), cells)
+    if name == "square-400":
+        return mesh_rectangles(DomainSpec(2, (Rect(-0.25, -0.25, 0.25, 0.25),)), 0.025)
+    if name == "l-shaped-union":
+        return mesh_rectangles(DomainSpec(2, (Rect(-0.2, -0.2, 0.2, 0.0), Rect(-0.2, 0.0, 0.0, 0.2))), 0.025)
+    return _disk_mesh()
+
+
+@pytest.mark.parametrize("name", ["uniform-interval", "gapped-split", "incommensurate-pieces", "square-400",
+                                  "l-shaped-union", "disk-88"])
+@pytest.mark.parametrize("form", ["I", "G", "Q"])
+def test_stiffness_operator_matches_the_dense_matrix(form, name):
+    mesh = _operator_mesh(name, 0.4 if form == "Q" else 1.0)
+    led = alpha_coeffs(2, mesh.domain.dim)
+    mats = assemble(form, led, mesh) if form != "G" else assemble("G", None, mesh, order=2)
+    K = mats.stiffness
+    assert np.array_equal(K, K.T)
+    if name == "disk-88":
+        assert mesh.n_cells == 88 and mats.parts.off.nnz > 0
+    if name == "incommensurate-pieces":
+        assert mats.parts.off.nnz > 0
+    rng = np.random.default_rng(7)
+    for x in (rng.standard_normal(mesh.n_cells), rng.standard_normal((mesh.n_cells, 3))):
+        ref = K @ x
+        got = mats.parts @ x
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    dense_scale = float(np.max(np.sum(np.abs(K), axis=1)))
+    assert abs(eigen._residual_scale(mats.parts) - dense_scale) <= 1e-14 * dense_scale
+    v = rng.standard_normal(mesh.n_cells)
+    assert form_energy(mats, v) == pytest.approx(v @ K @ v, rel=1e-14)
+
+
+def test_lanczos_memory_does_not_grow_with_the_square_of_the_mesh():
+    # 20,000 cells: a dense stiffness or B alone would take 3.2 GB; the parts and the Lanczos basis take O(n)
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 20000)
+    assert _lattice_size(mesh) == mesh.n_cells  # else the off-lattice pairs alone would take gigabytes
+    tracemalloc.start()
+    try:
+        mats = assemble("I", alpha_coeffs(1, 1), mesh)
+        res = eigensolve(mats, 3)  # never touches mats.stiffness, which would build the dense matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.diff(res.eigenvalues) > 0.0)
+    assert peak < 16e6
+
+
 def test_lanczos_no_convergence_is_a_numerical_error(monkeypatch, tmp_path):
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
@@ -503,8 +566,8 @@ def test_g1_dilation_scaling_decomposition():
     mesh = mesh_intervals(QUARTER, 40)
     scaled_dom = DomainSpec(1, (Interval(-0.125, 0.125),))
     mesh_t = mesh_intervals(scaled_dom, 40)
-    S = _difference_matrix(order_weights(1), mesh, 1.0)
-    St = _difference_matrix(order_weights(1), mesh_t, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
+    St = _difference_matrix(order_weights(1), mesh_t, 1.0).toarray()
     Mt = mesh_t.cell_measure
     expect = t * S + np.diag(2.0 * omega(1) * (-math.log(t)) * Mt)
     assert np.max(np.abs(St - expect)) < 1e-10 * np.max(np.abs(St))
@@ -643,7 +706,7 @@ def test_energy_vs_spectral_log_norm_ratio():
     dom = QUARTER
     mesh = mesh_intervals(dom, 256)
     centers = mesh.centers()
-    S = _difference_matrix(order_weights(m), mesh, 1.0)
+    S = _difference_matrix(order_weights(m), mesh, 1.0).toarray()
     ratios = []
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -681,7 +744,7 @@ def test_2d_whole_domain_energy_cross_check():
 
     dom = DomainSpec(2, (Rect(-0.2, -0.15, 0.2, 0.15),))
     mesh = mesh_rectangles(dom, 0.05)
-    S = _difference_matrix(order_weights(1), mesh, 1.0)
+    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
     ones = np.ones(mesh.n_cells)
     lhs = ones @ S @ ones
     # reference: 2 int_Omega h(x) dx with h(x) = int_{B1(x)\Omega} q_1 dy,
@@ -897,7 +960,7 @@ def test_pair_matrix_is_invariant_under_the_grid_symmetries(centre):
     # near pairs with a clipped cell share one value per orbit, computed on the pair rebuilt from its key;
     # evaluated on each pair's own cells they broke this by 1.0e-5 of max|P| (reads 9.9e-12)
     mesh = _disk_mesh(centre=centre)
-    P = _pair_matrix(alpha_coeffs(2, 2).alpha[1:], mesh, 0.0, 1.0)
+    P = _pair_matrix(alpha_coeffs(2, 2).alpha[1:], mesh, 0.0, 1.0).toarray()
     for perm in _grid_symmetries(mesh):
         assert np.max(np.abs(P[np.ix_(perm, perm)] - P)) <= 1e-10 * np.max(np.abs(P))
 
@@ -946,7 +1009,7 @@ def test_pair_matrix_matches_brute_force_beside_a_disk():
     # single-pair calls differ by 8.2e-9 of max|P|
     mesh = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, 0.2), Rect(0.22, -0.06, 0.30, 0.06))), 0.04)
     w = alpha_coeffs(2, 2).alpha[1:]
-    P = _pair_matrix(w, mesh, 0.0, 1.0)
+    P = _pair_matrix(w, mesh, 0.0, 1.0).toarray()
     ref = _pair_matrix_by_brute_force(w, mesh, 0.0, 1.0)
     assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -961,7 +1024,7 @@ def test_pair_matrix_temporaries_stay_within_the_chunk_budget(monkeypatch):
     def traced_peak():
         tracemalloc.start()
         try:
-            _pair_matrix(w, mesh, 0.0, 1.0)
+            _pair_matrix(w, mesh, 0.0, 1.0).toarray()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -13,7 +13,6 @@ from loglap.coeffs import EULER_GAMMA, alpha_coeffs, omega
 from loglap.kernels import (
     KernelSpec,
     _tent_breaks,
-    cell_pair_integral_1d,
     cell_pair_tent_integral,
     combined_kernel,
     incomplete_log_integral,
@@ -207,12 +206,12 @@ def test_kernel_positive_and_monotone_inside_radii(m, N):
 
 
 def test_adjacent_cells_log_two():
-    val = cell_pair_integral_1d(KernelSpec(1, 1), (0.0, 0.25), (-0.25, 0.0))
+    val = cell_pair_tent_integral(order_weights(1), 0.0, 0.25, -0.25, 0.0, 0.0, 1.0)
     assert val == pytest.approx(math.log(2) / 2, rel=1e-13)
 
 
 def test_far_cells_vanish():
-    assert cell_pair_integral_1d(KernelSpec(2, 1), (1.5, 1.8), (0.0, 0.4)) == 0.0
+    assert cell_pair_tent_integral(order_weights(2), 1.5, 1.8, 0.0, 0.4, 0.0, 1.0) == 0.0
 
 
 def test_pair_symmetry_and_sign():
@@ -223,9 +222,9 @@ def test_pair_symmetry_and_sign():
         A = (gap, gap + w1)
         B = (-w2, 0.0)
         for n in (1, 3):
-            spec = KernelSpec(n, 1)
-            ab = cell_pair_integral_1d(spec, A, B)
-            ba = cell_pair_integral_1d(spec, B, A)
+            w = order_weights(n)
+            ab = cell_pair_tent_integral(w, *A, *B, 0.0, 1.0)
+            ba = cell_pair_tent_integral(w, *B, *A, 0.0, 1.0)
             assert ab == pytest.approx(ba, rel=1e-13, abs=1e-300)
             assert ab >= 0.0  # odd n: kernel nonnegative
 
@@ -239,7 +238,7 @@ def test_pair_integral_matches_2d_quadrature(seed):
         gap = rng.uniform(0.0, 2.0)
         A = (gap, gap + w1)
         B = (-w2, 0.0)
-        val = cell_pair_integral_1d(KernelSpec(n, 1), A, B)
+        val = cell_pair_tent_integral(order_weights(n), *A, *B, 0.0, 1.0)
         ref = _pair_quadrature_oracle(n, A, B)
         if abs(ref) > 1e-12:
             assert val == pytest.approx(ref, rel=1e-8)
@@ -343,16 +342,15 @@ def test_cell_self_energy_2d_matches_adaptive_oracle():
 
 
 def test_identical_cells_return_self_energy():
-    spec = KernelSpec(2, 1)
     # the closed form int_0^h P(-2 ln t) dt - h P(-2 ln cutoff) with P' = p, P(0) = 0; cutoff 1 drops its second term
-    assert cell_pair_integral_1d(spec, (0.0, 0.2), (0.0, 0.2)) == pytest.approx(
+    assert cell_pair_tent_integral(order_weights(2), 0.0, 0.2, 0.0, 0.2, 0.0, 1.0) == pytest.approx(
         float(log_moment(polyint(order_weights(2)), 0.2)), rel=0.0
     )
 
 
 def test_partial_overlap_rejected():
     with pytest.raises(PreconditionError):
-        cell_pair_integral_1d(KernelSpec(1, 1), (0.0, 0.3), (0.2, 0.5))
+        cell_pair_tent_integral(order_weights(1), 0.0, 0.3, 0.2, 0.5, 0.0, 1.0)
 
 
 def test_self_pairs_need_a_finite_cutoff_and_leave_other_rows_alone():
