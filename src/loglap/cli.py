@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
 4 numerical failure.  --threads splits the nodes of a 2D quadrature apply
 over worker threads (default and cap: the CPUs this process may run on; a
 value below 1 exits 2); a 1D apply is one lattice convolution and ignores it.
+The threads run in parallel, since the 2D interpolant and the radial sums are
+numpy array work that releases the GIL, and a node's value does not depend on
+the thread it ran on, so the output is the same bytes for any thread count.
 """
 
 from __future__ import annotations

@@ -108,6 +108,7 @@ _SELF_ORDER = 8  # clipped self-energy: box Gauss points per axis
 _SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
 _BOX_SELF_ORDER = 24  # unclipped self-energy: angular Gauss points per panel (12 leaves an aspect-5 box up to 3e-10 off)
 _CHUNK = 1 << 13  # elements per chunk: point pairs of a far sum, rays of a near pair, 1D closed-form pairs
+_PAIR_BLOCK = 1 << 18  # candidate pairs per row block of the off-lattice pair search
 
 
 @dataclass(eq=False)
@@ -681,17 +682,25 @@ def _off_lattice_pairs(centres, sides, cls, members, lo, hi):
 
     Groups share the class pair and the centre offset rounded to 9 decimals
     of the first cell's side; each group starts at its first pair in row order.
+    Candidates are made and range-tested in blocks of off-lattice rows, about
+    _PAIR_BLOCK pairs each, so only kept pairs outlive their block.
     """
     n = len(cls)
     off = np.ones(n, dtype=bool)
     off[members] = False
-    o, a = np.flatnonzero(off)[:, None], np.arange(n)[None, :]
-    valid = (a != o) & ~(off[a] & (a < o))  # pairs of two off-lattice cells once
-    i, l = np.minimum(o, a)[valid], np.maximum(o, a)[valid]
+    rows, a = np.flatnonzero(off), np.arange(n)[None, :]
+    i, l = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    step = max(1, _PAIR_BLOCK // n)
+    for start in range(0, rows.size, step):
+        o = rows[start : start + step, None]
+        valid = (a != o) & ~(off[a] & (a < o))  # pairs of two off-lattice cells once
+        bi, bl = np.minimum(o, a)[valid], np.maximum(o, a)[valid]
+        keep = _in_range(centres, sides, bi, bl, lo, hi)
+        i.append(bi[keep])
+        l.append(bl[keep])
+    i, l = np.concatenate(i), np.concatenate(l)
     order = np.lexsort((l, i))
     i, l = i[order], l[order]
-    keep = _in_range(centres, sides, i, l, lo, hi)
-    i, l = i[keep], l[keep]
     keys = (*np.round((centres[l] - centres[i]) / sides[i, :1], 9).T, cls[i].astype(np.int64) * n + cls[l])
     order = np.lexsort(keys)  # stable
     first = np.zeros(order.size, dtype=bool)

@@ -3,9 +3,17 @@
 A GridFunction stores node values on a uniform grid in dimension 1 or 2 and
 is treated as identically zero outside its box.  Off-node samples come from
 cubic interpolation: the natural cubic spline in 1D, and in 2D the not-a-knot
-tensor-product cubic spline, whose coefficients come from two banded 1D
-solves (one per axis) and so reproduce the node values to rounding.  Grids
-with fewer than 4 nodes on an axis interpolate linearly.  The declared
+tensor-product cubic spline.  A cubic spline with a knot at every node of a
+uniform grid is a sum of shifted uniform cubic B-splines, so the 2D spline is
+stored as an (n0 + 2) x (n1 + 2) coefficient table from one banded solve per
+axis (n interpolation rows and the two not-a-knot rows, no jump of the third
+derivative at the second and the second-to-last node).  A sample then reads
+its cell from floor((x - origin) / spacing), four fixed cubic weights per
+axis, and the 4 x 4 window of coefficients around the cell; numpy does this
+elementwise in blocks of fixed length, so a sample's value does not depend
+on the other samples and the working set does not grow with their number.
+Points outside the box, NaN and infinities included, read 0.  Grids with
+fewer than 4 nodes on an axis interpolate linearly.  The declared
 Holder data (exponent alpha, constant C) must dominate the interpolant's
 modulus of continuity, which keeps the analytic truncation bounds of the
 singular quadrature honest.  Validation samples random short-distance pairs
@@ -22,11 +30,91 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, NdBSpline, RegularGridInterpolator, make_interp_spline
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.linalg import solve_banded
 
 from .errors import PreconditionError
 
 _HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
+_SPLINE_BLOCK = 1 << 14  # samples per block of the 2D spline evaluator (about 2 MB of temporaries)
+
+
+def _not_a_knot_coefficients(values: np.ndarray, axis: int) -> np.ndarray:
+    """Uniform B-spline coefficients of the not-a-knot cubic spline along one axis.
+
+    On nodes k = 0..n-1 the spline is sum_j e_j b(x - j), j = -1..n, where
+    b = 6 B and B is the uniform cubic B-spline centred at 0.  The rows are
+    e_(k-1) + 4 e_k + e_(k+1) = u_k at each node, and the not-a-knot rows
+    e_(-1) - 4 e_0 + 6 e_1 - 4 e_2 + e_3 = 0 (the fourth difference is the
+    jump of the third derivative at node 1) and its mirror at node n-2.
+    Stored with bandwidths (4, 4); the axis grows from n to n + 2.
+    """
+    v = np.moveaxis(values, axis, 0)
+    n = v.shape[0]
+    ab = np.zeros((9, n + 2))  # ab[4 + row - col, col]
+    ab[5, :n], ab[4, 1 : n + 1], ab[3, 2:] = 1.0, 4.0, 1.0
+    for k, c in enumerate((1.0, -4.0, 6.0, -4.0, 1.0)):
+        ab[4 - k, k] = ab[8 - k, n - 3 + k] = c
+    rhs = np.zeros((n + 2,) + v.shape[1:])
+    rhs[1 : n + 1] = v
+    return np.moveaxis(solve_banded((4, 4), ab, rhs), 0, axis)
+
+
+def _cubic_weights(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """b at s + 1, s, s - 1, s - 2: the four shifted B-splines nonzero at s in [0, 1]."""
+    r = 1.0 - s
+    s2, r2 = s * s, r * r
+    w1 = (3.0 * s - 6.0) * s2 + 4.0
+    w2 = (3.0 * r - 6.0) * r2 + 4.0
+    r2 *= r  # now r^3
+    s2 *= s  # now s^3
+    return r2, w1, w2, s2
+
+
+class _UniformTensorSpline:
+    """The 2D not-a-knot tensor spline of a grid, as a coefficient table and a blocked numpy evaluator."""
+
+    def __init__(self, u: "GridFunction"):
+        self.coef = np.ascontiguousarray(_not_a_knot_coefficients(_not_a_knot_coefficients(u.values, 0), 1))
+        self.lo, self.hi = u.box_lo, u.box_hi
+        self.spacing = u.spacing
+        self.last_cell = (u.shape[0] - 2, u.shape[1] - 2)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """Values at points of shape (m, 2), zero outside the box."""
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _SPLINE_BLOCK):
+            out[start : start + _SPLINE_BLOCK] = self._block(pts[start : start + _SPLINE_BLOCK])
+        return out
+
+    def _axis(self, coord: np.ndarray, inside: np.ndarray, ax: int):
+        """Cell index and the four weights along one axis; outside points are moved to the origin first."""
+        t = np.where(inside, (coord - self.lo[ax]) / self.spacing[ax], 0.0)
+        cell = np.minimum(np.floor(t), self.last_cell[ax])
+        t -= cell
+        cell = cell.astype(np.intp)  # drops the float copy before the weights are made
+        return cell, _cubic_weights(t)
+
+    def _block(self, pts: np.ndarray) -> np.ndarray:
+        # elementwise only, so a sample's value does not depend on the block it falls in
+        x, y = pts[:, 0], pts[:, 1]
+        inside = (x >= self.lo[0]) & (x <= self.hi[0]) & (y >= self.lo[1]) & (y <= self.hi[1])
+        stride = self.coef.shape[1]
+        row, wx = self._axis(x, inside, 0)  # becomes the flat index of each window's first coefficient
+        row *= stride
+        cy, wy = self._axis(y, inside, 1)
+        row += cy
+        del cy  # each index array is dropped once folded in: the block's peak is what bounds memory
+        flat = self.coef.ravel()
+        acc = np.zeros(len(pts))
+        for a in range(4):  # window row a: coefficients (cell_x + a, cell_y + b), b = 0..3
+            along_y = flat.take(row) * wy[0]
+            for b in (1, 2, 3):
+                along_y += flat[b:].take(row) * wy[b]
+            along_y *= wx[a]
+            acc += along_y
+            row += stride
+        return np.where(inside, acc, 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,11 +188,9 @@ class GridFunction:
                 return CubicSpline(axes[0], self.values, bc_type="natural", extrapolate=False)
             return lambda x: np.interp(x, axes[0], self.values)
         if min(self.shape) < 4:
-            return RegularGridInterpolator(axes, self.values, method="linear", bounds_error=False, fill_value=0.0)
-        # not-a-knot tensor spline from two banded solves, one per axis
-        s0 = make_interp_spline(axes[0], self.values, k=3, axis=0)
-        s1 = make_interp_spline(axes[1], s0.c, k=3, axis=1)
-        return NdBSpline((s0.t, s1.t), np.ascontiguousarray(s1.c.T), 3, extrapolate=False)
+            linear = RegularGridInterpolator(axes, self.values, method="linear", bounds_error=False, fill_value=0.0)
+            return lambda pts: np.nan_to_num(linear(pts), nan=0.0, copy=False)  # NaN points read 0 too
+        return _UniformTensorSpline(self)
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate at points (shape (..., dim) or (...,) in 1D); zero outside the box."""
@@ -117,8 +203,7 @@ class GridFunction:
                 vals = self._interpolator(np.asarray(x)[inside])
                 out[inside] = np.nan_to_num(vals, nan=0.0)
             return out
-        vals = self._interpolator(pts.reshape(-1, 2))
-        return np.nan_to_num(vals, nan=0.0, copy=False).reshape(pts.shape[:-1])
+        return self._interpolator(pts.reshape(-1, 2)).reshape(pts.shape[:-1])
 
     def cell_coefficients(self) -> np.ndarray:
         """Local power coefficients of the 1D interpolant, shape (4, n - 1).

@@ -195,6 +195,38 @@ def test_threads_are_positive_and_capped_at_the_cpus(tmp_path, monkeypatch):
     assert len(asked) == 3
 
 
+def test_threads_write_the_same_bytes_as_one_thread(tmp_path, monkeypatch):
+    # a real pool of two workers: each point's value does not depend on the
+    # batch it falls in, so the output file is byte for byte the serial one
+    from concurrent.futures import ThreadPoolExecutor
+
+    from loglap import cli
+
+    asked = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)  # the cap, on a machine with one CPU too
+    x = np.linspace(-1.0, 1.0, 7)
+    vals = ((1.0 - x[:, None] ** 2) * (1.0 - x[None, :] ** 2)) ** 2  # zero on the box faces
+    h = (x[1] - x[0],) * 2
+    u = GridFunction(2, (-1.0, -1.0), h, vals.shape, vals, 1.0, estimate_holder_constant(vals, h, 1.0))
+    src = tmp_path / "bump2d.json"
+    src.write_text(json.dumps(grid_to_dict(u)))
+    for op in (["--op", "L", "--m", "2"], ["--op", "riesz", "--s", "0.3"]):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}.json"
+            assert main(["--threads", threads, "apply", *op, "--method", "quad", "--grid", str(src), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+    assert asked == [1, 2, 1, 2]
+
+
 def test_apply_riesz_out_of_range_exit_code(bump_file, tmp_path):
     code = main(["apply", "--op", "riesz", "--s", "0.6", "--method", "quad",
                  "--grid", str(bump_file), "--out", str(tmp_path / "x.json")])

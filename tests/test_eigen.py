@@ -1034,3 +1034,32 @@ def test_pair_matrix_temporaries_stay_within_the_chunk_budget(monkeypatch):
     baseline = traced_peak()
     assert baseline >= 8 * mesh.n_cells ** 2
     assert peak - baseline <= 32 * 8 * eigen._CHUNK
+
+
+def test_off_lattice_pair_search_works_in_row_blocks(monkeypatch):
+    # a two-width split whose second piece lies wholly off the lattice: the
+    # candidate pairs are range-tested in row blocks, so a search that keeps
+    # nothing (all pairs nearer than 1) stays within one block's allowance,
+    # not the 8 n_off n bytes of every candidate at once
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.45, 0.0), Interval(0.0137, 0.45))), 8000)
+    centres, sides, cls, _ = eigen._cell_classes(mesh)
+    members, _ = eigen._lattice(centres, sides, cls)
+    n_off = mesh.n_cells - members.size
+    assert n_off > 0.45 * mesh.n_cells
+    tracemalloc.start()
+    try:
+        i, _, _ = eigen._off_lattice_pairs(centres, sides, cls, members, 1.0, np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert i.size == 0
+    assert peak < 64 * eigen._PAIR_BLOCK < 0.1 * 8 * n_off * mesh.n_cells
+    # the block size does not change the pairs, their order or the groups
+    mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.1), Interval(0.2137, 0.6))), 400)
+    centres, sides, cls, _ = eigen._cell_classes(mesh)
+    members, _ = eigen._lattice(centres, sides, cls)
+    whole = eigen._off_lattice_pairs(centres, sides, cls, members, 0.0, 1.0)
+    monkeypatch.setattr(eigen, "_PAIR_BLOCK", 1)  # one row per block
+    by_rows = eigen._off_lattice_pairs(centres, sides, cls, members, 0.0, 1.0)
+    assert whole[0].size > 10000
+    assert all(np.array_equal(a, b) for a, b in zip(whole, by_rows))

@@ -1,12 +1,13 @@
 """Grid functions: geometry, interpolation, Holder validation, JSON round trip."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from loglap import PreconditionError
+from loglap import PreconditionError, grid
 from loglap.grid import (
     GridFunction,
     box_indicator,
@@ -183,3 +184,38 @@ def test_2d_interpolant_is_zero_just_outside_each_face(shape):
             assert u(off[None, :])[0] == 0.0
     corners = np.array([[lo[0], lo[1]], [hi[0], hi[1]]])
     assert np.allclose(u(corners), [vals[0, 0], vals[-1, -1]], rtol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(20, 17), (3, 8)])
+def test_2d_non_finite_and_far_points_read_zero(shape):
+    # the inside test runs on coordinates before any cell index is made, so
+    # NaN, infinities and huge coordinates never reach the gather
+    h = (0.1, 0.15)
+    x, y = (hh * np.arange(n) for hh, n in zip(h, shape))
+    u = GridFunction(2, (0.0, 0.0), h, shape, 1.0 + x[:, None] + y[None, :], 1.0, 1.0)
+    mid = 0.5 * (u.box_lo + u.box_hi)
+    bad = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+    pts = np.array([[b, mid[1]] for b in bad] + [[mid[0], b] for b in bad] + [[np.nan, np.inf], mid.tolist()])
+    vals = u(pts)
+    assert np.array_equal(vals[:-1], np.zeros(len(pts) - 1))
+    assert vals[-1] > 1.0
+    assert u(np.full((3, 4, 2), np.nan)).shape == (3, 4)
+
+
+def test_2d_interpolant_memory_does_not_grow_with_points():
+    # 10^6 points: the traced peak is the output plus one block's temporaries
+    u = gaussian_bump(dim=2, halfwidth=2.0, nodes=64)
+    u(np.zeros((1, 2)))  # builds the coefficient table outside the trace
+    extra = []
+    for m in (10 ** 5, 10 ** 6):
+        pts = np.random.default_rng(4).uniform(-2.5, 2.5, size=(m, 2))
+        tracemalloc.start()
+        try:
+            vals = u(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - vals.nbytes)
+    block = 8 * grid._SPLINE_BLOCK
+    assert max(extra) <= 20 * block
+    assert extra[1] <= extra[0] + block

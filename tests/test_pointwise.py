@@ -548,6 +548,35 @@ def test_operators_on_a_gaussian_match_the_continuous_operator(gauss, case):
     assert np.max(np.abs(op(gauss, xs[:, None]) - [oracle(x) for x in xs])) <= tol
 
 
+# each tolerance is at least twice the largest absolute error measured on
+# gaussian_bump(dim=2, halfwidth=6.0, nodes=256) at the points of the test below:
+# 2.3e-7, 2.9e-6, 6.9e-8, 7.4e-8, 1.2e-6, 1.5e-5 (the bicubic interpolant sets them)
+GAUSSIAN_CASES_2D = {
+    "fraclap-0.1": (lambda u, xs: frac_lap_batch(0.1, u, xs)[0], lambda r: _gaussian_oracle(r, 0.1, dim=2), 5e-7),
+    "fraclap-0.3": (lambda u, xs: frac_lap_batch(0.3, u, xs)[0], lambda r: _gaussian_oracle(r, 0.3, dim=2), 6e-6),
+    "riesz-0.1": (lambda u, xs: riesz_batch(0.1, u, xs)[0], lambda r: _gaussian_oracle(r, -0.1, dim=2), 1.5e-7),
+    "riesz-0.3": (lambda u, xs: riesz_batch(0.3, u, xs)[0], lambda r: _gaussian_oracle(r, -0.3, dim=2), 1.5e-7),
+    "L1": (lambda u, xs: apply_L_batch(1, u, xs)[0], lambda r: _gaussian_oracle(r, 0.0, 1, dim=2), 2.5e-6),
+    "L2": (lambda u, xs: apply_L_batch(2, u, xs)[0], lambda r: _gaussian_oracle(r, 0.0, 2, dim=2), 3e-5),
+}
+
+
+@pytest.fixture(scope="module")
+def gauss2d():
+    return gaussian_bump(dim=2, halfwidth=6.0, nodes=256)
+
+
+@pytest.mark.parametrize("case", list(GAUSSIAN_CASES_2D))
+def test_2d_operators_on_a_gaussian_match_the_continuous_operator(gauss2d, case):
+    # the per-point radial rule on the 2D tensor spline, at the centre, a node
+    # and off-node points out to |x| = 3.1; the oracle shares no code with either
+    op, oracle, tol = GAUSSIAN_CASES_2D[case]
+    ax = gauss2d.axes()[0]
+    xs = np.array([[0.0, 0.0], [0.37, -0.81], [ax[140], ax[100]], [-1.3, 0.9], [2.2, 1.7], [0.05, 3.1]])
+    want = [oracle(r) for r in np.hypot(xs[:, 0], xs[:, 1])]
+    assert np.max(np.abs(op(gauss2d, xs) - want)) <= tol
+
+
 def test_l1_of_a_gaussian_at_the_origin_is_minus_euler_gamma(gauss):
     # 4^s Gamma(1/2 + s) / Gamma(1/2) has the s-derivative ln 4 + psi(1/2) = -gamma at 0
     assert _gaussian_oracle(0.0, 0.0, 1) == pytest.approx(-EULER_GAMMA, rel=1e-15)
