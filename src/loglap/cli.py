@@ -39,10 +39,6 @@ from .kernels import combined_kernel
 _FMT = "%.17g"
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
-
-
 def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -54,13 +50,20 @@ def _positive_int(text: str) -> int:
     return val
 
 
+def _nonnegative_int(text: str) -> int:
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return val
+
+
 def _write_csv(path, header, rows):
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="", encoding="utf-8")
     try:
         w = csv.writer(out)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v for v in row])
+            w.writerow([_FMT % float(v) if isinstance(v, (int, float, np.floating)) else v for v in row])
     finally:
         if out is not sys.stdout:
             out.close()
@@ -78,10 +81,6 @@ def _load_grid_file(path, seed):
     u = grid_from_dict(_read_json(path))
     u.validate_holder(seed=seed)
     return u
-
-
-def _load_domain_file(path):
-    return domain_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +153,7 @@ def _domain_mesh(domain, cells):
 
 
 def cmd_eig(args) -> int:
-    domain = _load_domain_file(args.domain)
+    domain = domain_from_dict(_read_json(args.domain))
     mesh = _domain_mesh(domain, args.cells)
     ledger = _coeffs.alpha_coeffs(args.m, domain.dim)
     mats = _eigen.assemble(args.form, ledger, mesh)  # G takes its order from ledger.m
@@ -165,7 +164,7 @@ def cmd_eig(args) -> int:
 
 
 def cmd_fk(args) -> int:
-    domains = [_load_domain_file(p) for p in args.domains]
+    domains = [domain_from_dict(_read_json(p)) for p in args.domains]
     ledger = _coeffs.alpha_coeffs(args.m, domains[0].dim)
     rows = _eigen.faber_krahn_compare(ledger, domains, args.cells_per_unit)
     _write_csv(
@@ -178,10 +177,7 @@ def cmd_fk(args) -> int:
 
 def cmd_expand(args) -> int:
     u = gaussian_derivative_bump(dim=1)
-    if args.side == "shifted":
-        study = _expansion.shifted_expansion_check(u, args.s0, args.n)
-    else:
-        study = _expansion.run_study(args.side, args.n, u)
+    study = _expansion.run_study(args.side, args.n, u, s0=args.s0 if args.side == "shifted" else 0.0)
     rows = [(s, a, b) for s, a, b in zip(study.s_samples, study.sup_norms, study.l2_norms)]
     rows.append(("fitted_slope", study.fitted_slope, ""))
     _write_csv(args.out, ["s", "sup_norm", "l2_norm"], rows)
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("expand", help="order-expansion remainder study")
     x.add_argument("--side", choices=["fraclap", "riesz", "shifted"], required=True)
-    x.add_argument("--n", type=int, required=True)
+    x.add_argument("--n", type=_nonnegative_int, required=True)
     x.add_argument("--s0", type=float, default=0.5)
     x.add_argument("--out", default=None)
     x.set_defaults(func=cmd_expand)

@@ -4,19 +4,22 @@ Trial space: piecewise constants on mesh cells.  Indicators of Lipschitz
 cells have finite energy for logarithmic-order kernels.  For a kernel k_w
 given by its weight vector w (see the kernels module) the difference matrix is
 
-    S(w)_ii = 2 int_C int_{B_cut(x) \\ C} k_w,   S(w)_il = -2 int_Ci int_Cl k_w 1_{|x-y|<cut}
+    S(w)_ii = 2 int_C int_{B_1(x) \\ C} k_w,   S(w)_il = -2 int_Ci int_Cl k_w 1_{|x-y|<1}
 
 and A(w) holds the cell integrals of k_w beyond unit distance.  Each form
 integrates one kernel, the ledger's combined kernel w = (alpha_1..alpha_m)
 or the single order q_m:
 
-    I_m:  alpha_0 M + S(w) - A(w)     (cutoff 1)
-    G_m:  S(q_m) - A(q_m)             (cutoff 1)
-    Q_m:  alpha_0 M + S(w)            (cutoff r0)
+    I_m:  alpha_0 M + S(w) - A(w)
+    G_m:  S(q_m) - A(q_m)
+    Q_m:  I_m + c M
 
 with M the diagonal mass matrix of cell measures.  The convolution part is
 assembled only for domains of diameter at least one; below that no point
-pair reaches the kernel's support.
+pair reaches the kernel's support.  Q_m cuts the kernel at its positivity
+radius r0 and lives on domains inside B_(r0/2), where no two points are
+more than r0 apart; so the cut removes the annulus r0 < |z| < 1 from each
+self-energy alone: c = -2 omega_N (P(1) - P(r0)), P = radial_antiderivative.
 
 Every matrix is kept as three parts (StiffnessParts), K = diag(d) +
 Lat(table) + Off, and applied as an operator; no n x n array is built
@@ -38,7 +41,7 @@ Eigenvectors are mass-orthonormal with the largest-magnitude entry made
 positive.  The residual check applies K from its parts too.
 
 S and A share one pair driver, the integral of k_w over cell pairs at
-distances in (lo, hi): (0, cutoff) for S, (1, inf) for A.  It has two
+distances in (lo, hi): (0, 1) for S, (1, inf) for A.  It has two
 stages.  Lattice cells, the cells of the most common class at integer
 multiples of its mean side from its first cell (uniform intervals, the
 gapped fk split, rectangles, a disk's unclipped interior), get one integral
@@ -89,7 +92,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .coeffs import CoeffLedger
+from .coeffs import CoeffLedger, omega
 from .domains import Disk, Interval, Mesh, mesh_intervals, mesh_rectangles, ray_box, ray_disk
 from . import kernels
 from .errors import NumericalError, PreconditionError
@@ -98,6 +101,7 @@ from .kernels import (
     cell_pair_tent_integral,
     combined_kernel,
     order_weights,
+    radial_antiderivative,
     rect_pair_integral_2d,
 )
 from .quadrature import angle_rule, panel_rule
@@ -222,8 +226,9 @@ class EigenResult:
 # 1D assembly (closed forms)
 
 
-def _tent_values(evaluate, w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
-    """evaluate(w, a1, a2, b1, b2, lo, hi) on the cell pairs (i, l), _CHUNK pairs per call."""
+def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi, evaluate=None) -> np.ndarray:
+    """evaluate(w, a1, a2, b1, b2, lo, hi), cell_pair_tent_integral unless given, on the pairs (i, l), _CHUNK per call."""
+    evaluate = evaluate or cell_pair_tent_integral
     cells = np.asarray(mesh.cells, dtype=float)
     out = np.empty(np.size(i))
     for s in range(0, out.size, _CHUNK):
@@ -232,14 +237,10 @@ def _tent_values(evaluate, w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
     return out
 
 
-def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
-    return _tent_values(cell_pair_tent_integral, w, mesh, i, l, lo, hi)
-
-
-def _self_energies_1d(w, mesh: Mesh, cutoff: float) -> np.ndarray:
+def _self_energies_1d(w, mesh: Mesh) -> np.ndarray:
     # each cell paired with itself, called through kernels: eigen's own name is wrapped to count pair integrals
     every = np.arange(mesh.n_cells)
-    return 2.0 * _tent_values(kernels.cell_pair_tent_integral, w, mesh, every, every, 0.0, cutoff)
+    return 2.0 * _pair_values_1d(w, mesh, every, every, 0.0, 1.0, kernels.cell_pair_tent_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +422,13 @@ def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi, order=10):
     return out
 
 
-def _self_energy_2d(w, cell, disk, cutoff):
+def _self_energy_2d(w, cell, disk):
     px, py, pw = (a.ravel() for a in _box_gauss(np.array([cell[:4]]), _SELF_ORDER))
     inside = (px - disk.cx) ** 2 + (py - disk.cy) ** 2 <= disk.r ** 2  # box Gauss points in the disk
     px, py, pw = px[inside], py[inside], pw[inside]
     phi, wts = angle_rule(cell[[0, 0, 2, 2]] - px[:, None], cell[[1, 3, 1, 3]] - py[:, None], _SELF_ANGLE_ORDER)
     _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
-    # from the exit to the cutoff: a combined kernel may be negative between its positivity radius and one
-    inner = np.sum(_radial_segment(w, t_out, cutoff, 1e-300, cutoff) * wts, axis=1)
+    inner = np.sum(_radial_segment(w, t_out, 1.0, 1e-300, 1.0) * wts, axis=1)  # from the exit to unit distance
     return 2.0 * float(np.sum(inner * pw))
 
 
@@ -592,17 +592,17 @@ def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     return out
 
 
-def _self_energies_2d(w, mesh: Mesh, cutoff) -> np.ndarray:
+def _self_energies_2d(w, mesh: Mesh) -> np.ndarray:
     """Diagonal self-energies: the box paired with itself once per box class, the polar rule once per orbit of clipped cells."""
     _, _, cls, first = _cell_classes(mesh)
     cells = np.asarray(mesh.cells, dtype=float)
-    boxes = [0.0 if cells[c, 4] else 2.0 * rect_pair_integral_2d(w, cells[c], cells[c], 0.0, cutoff, _BOX_SELF_ORDER) for c in first]
+    boxes = [0.0 if cells[c, 4] else 2.0 * rect_pair_integral_2d(w, cells[c], cells[c], 0.0, 1.0, _BOX_SELF_ORDER) for c in first]
     out = np.array(boxes)[cls]
     clipped = np.flatnonzero(cells[:, 4] > 0.0)
     if clipped.size:
         disk = _mesh_disk(mesh)
         orbit, at = _orbits(cells, disk, clipped[:, None])
-        out[clipped] = np.array([_self_energy_2d(w, cell[0], disk, cutoff) for cell in orbit])[at]
+        out[clipped] = np.array([_self_energy_2d(w, cell[0], disk) for cell in orbit])[at]
     return out
 
 
@@ -743,10 +743,10 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> StiffnessParts:
 _ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_energies_2d)}
 
 
-def _difference_matrix(w, mesh, cutoff) -> StiffnessParts:
-    """S(w): -2 x pair integrals inside the cutoff, self-energies on the diagonal."""
-    P = _pair_matrix(w, mesh, 0.0, cutoff)
-    return replace(P, diag=_ENGINES[mesh.domain.dim][1](w, mesh, cutoff), table=-2.0 * P.table, off=-2.0 * P.off)
+def _difference_matrix(w, mesh) -> StiffnessParts:
+    """S(w): -2 x pair integrals below unit distance, self-energies on the diagonal."""
+    P = _pair_matrix(w, mesh, 0.0, 1.0)
+    return replace(P, diag=_ENGINES[mesh.domain.dim][1](w, mesh), table=-2.0 * P.table, off=-2.0 * P.off)
 
 
 def _convolution_matrix(w, mesh) -> StiffnessParts:
@@ -758,8 +758,8 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
     """Stiffness/mass pair of I_m, G_m or Q_m on a cell mesh.
 
     G needs only the kernel order (pass order= for a ledger-free call).
-    Q is restricted to domains inside B_{r0/2}, where the combined kernel is
-    positive; its stiffness must come out positive semidefinite.
+    Q = I + c M (module docstring) needs the domain inside B_{r0/2}, where
+    the combined kernel is positive; its stiffness must come out PSD.
     """
     if form_kind not in _FORM_KINDS:
         raise PreconditionError(f"form kind must be one of {_FORM_KINDS}")
@@ -773,24 +773,21 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
         n = order if order is not None else (ledger.m if ledger else None)
         if n is None:
             raise PreconditionError("G form needs a kernel order")
-        alpha0, w, cutoff = 0.0, order_weights(n), 1.0
+        alpha0, w = 0.0, order_weights(n)
     elif ledger is None:
         raise PreconditionError("I and Q forms need a coefficient ledger")
     else:
-        alpha0, w, cutoff = ledger.alpha[0], ledger.alpha[1:], 1.0
+        alpha0, w = ledger.alpha[0], ledger.alpha[1:]
     if form_kind == "Q":
-        ck = combined_kernel(ledger)
-        if mesh.domain.bounding_radius() > 0.5 * ck.r0 + 1e-12:
-            raise PreconditionError(
-                f"Q form needs the domain inside B_(r0/2) with r0={ck.r0:.6f}"
-            )
-        cutoff = ck.r0
-        if mesh.max_cell_diameter() > cutoff:
-            raise PreconditionError("mesh cells must be smaller than the positivity radius")
+        r0 = combined_kernel(ledger).r0
+        if mesh.domain.bounding_radius() > 0.5 * r0 + 1e-12:
+            raise PreconditionError(f"Q form needs the domain inside B_(r0/2) with r0={r0:.6f}")
+        # Q = I + c M (module docstring): c joins alpha_0 on the diagonal
+        alpha0 -= 2.0 * omega(mesh.domain.dim) * (radial_antiderivative(w, 1.0) - radial_antiderivative(w, r0))
 
-    stiff = _difference_matrix(w, mesh, cutoff)
+    stiff = _difference_matrix(w, mesh)
     stiff = replace(stiff, diag=stiff.diag + alpha0 * mass)
-    if form_kind != "Q" and mesh.domain.diameter() >= 1.0:
+    if mesh.domain.diameter() >= 1.0:
         stiff = stiff - _convolution_matrix(w, mesh)
     mats = FormMatrices(form_kind, stiff, mass, ledger, mesh)
     if form_kind == "Q":
@@ -926,7 +923,9 @@ def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> li
 
     Domains of a single interval or disk piece are flagged as balls; the
     lowest ball is the reference minimum.  Requires m >= 2, every domain in
-    the ledger's dimension and inside B_(rm/2).
+    the ledger's dimension and inside B_(rm/2).  Q_m = I_m + c M with c
+    fixed by the ledger alone, so the ranking is that of I_m's first
+    eigenvalues, each shifted by the same c.
     """
     if ledger.m < 2:
         raise PreconditionError("the ball-minimality comparison needs m >= 2")

@@ -157,6 +157,8 @@ def run_study(
     s0: float = 0.0,
 ) -> RemainderStudy:
     """Remainder norms over the central grid half and the fitted decay slope."""
+    if n < 0:
+        raise PreconditionError("expansion order must be >= 0")
     if side == "shifted":
         if not -u.dim / 2.0 + 0.25 <= s0 <= 2.0:
             raise PreconditionError("shifted base point outside (-N/2 + margin, 2]")

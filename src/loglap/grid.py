@@ -36,7 +36,8 @@ from scipy.linalg import solve_banded
 from .errors import PreconditionError
 
 _HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
-_SPLINE_BLOCK = 1 << 14  # samples per block of the 2D spline evaluator (about 2 MB of temporaries)
+_SPLINE_BLOCK = 1 << 14  # samples per block of the 2D spline evaluator
+_SPLINE_BLOCK_BYTES = 14 * 8 * _SPLINE_BLOCK  # a block's traced peak: 13.1 float arrays of its samples
 
 
 def _not_a_knot_coefficients(values: np.ndarray, axis: int) -> np.ndarray:

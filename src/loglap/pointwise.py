@@ -50,7 +50,7 @@ from .coeffs import (
 )
 from .domains import DomainSpec, ray_box
 from .errors import PreconditionError
-from .grid import GridFunction
+from .grid import _SPLINE_BLOCK_BYTES, GridFunction
 from .kernels import order_weights, radial_antiderivative
 from .quadrature import dyadic_log_panels, panel_rule
 
@@ -271,8 +271,8 @@ def _evaluate(u: GridFunction, xs, n_angles: int, weight_of_tau, weight_of_sigma
 
     xs None on a 1D grid is one lattice context over every node.  Every other
     request (explicit points, every node of a 2D grid) runs radial contexts
-    over chunks of at most _CHUNK_BYTES, each built and dropped before the
-    next; no value depends on its chunk.
+    over chunks of at most _CHUNK_BYTES with the 2D spline's block, each
+    built and dropped before the next; no value depends on its chunk.
     """
 
     def run(ctx):
@@ -281,7 +281,8 @@ def _evaluate(u: GridFunction, xs, n_angles: int, weight_of_tau, weight_of_sigma
     if xs is None and u.dim == 1:
         return run(_LatticeContext(u))
     xs = u.nodes() if xs is None else np.atleast_2d(np.asarray(xs, dtype=float))
-    per_chunk = max(1, _CHUNK_BYTES // _point_bytes(u.dim, n_angles))
+    spline = _SPLINE_BLOCK_BYTES if u.dim == 2 else 0  # the interpolant's fixed block temporaries
+    per_chunk = max(1, (_CHUNK_BYTES - spline) // _point_bytes(u.dim, n_angles))
     parts = np.array_split(xs, max(1, math.ceil(xs.shape[0] / per_chunk)))
     diffs, u0s, panels = zip(*[run(_RadialContext(u, part, n_angles)) for part in parts])
     return np.concatenate(diffs), np.concatenate(u0s), panels[0]

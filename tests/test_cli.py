@@ -327,6 +327,16 @@ def test_fk_command_refuses_mixed_dimensions(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["-1", "-3"])
+def test_expand_negative_order_usage_error(tmp_path, n):
+    # -3 used to die in factorial() with a traceback and -1 to exit 0 with a meaningless slope
+    out = tmp_path / "ex.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--side", "fraclap", "--n", n, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_expand_command(tmp_path):
     out = tmp_path / "ex.csv"
     assert main(["expand", "--side", "fraclap", "--n", "1", "--out", str(out)]) == 0

@@ -50,7 +50,7 @@ QUARTER = DomainSpec(1, (Interval(-0.25, 0.25),))
 def test_single_cell_self_energy_matches_quadrature():
     dom = DomainSpec(1, (Interval(0.0, 0.2),))
     mesh = mesh_intervals(dom, 1)
-    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
+    S = _difference_matrix(order_weights(1), mesh).toarray()
 
     def inner(x):
         return -math.log(x) - math.log(0.2 - x)
@@ -61,7 +61,7 @@ def test_single_cell_self_energy_matches_quadrature():
 
 def test_difference_matrix_row_sums_positive_semidefinite_structure():
     mesh = mesh_intervals(QUARTER, 60)
-    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
+    S = _difference_matrix(order_weights(1), mesh).toarray()
     assert np.allclose(S, S.T, atol=1e-14)
     # Gershgorin: diagonal dominates for the order-one (positive) kernel
     offdiag = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
@@ -197,10 +197,9 @@ def test_combined_weights_match_the_sum_of_unit_orders(dim):
         assert np.max(np.abs(ref)) > 0.0
         assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
     self_energies = eigen._ENGINES[dim][1]
-    for cutoff in (1.0, 0.5):
-        d = self_energies(w, mesh, cutoff)
-        ref = sum(wj * self_energies(u, mesh, cutoff) for wj, u in zip(w, units))
-        assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
+    d = self_energies(w, mesh)
+    ref = sum(wj * self_energies(u, mesh) for wj, u in zip(w, units))
+    assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _far_pair_mpmath_oracle(w, A, B, lo):
@@ -267,7 +266,7 @@ def test_uniform_1d_mesh_evaluates_one_pair_per_offset(monkeypatch):
 
     monkeypatch.setattr(eigen, "cell_pair_tent_integral", spy)
     mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 300)
-    _difference_matrix(order_weights(2), mesh, 1.0)
+    _difference_matrix(order_weights(2), mesh)
     _convolution_matrix(order_weights(2), mesh)
     assert len(sizes) == 2 and max(sizes) <= mesh.n_cells - 1
 
@@ -281,7 +280,7 @@ def test_lattice_evaluates_only_offsets_in_range(monkeypatch):
 
     monkeypatch.setattr(eigen, "cell_pair_tent_integral", spy)
     mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 301)
-    _difference_matrix(order_weights(1), mesh, 1.0)
+    _difference_matrix(order_weights(1), mesh)
     _convolution_matrix(order_weights(1), mesh)
     k, h = np.arange(1, 301), 1.2 / 301  # offsets and width; 1/h = 250.8 keeps every offset off the boundary
     assert sizes == [np.count_nonzero((k - 1) * h < 1.0), np.count_nonzero((k + 1) * h > 1.0)]
@@ -335,6 +334,49 @@ def test_q_form_positive_semidefinite():
     assert lam[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
 
 
+def _q_shift(led):
+    """c in Q_m = I_m + c M: -2 omega_N int_r0^1 h_m(t) dt / t, minus twice the kernel on r0 < |z| < 1."""
+    ck = combined_kernel(led)
+    return -2.0 * omega(led.dim) * integrate.quad(lambda t: ck(t) / t, ck.r0, 1.0, epsabs=1e-15)[0]
+
+
+@pytest.mark.parametrize("m, domain", [
+    (2, DomainSpec(1, (Interval(-0.2, 0.2),))),
+    (4, DomainSpec(2, (Rect(-0.16, -0.16, 0.16, 0.16),))),
+    (4, DomainSpec(2, (Disk(0.0, 0.0, 0.2),))),
+])
+def test_q_is_i_plus_a_mass_shift(m, domain):
+    # inside B_(r0/2) no two points are more than r0 apart, so cutting the kernel at r0 instead of
+    # one takes the annulus r0 < |z| < 1 from every self-energy and changes nothing else
+    led = alpha_coeffs(m, domain.dim)
+    mesh = mesh_intervals(domain, 200) if domain.dim == 1 else mesh_rectangles(domain, 0.04)  # 64 and 88 cells
+    assert combined_kernel(led).r0 < 1.0
+    Q, I = assemble("Q", led, mesh).stiffness, assemble("I", led, mesh).stiffness
+    c = _q_shift(led)
+    assert abs(c) > 1.0
+    assert np.max(np.abs(Q - I - c * np.diag(mesh.cell_measure))) <= 1e-13 * np.max(np.abs(Q))
+
+
+def test_q_equals_i_where_the_positivity_radius_is_one():
+    # 2D, m = 2: r0 = 1, so the shift is zero and Q is I bit for bit, clipped cells included
+    led = alpha_coeffs(2, 2)
+    mesh = _disk_mesh()
+    assert mesh.n_cells == 88 and combined_kernel(led).r0 == 1.0
+    assert np.array_equal(assemble("Q", led, mesh).stiffness, assemble("I", led, mesh).stiffness)
+
+
+def test_q_form_on_a_disk_is_psd_and_solves():
+    led = alpha_coeffs(4, 2)
+    mesh = _disk_mesh()
+    mats = assemble("Q", led, mesh)
+    lam = np.linalg.eigvalsh(mats.stiffness)
+    assert lam[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
+    res = eigensolve(mats, 2)
+    assert np.allclose(res.eigenvalues, scipy.linalg.eigh(mats.stiffness, np.diag(mats.mass), eigvals_only=True)[:2],
+                       rtol=1e-10)
+    assert np.all(res.vectors[:, 0] >= -1e-8 * np.max(np.abs(res.vectors[:, 0])))
+
+
 def test_psd_check_accepts_exactly_the_margin():
     # lambda_min >= -1e-8 max|K| passes, below fails
     eigen._check_psd(np.diag([1.0, 0.5, -0.5e-8]))
@@ -344,10 +386,10 @@ def test_psd_check_accepts_exactly_the_margin():
 
 def test_indefinite_q_stiffness_is_a_numerical_error(monkeypatch, tmp_path):
     real = eigen._difference_matrix
-    monkeypatch.setattr(eigen, "_difference_matrix", lambda w, mesh, cutoff: -real(w, mesh, cutoff))
+    monkeypatch.setattr(eigen, "_difference_matrix", lambda w, mesh: -real(w, mesh))
     led = alpha_coeffs(2, 1)
     mesh = mesh_intervals(QUARTER, 60)
-    stiff = -real(led.alpha[1:], mesh, combined_kernel(led).r0).toarray() + led.alpha[0] * np.diag(mesh.cell_measure)
+    stiff = -real(led.alpha[1:], mesh).toarray() + (led.alpha[0] + _q_shift(led)) * np.diag(mesh.cell_measure)
     lam_min = np.linalg.eigvalsh(stiff)[0]
     assert lam_min < -1e-8 * np.max(np.abs(stiff))
     with pytest.raises(NumericalError, match=re.escape(f"lambda_min={lam_min:.3e}")):
@@ -566,8 +608,8 @@ def test_g1_dilation_scaling_decomposition():
     mesh = mesh_intervals(QUARTER, 40)
     scaled_dom = DomainSpec(1, (Interval(-0.125, 0.125),))
     mesh_t = mesh_intervals(scaled_dom, 40)
-    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
-    St = _difference_matrix(order_weights(1), mesh_t, 1.0).toarray()
+    S = _difference_matrix(order_weights(1), mesh).toarray()
+    St = _difference_matrix(order_weights(1), mesh_t).toarray()
     Mt = mesh_t.cell_measure
     expect = t * S + np.diag(2.0 * omega(1) * (-math.log(t)) * Mt)
     assert np.max(np.abs(St - expect)) < 1e-10 * np.max(np.abs(St))
@@ -706,7 +748,7 @@ def test_energy_vs_spectral_log_norm_ratio():
     dom = QUARTER
     mesh = mesh_intervals(dom, 256)
     centers = mesh.centers()
-    S = _difference_matrix(order_weights(m), mesh, 1.0).toarray()
+    S = _difference_matrix(order_weights(m), mesh).toarray()
     ratios = []
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -744,7 +786,7 @@ def test_2d_whole_domain_energy_cross_check():
 
     dom = DomainSpec(2, (Rect(-0.2, -0.15, 0.2, 0.15),))
     mesh = mesh_rectangles(dom, 0.05)
-    S = _difference_matrix(order_weights(1), mesh, 1.0).toarray()
+    S = _difference_matrix(order_weights(1), mesh).toarray()
     ones = np.ones(mesh.n_cells)
     lhs = ones @ S @ ones
     # reference: 2 int_Omega h(x) dx with h(x) = int_{B1(x)\Omega} q_1 dy,
@@ -993,13 +1035,13 @@ def test_clipped_self_energies_run_once_per_orbit(monkeypatch):
     mesh = _disk_mesh()
     w = alpha_coeffs(2, 2).alpha[1:]
     monkeypatch.setattr(eigen, "_self_energy_2d", spy)
-    diag = eigen._self_energies_2d(w, mesh, 1.0)
+    diag = eigen._self_energies_2d(w, mesh)
     assert len(calls) == 4  # 28 clipped cells
     for perm in _grid_symmetries(mesh):
         assert np.array_equal(diag[perm], diag)
     cells = np.asarray(mesh.cells)
     clipped = np.flatnonzero(cells[:, 4])
-    own = np.array([real(w, cells[k], mesh.domain.pieces[0], 1.0) for k in clipped])
+    own = np.array([real(w, cells[k], mesh.domain.pieces[0]) for k in clipped])
     assert np.max(np.abs(diag[clipped] / own - 1.0)) <= 1e-12
 
 

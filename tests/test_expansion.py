@@ -141,6 +141,13 @@ def test_quotient_convergence_to_log_operator(bump, m):
     assert max(cs) / min(cs) < 1.5  # the constant is stable, so error ~ C s
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+@pytest.mark.parametrize("side", ["fraclap", "shifted"])
+def test_study_refuses_negative_orders(bump, side, n):
+    with pytest.raises(PreconditionError, match="expansion order"):
+        run_study(side, n, bump, s0=0.5)
+
+
 def test_study_requires_enough_samples(bump):
     with pytest.raises(PreconditionError):
         run_study("fraclap", 1, bump, s_samples=(0.1, 0.05, 0.025))
