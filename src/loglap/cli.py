@@ -33,7 +33,7 @@ from . import pointwise as _pointwise
 from . import spectral as _spectral
 from .domains import domain_from_dict, mesh_intervals, mesh_rectangles
 from .errors import LoglapError, NumericalError, PreconditionError
-from .grid import gaussian_derivative_bump, grid_from_dict, grid_to_dict
+from .grid import gaussian_derivative_bump, grid_from_dict, save_grid
 from .kernels import combined_kernel
 
 _FMT = "%.17g"
@@ -130,16 +130,13 @@ def cmd_apply(args) -> int:
         if kind is None:
             raise PreconditionError("the FFT method applies L, fraclap or riesz (K has no plain symbol)")
         param = args.m if args.op == "L" else args.s
-        out = _spectral.apply_symbol(u, kind, param, allow_mean=args.allow_mean)
+        result = _spectral.apply_symbol(u, kind, param, allow_mean=args.allow_mean)
         sidecar = {"method": "fft", "truncation_bound": 0.0, "note": "lattice-symbol application"}
-        values = out.values
     else:
         vals, bound, path = _apply_quad(args, u)
-        values = vals.reshape(u.shape)
-        sidecar = {"method": "quad", "truncation_bound": bound, "path": path, "nodes": int(values.size)}
-    result = u.with_values(values)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(grid_to_dict(result)))  # json.dump would run the pure-Python encoder
+        result = u.with_values(vals)
+        sidecar = {"method": "quad", "truncation_bound": bound, "path": path, "nodes": int(vals.size)}
+    save_grid(result, args.out)
     if args.sidecar:
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh)

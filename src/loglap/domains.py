@@ -1,13 +1,16 @@
 """Bounded Lipschitz domains as unions of simple pieces, and their meshes.
 
 Supported pieces: closed intervals (N = 1), axis-aligned rectangles and a
-disk (N = 2).  The geometry needed downstream is exact: measures, diameters,
-containment radius, and ray intersections.  This module owns the latter:
-``ray_box`` (slab method) and ``ray_disk`` (chord roots) are the only
-ray-piece formulas, vectorized over points and directions, and serve the
-polar assembly integrals, the pointwise support-box exits and
-``DomainSpec.ray_segments`` (all directions from one point at once, used by
-the regional representation).
+disk (N = 2).  Each piece answers for its own exact geometry: measure,
+extremal points, centre, containment, the span of a ray through it and its
+JSON dict.  Interval and Rect are one axis-aligned box over per-axis lo and
+hi, so DomainSpec sums, maximizes or unions over its pieces without asking
+their type.  The ray formulas are ``ray_box`` (slab method) and ``ray_disk``
+(chord roots), vectorized over points and directions; they serve the polar
+assembly integrals, the pointwise support-box exits and
+``DomainSpec.ray_spans`` (every piece, all directions from one point at
+once), from which the regional representation's h_{m,Omega} is one closed
+form.
 
 Meshes carry a flat list of cells with exact measures; 1D cells are
 intervals, 2D cells are boxes optionally clipped to the disk with the
@@ -18,8 +21,9 @@ protect the mass-matrix conditioning.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -29,65 +33,115 @@ from .errors import PreconditionError
 _SLIVER_FRACTION = 1e-3  # clipped cells below this share of a full box merge into a neighbour
 
 
-@dataclass(frozen=True)
-class Interval:
-    a: float
-    b: float
+class _Piece:
+    """What every piece shares: finite fields, positive sides, and its JSON dict."""
+
+    kind: str  # the piece's "type" in a domain file
+    empty: str  # the message for a piece without area or length
+
+    def _values(self) -> tuple[float, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise PreconditionError("interval must have positive length")
+        if not all(math.isfinite(v) for v in self._values()):
+            raise PreconditionError(f"{self.kind} coordinates must be finite")
+        if not all(side > 0 for side in self._sides()):
+            raise PreconditionError(self.empty)
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, **asdict(self)}
+
+
+class _Box(_Piece):
+    """An axis-aligned box whose fields are its lo corner, then its hi corner: Interval in 1D, Rect in 2D."""
+
+    @property
+    def lo(self) -> tuple[float, ...]:
+        v = self._values()
+        return v[: len(v) // 2]
+
+    @property
+    def hi(self) -> tuple[float, ...]:
+        v = self._values()
+        return v[len(v) // 2 :]
+
+    def _sides(self):
+        return [h - l for l, h in zip(self.lo, self.hi)]
 
     @property
     def measure(self) -> float:
-        return self.b - self.a
+        return math.prod(self._sides())
+
+    def extremal_points(self) -> list[tuple[np.ndarray, float]]:
+        return [(np.array(corner), 0.0) for corner in itertools.product(*zip(self.lo, self.hi))]
+
+    def center(self) -> np.ndarray:
+        return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
+
+    def contains(self, x) -> bool:
+        return all(l <= xa <= h for l, xa, h in zip(self.lo, x, self.hi, strict=True))
+
+    def ray_span(self, x, d):
+        return ray_box(x, d, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
-class Rect:
+class Interval(_Box):
+    a: float
+    b: float
+    kind = "interval"
+    empty = "interval must have positive length"
+
+
+@dataclass(frozen=True)
+class Rect(_Box):
     x0: float
     y0: float
     x1: float
     y1: float
-
-    def __post_init__(self):
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise PreconditionError("rectangle must have positive area")
-
-    @property
-    def measure(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
+    kind = "rect"
+    empty = "rectangle must have positive area"
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Piece):
     cx: float
     cy: float
     r: float
+    kind = "disk"
+    empty = "disk must have positive radius"
 
-    def __post_init__(self):
-        if self.r <= 0:
-            raise PreconditionError("disk must have positive radius")
+    def _sides(self):
+        return [self.r]
 
     @property
     def measure(self) -> float:
         return math.pi * self.r ** 2
 
+    def extremal_points(self) -> list[tuple[np.ndarray, float]]:
+        return [(self.center(), self.r)]
+
+    def center(self) -> np.ndarray:
+        return np.array([self.cx, self.cy])
+
+    def contains(self, x) -> bool:
+        return math.hypot(x[0] - self.cx, x[1] - self.cy) <= self.r
+
+    def ray_span(self, x, d):
+        return ray_disk(x, d, (self.cx, self.cy), self.r)
+
 
 Piece = Interval | Rect | Disk
+_PIECE_TYPES = (Interval, Rect, Disk)
 
 
 def _pieces_overlap(p: Piece, q: Piece) -> bool:
-    if isinstance(p, Interval) and isinstance(q, Interval):
-        return p.a < q.b and q.a < p.b
-    if isinstance(p, Rect) and isinstance(q, Rect):
-        return p.x0 < q.x1 and q.x0 < p.x1 and p.y0 < q.y1 and q.y0 < p.y1
-    if isinstance(p, Disk) and isinstance(q, Disk):
-        return math.hypot(p.cx - q.cx, p.cy - q.cy) < p.r + q.r
-    disk, rect = (p, q) if isinstance(p, Disk) else (q, p)
-    dx = max(rect.x0 - disk.cx, 0.0, disk.cx - rect.x1)
-    dy = max(rect.y0 - disk.cy, 0.0, disk.cy - rect.y1)
-    return math.hypot(dx, dy) < disk.r
+    """Open overlap of two pieces of one domain, which holds at most one disk."""
+    disk, box = (p, q) if isinstance(p, Disk) else (q, p)
+    if isinstance(disk, Disk):  # the box's point nearest the centre lies inside the disk
+        gap = [max(l - c, 0.0, c - h) for l, c, h in zip(box.lo, (disk.cx, disk.cy), box.hi)]
+        return math.hypot(*gap) < disk.r
+    return all(pl < qh and ql < ph for pl, ph, ql, qh in zip(p.lo, p.hi, q.lo, q.hi))
 
 
 @dataclass(frozen=True)
@@ -105,8 +159,7 @@ class DomainSpec:
                 raise PreconditionError("1D domains are unions of intervals")
             if self.dim == 2 and isinstance(p, Interval):
                 raise PreconditionError("2D domains use rectangles or a disk")
-        disks = [p for p in self.pieces if isinstance(p, Disk)]
-        if len(disks) > 1:
+        if sum(isinstance(p, Disk) for p in self.pieces) > 1:
             raise PreconditionError("at most one disk piece is supported")
         for i, p in enumerate(self.pieces):
             for q in self.pieces[i + 1 :]:
@@ -121,73 +174,39 @@ class DomainSpec:
 
     def _extremal_points(self) -> list[tuple[np.ndarray, float]]:
         """(point, radius) pairs whose dilations cover each piece's hull."""
-        out = []
-        for p in self.pieces:
-            if isinstance(p, Interval):
-                out.append((np.array([p.a]), 0.0))
-                out.append((np.array([p.b]), 0.0))
-            elif isinstance(p, Rect):
-                for cx in (p.x0, p.x1):
-                    for cy in (p.y0, p.y1):
-                        out.append((np.array([cx, cy]), 0.0))
-            else:
-                out.append((np.array([p.cx, p.cy]), p.r))
-        return out
+        return [pr for p in self.pieces for pr in p.extremal_points()]
 
     def diameter(self) -> float:
-        pts = self._extremal_points()
-        best = 0.0
-        for i, (pi, ri) in enumerate(pts):
-            for pj, rj in pts[i:]:
-                best = max(best, float(np.linalg.norm(pi - pj)) + ri + rj)
-        return best
+        pairs = itertools.combinations_with_replacement(self._extremal_points(), 2)
+        return max(float(np.linalg.norm(pi - pj)) + ri + rj for (pi, ri), (pj, rj) in pairs)
 
     def bounding_radius(self) -> float:
         """sup |x| over the domain: containment radius in the origin-centered ball."""
         return max(float(np.linalg.norm(p)) + r for p, r in self._extremal_points())
 
     def centroid(self) -> np.ndarray:
-        acc = np.zeros(self.dim)
-        for p in self.pieces:
-            if isinstance(p, Interval):
-                acc += p.measure * np.array([(p.a + p.b) / 2.0])
-            elif isinstance(p, Rect):
-                acc += p.measure * np.array([(p.x0 + p.x1) / 2.0, (p.y0 + p.y1) / 2.0])
-            else:
-                acc += p.measure * np.array([p.cx, p.cy])
-        return acc / self.measure()
+        return sum(p.measure * p.center() for p in self.pieces) / self.measure()
 
     # -- membership and rays ----------------------------------------------------
 
     def contains(self, point) -> bool:
         x = np.atleast_1d(np.asarray(point, dtype=float))
-        for p in self.pieces:
-            if isinstance(p, Interval):
-                if p.a <= x[0] <= p.b:
-                    return True
-            elif isinstance(p, Rect):
-                if p.x0 <= x[0] <= p.x1 and p.y0 <= x[1] <= p.y1:
-                    return True
-            else:
-                if math.hypot(x[0] - p.cx, x[1] - p.cy) <= p.r:
-                    return True
-        return False
+        return any(p.contains(x) for p in self.pieces)
+
+    def ray_spans(self, x, directions) -> tuple[np.ndarray, np.ndarray]:
+        """(t_in, t_out), each (pieces, directions): where the ray x + t*dir, t >= 0, crosses each piece.
+
+        t_in is clipped at 0, so it is 0 on a piece holding x; t_out <= t_in is a miss.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        d = np.asarray(directions, dtype=float).reshape(-1, self.dim).T
+        t_in, t_out = zip(*(p.ray_span(x, d) for p in self.pieces))
+        return np.maximum(t_in, 0.0), np.array(t_out)
 
     def ray_segments(self, x, directions) -> list[list[tuple[float, float]]]:
         """Per unit direction, the sorted disjoint intervals {t >= 0 : x + t*dir in domain}."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.asarray(directions, dtype=float).reshape(-1, self.dim).T
-        spans = []
-        for p in self.pieces:
-            if isinstance(p, Disk):
-                t_in, t_out = ray_disk(x, d, (p.cx, p.cy), p.r)
-            elif isinstance(p, Rect):
-                t_in, t_out = ray_box(x, d, (p.x0, p.y0), (p.x1, p.y1))
-            else:
-                t_in, t_out = ray_box(x, d, (p.a,), (p.b,))
-            t_in = np.maximum(t_in, 0.0)
-            spans.append((t_in.tolist(), t_out.tolist(), (t_out > t_in).tolist()))
-        return [sorted((a[k], b[k]) for a, b, hit in spans if hit[k]) for k in range(d.shape[1])]
+        t_in, t_out = self.ray_spans(x, directions)
+        return [sorted(zip(a[b > a].tolist(), b[b > a].tolist())) for a, b in zip(t_in.T, t_out.T)]
 
 
 # -- ray intersections ------------------------------------------------------------
@@ -373,15 +392,7 @@ def mesh_rectangles(domain: DomainSpec, target_h: float) -> Mesh:
 
 
 def domain_to_dict(d: DomainSpec) -> dict:
-    pieces = []
-    for p in d.pieces:
-        if isinstance(p, Interval):
-            pieces.append({"type": "interval", "a": p.a, "b": p.b})
-        elif isinstance(p, Rect):
-            pieces.append({"type": "rect", "x0": p.x0, "y0": p.y0, "x1": p.x1, "y1": p.y1})
-        else:
-            pieces.append({"type": "disk", "cx": p.cx, "cy": p.cy, "r": p.r})
-    return {"dim": d.dim, "pieces": pieces}
+    return {"dim": d.dim, "pieces": [p.to_dict() for p in d.pieces]}
 
 
 def domain_from_dict(data: dict) -> DomainSpec:
@@ -389,14 +400,10 @@ def domain_from_dict(data: dict) -> DomainSpec:
         pieces = []
         for p in data["pieces"]:
             kind = p["type"]
-            if kind == "interval":
-                pieces.append(Interval(float(p["a"]), float(p["b"])))
-            elif kind == "rect":
-                pieces.append(Rect(float(p["x0"]), float(p["y0"]), float(p["x1"]), float(p["y1"])))
-            elif kind == "disk":
-                pieces.append(Disk(float(p["cx"]), float(p["cy"]), float(p["r"])))
-            else:
+            cls = next((c for c in _PIECE_TYPES if c.kind == kind), None)
+            if cls is None:
                 raise PreconditionError(f"unknown piece type {kind!r}")
+            pieces.append(cls(*(float(p[f.name]) for f in fields(cls))))
         return DomainSpec(dim=int(data["dim"]), pieces=tuple(pieces))
     except PreconditionError:
         raise

@@ -113,6 +113,10 @@ _SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
 _BOX_SELF_ORDER = 24  # unclipped self-energy: angular Gauss points per panel (12 leaves an aspect-5 box up to 3e-10 off)
 _CHUNK = 1 << 13  # elements per chunk: point pairs of a far sum, rays of a near pair, 1D closed-form pairs
 _PAIR_BLOCK = 1 << 18  # candidate pairs per row block of the off-lattice pair search
+# The weight of S: the 2 of S_ii and S_il in the module docstring, on every
+# pair integral and self-energy and on Q's shift c.  The form of the symbol
+# (2 ln|xi|)^m has weight 1 (ROADMAP, item 2); that fix is this one constant.
+_PAIR_WEIGHT = 2.0
 
 
 @dataclass(eq=False)
@@ -240,7 +244,7 @@ def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi, evaluate=None) -> np.ndarray:
 def _self_energies_1d(w, mesh: Mesh) -> np.ndarray:
     # each cell paired with itself, called through kernels: eigen's own name is wrapped to count pair integrals
     every = np.arange(mesh.n_cells)
-    return 2.0 * _pair_values_1d(w, mesh, every, every, 0.0, 1.0, kernels.cell_pair_tent_integral)
+    return _PAIR_WEIGHT * _pair_values_1d(w, mesh, every, every, 0.0, 1.0, kernels.cell_pair_tent_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +433,7 @@ def _self_energy_2d(w, cell, disk):
     phi, wts = angle_rule(cell[[0, 0, 2, 2]] - px[:, None], cell[[1, 3, 1, 3]] - py[:, None], _SELF_ANGLE_ORDER)
     _, t_out = _cell_span((px[:, None], py[:, None]), (np.cos(phi), np.sin(phi)), cell, disk)
     inner = np.sum(_radial_segment(w, t_out, 1.0, 1e-300, 1.0) * wts, axis=1)  # from the exit to unit distance
-    return 2.0 * float(np.sum(inner * pw))
+    return _PAIR_WEIGHT * float(np.sum(inner * pw))
 
 
 def _mesh_disk(mesh: Mesh) -> Disk | None:
@@ -596,7 +600,7 @@ def _self_energies_2d(w, mesh: Mesh) -> np.ndarray:
     """Diagonal self-energies: the box paired with itself once per box class, the polar rule once per orbit of clipped cells."""
     _, _, cls, first = _cell_classes(mesh)
     cells = np.asarray(mesh.cells, dtype=float)
-    boxes = [0.0 if cells[c, 4] else 2.0 * rect_pair_integral_2d(w, cells[c], cells[c], 0.0, 1.0, _BOX_SELF_ORDER) for c in first]
+    boxes = [0.0 if cells[c, 4] else _PAIR_WEIGHT * rect_pair_integral_2d(w, cells[c], cells[c], 0.0, 1.0, _BOX_SELF_ORDER) for c in first]
     out = np.array(boxes)[cls]
     clipped = np.flatnonzero(cells[:, 4] > 0.0)
     if clipped.size:
@@ -744,9 +748,9 @@ _ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_
 
 
 def _difference_matrix(w, mesh) -> StiffnessParts:
-    """S(w): -2 x pair integrals below unit distance, self-energies on the diagonal."""
+    """S(w): -_PAIR_WEIGHT x pair integrals below unit distance, self-energies on the diagonal."""
     P = _pair_matrix(w, mesh, 0.0, 1.0)
-    return replace(P, diag=_ENGINES[mesh.domain.dim][1](w, mesh), table=-2.0 * P.table, off=-2.0 * P.off)
+    return replace(P, diag=_ENGINES[mesh.domain.dim][1](w, mesh), table=-_PAIR_WEIGHT * P.table, off=-_PAIR_WEIGHT * P.off)
 
 
 def _convolution_matrix(w, mesh) -> StiffnessParts:
@@ -783,7 +787,7 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
         if mesh.domain.bounding_radius() > 0.5 * r0 + 1e-12:
             raise PreconditionError(f"Q form needs the domain inside B_(r0/2) with r0={r0:.6f}")
         # Q = I + c M (module docstring): c joins alpha_0 on the diagonal
-        alpha0 -= 2.0 * omega(mesh.domain.dim) * (radial_antiderivative(w, 1.0) - radial_antiderivative(w, r0))
+        alpha0 -= _PAIR_WEIGHT * omega(mesh.domain.dim) * (radial_antiderivative(w, 1.0) - radial_antiderivative(w, r0))
 
     stiff = _difference_matrix(w, mesh)
     stiff = replace(stiff, diag=stiff.diag + alpha0 * mass)

@@ -26,6 +26,7 @@ Fourier work the box is treated as periodic with period shape*spacing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,6 +134,8 @@ class GridFunction:
             raise PreconditionError("grid functions support dimension 1 or 2")
         if len(self.origin) != self.dim or len(self.spacing) != self.dim or len(self.shape) != self.dim:
             raise PreconditionError("origin/spacing/shape must all have dim entries")
+        if not all(math.isfinite(v) for v in (*self.origin, *self.spacing)):
+            raise PreconditionError("origin and spacing must be finite")
         if any(h <= 0 for h in self.spacing) or any(n < 2 for n in self.shape):
             raise PreconditionError("spacing must be positive and shape >= 2 per axis")
         vals = np.asarray(self.values, dtype=float)
@@ -142,6 +145,8 @@ class GridFunction:
             raise PreconditionError("grid values must be finite")
         if not 0.0 < self.holder_exponent <= 1.0:
             raise PreconditionError("Holder exponent must lie in (0, 1]")
+        if not math.isfinite(self.holder_constant):
+            raise PreconditionError("Holder constant must be finite")
         if self.holder_constant < 0.0:
             raise PreconditionError("Holder constant must be nonnegative")
         object.__setattr__(self, "values", vals.reshape(self.shape))

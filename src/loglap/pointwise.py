@@ -392,8 +392,9 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
     """K_m u(x) through the domain-split form with the h_{m,Omega} correction.
 
     T1 = int_Omega (u(x)-u(y)) q_m dy,  T2 = -int_{R^N \\ Omega} u(y) q_m dy,
-    h term = [int_{B1(x)\\Omega} q_m - int_{Omega\\B1(x)} q_m] u(x);
-    rays from x handle all three with exact segment geometry.
+    h term = h_{m,Omega}(x) u(x).  T1 and T2 run log-coordinate panels along
+    rays from x between the exact domain crossings, independently of
+    apply_K; the h term is the closed form of h_regional.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if domain.dim != u.dim:
@@ -410,7 +411,6 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
     w = order_weights(m)
 
     total = 0.0
-    h_term = 0.0
     panels = 0
     for it, (theta, segs) in enumerate(zip(thetas, domain.ray_segments(x, thetas))):
         if not segs or segs[0][0] > 1e-14:
@@ -449,48 +449,29 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
             total += th_w[it] * float(np.sum(f * kernel * wts))
             panels += len(wts) // PANEL_ORDER
 
-        h_term += th_w[it] * _ray_h(w, segs)
-
-    value = total + h_term * u0
+    value = total + h_regional(m, x, domain, u.dim, n_angles) * u0
     bound = _holder_bound_log(u, m, INNER_CUT)
     return EvalReport(float(value), bound, panels)
 
 
-def _ray_h(w, segs) -> float:
-    """One ray's share of h_{m,Omega}: int over (B1 \\ Omega) minus (Omega \\ B1) of q_m t^(N-1) dt.
-
-    w is the weight vector of q_m; segs are the sorted domain segments of
-    the ray; the radial parts are closed-form antiderivatives.
-    """
-    ray_h = 0.0
-    # B1 \ Omega: complement segments within (0, 1)
-    prev = 0.0
-    for (ta, tb) in segs + [(math.inf, math.inf)]:
-        lo, hi = prev, min(ta, 1.0)
-        if hi > lo and lo < 1.0:
-            if lo <= 0.0:
-                raise PreconditionError("h_{m,Omega} diverges for x outside the open domain")
-            ray_h += radial_antiderivative(w, hi) - radial_antiderivative(w, lo)
-        prev = max(prev, tb)
-        if prev >= 1.0:
-            break
-    # Omega \ B1: domain segments beyond 1
-    for (ta, tb) in segs:
-        lo, hi = max(ta, 1.0), tb
-        if hi > lo:
-            ray_h -= radial_antiderivative(w, hi) - radial_antiderivative(w, lo)
-    return ray_h
-
-
 def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES) -> float:
-    """h_{m,Omega}(x) alone (closed-form radial parts, angular quadrature in 2D)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """h_{m,Omega}(x) = int_{B1(x) \\ Omega} q_m - int_{Omega \\ B1(x)} q_m, in closed form on every ray at once.
+
+    Along a ray q_m t^(N-1) dt = dP with P = radial_antiderivative, so the
+    ray's share is P(1) - P(0) minus the integral of dP over the domain's
+    spans; the divergent P(0) cancels on the piece that holds x.  Each ray sums
+    P(lower) - P(t_out) over the pieces it crosses, with lower = 1 on the
+    piece holding x and t_in on every other.  The angular sum is the rule
+    of _directions (exact in 1D).
+    """
     thetas, th_w = _directions(dim, n_angles)
-    w = order_weights(m)
-    total = 0.0
-    for weight, segs in zip(th_w, domain.ray_segments(x, thetas)):
-        total += weight * _ray_h(w, segs)
-    return float(total)
+    t_in, t_out = domain.ray_spans(x, thetas)
+    hit = t_out > t_in
+    if not np.all(np.any(hit & (t_in == 0.0), axis=0)):
+        raise PreconditionError("h_{m,Omega} diverges for x outside the open domain")
+    lower = np.where(hit & (t_in > 0.0), t_in, 1.0)  # a missed piece adds P(1) - P(1) = 0
+    P = radial_antiderivative(order_weights(m), np.stack([lower, np.where(hit, t_out, 1.0)]))
+    return float(th_w @ np.sum(P[0] - P[1], axis=0))
 
 
 # ---------------------------------------------------------------------------

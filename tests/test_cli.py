@@ -277,6 +277,39 @@ def test_non_numeric_field_exit_code(bump_file, quarter_file, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("piece", [
+    {"type": "interval", "a": -math.inf, "b": 0.25},
+    {"type": "rect", "x0": 0.0, "y0": 0.0, "x1": math.nan, "y1": 0.2},
+    {"type": "disk", "cx": 0.0, "cy": 0.0, "r": math.nan},
+    {"type": "disk", "cx": math.nan, "cy": 0.0, "r": 0.2},
+], ids=["interval-a-inf", "rect-x1-nan", "disk-r-nan", "disk-cx-nan"])
+def test_non_finite_domain_exit_code(tmp_path, capsys, piece):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1 if piece["type"] == "interval" else 2, "pieces": [piece]}))  # NaN/Infinity tokens
+    assert main(["eig", "--form", "I", "--m", "1", "--domain", str(bad), "--cells", "10", "--count", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["quad", "fft"])
+@pytest.mark.parametrize("field, value", [
+    ("origin", math.nan), ("origin", math.inf), ("spacing", math.nan), ("spacing", math.inf),
+    ("const", math.nan), ("const", math.inf),
+])
+def test_non_finite_grid_exit_code(bump_file, tmp_path, capsys, method, field, value):
+    data = json.loads(bump_file.read_text())
+    if field == "const":
+        data["holder"]["const"] = value
+    else:
+        data[field] = [value]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = ["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(bad), "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["apply", "--op", "L", "--m", "1", "--grid", "{tmp}/absent.json", "--out", "{tmp}/x.json"],
     ["coeffs", "--dim", "1", "--order", "1", "--out", "{tmp}/absent/c.csv"],

@@ -32,6 +32,19 @@ def test_piece_validation():
         Disk(0, 0, 0.0)
 
 
+@pytest.mark.parametrize("piece, fields", [
+    (Interval, (-0.5, 0.5)),
+    (Rect, (-0.5, -0.5, 0.5, 0.5)),
+    (Disk, (0.0, 0.0, 0.5)),
+], ids=["interval", "rect", "disk"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_piece_fields_rejected(piece, fields, bad):
+    for k in range(len(fields)):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            piece(*fields[:k], bad, *fields[k + 1 :])
+    piece(*fields)
+
+
 def test_disjointness_enforced():
     with pytest.raises(PreconditionError):
         DomainSpec(1, (Interval(0, 1), Interval(0.5, 2)))

@@ -495,8 +495,8 @@ def test_lanczos_matches_dense_eigh(name):
     assert np.array_equal(again.eigenvalues, res.eigenvalues) and np.array_equal(again.vectors, res.vectors)
 
 
-def test_eigensolve_holds_one_matrix_temporary():
-    # B = M^-1/2 K M^-1/2 is formed in place and freed before the residual check
+def test_eigensolve_peak_memory_stays_linear():
+    # Lanczos applies K from its O(n) parts: about 1.0 MB traced at 2400 cells, where one dense matrix is 46 MB
     mats = assemble("I", alpha_coeffs(1, 1), mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 2400))
     tracemalloc.start()
     try:
@@ -504,7 +504,7 @@ def test_eigensolve_holds_one_matrix_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * mats.stiffness.nbytes
+    assert peak < 3e6
 
 
 def _operator_mesh(name, scale):

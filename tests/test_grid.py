@@ -42,6 +42,16 @@ def test_constructor_validation():
         GridFunction(1, (0.0,), (0.1,), (4,), np.zeros(4), 1.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_geometry_and_holder_constant_rejected(bad):
+    with pytest.raises(PreconditionError, match="origin and spacing must be finite"):
+        GridFunction(1, (bad,), (0.1,), (4,), np.zeros(4), 1.0, 1.0)
+    with pytest.raises(PreconditionError, match="origin and spacing must be finite"):
+        GridFunction(2, (0.0, 0.0), (0.1, bad), (4, 4), np.zeros(16), 1.0, 1.0)
+    with pytest.raises(PreconditionError, match="Holder constant must be finite"):
+        GridFunction(1, (0.0,), (0.1,), (4,), np.zeros(4), 1.0, bad)
+
+
 def test_zero_outside_box():
     u = _small_bump()
     assert u(np.array([5.0, -3.0, 100.0])) == pytest.approx([0.0, 0.0, 0.0], abs=0.0)

@@ -18,7 +18,7 @@ from loglap.coeffs import (
     omega,
     rho,
 )
-from loglap.domains import Disk, DomainSpec, Interval
+from loglap.domains import Disk, DomainSpec, Interval, Rect
 from loglap import pointwise
 from loglap.grid import GridFunction, estimate_holder_constant, gaussian_bump, gaussian_derivative_bump
 from loglap.pointwise import (
@@ -279,6 +279,61 @@ def test_h_regional_disk_closed_form():
     dom = DomainSpec(2, (Disk(0.0, 0.0, r),))
     expect = omega(2) * (-2.0 * math.log(r)) ** 2 / 4.0
     assert h_regional(2, [0.0, 0.0], dom, dim=2) == pytest.approx(expect, rel=1e-12)
+
+
+def _ray_h_by_quad(m, dom, x, theta, t_max=2.0, steps=600):
+    """One ray's share of h_{m,Omega}: scipy quad of q_m t^(N-1) between bisected membership changes."""
+    inside = lambda t: dom.contains(x + t * theta)
+    ts = np.linspace(0.0, t_max, steps + 1)
+    marks = {0.0, 1.0, t_max}
+    for a, b in zip(ts[:-1], ts[1:]):
+        fa = inside(a)
+        if fa == inside(b):
+            continue
+        for _ in range(45):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if inside(mid) == fa else (a, mid)
+        marks.add(0.5 * (a + b))
+    marks = sorted(marks)
+    q = lambda t: (-2.0 * math.log(t)) ** (m - 1) / t
+    share = 0.0
+    for a, b in zip(marks[:-1], marks[1:]):
+        held = inside(0.5 * (a + b))
+        if b <= 1.0 and not held:  # B1(x) \ Omega
+            share += integrate.quad(q, a, b, epsabs=0.0, epsrel=1e-13)[0]
+        elif a >= 1.0 and held:  # Omega \ B1(x)
+            share -= integrate.quad(q, a, b, epsabs=0.0, epsrel=1e-13)[0]
+    return share
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "pieces, x",
+    [
+        ((Interval(-1.5, 0.3), Interval(0.5, 1.8)), [0.1]),
+        ((Rect(-0.2, -0.2, 0.0, 0.2), Rect(0.0, -0.2, 0.2, 0.2)), [-0.1, 0.1]),
+    ],
+    ids=["gapped-union", "touching-rectangles"],
+)
+def test_h_regional_matches_quad_along_each_ray_on_unions(m, pieces, x):
+    # the membership along each ray is bisected from contains(), so touching pieces read as one segment
+    dom = DomainSpec(len(x), pieces)
+    x = np.array(x)
+    if dom.dim == 1:
+        thetas, weights = np.array([[1.0], [-1.0]]), np.ones(2)
+    else:
+        phi = 2.0 * math.pi * (np.arange(64) + 0.5) / 64
+        thetas, weights = np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(64, 2.0 * math.pi / 64)
+    expect = sum(wt * _ray_h_by_quad(m, dom, x, theta) for theta, wt in zip(thetas, weights))
+    assert h_regional(m, x, dom, dim=dom.dim) == pytest.approx(expect, rel=1e-11, abs=1e-12)
+
+
+def test_h_regional_rejects_points_outside_the_open_domain():
+    dom = DomainSpec(1, (Interval(-1.0, 0.0), Interval(0.0, 0.5)))
+    assert h_regional(1, [0.0], dom, dim=1) == pytest.approx(h_regional(1, [0.0], DomainSpec(1, (Interval(-1.0, 0.5),)), dim=1))
+    for x in ([0.5], [0.7]):
+        with pytest.raises(PreconditionError, match="outside the open domain"):
+            h_regional(1, x, dom, dim=1)
 
 
 def test_regional_equals_apply_k_within_budgets():
