@@ -38,7 +38,6 @@ from .errors import PreconditionError
 
 _HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
 _SPLINE_BLOCK = 1 << 14  # samples per block of the 2D spline evaluator
-_SPLINE_BLOCK_BYTES = 14 * 8 * _SPLINE_BLOCK  # a block's traced peak: 13.1 float arrays of its samples
 
 
 def _not_a_knot_coefficients(values: np.ndarray, axis: int) -> np.ndarray:
@@ -141,6 +140,9 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.size != int(np.prod(self.shape)):
             raise PreconditionError("value count must match the grid shape")
+        for o, h, n in zip(self.origin, self.spacing, self.shape):  # the last node and the period fit in a float
+            if not (math.isfinite(o + (n - 1) * h) and math.isfinite(n * h)):
+                raise PreconditionError("grid box extent must be finite")
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("grid values must be finite")
         if not 0.0 < self.holder_exponent <= 1.0:

@@ -24,9 +24,10 @@ The batch operators take xs=None to mean every node of u.  On a 1D grid
 that is one lattice convolution: the same inner rule, binned by cell offset
 into moments of the spline's cell coefficients, and an outer integral exact
 per cell, applied to all nodes by FFT with an O(n) working set.  Points
-given explicitly, and every node of a 2D grid, go through the per-point
-radial rule in chunks of a fixed byte budget, one chunk at a time, so the
-working set does not grow with the number of points.
+given explicitly, and every node of a 2D grid, go through one radial pass
+over fixed blocks of whole points' rays: each block forms its sample
+points, samples u, weights and sums them before the next, so the working
+set does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .coeffs import (
 )
 from .domains import DomainSpec, ray_box
 from .errors import PreconditionError
-from .grid import _SPLINE_BLOCK_BYTES, GridFunction
+from .grid import GridFunction
 from .kernels import order_weights, radial_antiderivative
 from .quadrature import dyadic_log_panels, panel_rule
 
@@ -59,17 +60,12 @@ PANEL_ORDER = 16
 MAX_DECADES = 40
 OUTER_PANELS = 48  # resolves support-scale features crossed by the tail rays
 N_ANGLES = 64
-_CHUNK_BYTES = 64 * 2**20  # working set of one radial context
+_RAY_BLOCK = 2**7  # rays per block of the radial pass
 _CLEARANCE_BLOCK = 1 << 16  # point-jump pairs per block of the 2D Dini clearance check
 
 # the inner rule in tau = -ln t over [INNER_CUT, 1], one panel per dyadic decade of t
 _INNER_BOUNDS = dyadic_log_panels(-math.log(INNER_CUT), MAX_DECADES)
 _INNER_TAU, _INNER_W = panel_rule(_INNER_BOUNDS, PANEL_ORDER)
-
-
-def _point_bytes(dim: int, n_angles: int) -> int:
-    """Working set per evaluation point: a radial context peaks at about six float64 arrays over its nodes."""
-    return 6 * 8 * (2 if dim == 1 else n_angles) * (_INNER_TAU.size + OUTER_PANELS * PANEL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -146,146 +142,125 @@ def _check_dini_clearance(u: GridFunction, xs: np.ndarray, cut: float) -> None:
         )
 
 
-class _RadialContext:
-    """Shared u-samples and quadrature weights around a batch of points."""
-
-    def __init__(self, u: GridFunction, xs: np.ndarray, n_angles: int = N_ANGLES):
-        if xs.shape[1] != u.dim:
-            raise PreconditionError("evaluation points must match the grid dimension")
-        if not np.all((xs >= u.box_lo) & (xs <= u.box_hi)):
-            raise PreconditionError("evaluation point outside the grid box")
-        _check_dini_clearance(u, xs, INNER_CUT)
-        self.u = u
-        self.xs = xs
-        thetas, th_w = _directions(u.dim, n_angles)
-        self.thetas, self.th_w = thetas, th_w
-
-        self.tau, self.tau_w = _INNER_TAU, _INNER_W
-        t_in = np.exp(-self.tau)
-        # y[x, theta, q] = x + t_q * theta
-        y_in = xs[:, None, None, :] + t_in[None, None, :, None] * thetas[None, :, None, :]
-        self.u0 = _sample(u, xs)
-        self.diff_in = self.u0[:, None, None] - _sample(u, y_in)
-
-        # outer: per-(x, theta) panels in sigma = ln t up to the box exit
-        _, exit_t = ray_box(xs.T[:, :, None], thetas.T[:, None, :], u.box_lo, u.box_hi)
-        sigma_max = np.log(np.maximum(exit_t, 1.0))
-        un, uw = panel_rule(np.linspace(0.0, 1.0, OUTER_PANELS + 1), PANEL_ORDER)
-        self.sigma = sigma_max[:, :, None] * un[None, None, :]
-        self.sigma_w = sigma_max[:, :, None] * uw[None, None, :]
-        t_out = np.exp(self.sigma)
-        y_out = xs[:, None, None, :] + t_out[..., None] * thetas[None, :, None, :]
-        self.u_out = _sample(u, y_out)
-        self.panels = _INNER_BOUNDS.size - 1 + OUTER_PANELS
-
-    # sums along fixed axes, in an order that does not depend on the number of points
-    def inner(self, weight_of_tau) -> np.ndarray:
-        w = weight_of_tau(self.tau) * self.tau_w
-        return np.sum(np.sum(self.diff_in * w, axis=2) * self.th_w, axis=1)
-
-    def outer(self, weight_of_sigma) -> np.ndarray:
-        integ = weight_of_sigma(self.sigma) * self.sigma_w * self.u_out
-        return np.sum(np.sum(integ, axis=2) * self.th_w, axis=1)
+def _check_points(u: GridFunction, xs: np.ndarray) -> None:
+    """Refuse points of another dimension, outside the grid box, or within the inner cut of a jump."""
+    if xs.shape[1] != u.dim:
+        raise PreconditionError("evaluation points must match the grid dimension")
+    if not np.all((xs >= u.box_lo) & (xs <= u.box_hi)):
+        raise PreconditionError("evaluation point outside the grid box")
+    _check_dini_clearance(u, xs, INNER_CUT)
 
 
-class _LatticeContext:
-    """Every node of a 1D grid at once, as correlations with the cell coefficients.
+def _radial_pass(u: GridFunction, xs: np.ndarray, n_angles: int, weight_of_tau, weight_of_sigma):
+    """Inner minus outer integral and u at the points, one block of whole points' rays at a time.
+
+    A block holds the rays of _RAY_BLOCK // (rays per point) points, at least
+    one.  It forms its sample coordinates, samples u, weights them and sums
+    before the next block starts, so the working set is one block's whatever
+    the number of points.  Every sum runs along one point's own axes (tau or
+    sigma nodes, then directions), so no value depends on its block.
+    """
+    thetas, th_w = _directions(u.dim, n_angles)
+    w_in = weight_of_tau(_INNER_TAU) * _INNER_W
+    t_in = np.exp(-_INNER_TAU)
+    un, uw = panel_rule(np.linspace(0.0, 1.0, OUTER_PANELS + 1), PANEL_ORDER)
+
+    def block(x):  # its temporaries are freed on return, before the next block
+        ux = _sample(u, x)
+        # inner: u(x) - u(x + t theta) at t = e^-tau
+        y = x[:, None, None, :] + t_in[None, None, :, None] * thetas[None, :, None, :]
+        inner = np.sum(np.sum((ux[:, None, None] - _sample(u, y)) * w_in, axis=2) * th_w, axis=1)
+        # outer: per-ray panels in sigma = ln t up to the box exit
+        _, exit_t = ray_box(x.T[:, :, None], thetas.T[:, None, :], u.box_lo, u.box_hi)
+        sigma_max = np.log(np.maximum(exit_t, 1.0))[:, :, None]
+        sigma = sigma_max * un
+        y = x[:, None, None, :] + np.exp(sigma)[..., None] * thetas[None, :, None, :]
+        outer = weight_of_sigma(sigma) * (sigma_max * uw) * _sample(u, y)
+        return inner - np.sum(np.sum(outer, axis=2) * th_w, axis=1), ux
+
+    diff, u0 = np.empty(len(xs)), np.empty(len(xs))
+    step = max(1, _RAY_BLOCK // len(thetas))
+    for at in range(0, len(xs), step):
+        diff[at : at + step], u0[at : at + step] = block(xs[at : at + step])
+    return diff, u0, _INNER_BOUNDS.size - 1 + OUTER_PANELS
+
+
+def _lattice_pass(u: GridFunction, weight_of_tau, weight_of_sigma):
+    """Inner minus outer integral at every node of a 1D grid, as correlations with the cell coefficients.
 
     The interpolant is sum_p D[p, j] s^p on cell j.  A sample at x_i + y lies
     in cell i + k, k = floor(y / h), at local position s = y - k h, and
-    k and s are the same for every node i.  So ``inner`` and ``outer`` each
-    bin their weights into a stencil S[p, k] of moments sum w s^p and
-    correlate it with D by FFT; D is zero past the box, which is the zero
-    extension.  The inner rule is the radial context's, node for node.  The
-    two cells touching the node are summed in difference form, u(x_i) minus
-    the cubic, so small t does not cancel against u(x_i); at the end nodes,
+    k and s are the same for every node i.  So each integral bins its
+    weights into a stencil S[p, k] of moments sum w s^p and correlates it
+    with D by FFT; D is zero past the box, which is the zero extension.
+    The inner rule is the radial pass's, node for node.  The two cells
+    touching the node are summed in difference form, u(x_i) minus the
+    cubic, so small t does not cancel against u(x_i); at the end nodes,
     where one of them lies outside the box, the difference is u(x_i) itself.
     The outer integral over |t| >= 1 runs one Gauss panel per cell (split to
     a ratio of at most 2 in t), which is exact up to round-off.
     """
+    n, h, u0 = u.shape[0], u.spacing[0], u.values
+    coef = u.cell_coefficients()
+    kmin, kmax = -(n - 1), n - 2  # cell offsets some node can reach
+    fft_len = next_fast_len(3 * n, real=True)
+    coef_hat = rfft(coef, fft_len, axis=1)
 
-    def __init__(self, u: GridFunction):
-        n = u.shape[0]
-        self.u, self.xs, self.u0 = u, u.nodes(), u.values
-        _check_dini_clearance(u, self.xs, INNER_CUT)
-        h = u.spacing[0]
-        self.coef = u.cell_coefficients()
-        self.kmin, self.kmax = -(n - 1), n - 2  # cell offsets some node can reach
-        self.fft_len = next_fast_len(3 * n, real=True)
-        self.coef_hat = rfft(self.coef, self.fft_len, axis=1)
+    def correlate(weights, k, powers):
+        """sum_k S[p, k] D[p, i + k] with S[p, k] = sum of weights * powers[p] binned at k (shifted by -kmin)."""
+        stencil = np.stack([np.bincount(k, weights * pw, minlength=kmax - kmin + 1) for pw in powers])
+        hat = rfft(stencil[:, ::-1], fft_len, axis=1)
+        return irfft(np.sum(hat * coef_hat, axis=0), fft_len)[n - 2:2 * n - 2]
 
-        self.tau, self.tau_w = _INNER_TAU, _INNER_W
-        t = np.exp(-self.tau)
-        y = np.concatenate([t, -t])  # both directions, the tau nodes twice
-        k = np.floor(y / h)
-        self.near_plus, self.near_minus = t < h, t <= h  # k == 0 and k == -1
-        self.far = np.concatenate([~self.near_plus, ~self.near_minus])
-        self.binned = self.far & (k >= self.kmin) & (k <= self.kmax)
-        self.in_k = (k[self.binned] - self.kmin).astype(np.intp)
-        self.in_pow = (y - k * h)[self.binned] ** np.arange(4)[:, None]
-        # u(x_i) - u(x_i + t) on cell i and u(x_i) - u(x_i - t) on cell i - 1,
-        # as the p = 1..3 terms of the cubic's difference
-        tp, tm = t[self.near_plus], t[self.near_minus]
-        self.near_plus_pow = -np.stack([tp, tp ** 2, tp ** 3])
-        self.near_minus_pow = np.stack([tm, 2 * h * tm - tm ** 2, 3 * h * h * tm - 3 * h * tm ** 2 + tm ** 3])
+    # inner: both directions, the tau nodes twice
+    w = weight_of_tau(_INNER_TAU) * _INNER_W
+    t = np.exp(-_INNER_TAU)
+    y = np.concatenate([t, -t])
+    k = np.floor(y / h)
+    near_plus, near_minus = t < h, t <= h  # k == 0 and k == -1
+    far = np.concatenate([~near_plus, ~near_minus])
+    binned = far & (k >= kmin) & (k <= kmax)
+    wy = np.concatenate([w, w])
+    in_pow = (y - k * h)[binned] ** np.arange(4)[:, None]
+    values = u0 * float(np.sum(wy[far])) - correlate(wy[binned], (k[binned] - kmin).astype(np.intp), in_pow)
+    # u(x_i) - u(x_i + t) on cell i and u(x_i) - u(x_i - t) on cell i - 1,
+    # as the p = 1..3 terms of the cubic's difference
+    tp, tm = t[near_plus], t[near_minus]
+    near_plus_pow = -np.stack([tp, tp ** 2, tp ** 3])
+    near_minus_pow = np.stack([tm, 2 * h * tm - tm ** 2, 3 * h * h * tm - 3 * h * tm ** 2 + tm ** 3])
+    values[:-1] += (near_plus_pow @ w[near_plus]) @ coef[1:]
+    values[1:] += (near_minus_pow @ w[near_minus]) @ coef[1:]
+    values[0] += u0[0] * float(np.sum(w[near_minus]))
+    values[-1] += u0[-1] * float(np.sum(w[near_plus]))
 
-        # outer: the cell edges past t = 1 (none on a box shorter than 1),
-        # with dyadic splits of a first cell that ends beyond t = 2
-        edges = h * np.arange(1, n)
-        edges = edges[edges > 1.0]
-        splits = 2.0 ** np.arange(1, math.ceil(math.log2(edges[0])) if edges.size else 1)
-        t_bounds = np.concatenate([[1.0], splits, edges])
-        self.sigma, self.sigma_w = panel_rule(np.log(t_bounds), PANEL_ORDER)
-        t_out = np.exp(self.sigma)
-        j = np.repeat(np.floor(0.5 * (t_bounds[:-1] + t_bounds[1:]) / h), PANEL_ORDER)
-        self.out_k = np.concatenate([j, -(j + 1)]).astype(np.intp) - self.kmin
-        self.out_pow = np.concatenate([t_out - j * h, (j + 1) * h - t_out]) ** np.arange(4)[:, None]
-        self.panels = _INNER_BOUNDS.size - 1 + t_bounds.size - 1
-
-    def _correlate(self, weights, k, powers) -> np.ndarray:
-        """sum_k S[p, k] D[p, i + k] with S[p, k] = sum of weights * powers[p] binned at k."""
-        n = self.u0.size
-        size = self.kmax - self.kmin + 1
-        stencil = np.stack([np.bincount(k, weights * pw, minlength=size) for pw in powers])
-        hat = rfft(stencil[:, ::-1], self.fft_len, axis=1)
-        return irfft(np.sum(hat * self.coef_hat, axis=0), self.fft_len)[n - 2:2 * n - 2]
-
-    def inner(self, weight_of_tau) -> np.ndarray:
-        w = weight_of_tau(self.tau) * self.tau_w
-        wy = np.concatenate([w, w])
-        values = self.u0 * float(np.sum(wy[self.far])) - self._correlate(wy[self.binned], self.in_k, self.in_pow)
-        d = self.coef[1:]
-        values[:-1] += (self.near_plus_pow @ w[self.near_plus]) @ d
-        values[1:] += (self.near_minus_pow @ w[self.near_minus]) @ d
-        values[0] += self.u0[0] * float(np.sum(w[self.near_minus]))
-        values[-1] += self.u0[-1] * float(np.sum(w[self.near_plus]))
-        return values
-
-    def outer(self, weight_of_sigma) -> np.ndarray:
-        w = weight_of_sigma(self.sigma) * self.sigma_w
-        return self._correlate(np.concatenate([w, w]), self.out_k, self.out_pow)
+    # outer: the cell edges past t = 1 (none on a box shorter than 1),
+    # with dyadic splits of a first cell that ends beyond t = 2
+    edges = h * np.arange(1, n)
+    edges = edges[edges > 1.0]
+    splits = 2.0 ** np.arange(1, math.ceil(math.log2(edges[0])) if edges.size else 1)
+    t_bounds = np.concatenate([[1.0], splits, edges])
+    sigma, sigma_w = panel_rule(np.log(t_bounds), PANEL_ORDER)
+    t_out = np.exp(sigma)
+    j = np.repeat(np.floor(0.5 * (t_bounds[:-1] + t_bounds[1:]) / h), PANEL_ORDER)
+    out_k = np.concatenate([j, -(j + 1)]).astype(np.intp) - kmin
+    out_pow = np.concatenate([t_out - j * h, (j + 1) * h - t_out]) ** np.arange(4)[:, None]
+    w = weight_of_sigma(sigma) * sigma_w
+    values -= correlate(np.concatenate([w, w]), out_k, out_pow)
+    return values, u0, _INNER_BOUNDS.size - 1 + t_bounds.size - 1
 
 
 def _evaluate(u: GridFunction, xs, n_angles: int, weight_of_tau, weight_of_sigma):
-    """inner(weight_of_tau) - outer(weight_of_sigma) and u at the points, with the panel count.
+    """Inner integral (weight_of_tau) minus outer integral (weight_of_sigma), u at the points, and the panel count.
 
-    xs None on a 1D grid is one lattice context over every node.  Every other
-    request (explicit points, every node of a 2D grid) runs radial contexts
-    over chunks of at most _CHUNK_BYTES with the 2D spline's block, each
-    built and dropped before the next; no value depends on its chunk.
+    The points are checked once.  xs None on a 1D grid is the lattice pass
+    over every node; every other request (explicit points, every node of a
+    2D grid) is the radial pass, one block of rays at a time.
     """
-
-    def run(ctx):
-        return ctx.inner(weight_of_tau) - ctx.outer(weight_of_sigma), ctx.u0, ctx.panels
-
+    points = u.nodes() if xs is None else np.atleast_2d(np.asarray(xs, dtype=float))
+    _check_points(u, points)
     if xs is None and u.dim == 1:
-        return run(_LatticeContext(u))
-    xs = u.nodes() if xs is None else np.atleast_2d(np.asarray(xs, dtype=float))
-    spline = _SPLINE_BLOCK_BYTES if u.dim == 2 else 0  # the interpolant's fixed block temporaries
-    per_chunk = max(1, (_CHUNK_BYTES - spline) // _point_bytes(u.dim, n_angles))
-    parts = np.array_split(xs, max(1, math.ceil(xs.shape[0] / per_chunk)))
-    diffs, u0s, panels = zip(*[run(_RadialContext(u, part, n_angles)) for part in parts])
-    return np.concatenate(diffs), np.concatenate(u0s), panels[0]
+        return _lattice_pass(u, weight_of_tau, weight_of_sigma)
+    return _radial_pass(u, points, n_angles, weight_of_tau, weight_of_sigma)
 
 
 def _holder_bound_log(u: GridFunction, n: int, cut: float) -> float:
@@ -401,9 +376,7 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
         raise PreconditionError("domain/grid dimension mismatch")
     if not domain.contains(x):
         raise PreconditionError("evaluation point must lie inside the domain")
-    if not u.contains(x):
-        raise PreconditionError("evaluation point outside the grid box")
-    _check_dini_clearance(u, x[None, :], INNER_CUT)
+    _check_points(u, x[None, :])
 
     thetas, th_w = _directions(u.dim, n_angles)
     _, exit_t = ray_box(x, thetas.T, u.box_lo, u.box_hi)

@@ -124,9 +124,9 @@ def test_apply_quad_vs_fft_agree(bump_file, tmp_path):
     assert side["truncation_bound"] == apply_L_batch(1, u, u.axes()[0][:3, None])[1] > 0.0
 
 
-def test_apply_quad_chunks_stay_under_byte_budget(tmp_path, monkeypatch):
-    # a 2D grid goes to pointwise in one batch per thread, which pointwise
-    # splits into chunks of its byte budget; a 1D grid is one lattice convolution
+def test_apply_quad_2d_runs_one_batch_per_thread_in_ray_blocks(tmp_path, monkeypatch):
+    # a 2D grid goes to pointwise in one batch per thread, which the radial
+    # pass runs in blocks of whole points' rays; a 1D grid is one lattice convolution
     from loglap import pointwise
 
     x = np.linspace(-1.0, 1.0, 5)
@@ -144,7 +144,7 @@ def test_apply_quad_chunks_stay_under_byte_budget(tmp_path, monkeypatch):
         return batch(m, u, xs, **opts)
 
     monkeypatch.setattr(pointwise, "apply_L_batch", spy)
-    monkeypatch.setattr(pointwise, "_CHUNK_BYTES", 6 * pointwise._point_bytes(2, pointwise.N_ANGLES))
+    monkeypatch.setattr(pointwise, "_RAY_BLOCK", 6 * pointwise.N_ANGLES)  # 13 and 12 points in blocks of 6
     out, side = tmp_path / "L.json", tmp_path / "L.side.json"
     assert main(["--threads", "2", "apply", "--op", "L", "--m", "2", "--method", "quad",
                  "--grid", str(src), "--out", str(out), "--sidecar", str(side)]) == 0
@@ -308,6 +308,21 @@ def test_non_finite_grid_exit_code(bump_file, tmp_path, capsys, method, field, v
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["quad", "fft"])
+@pytest.mark.parametrize("origin, spacing, shape", [([0.0], [1e308], [4]), ([-1e308], [1e308], [3])],
+                         ids=["last-node", "period"])
+def test_overflowing_grid_box_exit_code(tmp_path, capsys, method, origin, spacing, shape):
+    # finite origin and spacing whose box does not fit in a float
+    grid = {"dim": 1, "origin": origin, "spacing": spacing, "shape": shape,
+            "holder": {"alpha": 1.0, "const": 1.0}, "values": [0.0] * shape[0]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid))
+    argv = ["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(bad), "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "grid box extent must be finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

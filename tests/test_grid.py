@@ -50,6 +50,11 @@ def test_non_finite_geometry_and_holder_constant_rejected(bad):
         GridFunction(2, (0.0, 0.0), (0.1, bad), (4, 4), np.zeros(16), 1.0, 1.0)
     with pytest.raises(PreconditionError, match="Holder constant must be finite"):
         GridFunction(1, (0.0,), (0.1,), (4,), np.zeros(4), 1.0, bad)
+    # finite origin and spacing whose last node or period overflows
+    with pytest.raises(PreconditionError, match="grid box extent must be finite"):
+        GridFunction(1, (0.0,), (1e308,), (4,), np.zeros(4), 1.0, 1.0)
+    with pytest.raises(PreconditionError, match="grid box extent must be finite"):
+        GridFunction(1, (-1e308,), (1e308,), (3,), np.zeros(3), 1.0, 1.0)
 
 
 def test_zero_outside_box():

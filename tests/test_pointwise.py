@@ -489,33 +489,40 @@ def test_none_in_2d_means_every_node():
     assert np.array_equal(every, explicit)
 
 
-@pytest.mark.parametrize("nodes", [5, 7])
-def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, nodes):
-    # every node of a 2D grid in chunks of 6 points (at least 4 chunks): the
-    # traced peak stays near one chunk's budget whatever the node count, and
-    # the values are those of one whole batch, bit for bit
-    u = gaussian_bump(dim=2, halfwidth=1.0, nodes=nodes, width=0.5)
-    whole, _, _ = apply_L_batch(2, u, u.nodes(), n_angles=16)  # one chunk; builds the spline
-    budget = 6 * pointwise._point_bytes(2, 16)
-    assert pointwise._CHUNK_BYTES >= u.values.size * pointwise._point_bytes(2, 16)
-    monkeypatch.setattr(pointwise, "_CHUNK_BYTES", budget)
-    built = []
-    context = pointwise._RadialContext
+@pytest.mark.parametrize("dim, nodes", [pytest.param(2, 5, id="5"), pytest.param(2, 7, id="7"), pytest.param(1, 41, id="1d")])
+def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, dim, nodes):
+    # blocks of one point's rays: every node of a 2D grid, or 41 explicit
+    # points on a 1D grid, runs one block per point; the values are those of
+    # the default blocks bit for bit, and the traced peak over all points
+    # stays near the peak of one block's points
+    if dim == 2:
+        u = gaussian_bump(dim=2, halfwidth=1.0, nodes=nodes, width=0.5)
+        xs, rays = u.nodes(), 16
+    else:
+        u = gaussian_derivative_bump(dim=1, halfwidth=4.0, nodes=256, width=0.8)
+        xs, rays = u.nodes()[np.linspace(3, 252, nodes).astype(int)], 2
+    whole, _, _ = apply_L_batch(2, u, xs, n_angles=16)  # default blocks; builds the interpolant
+    assert pointwise._RAY_BLOCK >= 2 * rays
+    monkeypatch.setattr(pointwise, "_RAY_BLOCK", rays)
+    blocks = []
+    ray_box = pointwise.ray_box
 
-    def spy(u, xs, n_angles):
-        built.append(len(xs))
-        return context(u, xs, n_angles)
+    def spy(x, d, lo, hi):  # the radial pass finds its rays' box exits once per block
+        blocks.append(x[0].size)
+        return ray_box(x, d, lo, hi)
 
-    monkeypatch.setattr(pointwise, "_RadialContext", spy)
-    tracemalloc.start()
-    try:
-        chunked, _, _ = apply_L_batch(2, u, None, n_angles=16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(built) >= 4 and max(built) <= 6 and sum(built) == u.values.size
-    assert peak <= 1.25 * budget
-    assert np.array_equal(chunked, whole)
+    monkeypatch.setattr(pointwise, "ray_box", spy)
+    peaks = []
+    for pts in (xs[:1], None if dim == 2 else xs):
+        tracemalloc.start()
+        try:
+            blocked, _, _ = apply_L_batch(2, u, pts, n_angles=16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(blocks) == 1 + len(xs) >= 5 and max(blocks) == 1
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert np.array_equal(blocked, whole)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -636,6 +643,26 @@ def test_l1_of_a_gaussian_at_the_origin_is_minus_euler_gamma(gauss):
     # 4^s Gamma(1/2 + s) / Gamma(1/2) has the s-derivative ln 4 + psi(1/2) = -gamma at 0
     assert _gaussian_oracle(0.0, 0.0, 1) == pytest.approx(-EULER_GAMMA, rel=1e-15)
     assert abs(apply_L_batch(1, gauss, np.array([[0.0]]))[0][0] + EULER_GAMMA) <= 3.5e-9
+
+
+@pytest.mark.parametrize("op, sign", [(frac_lap_batch, 1.0), (riesz_batch, -1.0)], ids=["fraclap", "riesz"])
+def test_order_expansion_holds_through_quadrature_alone(op, sign):
+    # (-Delta)^(+-s) u = u + sum_(m<=n) (+-s)^m / m! L_m u + O(s^(n+1)), with
+    # both sides from the lattice quadrature and no spectral code: the sup of
+    # the remainder over the central half of the grid falls as s^(n+1)
+    u = gaussian_bump(dim=1, halfwidth=8.0, nodes=1024)
+    centre = slice(256, 768)
+    L = [apply_L_batch(m, u, None)[0][centre] for m in (1, 2, 3)]
+    ss = 2.0 ** -np.arange(5, 10)
+    sups = np.empty((4, ss.size))
+    for i, s in enumerate(ss):
+        rest = op(s, u, None)[0][centre] - u.values[centre]
+        sups[0, i] = np.max(np.abs(rest))
+        for m in (1, 2, 3):
+            rest = rest - (sign * s) ** m / math.factorial(m) * L[m - 1]
+            sups[m, i] = np.max(np.abs(rest))
+    slopes = [np.polyfit(np.log(ss), np.log(sup), 1)[0] for sup in sups]
+    assert np.max(np.abs(np.array(slopes) - [1, 2, 3, 4])) <= 0.05, slopes
 
 
 # ---------------------------------------------------------------------------
