@@ -3,8 +3,11 @@
 Subcommands expose the library's experiments: coefficient tables, kernel
 radii, operator application (quadrature or FFT), Dirichlet eigenvalues,
 ball-minimality comparisons, and order-expansion studies.  Grids and domains
-travel as JSON (schemas in grid.py / domains.py); tabular results are CSV
-with a header row and 17 significant digits.
+travel as JSON (schemas in grid.py / domains.py); an output grid is written
+from its array buffer as compact JSON with shortest round-trip floats, and
+input is read with the standard json module, so NaN and Infinity tokens parse
+and then exit 3.  Tabular results are CSV with a header row and 17
+significant digits.
 
 Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
 4 numerical failure.  --threads splits the nodes of a 2D quadrature apply

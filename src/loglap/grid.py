@@ -31,12 +31,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import orjson
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.linalg import solve_banded
 
 from .errors import PreconditionError
 
 _HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
+_HOLDER_MIN_STEP = 1e-3  # shortest validate_holder distance, in units of the smallest spacing
 _SPLINE_BLOCK = 1 << 14  # samples per block of the 2D spline evaluator
 
 
@@ -141,8 +143,13 @@ class GridFunction:
         if vals.size != int(np.prod(self.shape)):
             raise PreconditionError("value count must match the grid shape")
         for o, h, n in zip(self.origin, self.spacing, self.shape):  # the last node and the period fit in a float
-            if not (math.isfinite(o + (n - 1) * h) and math.isfinite(n * h)):
+            last = o + (n - 1) * h
+            if not (math.isfinite(last) and math.isfinite(n * h)):
                 raise PreconditionError("grid box extent must be finite")
+            # a step of _HOLDER_MIN_STEP spacings moves every coordinate in the box, so the
+            # nodes are distinct and validate_holder's shortest distance is positive
+            if not _HOLDER_MIN_STEP * h >= math.ulp(max(abs(o), abs(last))):
+                raise PreconditionError("spacing is too small to separate the nodes at the box's coordinates")
         if not np.all(np.isfinite(vals)):
             raise PreconditionError("grid values must be finite")
         if not 0.0 < self.holder_exponent <= 1.0:
@@ -263,7 +270,7 @@ class GridFunction:
         rng = np.random.default_rng(seed)
         lo, hi = self.box_lo, self.box_hi
         a = rng.uniform(lo, hi, size=(_HOLDER_SAMPLES, self.dim))
-        dist = np.exp(rng.uniform(np.log(1e-3 * min(self.spacing)), np.log(1.0), _HOLDER_SAMPLES))
+        dist = np.exp(rng.uniform(np.log(_HOLDER_MIN_STEP * min(self.spacing)), np.log(1.0), _HOLDER_SAMPLES))
         direction = rng.normal(size=(_HOLDER_SAMPLES, self.dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         b = a + direction * dist[:, None]
@@ -349,15 +356,19 @@ def box_indicator(lo: float, hi: float, halfwidth: float = 20.0, nodes: int = 40
 # -- JSON round trip ------------------------------------------------------------
 
 
-def grid_to_dict(u: GridFunction) -> dict:
+def _header(u: GridFunction) -> dict:
+    """Every field of the grid file but its values."""
     return {
         "dim": u.dim,
         "origin": list(u.origin),
         "spacing": list(u.spacing),
         "shape": list(u.shape),
         "holder": {"alpha": u.holder_exponent, "const": u.holder_constant},
-        "values": u.values.reshape(-1).tolist(),
     }
+
+
+def grid_to_dict(u: GridFunction) -> dict:
+    return {**_header(u), "values": u.values.reshape(-1).tolist()}
 
 
 def grid_from_dict(data: dict, validate: bool = False) -> GridFunction:
@@ -381,8 +392,11 @@ def grid_from_dict(data: dict, validate: bool = False) -> GridFunction:
 
 
 def save_grid(u: GridFunction, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(grid_to_dict(u)))
+    """Write u as compact JSON with shortest round-trip floats, straight from its value buffer."""
+    data = _header(u)
+    data["values"] = np.ascontiguousarray(u.values).reshape(-1)  # orjson takes C-contiguous arrays only
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def load_grid(path, validate: bool = True) -> GridFunction:

@@ -374,9 +374,9 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if domain.dim != u.dim:
         raise PreconditionError("domain/grid dimension mismatch")
+    _check_points(u, x[None, :])  # before the domain sees x, whose length it does not check
     if not domain.contains(x):
         raise PreconditionError("evaluation point must lie inside the domain")
-    _check_points(u, x[None, :])
 
     thetas, th_w = _directions(u.dim, n_angles)
     _, exit_t = ray_box(x, thetas.T, u.box_lo, u.box_hi)

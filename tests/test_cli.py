@@ -10,7 +10,9 @@ import pytest
 from loglap.cli import main
 from loglap.coeffs import EULER_GAMMA
 from loglap.domains import Disk, DomainSpec, Interval, domain_to_dict
-from loglap.grid import GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict
+from loglap.grid import (
+    GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict, save_grid,
+)
 from loglap.pointwise import apply_L_batch
 from loglap.spectral import apply_symbol
 
@@ -102,7 +104,11 @@ def test_apply_output_is_the_json_text_of_the_result(bump_file, tmp_path):
                  "--grid", str(bump_file), "--out", str(out)]) == 0
     u = grid_from_dict(json.loads(bump_file.read_text()))
     result = u.with_values(apply_symbol(u, "log", 1).values)
-    assert out.read_text(encoding="utf-8") == json.dumps(grid_to_dict(result))
+    want = tmp_path / "want.json"
+    save_grid(result, want)
+    assert out.read_bytes() == want.read_bytes()
+    got = np.array(json.loads(out.read_bytes())["values"])
+    assert np.array_equal(got.view(np.uint64), result.values.view(np.uint64))
 
 
 def test_apply_quad_vs_fft_agree(bump_file, tmp_path):
@@ -323,6 +329,20 @@ def test_overflowing_grid_box_exit_code(tmp_path, capsys, method, origin, spacin
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "grid box extent must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["quad", "fft"])
+@pytest.mark.parametrize("origin", [0.0, 1.0])
+def test_subnormal_spacing_exit_code(tmp_path, capsys, method, origin):
+    # 1e-3 of the spacing rounds to 0, and at origin 1.0 the four nodes coincide
+    grid = {"dim": 1, "origin": [origin], "spacing": [5e-324], "shape": [4],
+            "holder": {"alpha": 1.0, "const": 1.0}, "values": [0.0] * 4}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid))
+    argv = ["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(bad), "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "spacing is too small" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -115,6 +115,58 @@ def test_json_round_trip_bit_exact(tmp_path):
     assert np.array_equal(w.values, u.values)
 
 
+_HARD_FLOATS = [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.30000000000000004, 1.0000000000000002, 2.2250738585072014e-308, 1e-8, 1 / 3, 123456789.12345679]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).reshape(-1).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape, order", [((12,), "C"), ((3, 4), "C"), ((3, 4), "F")], ids=["1d", "2d", "2d-fortran"])
+def test_saved_values_read_back_bit_for_bit(tmp_path, shape, order):
+    # subnormal, signed zero, the largest floats and 17-digit values, from a C- or Fortran-ordered array
+    rows = np.array(_HARD_FLOATS + [-2.5, 7.0]).reshape(shape)
+    u = GridFunction(len(shape), (0.0,) * len(shape), (0.5,) * len(shape), shape, np.asarray(rows, order=order), 1.0, 1.0)
+    assert u.values.flags.c_contiguous == (order == "C")
+    path = tmp_path / "u.json"
+    save_grid(u, path)
+    text = path.read_bytes()
+    assert np.array_equal(_bits(load_grid(path, validate=False).values), _bits(rows))
+    data = json.loads(text)
+    assert np.array_equal(_bits(data["values"]), _bits(rows))
+    assert data == grid_to_dict(u)  # the header fields too
+    c_order = tmp_path / "c.json"
+    save_grid(GridFunction(u.dim, u.origin, u.spacing, u.shape, np.ascontiguousarray(rows), 1.0, 1.0), c_order)
+    assert c_order.read_bytes() == text
+
+
+def test_saved_strided_values_read_back(tmp_path):
+    every_other = (np.arange(16.0) / 3.0)[::2]
+    u = GridFunction(1, (0.0,), (0.1,), (8,), every_other, 1.0, 1.0)
+    assert not u.values.flags.c_contiguous
+    save_grid(u, tmp_path / "u.json")
+    assert np.array_equal(_bits(load_grid(tmp_path / "u.json", validate=False).values), _bits(every_other))
+
+
+@pytest.mark.parametrize("origin, spacing, ok", [
+    ((0.0,), (5e-324,), False),
+    ((1.0,), (5e-324,), False),
+    ((1.0,), (1e-14,), False),  # 1e-3 spacing is below one ulp of 1.0
+    ((0.0, 1.0), (0.5, 1e-14), False),
+    ((1.0,), (1e-12,), True),
+    ((0.0,), (1e-300,), True),
+], ids=["subnormal-at-0", "subnormal-at-1", "sub-ulp-step", "2d-second-axis", "resolved", "tiny-at-0"])
+def test_spacing_must_separate_the_nodes(origin, spacing, ok):
+    dim = len(origin)
+    make = lambda: GridFunction(dim, origin, spacing, (4,) * dim, np.zeros(4 ** dim), 1.0, 1.0)
+    if ok:
+        make().validate_holder()
+    else:
+        with pytest.raises(PreconditionError, match="spacing is too small"):
+            make()
+
+
 def test_malformed_grid_dict_rejected():
     with pytest.raises(PreconditionError):
         grid_from_dict({"dim": 1, "origin": [0.0]})

@@ -361,6 +361,13 @@ def test_regional_outside_domain_rejected():
         regional_repr(1, u, [1.5], dom)
 
 
+def test_regional_point_of_wrong_length_rejected():
+    u = gaussian_bump(dim=1, halfwidth=2.0, nodes=512, width=0.5)
+    dom = DomainSpec(1, (Interval(-1.0, 1.0),))
+    with pytest.raises(PreconditionError, match="must match the grid dimension"):
+        regional_repr(1, u, [0.1, 0.2], dom)
+
+
 def test_regional_2d_disk_matches_apply_k():
     u = gaussian_bump(dim=2, halfwidth=1.5, nodes=96, width=0.4)
     dom = DomainSpec(2, (Disk(0.0, 0.0, 1.2),))
