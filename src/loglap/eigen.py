@@ -44,12 +44,16 @@ S and A share one pair driver, the integral of k_w over cell pairs at
 distances in (lo, hi): (0, 1) for S, (1, inf) for A.  It has two
 stages.  Lattice cells, the cells of the most common class at integer
 multiples of its mean side from its first cell (uniform intervals, the
-gapped fk split, rectangles, a disk's unclipped interior), get one integral
-per integer offset, which makes the offset table.  Pairs that touch an
-off-lattice cell (a second width, clipped disk cells) are grouped by class
-pair and centre offset and integrated once per group.  Every clipped cell
-is a class of its own, so a pair with a clipped cell is a group of one;
-only the near ones among them share work, by symmetry orbit (below).
+gapped fk split, rectangles, a disk's unclipped interior), pair by integer
+offset, which makes the offset table.  In 1D each offset takes one
+integral, on its first pair.  In 2D the offsets (+-dx, +-dy) form one
+mirror class, with (dy, dx) too when the cells are squares; each class
+takes one integral, on two cells rebuilt on the lattice's grid, and its
+value fills every table position of the class (_mirror_classes).  Pairs
+that touch an off-lattice cell (a second width, clipped disk cells) are
+grouped by class pair and centre offset and integrated once per group.
+Every clipped cell is a class of its own, so a pair with a clipped cell
+is a group of one; those pairs share work by symmetry orbit (below).
 Entries are, in one dimension, the closed form (a Gauss rule on tent pieces
 far from the origin).  In two, the pairs split by admissibility into three
 classes:
@@ -57,25 +61,29 @@ classes:
 * far: the box gap is at least the larger box diameter and every distance
   lies inside (lo, hi).  The kernel is smooth there, and all such pairs are
   one batched point-pair sum sum_a sum_b w_a w_b k_w(|x_a - y_b|) over
-  per-cell rules built once: 6 x 6 tensor Gauss points on an unclipped box,
-  and on a clipped cell an exact-geometry chord rule (Gauss nodes along the
-  exact chords of box cap disk, panels split where the circle crosses the
-  box).  The sums run in chunks of a fixed element budget.
+  per-cell rules: tensor Gauss points on an unclipped box, and on a clipped
+  cell an exact-geometry chord rule (Gauss nodes along the exact chords of
+  box cap disk, panels split where the circle crosses the box).  The points
+  per axis fall with gap / diameter (Sauter & Schwab, Boundary Element
+  Methods, ch. 5): 6 below 3.6, then 5, 4 from 10.5 and 3 from 40.5
+  (_FAR_BANDS), one rule table per order used.  The sums run in chunks of a
+  fixed element budget.
 * near, two unclipped boxes: the closed form rect_pair_integral_2d.
 * near, with a clipped cell: a polar inner integral over the target
   (closed-form radial antiderivative, angular Gauss panels split at the box
   corners and at the circle crossings) under graded points on the outer
   cell, which is the unclipped one if there is one; a clipped outer cell
-  takes the chord rule on its graded sub-boxes.  The disk's grid is
-  centred on the disk, so these pairs fall into orbits of up to 8
-  congruent pairs under the symmetries x -> +-x, y -> +-y, x <-> y about
-  the centre; each orbit is integrated once, on the pair rebuilt from its
-  key (_orbits).
+  takes the chord rule on its graded sub-boxes.
+
+The disk's grid is centred on the disk, so the pairs with a clipped cell,
+far or near, fall into orbits of up to 8 congruent pairs under the
+symmetries x -> +-x, y -> +-y, x <-> y about the centre; each orbit is
+integrated once, on the pair rebuilt from its key (_orbits).
 
 The self-energy of an unclipped cell is the pair closed form on the cell
 paired with itself, whose profile is |C| - ov in place of the overlap ov:
 all cells in one call in 1D, once per cell class in 2D.  Those of clipped
-cells are taken once per orbit, as the near pairs.  All of these rules
+cells are taken once per orbit, as the pairs.  All of these rules
 share one core: Gauss panels from quadrature.panel_rule, angular panels
 split at kink directions from quadrature.angle_rule, and radial pieces in
 the closed form of kernels._profile_integral.
@@ -113,6 +121,13 @@ _SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
 _BOX_SELF_ORDER = 24  # unclipped self-energy: angular Gauss points per panel (12 leaves an aspect-5 box up to 3e-10 off)
 _CHUNK = 1 << 13  # elements per chunk: point pairs of a far sum, rays of a near pair, 1D closed-form pairs
 _PAIR_BLOCK = 1 << 18  # candidate pairs per row block of the off-lattice pair search
+# Far rule bands: from gap / diameter `ratio` on, `order` Gauss points per axis (never more than the
+# nearest band's).  Chosen from a sweep against order-12 point-pair sums on square cells of side 0.0025
+# to 0.1 (m = 1..3, the weights of I_m and q_m, distances below 0.75 or beyond 1.25): each band stays
+# within 4e-12 relative, the 6 x 6 rule's error at the (2, 2) threshold for m = 2.  Each break lies
+# between two lattice ratios of square cells (2 ratio^2 is no sum of two squares), so an ulp cannot
+# move a mirrored pair to another band.
+_FAR_BANDS = ((3.6, 5), (10.5, 4), (40.5, 3))
 # The weight of S: the 2 of S_ii and S_il in the module docstring, on every
 # pair integral and self-energy and on Q's shift c.  The form of the symbol
 # (2 ln|xi|)^m has weight 1 (ROADMAP, item 2); that fix is this one constant.
@@ -124,7 +139,7 @@ class StiffnessParts:
     """A symmetric cell matrix K = diag(d) + Lat(table) + Off, applied as K @ x.
 
     Lat is the lattice block: lattice cell members[j], at linear position
-    pos[j] (_lattice), meets members[k] in table[top - pos[j] + pos[k]],
+    pos[j] (_positions), meets members[k] in table[top - pos[j] + pos[k]],
     with table of length 2 top + 1 and top = pos.max().  Off is a symmetric
     CSR matrix of the pairs that touch an off-lattice cell.  The diagonal,
     the lattice pairs and the off-lattice pairs have disjoint supports.
@@ -440,22 +455,38 @@ def _mesh_disk(mesh: Mesh) -> Disk | None:
     return next((p for p in mesh.domain.pieces if isinstance(p, Disk)), None)
 
 
-def _far_pairs(cells, i, l, lo, hi) -> np.ndarray:
-    """Admissible pairs: box gap at least the larger box diameter, every distance inside (lo, hi)."""
+def _gaps(cells, i, l):
+    """Box gap, larger box diameter and largest point distance per pair."""
     lo_i, hi_i, lo_l, hi_l = cells[i, :2], cells[i, 2:4], cells[l, :2], cells[l, 2:4]
     gap = np.hypot.reduce(np.maximum(np.maximum(lo_i - hi_l, lo_l - hi_i), 0.0), axis=1)
     span = np.hypot.reduce(np.maximum(hi_i - lo_l, hi_l - lo_i), axis=1)
     diam = np.maximum(np.hypot.reduce(hi_i - lo_i, axis=1), np.hypot.reduce(hi_l - lo_l, axis=1))
+    return gap, diam, span
+
+
+def _far_pairs(cells, i, l, lo, hi) -> np.ndarray:
+    """Admissible pairs: box gap at least the larger box diameter, every distance inside (lo, hi)."""
+    gap, diam, span = _gaps(cells, i, l)
     # the slack keeps a gap equal to the diameter (the (2, 2) lattice offset) far in every translate
     return (gap >= (1.0 - 1e-9) * diam) & (gap > lo) & (span < hi)
 
 
+def _far_orders(cells, i, l, order) -> np.ndarray:
+    """Points per axis of each far pair's rule: order up to the first of _FAR_BANDS, then the bands' orders (at most order)."""
+    gap, diam, _ = _gaps(cells, i, l)
+    q = np.full(np.size(i), order)
+    for ratio, band in _FAR_BANDS:
+        q[gap >= ratio * diam] = min(order, band)
+    return q
+
+
 def _cell_rules(cells, disk, order):
-    """Every cell's far rule, flat: points and weights (x, y, w) with each cell's start and size.
+    """Every cell's far rule of one order, flat: points and weights (x, y, w) with each cell's start and size.
 
     order x order tensor Gauss points on an unclipped box, the live points of
     the chord rule on a clipped cell (built for at most _CHUNK candidate
-    points at a time).  A cell's points depend only on that cell.
+    points at a time).  A cell's points depend only on that cell and the
+    order; the far sums build one such table per order they use.
     """
     per_box = order * order
     x, y, wts = (a.ravel() for a in _box_gauss(cells[:, :4], order))
@@ -472,6 +503,17 @@ def _cell_rules(cells, disk, order):
     by_cell = np.argsort(owner, kind="stable")
     size = np.bincount(owner, minlength=len(cells))
     return x[by_cell], y[by_cell], wts[by_cell], np.cumsum(size) - size, size
+
+
+def _far_sums(w, cells, disk, i, l, order) -> np.ndarray:
+    """The point-pair sums of far pairs, each on the rules of its band's order (_far_orders)."""
+    q = _far_orders(cells, i, l, order)
+    out = np.empty(q.size)
+    for band in np.unique(q):  # rules for the cells of this band's pairs only
+        sel = np.flatnonzero(q == band)
+        used, at = np.unique(np.concatenate([i[sel], l[sel]]), return_inverse=True)
+        out[sel] = _far_values(w, _cell_rules(cells[used], disk, band), *np.split(at.ravel(), 2))
+    return out
 
 
 def _far_values(w, rules, i, l) -> np.ndarray:
@@ -517,82 +559,106 @@ def _polar_pair_value(w, cells, disk, a, b, lo, hi, order) -> float:
     return float(np.sum(_inner_cell_integral_2d(w, px, py, cells[b], disk, lo, hi) * pw))
 
 
-def _box_images(rel) -> np.ndarray:
-    """The 8 images (8, ..., 4) of boxes (..., 4) under x -> +-x, y -> +-y and x <-> y."""
-    x0, y0, x1, y1 = np.moveaxis(rel, -1, 0)
-    out = []
-    for ax, bx in ((x0, x1), (-x1, -x0)):
-        for ay, by in ((y0, y1), (-y1, -y0)):
-            out += [np.stack([ax, ay, bx, by], axis=-1), np.stack([ay, ax, by, bx], axis=-1)]
-    return np.stack(out)
+# The 8 images of a box under x -> +-x, y -> +-y and x <-> y, as columns of (flag, x0, y0, x1, y1, -x1, -y1, -x0, -y0)
+_BOX_IMAGES = np.array([[0, 1, 2, 3, 4], [0, 2, 1, 4, 3], [0, 5, 2, 7, 4], [0, 2, 5, 4, 7],
+                        [0, 1, 6, 3, 8], [0, 6, 1, 8, 3], [0, 5, 6, 7, 8], [0, 6, 5, 8, 7]])
 
 
 def _orbits(cells, disk, members):
     """Tuples of cells grouped by their orbit under the 8 symmetries of the disk grid.
 
     mesh_rectangles centres a disk's grid on the disk, so x -> +-x,
-    y -> +-y and x <-> y about the centre map its cells onto cells.  A
-    tuple's key is its clipped flags and the lexicographically smallest of
-    its 8 images, in box coordinates relative to the centre in units of the
-    clipped cells' side, rounded to 9 decimals; a pair of two clipped cells
-    also takes the 8 images of its reversed order.  members (K, m) holds
-    the tuples' cells.  Returns one tuple per distinct key, (U, m, 5),
-    rebuilt as centre + key * side, and the key index of each tuple.
+    y -> +-y and x <-> y about the centre map its cells onto cells.  Box
+    coordinates relative to the centre, in units of the clipped cells' side
+    and rounded to 9 decimals, are coded by their rank among those values
+    and their negatives, so a reflection maps code c to N - 1 - c.  The 8
+    images of every member cell, clipped flag first, are ranked once
+    (lexicographically).  A tuple's key is the smallest of its 8 images,
+    each read as a number whose digits are its cells' ranks; a pair of two
+    clipped cells also takes the 8 images of its reversed order.  That is
+    the lexicographically smallest image, held in one integer, so the keys
+    cost O(K) memory for K tuples.  members (K, m) holds the tuples' cells.
+    Returns the cells of the keys, rebuilt as centre + coordinates * side
+    with their flags (B, 5); each key's cells as rows of those (U, m); and
+    the key index of each tuple (K,).
 
     A value computed on the rebuilt tuple is the same for every member of
     an orbit and in any batch.  On a member's own boxes it is not: mirrored
     linspace edges differ by an ulp, on which the chord rule's outer axis
     (diagonal cells) and _pair_grading's half-side gap threshold can flip.
     """
-    k, m = members.shape
     centre = np.array([disk.cx, disk.cy, disk.cx, disk.cy])
     first = cells[np.argmax(cells[:, 4] > 0.0)]
     side = first[2] - first[0]
-    rel = np.round((cells[members, :4] - centre) / side, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
-    cand = _box_images(rel)
-    if m == 2:
-        rev = _box_images(rel[:, ::-1])
-        rev[:, ~np.all(cells[members, 4] > 0.0, axis=1)] = np.inf
-        cand = np.concatenate([cand, rev])
-    cand = cand.reshape(len(cand), k, 4 * m)
-    best = np.ones(cand.shape[:2], dtype=bool)
-    for col in np.moveaxis(cand, 2, 0):  # narrow to the smallest candidates, one column at a time
-        col = np.where(best, col, np.inf)
-        best &= col == col.min(axis=0)
-    canon = cand[np.argmax(best, axis=0), np.arange(k)]
-    keys, inv = np.unique(np.column_stack([cells[members, 4], canon]), axis=0, return_inverse=True)
-    boxes = centre + keys[:, m:].reshape(-1, m, 4) * side
-    return np.concatenate([boxes, keys[:, :m, None]], axis=2), inv.ravel()
+    used = np.zeros(len(cells), dtype=bool)
+    used[members] = True
+    used = np.flatnonzero(used)
+    rel = np.round((cells[used, :4] - centre) / side, 9) + 0.0  # + 0.0 turns -0.0 into 0.0
+    coords = np.unique(np.concatenate([rel.ravel(), -rel.ravel()]))  # coords[-1 - c] == -coords[c]
+    code = np.searchsorted(coords, rel)
+    code = np.column_stack([(cells[used, 4] > 0.0).astype(np.int64), code, coords.size - 1 - code[:, [2, 3, 0, 1]]])
+    boxes, rank_used = np.unique(code[:, _BOX_IMAGES].reshape(-1, 5), axis=0, return_inverse=True)
+    rank = np.zeros((8, len(cells)), dtype=np.int64)  # by cell index: no (K, m) index array
+    rank[:, used] = rank_used.reshape(-1, 8).T
+    base = len(boxes)
+    arrangements = [members.T]
+    if members.shape[1] == 2:
+        both = np.all(cells[members, 4] > 0.0, axis=1)
+        arrangements.append(np.where(both, members[:, ::-1].T, members.T))  # reversed where both are clipped
+    key = np.full(len(members), np.iinfo(np.int64).max)
+    for r in rank:
+        for cols in arrangements:
+            digits = r[cols[0]]
+            for c in cols[1:]:
+                digits *= base
+                digits += r[c]
+            np.minimum(key, digits, out=key)
+    keys, inv = np.unique(key, return_inverse=True)
+    digits = np.column_stack([keys // base ** k % base for k in range(members.shape[1] - 1, -1, -1)])
+    ranks, tuples = np.unique(digits, return_inverse=True)
+    rebuilt = np.column_stack([centre + coords[boxes[ranks, 1:]] * side, boxes[ranks, 0]])
+    return rebuilt, tuples.reshape(digits.shape), inv.ravel()
 
 
 def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} per pair, split by admissibility.
 
-    Far pairs (_far_pairs) are one batched point-pair sum over per-cell
-    rules of the given order.  Near pairs of two unclipped boxes take the
-    closed form rect_pair_integral_2d.  Other near pairs take the polar
-    path once per orbit (_orbits), on the pair rebuilt from its key, with
-    the unclipped cell (if any) as the outer one.
+    Pairs that touch a clipped cell are grouped by orbit (_orbits), with
+    the unclipped cell (if any) first, and each orbit is evaluated once on
+    the pair rebuilt from its key; other pairs on their own cells.  Far
+    pairs (_far_pairs) are one batched point-pair sum over per-cell rules,
+    of the given order up to gap / diameter 3.6 and of fewer points per
+    axis beyond (_FAR_BANDS).  Near pairs of two unclipped boxes take the
+    closed form rect_pair_integral_2d; other near pairs the polar path,
+    with the first cell as the outer one.
     """
     cells = np.asarray(mesh.cells, dtype=float)
     disk = _mesh_disk(mesh)
     i, l = np.asarray(i), np.asarray(l)
-    far = _far_pairs(cells, i, l, lo, hi)
+    touch = (cells[i, 4] > 0.0) | (cells[l, 4] > 0.0)
+    own = np.flatnonzero(~touch)
+    pi, pl = i[own], l[own]
+    if touch.any():
+        ti, tl = i[touch], l[touch]
+        outer_l = cells[tl, 4] == 0.0
+        rebuilt, reps, at = _orbits(cells, disk, np.column_stack([np.where(outer_l, tl, ti), np.where(outer_l, ti, tl)]))
+        reps += len(cells)
+        cells = np.concatenate([cells, rebuilt])
+        pi, pl = np.concatenate([pi, reps[:, 0]]), np.concatenate([pl, reps[:, 1]])
+    far = _far_pairs(cells, pi, pl, lo, hi)
+    values = np.empty(pi.size)
+    if far.any():
+        values[far] = _far_sums(w, cells, disk, pi[far], pl[far], order)
+    for k in np.flatnonzero(~far):
+        a, b = pi[k], pl[k]
+        if cells[a, 4] or cells[b, 4]:
+            values[k] = _polar_pair_value(w, cells, disk, a, b, lo, hi, order)
+        else:
+            values[k] = rect_pair_integral_2d(w, cells[a], cells[b], lo, hi)
     out = np.empty(i.size)
-    if far.any():  # rules for the cells of far pairs only; a cell's rule depends on that cell alone
-        used, at = np.unique(np.concatenate([i[far], l[far]]), return_inverse=True)
-        out[far] = _far_values(w, _cell_rules(cells[used], disk, order), *np.split(at.ravel(), 2))
-    near = np.flatnonzero(~far)
-    clipped = (cells[i[near], 4] > 0.0) | (cells[l[near], 4] > 0.0)
-    for k in near[~clipped]:
-        out[k] = rect_pair_integral_2d(w, cells[i[k]], cells[l[k]], lo, hi)
-    polar = near[clipped]
-    if polar.size:
-        outer_l = cells[l[polar], 4] == 0.0
-        a, b = np.where(outer_l, l[polar], i[polar]), np.where(outer_l, i[polar], l[polar])
-        pairs, at = _orbits(cells, disk, np.column_stack([a, b]))
-        values = np.array([_polar_pair_value(w, pair, disk, 0, 1, lo, hi, order) for pair in pairs])
-        out[polar] = values[at]
+    out[own] = values[: own.size]
+    if touch.any():
+        out[touch] = values[own.size :][at]
     return out
 
 
@@ -605,8 +671,8 @@ def _self_energies_2d(w, mesh: Mesh) -> np.ndarray:
     clipped = np.flatnonzero(cells[:, 4] > 0.0)
     if clipped.size:
         disk = _mesh_disk(mesh)
-        orbit, at = _orbits(cells, disk, clipped[:, None])
-        out[clipped] = np.array([_self_energy_2d(w, cell[0], disk) for cell in orbit])[at]
+        rebuilt, reps, at = _orbits(cells, disk, clipped[:, None])
+        out[clipped] = np.array([_self_energy_2d(w, rebuilt[k], disk) for k in reps[:, 0]])[at]
     return out
 
 
@@ -633,43 +699,54 @@ def _in_range(centres, sides, i, l, lo, hi) -> np.ndarray:
 
 
 def _lattice(centres, sides, cls):
-    """Lattice cells (ascending) and their linear positions.
+    """Lattice cells (ascending) and their integer steps (L, dim), shifted to start at zero.
 
     The lattice is the most common cell class, restricted to the cells whose
     centre sits an integer number of side lengths from the class's first
     cell (9 decimals, as the offset keys).  The side is the class's mean
     side: one cell's own side carries the rounding of its two edges, which
     a step count of 10^4 amplifies past the 9 decimals, while the mean side
-    of a linspace run is its length over its count.  Integer steps s,
-    shifted to start at zero, become positions s_0 (2 S_1 + 1) + s_1 with
-    S_1 the largest s_1, so every offset between two lattice cells is a
-    distinct position difference, positive when its first nonzero step is.
+    of a linspace run is its length over its count.
     """
     members = np.flatnonzero(cls == np.bincount(cls).argmax())
     steps = np.round((centres[members] - centres[members[0]]) / sides[members].mean(axis=0), 9)
     on = np.all(steps == np.round(steps), axis=1)
     steps = steps[on].astype(np.int64)
-    steps -= steps.min(axis=0)
-    pos = steps[:, 0]
-    for s in steps.T[1:]:
-        pos = pos * (2 * s.max() + 1) + s
-    return members[on], pos
+    return members[on], steps - steps.min(axis=0)
+
+
+def _positions(steps) -> np.ndarray:
+    """Linear positions s_0 (2 S_1 + 1) + s_1 of lattice steps, S_1 the largest s_1.
+
+    Every offset between two lattice cells is then a distinct position
+    difference, positive when its first nonzero step is.
+    """
+    return np.ravel_multi_index(tuple(steps.T), tuple(2 * steps.max(axis=0) + 1))
+
+
+def _lattice_offsets(pos) -> np.ndarray:
+    """The position offsets k > 0 that occur between lattice cells, read off the occupancy autocorrelation (by FFT)."""
+    occ = np.zeros(pos.max() + 1)
+    occ[pos] = 1.0
+    size = scipy.fft.next_fast_len(2 * occ.size - 1, real=True)
+    hit = np.fft.irfft(np.abs(np.fft.rfft(occ, size)) ** 2, size)[: occ.size] > 0.5
+    hit[0] = False
+    return np.flatnonzero(hit)
 
 
 def _lattice_pairs(members, pos):
-    """One pair of lattice cells per position offset that occurs: (offsets, i, l).
+    """One pair of 1D lattice cells per position offset that occurs: (offsets, i, l).
 
     The pair is the first one in cell order; rows are scanned only until
-    every occurring offset, read off the occupancy autocorrelation (by FFT),
-    has one.
+    every occurring offset (_lattice_offsets) has one.
     """
+    offsets = _lattice_offsets(pos)
     occ = np.zeros(pos.max() + 1)
     occ[pos] = 1.0
     cell_at = np.zeros(occ.size, dtype=np.int64)
     cell_at[pos] = members
-    size = scipy.fft.next_fast_len(2 * occ.size - 1, real=True)
-    todo = np.fft.irfft(np.abs(np.fft.rfft(occ, size)) ** 2, size)[: occ.size] > 0.5
-    todo[0] = False
+    todo = np.zeros(occ.size, dtype=bool)
+    todo[offsets] = True
     start = np.full(occ.size, -1)
     for a in pos:
         if not todo.any():
@@ -677,8 +754,32 @@ def _lattice_pairs(members, pos):
         hit = np.flatnonzero(todo[1 : occ.size - a] & (occ[a + 1 :] > 0.0)) + 1
         start[hit] = a
         todo[hit] = False
-    offsets = np.flatnonzero(start >= 0)
     return offsets, cell_at[start[offsets]], cell_at[start[offsets] + offsets]
+
+
+def _mirror_classes(cells, sides, members, steps, pos):
+    """Mirror classes of the occurring offsets between 2D lattice cells: (offsets, class of each, grid cells).
+
+    The offsets (+-dx, +-dy) give congruent pairs of lattice cells, and so
+    does (dy, dx) when the cells are squares (sides equal to the 14
+    decimals of _cell_classes): the class key is (|dx|, |dy|), sorted for
+    squares.  A class is represented by two cells of the uniform grid with
+    the lattice's mean side (_lattice) from the first lattice cell's lower
+    corner: the cell at the corner and the one key steps away.  Grid edges
+    are corner + j * side, so touching cells share an edge exactly.  Returns
+    the corner cell, then one cell per class, (C + 1, 5).  A class's value
+    thus does not depend on which of its offsets occur.
+    """
+    offsets = _lattice_offsets(pos)
+    half = steps[:, 1].max()
+    dy = (offsets + half) % (2 * half + 1) - half
+    key = np.abs(np.column_stack([(offsets - dy) // (2 * half + 1), dy]))
+    if np.round(sides[members[0], 0], 14) == np.round(sides[members[0], 1], 14):
+        key.sort(axis=1)
+    keys, group = np.unique(key, axis=0, return_inverse=True)
+    at = np.concatenate([[[0, 0]], keys])
+    side, corner = sides[members].mean(axis=0), cells[members[0], :2]
+    return offsets, group.ravel(), np.column_stack([corner + at * side, corner + (at + 1) * side, np.zeros(len(at))])
 
 
 def _off_lattice_pairs(centres, sides, cls, members, lo, hi):
@@ -718,26 +819,41 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> StiffnessParts:
     """int_Ci int_Cl k_w 1_{lo<|x-y|<hi} for every pair of distinct cells (zero diagonal), as parts.
 
     Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
-    are skipped.  Lattice cells pair by offset: one integral per offset,
-    kept as the offset table.  Pairs that touch an off-lattice cell are
-    grouped by class pair and centre offset, one integral per group; with a
-    clipped cell, whose class is its own, each such group is a single pair.
-    Both stages share one evaluator call.
+    are skipped.  Lattice cells pair by offset, kept as the offset table:
+    one integral per offset in 1D, on its first pair, and one per mirror
+    class of offsets in 2D (_mirror_classes), on two cells rebuilt on the
+    lattice's grid, which extend the mesh for the evaluator.  Pairs
+    that touch an off-lattice cell are grouped by class pair and centre
+    offset, one integral per group; with a clipped cell, whose class is its
+    own, each such group is a single pair.  Both stages share one evaluator
+    call.
     """
     centres, sides, cls, _ = _cell_classes(mesh)
     n = len(cls)
-    members, pos = _lattice(centres, sides, cls)
-    offsets, li, ll = _lattice_pairs(members, pos)
-    keep = _in_range(centres, sides, li, ll, lo, hi)
-    offsets, li, ll = offsets[keep], li[keep], ll[keep]
+    members, steps = _lattice(centres, sides, cls)
+    pos = _positions(steps)
     oi, ol, first = _off_lattice_pairs(centres, sides, cls, members, lo, hi)
+    if mesh.domain.dim == 1:
+        offsets, li, ll = _lattice_pairs(members, pos)
+        group = np.arange(offsets.size)
+    else:
+        offsets, group, rebuilt = _mirror_classes(np.asarray(mesh.cells, dtype=float), sides, members, steps, pos)
+        li, ll = np.full(len(rebuilt) - 1, n), n + np.arange(1, len(rebuilt))
+        centres = np.concatenate([centres, 0.5 * (rebuilt[:, :2] + rebuilt[:, 2:4])])
+        sides = np.concatenate([sides, rebuilt[:, 2:4] - rebuilt[:, :2]])
+        measure = np.concatenate([mesh.cell_measure, np.prod(sides[n:], axis=1)])
+        mesh = replace(mesh, cells=mesh.cells + tuple(map(tuple, rebuilt.tolist())), cell_measure=measure)
+    keep = _in_range(centres, sides, li, ll, lo, hi)
     values = _ENGINES[mesh.domain.dim][0](
-        w, mesh, np.concatenate([li, oi[first]]), np.concatenate([ll, ol[first]]), lo, hi
+        w, mesh, np.concatenate([li[keep], oi[first]]), np.concatenate([ll[keep], ol[first]]), lo, hi
     )
+    kept = np.count_nonzero(keep)
+    class_values = np.zeros(li.size)
+    class_values[keep] = values[:kept]
     top = pos.max()
     table = np.zeros(2 * top + 1)  # table[top + k]: value at position offset k
-    table[top + offsets] = table[top - offsets] = values[: offsets.size]
-    group_values = values[offsets.size :][np.cumsum(first) - 1]
+    table[top + offsets] = table[top - offsets] = class_values[group]
+    group_values = values[kept:][np.cumsum(first) - 1]
     rows, cols = np.concatenate([oi, ol]), np.concatenate([ol, oi])
     off = scipy.sparse.csr_array((np.concatenate([group_values, group_values]), (rows, cols)), shape=(n, n))
     return StiffnessParts(np.zeros(n), members, pos, table, off)

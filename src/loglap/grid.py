@@ -197,6 +197,13 @@ class GridFunction:
 
     @cached_property
     def _interpolator(self):
+        # slopes need finite divided differences (scipy's CubicSpline raises a ValueError otherwise);
+        # one can overflow only when 2 max|u| / h does, so most grids skip the differences
+        peak = max(float(self.values.max()), -float(self.values.min()))
+        if not all(math.isfinite(2.0 * peak / h) for h in self.spacing):
+            with np.errstate(over="ignore"):
+                if not all(np.all(np.isfinite(np.diff(self.values, axis=ax) / h)) for ax, h in enumerate(self.spacing)):
+                    raise PreconditionError("grid values' divided differences must be finite")
         axes = self.axes()
         if self.dim == 1:
             if self.shape[0] >= 4:

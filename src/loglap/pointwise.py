@@ -374,6 +374,8 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if domain.dim != u.dim:
         raise PreconditionError("domain/grid dimension mismatch")
+    if x.ndim != 1:
+        raise PreconditionError("the evaluation point must be one-dimensional: one coordinate per axis")
     _check_points(u, x[None, :])  # before the domain sees x, whose length it does not check
     if not domain.contains(x):
         raise PreconditionError("evaluation point must lie inside the domain")

@@ -345,6 +345,25 @@ def test_subnormal_spacing_exit_code(tmp_path, capsys, method, origin):
     assert "spacing is too small" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["quad", "fft"])
+@pytest.mark.parametrize("values, spacing", [
+    ([0.0, 1e308, -1e308, 0.0], [1.0]),
+    ([0.0, 1.0, 1.0, 0.0], [1e-310]),
+    ([[0.0, 1e308], [0.0, -1e308]], [1.0, 1.0]),
+], ids=["overflowing-difference", "subnormal-spacing", "2d"])
+def test_overflowing_divided_differences_exit_code(tmp_path, capsys, method, values, spacing):
+    # the spline's slopes would be infinite: scipy's CubicSpline raised a ValueError traceback
+    dim = len(spacing)
+    grid = {"dim": dim, "origin": [0.0] * dim, "spacing": spacing, "shape": list(np.shape(values)),
+            "holder": {"alpha": 1.0, "const": 1.0}, "values": np.ravel(values).tolist()}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid))
+    argv = ["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(bad), "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "divided differences must be finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["apply", "--op", "L", "--m", "1", "--grid", "{tmp}/absent.json", "--out", "{tmp}/x.json"],
     ["coeffs", "--dim", "1", "--order", "1", "--out", "{tmp}/absent/c.csv"],

@@ -1024,6 +1024,134 @@ def test_polar_path_runs_once_per_orbit(monkeypatch):
         assert len(calls) == expected
 
 
+def _orbit_count(mesh, i, l):
+    """Distinct orbits of the unordered pairs {i, l} under the grid symmetries, counted on cell indices."""
+    images = np.array([np.sort(np.column_stack([perm[i], perm[l]]), axis=1) for perm in _grid_symmetries(mesh)])
+    best = images[0]
+    for image in images[1:]:
+        smaller = (image[:, 0] < best[:, 0]) | ((image[:, 0] == best[:, 0]) & (image[:, 1] < best[:, 1]))
+        best = np.where(smaller[:, None], image, best)
+    return len(np.unique(best, axis=0))
+
+
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (0.031, -0.017)])
+def test_far_pairs_with_a_clipped_cell_run_once_per_orbit(monkeypatch, centre):
+    sizes = []
+    real = eigen._far_values
+
+    def spy(w, rules, i, l):
+        sizes.append(i.size)
+        return real(w, rules, i, l)
+
+    mesh = _disk_mesh(centre=centre)
+    cells = np.asarray(mesh.cells)
+    i, l = np.triu_indices(mesh.n_cells, k=1)
+    keep = ((cells[i, 4] > 0) | (cells[l, 4] > 0)) & eigen._far_pairs(cells, i, l, 0.0, 1.0)
+    i, l = i[keep], l[keep]
+    orbits = _orbit_count(mesh, i, l)
+    assert (i.size, orbits) == (1810, 237)  # the 88-cell disk of the galerkin-2d benchmark
+    monkeypatch.setattr(eigen, "_far_values", spy)
+    values = eigen._pair_values_2d(alpha_coeffs(2, 2).alpha[1:], mesh, i, l, 0.0, 1.0)
+    assert sum(sizes) == orbits
+    P = np.zeros((mesh.n_cells, mesh.n_cells))
+    P[i, l] = P[l, i] = values
+    for perm in _grid_symmetries(mesh):  # one value per orbit, bit for bit
+        assert np.array_equal(P[np.ix_(perm, perm)], P)
+
+
+def _mirror_class_values_agree(mesh, P):
+    """Whether P is one value per mirror class (|dx|, |dy|) of lattice steps, sorted for square cells."""
+    centres, sides, cls, _ = eigen._cell_classes(mesh)
+    members, steps = eigen._lattice(centres, sides, cls)
+    i, l = np.triu_indices(members.size, k=1)
+    key = np.abs(steps[l] - steps[i])
+    if np.round(sides[members[0], 0], 14) == np.round(sides[members[0], 1], 14):
+        key = np.sort(key, axis=1)
+    _, group = np.unique(key, axis=0, return_inverse=True)
+    group = group.ravel()
+    values = P[members[i], members[l]]
+    first = np.zeros(group.max() + 1)
+    first[group[::-1]] = values[::-1]  # each class's value at its first pair
+    return members.size, np.array_equal(values, first[group])
+
+
+def test_mirror_class_entries_are_equal_bit_for_bit():
+    square = mesh_rectangles(DomainSpec(2, (Rect(0.013, -0.021, 0.813, 0.779),)), 0.04)
+    w = alpha_coeffs(2, 2).alpha[1:]
+    for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
+        assert _mirror_class_values_agree(square, _pair_matrix(w, square, lo, hi).toarray()) == (400, True)
+    for centre in ((0.0, 0.0), (0.031, -0.017)):
+        disk = _disk_mesh(centre=centre)
+        P = _pair_matrix(w, disk, 0.0, 1.0).toarray()
+        assert _mirror_class_values_agree(disk, P) == (60, True)
+        for perm in _grid_symmetries(disk):  # lattice classes and clipped orbits together
+            assert np.array_equal(P[np.ix_(perm, perm)], P)
+
+
+def test_unequal_cell_sides_keep_transposed_offsets_apart():
+    mesh = mesh_rectangles(DomainSpec(2, (Rect(0.0, 0.0, 0.5, 0.4),)), 0.06)  # 9 x 7 cells, sides 0.0556 x 0.0571
+    centres, sides, cls, _ = eigen._cell_classes(mesh)
+    members, steps = eigen._lattice(centres, sides, cls)
+    assert members.size == mesh.n_cells and sides[0, 0] < sides[0, 1]
+    offsets, group, grid = eigen._mirror_classes(np.asarray(mesh.cells), sides, members, steps, eigen._positions(steps))
+    keys = np.rint((grid[1:, :2] - grid[0, :2]) / sides[0]).astype(int)
+    assert len(keys) == 9 * 7 - 1  # every (|dx|, |dy|) but (0, 0): (dx, dy) and (dy, dx) apart
+    P = _pair_matrix(alpha_coeffs(2, 2).alpha[1:], mesh, 0.0, 1.0).toarray()
+    assert _mirror_class_values_agree(mesh, P) == (63, True)
+    at = {tuple(s): k for k, s in enumerate(steps)}
+    base = at[(3, 3)]
+    value = lambda dx, dy: P[base, at[(3 + dx, 3 + dy)]]
+    assert value(2, 3) == value(-2, 3) == value(2, -3) == value(-2, -3)
+    assert abs(value(3, 2) / value(2, 3) - 1.0) > 1e-3  # the transposed offset is another geometry
+
+
+def _tensor_gauss_pair(w, A, B, order=10):
+    """int_A int_B k_w by one order^4 tensor Gauss-Legendre sum (quadrature.panel_rule), on two far boxes."""
+    from loglap.quadrature import panel_rule
+
+    (ax, awx), (ay, awy), (bx, bwx), (by, bwy) = (panel_rule(np.array(e), order) for e in
+                                                  ([A[0], A[2]], [A[1], A[3]], [B[0], B[2]], [B[1], B[3]]))
+    d2 = (ax[:, None, None, None] - bx[None, None, :, None]) ** 2 + (ay[None, :, None, None] - by[None, None, None, :]) ** 2
+    tau = -np.log(d2)
+    k = np.polynomial.polynomial.polyval(tau, w) / d2
+    W = awx[:, None, None, None] * awy[None, :, None, None] * bwx[None, None, :, None] * bwy[None, None, None, :]
+    return float(np.sum(k * W))
+
+
+def test_far_entries_stay_within_the_threshold_error_in_every_band():
+    # squares of side 0.5: 100 and 1600 cells reach the bands of 6, 5 and 4 points per axis, 10,000 cells
+    # the band of 3.  The oracle is a 10 x 10 x 10 x 10 Gauss sum (1e-15 here); rect_pair_integral_2d at
+    # order 24 cannot judge these entries, as on diagonal offsets of the 1600-cell square it is off by up
+    # to 2.4e-11 itself
+    weights = [order_weights(m) for m in (1, 2, 3)] + [alpha_coeffs(m, 2).alpha[1:] for m in (1, 2, 3)]
+    worst = {}
+    for across in (10, 40, 100):
+        mesh = mesh_rectangles(DomainSpec(2, (Rect(0.0, 0.0, 0.5, 0.5),)), 0.5 / across)
+        cells = np.asarray(mesh.cells)
+        i, l = np.zeros(mesh.n_cells - 1, dtype=int), np.arange(1, mesh.n_cells)
+        keep = eigen._far_pairs(cells, i, l, 0.0, 1.0)
+        i, l = i[keep], l[keep]
+        band = eigen._far_orders(cells, i, l, 6)
+        gap, diam, _ = eigen._gaps(cells, i, l)
+        pick = []
+        for q in np.unique(band):  # each band's nearest pairs, where its error peaks, and a spread of the rest
+            nearest = np.flatnonzero(band == q)[np.argsort((gap / diam)[band == q], kind="stable")]
+            pick += [nearest[:12], nearest[12 :: max(1, nearest.size // 20)]]
+        pick = np.concatenate(pick)
+        for w in weights:
+            got = eigen._pair_values_2d(w, mesh, i[pick], l[pick], 0.0, 1.0)
+            ref = np.array([_tensor_gauss_pair(w, cells[a], cells[b]) for a, b in zip(i[pick], l[pick])])
+            for q in np.unique(band):
+                err = np.abs(got / ref - 1.0)[band[pick] == q]
+                worst[q] = max(worst.get(q, 0.0), float(err.max()))
+    assert sorted(worst) == [3, 4, 5, 6]
+    # the nearest band keeps the 6 x 6 rule and its error: 4e-12 at offset (2, 2) for m = 2 on 1600 cells,
+    # up to 3.2e-11 at (3, 0) for m = 3 on 100 cells; the farther bands stay within the first of those
+    # (they read 9.1e-13, 4.4e-13 and 5.3e-13 for 5, 4 and 3 points per axis)
+    assert worst[6] <= 4e-11
+    assert max(worst[3], worst[4], worst[5]) <= 4e-12
+
+
 def test_clipped_self_energies_run_once_per_orbit(monkeypatch):
     calls = []
     real = eigen._self_energy_2d

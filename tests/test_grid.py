@@ -167,6 +167,26 @@ def test_spacing_must_separate_the_nodes(origin, spacing, ok):
             make()
 
 
+@pytest.mark.parametrize("values, spacing, ok", [
+    ([0.0, 1e308, -1e308, 0.0], (1.0,), False),  # a difference overflows
+    ([0.0, 1.0, 1.0, 0.0], (1e-310,), False),  # a quotient overflows at subnormal spacing
+    ([1e308, 1e308, 1e308, 1e308], (1.0,), True),  # 2 max|u| / h overflows, every quotient is finite
+    ([[0.0, 1e308], [0.0, -1e308]], (1.0, 1.0), False),
+    ([[0.0, 1e308], [0.0, 0.0]], (1.0, 1e-10), False),  # the second axis only
+], ids=["difference", "quotient", "constant-near-overflow", "2d-first-axis", "2d-second-axis"])
+def test_interpolant_needs_finite_divided_differences(values, spacing, ok):
+    # such values are stored and saved as they are; sampling the interpolant (and so validate_holder) refuses them
+    values = np.array(values)
+    u = GridFunction(values.ndim, (0.0,) * values.ndim, spacing, values.shape, values, 1.0, 1.0)
+    centre = np.array([0.5 * (n - 1) * h for n, h in zip(values.shape, spacing)])
+    if ok:
+        assert np.isfinite(u(centre if values.ndim == 2 else centre[0]))
+    else:
+        for check in (lambda: u(centre if values.ndim == 2 else centre[0]), u.validate_holder):
+            with pytest.raises(PreconditionError, match="divided differences must be finite"):
+                check()
+
+
 def test_malformed_grid_dict_rejected():
     with pytest.raises(PreconditionError):
         grid_from_dict({"dim": 1, "origin": [0.0]})

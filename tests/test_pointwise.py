@@ -368,6 +368,14 @@ def test_regional_point_of_wrong_length_rejected():
         regional_repr(1, u, [0.1, 0.2], dom)
 
 
+def test_regional_nested_point_rejected():
+    # np.atleast_1d keeps the shape (1, 1), which passed the dimension check and failed in the domain
+    u = gaussian_bump(dim=1, halfwidth=2.0, nodes=512, width=0.5)
+    dom = DomainSpec(1, (Interval(-1.0, 1.0),))
+    with pytest.raises(PreconditionError, match="must be one-dimensional"):
+        regional_repr(1, u, [[0.1]], dom)
+
+
 def test_regional_2d_disk_matches_apply_k():
     u = gaussian_bump(dim=2, halfwidth=1.5, nodes=96, width=0.4)
     dom = DomainSpec(2, (Disk(0.0, 0.0, 1.2),))
