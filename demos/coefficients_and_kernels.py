@@ -7,9 +7,9 @@ Taylor series of two ratios of Gamma functions at s = 0.
 
 import math
 
-from loglap import alpha_coeffs, combined_kernel, kappa_series, q_eval, tail_integral
-from loglap.coeffs import EULER_GAMMA, c_dim, rho
-from loglap.kernels import KernelSpec
+from loglap import alpha_coeffs, combined_kernel, kappa_series
+from loglap.coeffs import EULER_GAMMA, c_dim, omega, rho
+from loglap.kernels import order_weights, radial_antiderivative
 
 print("== kappa Taylor series at s = 0 ==")
 for N in (1, 2):
@@ -33,6 +33,9 @@ for N in (1, 2):
 print(f"the m=2, N=1 radius is exp(-gamma) = {math.exp(-EULER_GAMMA):.10f}")
 
 print("\n== radial kernel integrals ==")
-spec = KernelSpec(2, 1)
-print(f"q_2(1/2) in 1D = {q_eval(spec, 0.5):.6f}")
-print(f"shell mass int_(1/e<|z|<1) q_2 dz = {tail_integral(spec, math.exp(-1)):.6f} (= omega_1 * 2^2/4 = 2)")
+# a kernel is its weight vector w: q(t) = t^(-N) sum_k w_k (-2 ln t)^k
+w = order_weights(2)
+tau = -2.0 * math.log(0.5)
+print(f"q_2(1/2) in 1D = {sum(wk * tau**k for k, wk in enumerate(w)) / 0.5:.6f}")
+mass = omega(1) * (radial_antiderivative(w, 1.0) - radial_antiderivative(w, math.exp(-1)))
+print(f"shell mass int_(1/e<|z|<1) q_2 dz = {mass:.6f} (= omega_1 * 2^2/4 = 2)")

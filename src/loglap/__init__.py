@@ -5,9 +5,9 @@ The package is organized around the operator family with Fourier symbol
 fractional Laplacian at s = 0:
 
     coeffs     kappa Taylor series and the alpha coefficient ledger
-    kernels    radial kernels q_n, combined kernel h_m, closed-form cell integrals
+    kernels    kernel weight vectors, radial antiderivative, radii of h_m, cell-pair closed forms
     grid       sampled compactly supported functions with Holder metadata
-    pointwise  singular quadrature for K_n, L_m, (-Delta)^s, Phi_s*
+    pointwise  batch singular quadrature for K_n, L_m, (-Delta)^s, Phi_s*
     spectral   FFT symbol application (the independent oracle) and log-norms
     expansion  Taylor-remainder studies of B^s in the order
     domains    interval/rectangle/disk geometry and meshes
@@ -21,9 +21,9 @@ from .eigen import EigenResult, FormMatrices, assemble, eigensolve, faber_krahn_
 from .errors import LoglapError, NumericalError, PreconditionError
 from .expansion import RemainderStudy, remainder, run_study, shifted_expansion_check
 from .grid import GridFunction, box_indicator, gaussian_bump, gaussian_derivative_bump, load_grid, save_grid
-from .kernels import CombinedKernel, KernelSpec, combined_kernel, outer_integral, q_eval, tail_integral
-from .pointwise import EvalReport, apply_K, apply_L, frac_lap, regional_repr, riesz, weighted_l1_norm
-from .spectral import SpectrumGrid, apply_symbol, derivative_in_order, log_norm, symbol_value
+from .kernels import CombinedKernel, combined_kernel
+from .pointwise import EvalReport, apply_K_batch, apply_L_batch, frac_lap_batch, regional_repr, riesz_batch, weighted_l1_norm
+from .spectral import SpectrumGrid, apply_symbol, derivative_in_order, log_norm
 
 __all__ = [
     "CoeffLedger", "KappaSeries", "alpha_coeffs", "c_dim", "kappa1", "kappa_series", "rho",
@@ -33,9 +33,8 @@ __all__ = [
     "LoglapError", "NumericalError", "PreconditionError",
     "RemainderStudy", "remainder", "run_study", "shifted_expansion_check",
     "GridFunction", "box_indicator", "gaussian_bump", "gaussian_derivative_bump", "load_grid", "save_grid",
-    "CombinedKernel", "KernelSpec", "combined_kernel",
-    "outer_integral", "q_eval", "tail_integral",
-    "EvalReport", "apply_K", "apply_L", "frac_lap", "regional_repr", "riesz", "weighted_l1_norm",
-    "SpectrumGrid", "apply_symbol", "derivative_in_order", "log_norm", "symbol_value",
+    "CombinedKernel", "combined_kernel",
+    "EvalReport", "apply_K_batch", "apply_L_batch", "frac_lap_batch", "regional_repr", "riesz_batch", "weighted_l1_norm",
+    "SpectrumGrid", "apply_symbol", "derivative_in_order", "log_norm",
 ]
 __version__ = "0.1.0"

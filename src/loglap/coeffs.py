@@ -186,11 +186,6 @@ class CoeffLedger:
         if len(self.alpha) != self.m + 1:
             raise ValueError("ledger must hold exactly m+1 weights")
 
-    @property
-    def alpha_leading(self) -> float:
-        """alpha_m = m * kappa1(0) > 0, the dominant weight."""
-        return self.alpha[self.m]
-
 
 def alpha_coeffs(m: int, N: int) -> CoeffLedger:
     """Coefficient ledger of the m-order logarithmic Laplacian, m <= 8.

@@ -207,7 +207,11 @@ class GridFunction:
         axes = self.axes()
         if self.dim == 1:
             if self.shape[0] >= 4:
-                return CubicSpline(axes[0], self.values, bc_type="natural", extrapolate=False)
+                try:  # finite divided differences can still solve to infinite slopes
+                    with np.errstate(over="ignore"):
+                        return CubicSpline(axes[0], self.values, bc_type="natural", extrapolate=False)
+                except ValueError as exc:
+                    raise PreconditionError("grid values give infinite spline slopes") from exc
             return lambda x: np.interp(x, axes[0], self.values)
         if min(self.shape) < 4:
             linear = RegularGridInterpolator(axes, self.values, method="linear", bounds_error=False, fill_value=0.0)

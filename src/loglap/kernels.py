@@ -1,8 +1,8 @@
-"""Radial kernels, their closed-form integrals, and positivity radii.
+"""Radial kernels as weight vectors, their closed-form integrals, and positivity radii.
 
 The order-n kernel is q_n(t) = t^(-N) (-2 ln t)^(n-1); restricted inside the
 unit ball it is the difference kernel k_n, outside it is the convolution
-kernel j_n.  Cell integrals take a kernel t^(-N) p(tau), tau = -2 ln t, as
+kernel j_n.  Every caller passes a kernel t^(-N) p(tau), tau = -2 ln t, as
 the vector w of p's coefficients: order_weights(n) for q_n, ledger.alpha[1:]
 (CombinedKernel.poly) for the combined kernel of an order-m ledger,
 h_m(t) = sum_{j=1..m} alpha_j (-2 ln t)^(j-1), and a scalar c for c q_1
@@ -31,32 +31,11 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
-from .coeffs import CoeffLedger, omega
+from .coeffs import CoeffLedger
 from .errors import PreconditionError
 from .quadrature import angle_rule, panel_rule
 
 _ROOT_TAU_MAX = 200.0  # roots beyond tau=200 mean t < e^-100: numerically zero
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Order n >= 1 and dimension N >= 1 selecting q_n, k_n, j_n."""
-
-    n: int
-    dim: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.dim < 1:
-            raise PreconditionError("kernel order and dimension must be >= 1")
-
-
-def q_eval(spec: KernelSpec, t) -> float | np.ndarray:
-    """q_n(t) = t^(-N) (-2 ln t)^(n-1) for t > 0 (sign (-1)^(n-1) past t=1)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise PreconditionError("kernel argument must be positive")
-    out = t ** (-spec.dim) * polyval(-2.0 * np.log(t), order_weights(spec.n))
-    return float(out) if out.ndim == 0 else out
 
 
 def order_weights(n: int) -> tuple[float, ...]:
@@ -73,22 +52,6 @@ def radial_antiderivative(w, t) -> float | np.ndarray:
     P = np.append(0.0, w / np.arange(1, w.size + 1))  # polyint(w), without its per-call overhead
     out = -0.5 * polyval(-2.0 * np.log(t), P)
     return float(out) if out.ndim == 0 else out
-
-
-def tail_integral(spec: KernelSpec, a: float) -> float:
-    """Ball integral int_{a<|z|<1} q_n(|z|) dz = omega_N (-2 ln a)^n / (2n)."""
-    if not 0.0 < a < 1.0:
-        raise PreconditionError("inner radius must lie in (0, 1)")
-    w = order_weights(spec.n)
-    return omega(spec.dim) * (radial_antiderivative(w, 1.0) - radial_antiderivative(w, a))
-
-
-def outer_integral(spec: KernelSpec, R: float) -> float:
-    """Shell integral int_{1<|z|<R} q_n(|z|) dz = (-1)^(n-1) omega_N (2 ln R)^n / (2n)."""
-    if R <= 1.0:
-        raise PreconditionError("outer radius must exceed 1")
-    w = order_weights(spec.n)
-    return omega(spec.dim) * (radial_antiderivative(w, R) - radial_antiderivative(w, 1.0))
 
 
 def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
@@ -127,10 +90,6 @@ class CombinedKernel:
     poly: tuple[float, ...]  # p(tau) coefficients, tau = -2 ln t
     r0: float
     rm: float
-
-    def __call__(self, t) -> np.ndarray:
-        tau = -2.0 * np.log(np.asarray(t, dtype=float))
-        return np.polynomial.polynomial.polyval(tau, np.asarray(self.poly))
 
 
 def combined_kernel(ledger: CoeffLedger) -> CombinedKernel:

@@ -290,15 +290,9 @@ def _log_term(u: GridFunction, xs, w, n_angles: int):
 
 
 def apply_K_batch(n: int, u: GridFunction, xs, n_angles: int = N_ANGLES):
-    """K_n u at many points: the log-kernel term on the weights of q_n."""
+    """K_n u(x) = int_{B1} (u(x)-u(y)) q_n dy - int_{|y-x|>1} u(y) q_n dy at many points, on the weights of q_n."""
     values, _, bound, panels = _log_term(u, xs, order_weights(n), n_angles)
     return values, bound, panels
-
-
-def apply_K(n: int, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
-    """K_n u(x) = int_{B1} (u(x)-u(y)) q_n dy - int_{|y-x|>1} u(y) q_n dy."""
-    values, bound, panels = apply_K_batch(n, u, np.atleast_2d(x), n_angles)
-    return EvalReport(float(values[0]), bound, panels)
 
 
 def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES):
@@ -308,11 +302,6 @@ def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None
         raise PreconditionError("ledger order/dimension mismatch")
     diff, u0, bound, panels = _log_term(u, xs, led.alpha[1:], n_angles)
     return led.alpha[0] * u0 + diff, bound, panels
-
-
-def apply_L(m: int, u: GridFunction, x, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES) -> EvalReport:
-    total, bound, panels = apply_L_batch(m, u, np.atleast_2d(x), ledger, n_angles)
-    return EvalReport(float(total[0]), bound, panels)
 
 
 def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
@@ -330,11 +319,6 @@ def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     return values, bound, panels
 
 
-def frac_lap(s: float, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
-    values, bound, panels = frac_lap_batch(s, u, np.atleast_2d(x), n_angles)
-    return EvalReport(float(values[0]), bound, panels)
-
-
 def riesz_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     """Phi_s * u via the compensated split kappa_{N,s} I-integral + kappa2(s) u(x)."""
     if not 0.0 < s < u.dim / 2.0:
@@ -345,11 +329,6 @@ def riesz_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
     values = kap * -diff + kappa2_riesz(s, u.dim) * u0
     bound = kap * _holder_bound_power(u, u.holder_exponent + 2.0 * s, INNER_CUT)
     return values, bound, panels
-
-
-def riesz(s: float, u: GridFunction, x, n_angles: int = N_ANGLES) -> EvalReport:
-    values, bound, panels = riesz_batch(s, u, np.atleast_2d(x), n_angles)
-    return EvalReport(float(values[0]), bound, panels)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +347,8 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
 
     T1 = int_Omega (u(x)-u(y)) q_m dy,  T2 = -int_{R^N \\ Omega} u(y) q_m dy,
     h term = h_{m,Omega}(x) u(x).  T1 and T2 run log-coordinate panels along
-    rays from x between the exact domain crossings, independently of
-    apply_K; the h term is the closed form of h_regional.
+    rays from x between the exact domain crossings, independently of the
+    batch operators; the h term is the closed form of h_regional.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if domain.dim != u.dim:

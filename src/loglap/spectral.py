@@ -93,13 +93,6 @@ def transform(u: GridFunction) -> SpectrumGrid:
     )
 
 
-def symbol_value(kind: str, param, xi_norm: float) -> float:
-    """Continuous symbol at |xi| = xi_norm: (2 ln xi)^m, xi^(2s) or xi^(-2s)."""
-    if _is_singular_kind(kind, param) and xi_norm <= 0.0:
-        raise PreconditionError(f"{kind} symbol is singular at xi = 0 (zero-mode convention)")
-    return float(_multiplier(kind, param, np.array([float(xi_norm)]))[0])
-
-
 def _is_singular_kind(kind: str, param) -> bool:
     if kind == "log":
         return int(param) != 0

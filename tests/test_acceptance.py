@@ -34,7 +34,7 @@ from loglap.eigen import (
 from loglap.expansion import _central_region, run_study, shifted_expansion_check
 from loglap.grid import gaussian_bump, gaussian_derivative_bump
 from loglap.kernels import order_weights
-from loglap.pointwise import apply_K, apply_L_batch, regional_repr, riesz_batch
+from loglap.pointwise import apply_K_batch, apply_L_batch, regional_repr, riesz_batch
 from loglap.spectral import apply_symbol, derivative_in_order
 
 mp.mp.dps = 40
@@ -284,9 +284,9 @@ def test_criterion_10_representation_equality():
         if not dom.contains([x0]):
             continue
         ra = regional_repr(m, u, [x0], dom)
-        rk = apply_K(m, u, [x0])
-        budget = ra.truncation_bound + rk.truncation_bound
-        diff = abs(ra.value - rk.value)
+        values, bound, _ = apply_K_batch(m, u, [x0])
+        budget = ra.truncation_bound + bound
+        diff = abs(ra.value - values[0])
         worst_margin = max(worst_margin, diff - budget)
         ok = ok and diff <= budget
         cases += 1

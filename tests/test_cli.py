@@ -346,12 +346,15 @@ def test_subnormal_spacing_exit_code(tmp_path, capsys, method, origin):
 
 
 @pytest.mark.parametrize("method", ["quad", "fft"])
-@pytest.mark.parametrize("values, spacing", [
-    ([0.0, 1e308, -1e308, 0.0], [1.0]),
-    ([0.0, 1.0, 1.0, 0.0], [1e-310]),
-    ([[0.0, 1e308], [0.0, -1e308]], [1.0, 1.0]),
-], ids=["overflowing-difference", "subnormal-spacing", "2d"])
-def test_overflowing_divided_differences_exit_code(tmp_path, capsys, method, values, spacing):
+@pytest.mark.parametrize("values, spacing, message", [
+    ([0.0, 1e308, -1e308, 0.0], [1.0], "divided differences must be finite"),
+    ([0.0, 1.0, 1.0, 0.0], [1e-310], "divided differences must be finite"),
+    ([[0.0, 1e308], [0.0, -1e308]], [1.0, 1.0], "divided differences must be finite"),
+    # finite divided differences whose natural-spline slopes solve to inf
+    ([0.0, 1e308, 0.0, 0.0], [1.0], "infinite spline slopes"),
+    ([0.0, 0.0, 1e308, 0.0, 0.0, 0.0], [1.0], "infinite spline slopes"),
+], ids=["overflowing-difference", "subnormal-spacing", "2d", "infinite-slope-4-nodes", "infinite-slope-6-nodes"])
+def test_overflowing_divided_differences_exit_code(tmp_path, capsys, method, values, spacing, message):
     # the spline's slopes would be infinite: scipy's CubicSpline raised a ValueError traceback
     dim = len(spacing)
     grid = {"dim": dim, "origin": [0.0] * dim, "spacing": spacing, "shape": list(np.shape(values)),
@@ -361,7 +364,7 @@ def test_overflowing_divided_differences_exit_code(tmp_path, capsys, method, val
     argv = ["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(bad), "--out", str(tmp_path / "x.json")]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "divided differences must be finite" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -240,7 +240,7 @@ def test_second_order_ledger_n1_closed_forms():
 @pytest.mark.parametrize("m", range(1, 7))
 def test_leading_weight_and_fd_ledger(N, m):
     led = alpha_coeffs(min(m, 8), N)
-    assert led.alpha_leading == pytest.approx(m * c_dim(N), rel=1e-13)
+    assert led.alpha[m] == pytest.approx(m * c_dim(N), rel=1e-13)
     # full ledger from Richardson derivatives of the mp kappa functions
     a0 = (-1.0) ** m * float(_fd_derivative(lambda s: _mp_kappa2(s, N), m))
     assert led.alpha[0] == pytest.approx(a0, rel=1e-6, abs=1e-9)

@@ -8,6 +8,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 import scipy.linalg
 import scipy.sparse.linalg
 from scipy import integrate
@@ -337,7 +338,7 @@ def test_q_form_positive_semidefinite():
 def _q_shift(led):
     """c in Q_m = I_m + c M: -2 omega_N int_r0^1 h_m(t) dt / t, minus twice the kernel on r0 < |z| < 1."""
     ck = combined_kernel(led)
-    return -2.0 * omega(led.dim) * integrate.quad(lambda t: ck(t) / t, ck.r0, 1.0, epsabs=1e-15)[0]
+    return -2.0 * omega(led.dim) * integrate.quad(lambda t: polyval(-2.0 * math.log(t), ck.poly) / t, ck.r0, 1.0, epsabs=1e-15)[0]
 
 
 @pytest.mark.parametrize("m, domain", [

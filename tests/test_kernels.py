@@ -4,25 +4,21 @@ import math
 
 import mpmath as mp
 import numpy as np
-from numpy.polynomial.polynomial import polyint
+from numpy.polynomial.polynomial import polyint, polyval
 import pytest
 from scipy import integrate
 
 from loglap import PreconditionError
 from loglap.coeffs import EULER_GAMMA, alpha_coeffs, omega
 from loglap.kernels import (
-    KernelSpec,
     _tent_breaks,
     cell_pair_tent_integral,
     combined_kernel,
     incomplete_log_integral,
     log_moment,
     order_weights,
-    outer_integral,
-    q_eval,
     radial_antiderivative,
     rect_pair_integral_2d,
-    tail_integral,
 )
 
 
@@ -50,41 +46,25 @@ def _pair_quadrature_oracle(n, A, B, lo=0.0, hi=1.0):
 
 
 # ---------------------------------------------------------------------------
-# q_n pointwise
-
-
-def test_q_values():
-    assert q_eval(KernelSpec(1, 1), 0.5) == pytest.approx(2.0)
-    assert q_eval(KernelSpec(1, 3), 0.5) == pytest.approx(8.0)
-    assert q_eval(KernelSpec(2, 1), math.exp(-0.5)) == pytest.approx(math.exp(0.5), rel=1e-14)
-    assert q_eval(KernelSpec(2, 2), 1.0) == 0.0
-
-
-def test_q_sign_past_one():
-    for n in range(1, 5):
-        val = q_eval(KernelSpec(n, 1), 1.5)
-        assert math.copysign(1.0, val) == (-1.0) ** (n - 1)
-
-
-def test_q_rejects_nonpositive():
-    with pytest.raises(PreconditionError):
-        q_eval(KernelSpec(1, 1), 0.0)
-
-
-# ---------------------------------------------------------------------------
 # radial integrals
 
 
+def _shell_integral(n, N, a, b):
+    """int_{a<|z|<b} q_n(|z|) dz in R^N from the radial antiderivative of order_weights(n)."""
+    w = order_weights(n)
+    return omega(N) * (radial_antiderivative(w, b) - radial_antiderivative(w, a))
+
+
 def test_tail_integral_closed_values():
-    assert tail_integral(KernelSpec(1, 1), math.exp(-1)) == pytest.approx(2.0, rel=1e-14)
-    assert tail_integral(KernelSpec(2, 2), math.exp(-1)) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert tail_integral(KernelSpec(2, 1), 1 - 1e-12) == pytest.approx(0.0, abs=1e-20)
+    assert _shell_integral(1, 1, math.exp(-1), 1.0) == pytest.approx(2.0, rel=1e-14)
+    assert _shell_integral(2, 2, math.exp(-1), 1.0) == pytest.approx(2 * math.pi, rel=1e-14)
+    assert _shell_integral(2, 1, 1 - 1e-12, 1.0) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_outer_integral_closed_values():
-    assert outer_integral(KernelSpec(1, 1), math.e) == pytest.approx(2.0, rel=1e-14)
-    assert outer_integral(KernelSpec(2, 1), math.e) == pytest.approx(-2.0, rel=1e-14)
-    assert outer_integral(KernelSpec(3, 1), 1 + 1e-14) == pytest.approx(0.0, abs=1e-12)
+    assert _shell_integral(1, 1, 1.0, math.e) == pytest.approx(2.0, rel=1e-14)
+    assert _shell_integral(2, 1, 1.0, math.e) == pytest.approx(-2.0, rel=1e-14)
+    assert _shell_integral(3, 1, 1.0, 1 + 1e-14) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -93,14 +73,13 @@ def test_radial_integrals_match_quadrature(seed):
     for _ in range(10):
         n = int(rng.integers(1, 5))
         N = int(rng.integers(1, 4))
-        spec = KernelSpec(n, N)
         a = float(rng.uniform(0.02, 0.95))
         R = float(rng.uniform(1.05, 6.0))
         f = lambda t: t ** (N - 1.0) * t ** (-float(N)) * (-2.0 * math.log(t)) ** (n - 1)
         ref_in = omega(N) * integrate.quad(f, a, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
         ref_out = omega(N) * integrate.quad(f, 1.0, R, epsabs=1e-14, epsrel=1e-13)[0]
-        assert tail_integral(spec, a) == pytest.approx(ref_in, rel=1e-10)
-        assert outer_integral(spec, R) == pytest.approx(ref_out, rel=1e-10, abs=1e-13)
+        assert _shell_integral(n, N, a, 1.0) == pytest.approx(ref_in, rel=1e-10)
+        assert _shell_integral(n, N, 1.0, R) == pytest.approx(ref_out, rel=1e-10, abs=1e-13)
 
 
 def test_radial_antiderivative_differentiates_back():
@@ -190,15 +169,16 @@ def test_radii_match_mpmath_roots(m, N):
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_kernel_positive_and_monotone_inside_radii(m, N):
     ck = combined_kernel(alpha_coeffs(m, N))
+    h = lambda t: polyval(-2.0 * np.log(t), ck.poly)  # h_m(t) = p(tau) from its weight vector
     ts = np.linspace(1e-9, ck.r0 * (1 - 1e-6), 1000)
-    vals = ck(ts)
+    vals = h(ts)
     assert np.all(vals > 0.0)
     tm = np.linspace(1e-9, ck.rm * (1 - 1e-6), 1000)
-    vm = ck(tm)
+    vm = h(tm)
     assert np.all(np.diff(vm) <= 1e-12 * np.max(np.abs(vm)))
     if ck.r0 < 1.0:
         scale = max(1.0, float(np.max(np.abs(ck.ledger.alpha))))
-        assert abs(float(ck(ck.r0))) <= 1e-8 * scale
+        assert abs(float(h(ck.r0))) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,11 @@ from loglap import pointwise
 from loglap.grid import GridFunction, estimate_holder_constant, gaussian_bump, gaussian_derivative_bump
 from loglap.pointwise import (
     _jump_positions,
-    apply_K,
     apply_K_batch,
-    apply_L,
     apply_L_batch,
-    frac_lap,
     frac_lap_batch,
     h_regional,
     regional_repr,
-    riesz,
     riesz_batch,
     weighted_l1_norm,
 )
@@ -60,18 +56,18 @@ def _plateau(R, nodes=2049):
 
 def test_k_zero_function(bump):
     zero = bump.with_values(np.zeros(bump.shape), const=0.0)
-    rep = apply_K(2, zero, 0.0)
-    assert rep.value == 0.0
-    assert rep.truncation_bound == 0.0
+    values, bound, _ = apply_K_batch(2, zero, 0.0)
+    assert values[0] == 0.0
+    assert bound == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_k_plateau_closed_form(n):
     R = math.e
     u = _plateau(R)
-    rep = apply_K(n, u, 0.0)
+    value = apply_K_batch(n, u, 0.0)[0][0]
     expect = (-1.0) ** n * 2.0 * (2.0 * math.log(R)) ** n / (2.0 * n)
-    assert rep.value == pytest.approx(expect, rel=1e-9, abs=1e-12)
+    assert value == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
 def test_k_translation_invariance(bump):
@@ -84,9 +80,9 @@ def test_k_translation_invariance(bump):
         bump.holder_exponent,
         bump.holder_constant,
     )
-    a = apply_K(2, bump, 0.35)
-    b = apply_K(2, v, 0.35 + 0.7)
-    assert b.value == pytest.approx(a.value, rel=1e-12)
+    a = apply_K_batch(2, bump, 0.35)[0][0]
+    b = apply_K_batch(2, v, 0.35 + 0.7)[0][0]
+    assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_k_linearity(bump):
@@ -104,7 +100,7 @@ def test_k_linearity(bump):
 
 def test_k_outside_box_rejected(bump):
     with pytest.raises(PreconditionError):
-        apply_K(1, bump, 100.0)
+        apply_K_batch(1, bump, 100.0)
 
 
 def test_k_near_jump_rejected():
@@ -112,7 +108,7 @@ def test_k_near_jump_rejected():
     # the drop to the zero extension at the box face is a discontinuity;
     # evaluation inside the inner cut of it must be refused
     with pytest.raises(PreconditionError):
-        apply_K(1, u, 2.0 - 1e-9)
+        apply_K_batch(1, u, 2.0 - 1e-9)
     # an interior indicator jump is caught the same way
     n = 1025
     h = 6.0 / (n - 1)
@@ -122,8 +118,8 @@ def test_k_near_jump_rejected():
     pts, _ = _jump_positions(ind)
     assert pts.size > 0
     with pytest.raises(PreconditionError):
-        apply_K(1, ind, float(pts[0, 0]) + 1e-9)
-    apply_K(1, ind, 0.0)  # well inside: allowed
+        apply_K_batch(1, ind, float(pts[0, 0]) + 1e-9)
+    apply_K_batch(1, ind, 0.0)  # well inside: allowed
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +132,7 @@ def test_l_first_order_identity_against_direct_formula(wide_bump):
     u = wide_bump
     c1, r1 = c_dim(1), rho(1)
     for x0 in (0.0, 0.6, -1.1):
-        led = apply_L(1, u, x0)
+        led = apply_L_batch(1, u, x0)[0][0]
 
         def integrand(t):
             inner = (2.0 * u(x0) - u(x0 + t) - u(x0 - t)) / t if t < 1.0 else 0.0
@@ -145,7 +141,7 @@ def test_l_first_order_identity_against_direct_formula(wide_bump):
 
         val, _ = integrate.quad(integrand, 0.0, 7.0, points=[1.0], limit=400, epsabs=1e-12)
         direct = c1 * val + r1 * u(x0)
-        assert led.value == pytest.approx(direct, rel=1e-8, abs=1e-10)
+        assert led == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
 
 def test_l_matches_spectral_symbol(bump):
@@ -184,7 +180,7 @@ def test_l2_remark_coefficient_swap_disagrees_with_symbol(bump):
 
 def test_l_ledger_mismatch_rejected(bump):
     with pytest.raises(PreconditionError):
-        apply_L(2, bump, 0.0, ledger=alpha_coeffs(3, 1))
+        apply_L_batch(2, bump, 0.0, ledger=alpha_coeffs(3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +189,11 @@ def test_l_ledger_mismatch_rejected(bump):
 
 def test_frac_zero_and_range(bump):
     zero = bump.with_values(np.zeros(bump.shape), const=0.0)
-    assert frac_lap(0.2, zero, 0.0).value == 0.0
+    assert frac_lap_batch(0.2, zero, 0.0)[0][0] == 0.0
     with pytest.raises(PreconditionError):
-        frac_lap(1.2, bump, 0.0)
+        frac_lap_batch(1.2, bump, 0.0)
     with pytest.raises(PreconditionError):
-        frac_lap(0.6, bump, 0.0)  # alpha = 1 <= 2s: split form inadmissible
+        frac_lap_batch(0.6, bump, 0.0)  # alpha = 1 <= 2s: split form inadmissible
 
 
 def test_frac_matches_spectral(bump):
@@ -212,7 +208,7 @@ def test_frac_matches_spectral(bump):
 def test_frac_small_order_limit(wide_bump):
     # (-Delta)^s u (x) -> u(x) as s -> 0+
     x0 = 0.4
-    errs = [abs(frac_lap(s, wide_bump, x0).value - wide_bump(x0)) for s in (0.05, 0.01, 0.002)]
+    errs = [abs(frac_lap_batch(s, wide_bump, x0)[0][0] - wide_bump(x0)) for s in (0.05, 0.01, 0.002)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.01 * abs(wide_bump(x0))
 
@@ -223,18 +219,18 @@ def test_frac_small_order_limit(wide_bump):
 
 def test_riesz_zero_and_range(bump, wide_bump):
     zero = bump.with_values(np.zeros(bump.shape), const=0.0)
-    assert riesz(0.2, zero, 0.0).value == 0.0
+    assert riesz_batch(0.2, zero, 0.0)[0][0] == 0.0
     with pytest.raises(PreconditionError):
-        riesz(0.5, wide_bump, 0.0)
+        riesz_batch(0.5, wide_bump, 0.0)
     with pytest.raises(PreconditionError):
-        riesz(-0.1, wide_bump, 0.0)
+        riesz_batch(-0.1, wide_bump, 0.0)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.2, 0.4])
 def test_riesz_unit_ball_indicator(s):
     u = _plateau(1.0, nodes=4097)
-    rep = riesz(s, u, 0.0)
-    assert rep.value == pytest.approx(kappa2_riesz(s, 1), rel=2e-3)
+    value = riesz_batch(s, u, 0.0)[0][0]
+    assert value == pytest.approx(kappa2_riesz(s, 1), rel=2e-3)
 
 
 def test_riesz_matches_spectral(bump):
@@ -350,8 +346,8 @@ def test_regional_equals_apply_k_within_budgets():
                 if not dom.contains([x0]):
                     continue
                 ra = regional_repr(m, u, [x0], dom)
-                rk = apply_K(m, u, [x0])
-                assert abs(ra.value - rk.value) <= ra.truncation_bound + rk.truncation_bound
+                values, bound, _ = apply_K_batch(m, u, [x0])
+                assert abs(ra.value - values[0]) <= ra.truncation_bound + bound
 
 
 def test_regional_outside_domain_rejected():
@@ -380,8 +376,8 @@ def test_regional_2d_disk_matches_apply_k():
     u = gaussian_bump(dim=2, halfwidth=1.5, nodes=96, width=0.4)
     dom = DomainSpec(2, (Disk(0.0, 0.0, 1.2),))
     ra = regional_repr(1, u, [0.2, -0.1], dom, n_angles=128)
-    rk = apply_K(1, u, [0.2, -0.1], n_angles=128)
-    assert ra.value == pytest.approx(rk.value, abs=ra.truncation_bound + rk.truncation_bound + 1e-6)
+    values, bound, _ = apply_K_batch(1, u, [0.2, -0.1], n_angles=128)
+    assert ra.value == pytest.approx(values[0], abs=ra.truncation_bound + bound + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +543,9 @@ def test_one_point_values_equal_batched_values(dim):
     u = gaussian_derivative_bump(dim=dim, halfwidth=4.0, nodes=256 if dim == 1 else 32, width=0.8)
     nodes = u.nodes()
     xs = nodes[np.linspace(3, len(nodes) - 4, 37 if dim == 1 else 8).astype(int)]
-    ops = [(apply_L_batch, apply_L, 2), (riesz_batch, riesz, 0.3), (frac_lap_batch, frac_lap, 0.3)]
-    for batch_op, point_op, p in ops:
+    for batch_op, p in [(apply_L_batch, 2), (riesz_batch, 0.3), (frac_lap_batch, 0.3)]:
         batched, _, _ = batch_op(p, u, xs, n_angles=16)
-        single = np.array([point_op(p, u, x, n_angles=16).value for x in xs])
+        single = np.array([batch_op(p, u, x, n_angles=16)[0][0] for x in xs])
         assert np.array_equal(single, batched), batch_op.__name__
 
 

@@ -12,7 +12,6 @@ from loglap.spectral import (
     apply_symbol,
     derivative_in_order,
     log_norm,
-    symbol_value,
     transform,
 )
 
@@ -22,17 +21,22 @@ def bump():
     return gaussian_derivative_bump(dim=1, nodes=1024, halfwidth=10.0)
 
 
+def _symbol(kind, param, xi):
+    return float(spectral._multiplier(kind, param, np.array([float(xi)]))[0])
+
+
 def test_symbol_values():
     for m in (1, 2, 5):
-        assert symbol_value("log", m, 1.0) == 0.0
-    assert symbol_value("log", 2, math.exp(0.5)) == pytest.approx(1.0, rel=1e-14)
-    assert symbol_value("frac", 0.5, 2.0) == pytest.approx(2.0, rel=1e-15)
-    assert symbol_value("riesz", 0.5, 2.0) == pytest.approx(0.5, rel=1e-15)
-    with pytest.raises(PreconditionError):
-        symbol_value("log", 1, 0.0)
-    with pytest.raises(PreconditionError):
-        symbol_value("riesz", 0.3, 0.0)
-    assert symbol_value("frac", 0.3, 0.0) == 0.0
+        assert _symbol("log", m, 1.0) == 0.0
+    assert _symbol("log", 2, math.exp(0.5)) == pytest.approx(1.0, rel=1e-14)
+    assert _symbol("frac", 0.5, 2.0) == pytest.approx(2.0, rel=1e-15)
+    assert _symbol("riesz", 0.5, 2.0) == pytest.approx(0.5, rel=1e-15)
+    # zero mode: the identity orders keep it, every other symbol drops it
+    assert _symbol("log", 0, 0.0) == 1.0
+    assert _symbol("frac", 0.0, 0.0) == 1.0
+    assert _symbol("frac", 0.3, 0.0) == 0.0
+    assert _symbol("log", 1, 0.0) == 0.0
+    assert _symbol("riesz", 0.3, 0.0) == 0.0
 
 
 def test_identity_orders(bump):
