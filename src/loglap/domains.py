@@ -12,11 +12,15 @@ assembly integrals, the pointwise support-box exits and
 once), from which the regional representation's h_{m,Omega} is one closed
 form.
 
-Meshes carry a flat list of cells with exact measures; 1D cells are
-intervals, 2D cells are boxes optionally clipped to the disk with the
-clipped measure computed from the analytic circle-box area.  Clipped
-slivers below a relative threshold are merged into their inward neighbor to
-protect the mass-matrix conditioning.
+Every piece has finite coordinates, a bounding box of positive extent in
+floats and a finite positive measure, and a domain has a finite diameter;
+a domain file that breaks these exits 3 rather than overflowing in a mesh.
+
+Meshes carry their cells as one float64 array with exact measures; 1D cells
+are intervals (lo, hi), 2D cells are boxes (x0, y0, x1, y1, clipped) whose
+flag marks a box clipped to the disk, with the clipped measure computed from
+the analytic circle-box area.  Clipped slivers below a relative threshold are
+merged into their inward neighbor to protect the mass-matrix conditioning.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ _SLIVER_FRACTION = 1e-3  # clipped cells below this share of a full box merge in
 
 
 class _Piece:
-    """What every piece shares: finite fields, positive sides, and its JSON dict."""
+    """What every piece shares: finite fields, a finite positive size, and its JSON dict."""
 
     kind: str  # the piece's "type" in a domain file
-    empty: str  # the message for a piece without area or length
+    empty: str  # the message for a piece whose size is zero or overflows
 
     def _values(self) -> tuple[float, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -45,7 +49,9 @@ class _Piece:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in self._values()):
             raise PreconditionError(f"{self.kind} coordinates must be finite")
-        if not all(side > 0 for side in self._sides()):
+        # one rule for every piece: its bounding box spans floats on each axis, and its measure
+        # neither underflows to 0 nor overflows (a mesh divides both)
+        if not (all(l < h for l, h in zip(self.lo, self.hi)) and 0.0 < self.measure < math.inf):
             raise PreconditionError(self.empty)
 
     def to_dict(self) -> dict:
@@ -65,12 +71,9 @@ class _Box(_Piece):
         v = self._values()
         return v[len(v) // 2 :]
 
-    def _sides(self):
-        return [h - l for l, h in zip(self.lo, self.hi)]
-
     @property
     def measure(self) -> float:
-        return math.prod(self._sides())
+        return math.prod(h - l for l, h in zip(self.lo, self.hi))
 
     def extremal_points(self) -> list[tuple[np.ndarray, float]]:
         return [(np.array(corner), 0.0) for corner in itertools.product(*zip(self.lo, self.hi))]
@@ -90,7 +93,7 @@ class Interval(_Box):
     a: float
     b: float
     kind = "interval"
-    empty = "interval must have positive length"
+    empty = "interval must have finite positive length"
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class Rect(_Box):
     x1: float
     y1: float
     kind = "rect"
-    empty = "rectangle must have positive area"
+    empty = "rectangle must have finite positive area"
 
 
 @dataclass(frozen=True)
@@ -109,14 +112,19 @@ class Disk(_Piece):
     cy: float
     r: float
     kind = "disk"
-    empty = "disk must have positive radius"
+    empty = "disk must have finite positive radius and area"
 
-    def _sides(self):
-        return [self.r]
+    @property
+    def lo(self) -> tuple[float, float]:
+        return self.cx - self.r, self.cy - self.r
+
+    @property
+    def hi(self) -> tuple[float, float]:
+        return self.cx + self.r, self.cy + self.r
 
     @property
     def measure(self) -> float:
-        return math.pi * self.r ** 2
+        return math.pi * (self.r * self.r)  # r ** 2 would raise OverflowError
 
     def extremal_points(self) -> list[tuple[np.ndarray, float]]:
         return [(self.center(), self.r)]
@@ -165,6 +173,9 @@ class DomainSpec:
             for q in self.pieces[i + 1 :]:
                 if _pieces_overlap(p, q):
                     raise PreconditionError("domain pieces must be pairwise disjoint")
+        with np.errstate(over="ignore"):  # coordinates beyond 1e154 apart overflow the norm
+            if not math.isfinite(self.diameter()):
+                raise PreconditionError("domain diameter must be finite")
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
     # -- scalar geometry ------------------------------------------------------
@@ -294,25 +305,34 @@ def circle_box_area(disk: Disk, x0: float, y0: float, x1: float, y1: float) -> f
 
 @dataclass(frozen=True)
 class Mesh:
-    """Flat cell list partitioning the domain (boundary cells clipped for disks)."""
+    """Cells partitioning the domain, one float64 row each, with their exact measures.
+
+    A 1D cell is (lo, hi); a 2D cell is (x0, y0, x1, y1, clipped), the
+    flag 1.0 on a boundary box clipped to the disk and 0.0 elsewhere.
+    """
 
     domain: DomainSpec
-    cells: tuple  # 1D: (lo, hi); 2D: (x0, y0, x1, y1, clipped: bool)
+    cells: np.ndarray = field(repr=False)  # (n, 2) in 1D, (n, 5) in 2D
     cell_measure: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self) -> int:
         return len(self.cells)
 
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's lo and hi corner, both (n, dim)."""
+        dim = self.domain.dim
+        return self.cells[:, :dim], self.cells[:, dim : 2 * dim]
+
     def centers(self) -> np.ndarray:
-        if self.domain.dim == 1:
-            return np.array([(c[0] + c[1]) / 2.0 for c in self.cells])
-        return np.array([((c[0] + c[2]) / 2.0, (c[1] + c[3]) / 2.0) for c in self.cells])
+        """Cell centres, (n,) in 1D and (n, 2) in 2D."""
+        lo, hi = self.corners()
+        centres = 0.5 * (lo + hi)
+        return centres[:, 0] if self.domain.dim == 1 else centres
 
     def max_cell_diameter(self) -> float:
-        if self.domain.dim == 1:
-            return max(c[1] - c[0] for c in self.cells)
-        return max(math.hypot(c[2] - c[0], c[3] - c[1]) for c in self.cells)
+        lo, hi = self.corners()
+        return float(np.max(np.hypot.reduce(hi - lo, axis=1)))
 
 
 def mesh_intervals(domain: DomainSpec, n_cells: int) -> Mesh:
@@ -324,65 +344,54 @@ def mesh_intervals(domain: DomainSpec, n_cells: int) -> Mesh:
     if domain.dim != 1:
         raise PreconditionError("interval meshes are one-dimensional")
     total = domain.measure()
-    lengths = [p.measure for p in domain.pieces]
-    counts = [max(1, round(n_cells * L / total)) for L in lengths]
-    cells = []
-    for p, cnt in zip(domain.pieces, counts):
-        edges = np.linspace(p.a, p.b, cnt + 1)
-        cells.extend((float(edges[i]), float(edges[i + 1])) for i in range(cnt))
-    measures = np.array([hi - lo for lo, hi in cells])
-    return Mesh(domain=domain, cells=tuple(cells), cell_measure=measures)
+    counts = [max(1, round(n_cells * p.measure / total)) for p in domain.pieces]
+    edges = [np.linspace(p.a, p.b, cnt + 1) for p, cnt in zip(domain.pieces, counts)]
+    cells = np.concatenate([np.column_stack([e[:-1], e[1:]]) for e in edges])
+    return Mesh(domain=domain, cells=cells, cell_measure=cells[:, 1] - cells[:, 0])
+
+
+def _box_cells(xs, ys) -> np.ndarray:
+    """The boxes of the grid xs x ys, x-major, as unclipped (n, 5) cells."""
+    x0, y0 = np.meshgrid(xs[:-1], ys[:-1], indexing="ij")
+    x1, y1 = np.meshgrid(xs[1:], ys[1:], indexing="ij")
+    return np.column_stack([x0.ravel(), y0.ravel(), x1.ravel(), y1.ravel(), np.zeros(x0.size)])
 
 
 def mesh_rectangles(domain: DomainSpec, target_h: float) -> Mesh:
     """Box mesh of a 2D domain; disk pieces get exact clipped boundary cells."""
     if domain.dim != 2:
         raise PreconditionError("rectangle meshes are two-dimensional")
-    cells = []
-    measures = []
+    cells, measures = [], []
     for p in domain.pieces:
         if isinstance(p, Rect):
             nx = max(1, math.ceil((p.x1 - p.x0) / target_h))
             ny = max(1, math.ceil((p.y1 - p.y0) / target_h))
             xs = np.linspace(p.x0, p.x1, nx + 1)
             ys = np.linspace(p.y0, p.y1, ny + 1)
-            for i in range(nx):
-                for j in range(ny):
-                    cells.append((float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j + 1]), False))
-                    measures.append((xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j]))
+            cells.append(_box_cells(xs, ys))
+            measures.append(np.outer(np.diff(xs), np.diff(ys)).ravel())
         else:
             n = max(2, math.ceil(2 * p.r / target_h))
             xs = np.linspace(p.cx - p.r, p.cx + p.r, n + 1)
             ys = np.linspace(p.cy - p.r, p.cy + p.r, n + 1)
             full = (xs[1] - xs[0]) * (ys[1] - ys[0])
-            raw = []
-            for i in range(n):
-                for j in range(n):
-                    area = circle_box_area(p, xs[i], ys[j], xs[i + 1], ys[j + 1])
-                    if area <= 0.0:
-                        continue
-                    clipped = area < full * (1.0 - 1e-12)
-                    raw.append([float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j + 1]), clipped, area])
-            # merge slivers into the neighbor nearest the disk center
-            keep, slivers = [], []
-            for entry in raw:
-                (slivers if entry[5] < _SLIVER_FRACTION * full else keep).append(entry)
-            for sl in slivers:
-                scx, scy = (sl[0] + sl[2]) / 2.0, (sl[1] + sl[3]) / 2.0
-                best, best_d = None, math.inf
-                for entry in keep:
-                    ecx, ecy = (entry[0] + entry[2]) / 2.0, (entry[1] + entry[3]) / 2.0
-                    d = math.hypot(ecx - scx, ecy - scy)
-                    if d < best_d:
-                        best, best_d = entry, d
-                best[5] += sl[5]
-                best[4] = True
-            for entry in keep:
-                cells.append((entry[0], entry[1], entry[2], entry[3], entry[4]))
-                measures.append(entry[5])
-    measures = np.array(measures, dtype=float)
-    mesh = Mesh(domain=domain, cells=tuple(cells), cell_measure=measures)
-    total = float(np.sum(measures))
+            boxes = _box_cells(xs, ys)
+            area = np.array([circle_box_area(p, *box[:4]) for box in boxes])
+            inside = area > 0.0
+            boxes, area = boxes[inside], area[inside]
+            boxes[:, 4] = area < full * (1.0 - 1e-12)
+            # merge slivers into the kept cell whose centre is nearest, which is then clipped
+            sliver = area < _SLIVER_FRACTION * full
+            keep = np.flatnonzero(~sliver)
+            centres = 0.5 * (boxes[:, :2] + boxes[:, 2:4])
+            for s in np.flatnonzero(sliver):  # equally near cells (mirrored neighbours) go to the first
+                best = keep[np.argmin([math.hypot(cx - centres[s, 0], cy - centres[s, 1]) for cx, cy in centres[keep]])]
+                area[best] += area[s]
+                boxes[best, 4] = 1.0
+            cells.append(boxes[keep])
+            measures.append(area[keep])
+    mesh = Mesh(domain=domain, cells=np.concatenate(cells), cell_measure=np.concatenate(measures))
+    total = float(np.sum(mesh.cell_measure))
     if abs(total - domain.measure()) > 1e-10 * max(1.0, domain.measure()):
         raise PreconditionError("mesh measures fail to partition the domain")
     return mesh
@@ -407,5 +416,5 @@ def domain_from_dict(data: dict) -> DomainSpec:
         return DomainSpec(dim=int(data["dim"]), pieces=tuple(pieces))
     except PreconditionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise PreconditionError(f"malformed domain file: {exc}") from exc

@@ -40,16 +40,18 @@ reached on symmetric domains; dense eigh serves only k >= n - 1.
 Eigenvectors are mass-orthonormal with the largest-magnitude entry made
 positive.  The residual check applies K from its parts too.
 
-S and A share one pair driver, the integral of k_w over cell pairs at
-distances in (lo, hi): (0, 1) for S, (1, inf) for A.  It has two
-stages.  Lattice cells, the cells of the most common class at integer
+Mesh cells are one float64 array, (lo, hi) rows in 1D and (x0, y0, x1,
+y1, clipped) rows in 2D, read here as they are.  S and A share one pair
+driver, the integral of k_w over cell pairs at distances in (lo, hi):
+(0, 1) for S, (1, inf) for A.  It has two stages, the same in both
+dimensions.  Lattice cells, the cells of the most common class at integer
 multiples of its mean side from its first cell (uniform intervals, the
 gapped fk split, rectangles, a disk's unclipped interior), pair by integer
-offset, which makes the offset table.  In 1D each offset takes one
-integral, on its first pair.  In 2D the offsets (+-dx, +-dy) form one
-mirror class, with (dy, dx) too when the cells are squares; each class
-takes one integral, on two cells rebuilt on the lattice's grid, and its
-value fills every table position of the class (_mirror_classes).  Pairs
+offset, which makes the offset table.  An offset's mirror images give
+congruent pairs: +-k in 1D, (+-dx, +-dy) in 2D, with (dy, dx) too when the
+cells are squares.  Each such mirror class takes one integral, on two
+cells rebuilt on the lattice's grid, and its value fills every table
+position of the class (_mirror_classes).  Pairs
 that touch an off-lattice cell (a second width, clipped disk cells) are
 grouped by class pair and centre offset and integrated once per group.
 Every clipped cell is a class of its own, so a pair with a clipped cell
@@ -80,10 +82,11 @@ far or near, fall into orbits of up to 8 congruent pairs under the
 symmetries x -> +-x, y -> +-y, x <-> y about the centre; each orbit is
 integrated once, on the pair rebuilt from its key (_orbits).
 
-The self-energy of an unclipped cell is the pair closed form on the cell
-paired with itself, whose profile is |C| - ov in place of the overlap ov:
-all cells in one call in 1D, once per cell class in 2D.  Those of clipped
-cells are taken once per orbit, as the pairs.  All of these rules
+The self-energy of an unclipped cell is the dimension's pair closed form
+on the cell paired with itself, whose profile is |C| - ov in place of the
+overlap ov, taken once per cell class in one pass for both dimensions
+(_self_energies).  Those of clipped cells are taken once per orbit, as the
+pairs.  All of these rules
 share one core: Gauss panels from quadrature.panel_rule, angular panels
 split at kink directions from quadrature.angle_rule, and radial pieces in
 the closed form of kernels._profile_integral.
@@ -245,21 +248,13 @@ class EigenResult:
 # 1D assembly (closed forms)
 
 
-def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi, evaluate=None) -> np.ndarray:
-    """evaluate(w, a1, a2, b1, b2, lo, hi), cell_pair_tent_integral unless given, on the pairs (i, l), _CHUNK per call."""
-    evaluate = evaluate or cell_pair_tent_integral
-    cells = np.asarray(mesh.cells, dtype=float)
+def _pair_values_1d(w, mesh: Mesh, i, l, lo, hi) -> np.ndarray:
+    """cell_pair_tent_integral on the pairs (i, l), _CHUNK per call."""
     out = np.empty(np.size(i))
     for s in range(0, out.size, _CHUNK):
-        a, b = cells[i[s : s + _CHUNK]], cells[l[s : s + _CHUNK]]
-        out[s : s + _CHUNK] = evaluate(w, a[:, 0], a[:, 1], b[:, 0], b[:, 1], lo, hi)
+        a, b = mesh.cells[i[s : s + _CHUNK]], mesh.cells[l[s : s + _CHUNK]]
+        out[s : s + _CHUNK] = cell_pair_tent_integral(w, a[:, 0], a[:, 1], b[:, 0], b[:, 1], lo, hi)
     return out
-
-
-def _self_energies_1d(w, mesh: Mesh) -> np.ndarray:
-    # each cell paired with itself, called through kernels: eigen's own name is wrapped to count pair integrals
-    every = np.arange(mesh.n_cells)
-    return _PAIR_WEIGHT * _pair_values_1d(w, mesh, every, every, 0.0, 1.0, kernels.cell_pair_tent_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +627,7 @@ def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     closed form rect_pair_integral_2d; other near pairs the polar path,
     with the first cell as the outer one.
     """
-    cells = np.asarray(mesh.cells, dtype=float)
+    cells = mesh.cells
     disk = _mesh_disk(mesh)
     i, l = np.asarray(i), np.asarray(l)
     touch = (cells[i, 4] > 0.0) | (cells[l, 4] > 0.0)
@@ -662,30 +657,19 @@ def _pair_values_2d(w, mesh: Mesh, i, l, lo, hi, order=6) -> np.ndarray:
     return out
 
 
-def _self_energies_2d(w, mesh: Mesh) -> np.ndarray:
-    """Diagonal self-energies: the box paired with itself once per box class, the polar rule once per orbit of clipped cells."""
-    _, _, cls, first = _cell_classes(mesh)
-    cells = np.asarray(mesh.cells, dtype=float)
-    boxes = [0.0 if cells[c, 4] else _PAIR_WEIGHT * rect_pair_integral_2d(w, cells[c], cells[c], 0.0, 1.0, _BOX_SELF_ORDER) for c in first]
-    out = np.array(boxes)[cls]
-    clipped = np.flatnonzero(cells[:, 4] > 0.0)
-    if clipped.size:
-        disk = _mesh_disk(mesh)
-        rebuilt, reps, at = _orbits(cells, disk, clipped[:, None])
-        out[clipped] = np.array([_self_energy_2d(w, rebuilt[k], disk) for k in reps[:, 0]])[at]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # form assembly
 
 
+def _clipped(cells) -> np.ndarray:
+    """Which cells are clipped to the disk: the flag column of 2D cells; 1D cells have none."""
+    return cells[:, 4:].any(axis=1)
+
+
 def _cell_classes(mesh: Mesh):
     """Centres, sides, class ids and first cell per class: equal sides (14 decimals), clipped cells alone."""
-    cells = np.asarray(mesh.cells, dtype=float)
-    dim = mesh.domain.dim
-    lo, hi = cells[:, :dim], cells[:, dim : 2 * dim]
-    own = np.where(cells[:, 4] > 0.0, np.arange(1, len(cells) + 1), 0) if dim == 2 else np.zeros(len(cells))
+    lo, hi = mesh.corners()
+    own = np.where(_clipped(mesh.cells), np.arange(1, mesh.n_cells + 1), 0)
     _, first, cls = np.unique(np.column_stack([np.round(hi - lo, 14), own]), axis=0, return_index=True, return_inverse=True)
     return 0.5 * (lo + hi), hi - lo, cls.ravel(), first
 
@@ -734,52 +718,37 @@ def _lattice_offsets(pos) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def _lattice_pairs(members, pos):
-    """One pair of 1D lattice cells per position offset that occurs: (offsets, i, l).
-
-    The pair is the first one in cell order; rows are scanned only until
-    every occurring offset (_lattice_offsets) has one.
-    """
-    offsets = _lattice_offsets(pos)
-    occ = np.zeros(pos.max() + 1)
-    occ[pos] = 1.0
-    cell_at = np.zeros(occ.size, dtype=np.int64)
-    cell_at[pos] = members
-    todo = np.zeros(occ.size, dtype=bool)
-    todo[offsets] = True
-    start = np.full(occ.size, -1)
-    for a in pos:
-        if not todo.any():
-            break
-        hit = np.flatnonzero(todo[1 : occ.size - a] & (occ[a + 1 :] > 0.0)) + 1
-        start[hit] = a
-        todo[hit] = False
-    return offsets, cell_at[start[offsets]], cell_at[start[offsets] + offsets]
-
-
 def _mirror_classes(cells, sides, members, steps, pos):
-    """Mirror classes of the occurring offsets between 2D lattice cells: (offsets, class of each, grid cells).
+    """Mirror classes of the occurring offsets between lattice cells: (offsets, class of each, grid cells).
 
-    The offsets (+-dx, +-dy) give congruent pairs of lattice cells, and so
-    does (dy, dx) when the cells are squares (sides equal to the 14
-    decimals of _cell_classes): the class key is (|dx|, |dy|), sorted for
-    squares.  A class is represented by two cells of the uniform grid with
-    the lattice's mean side (_lattice) from the first lattice cell's lower
-    corner: the cell at the corner and the one key steps away.  Grid edges
-    are corner + j * side, so touching cells share an edge exactly.  Returns
-    the corner cell, then one cell per class, (C + 1, 5).  A class's value
-    thus does not depend on which of its offsets occur.
+    Each position offset decodes into its per-axis steps (_positions), and
+    an offset and its mirror images give congruent pairs of lattice cells:
+    the class key is the steps' moduli, |k| in 1D and (|dx|, |dy|) in 2D,
+    sorted when the cells are squares (sides equal to the 14 decimals of
+    _cell_classes), whose (dy, dx) is congruent too.  A class is
+    represented by two cells of the uniform grid with the lattice's mean
+    side (_lattice) from the first lattice cell's lower corner: the cell at
+    the corner and the one key steps away.  Grid edges are corner + j *
+    side, so touching cells share an edge exactly.  Returns the corner
+    cell, then one cell per class, (C + 1, cells' columns), unclipped.  A
+    class's value thus does not depend on which of its offsets occur.
     """
     offsets = _lattice_offsets(pos)
-    half = steps[:, 1].max()
-    dy = (offsets + half) % (2 * half + 1) - half
-    key = np.abs(np.column_stack([(offsets - dy) // (2 * half + 1), dy]))
-    if np.round(sides[members[0], 0], 14) == np.round(sides[members[0], 1], 14):
+    dim = steps.shape[1]
+    rest, digits = offsets, []
+    for half in steps[:, :0:-1].max(axis=0):  # the balanced digits of the later axes, last first
+        digits.insert(0, (rest + half) % (2 * half + 1) - half)
+        rest = (rest - digits[0]) // (2 * half + 1)
+    key = np.abs(np.column_stack([rest, *digits]))
+    square = np.round(sides[members[0]], 14)
+    if np.all(square == square[0]):
         key.sort(axis=1)
     keys, group = np.unique(key, axis=0, return_inverse=True)
-    at = np.concatenate([[[0, 0]], keys])
-    side, corner = sides[members].mean(axis=0), cells[members[0], :2]
-    return offsets, group.ravel(), np.column_stack([corner + at * side, corner + (at + 1) * side, np.zeros(len(at))])
+    at = np.concatenate([np.zeros((1, dim), dtype=keys.dtype), keys])
+    side, corner = sides[members].mean(axis=0), cells[members[0], :dim]
+    grid = np.zeros((len(at), cells.shape[1]))
+    grid[:, :dim], grid[:, dim : 2 * dim] = corner + at * side, corner + (at + 1) * side
+    return offsets, group.ravel(), grid
 
 
 def _off_lattice_pairs(centres, sides, cls, members, lo, hi):
@@ -820,33 +789,26 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> StiffnessParts:
 
     Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
     are skipped.  Lattice cells pair by offset, kept as the offset table:
-    one integral per offset in 1D, on its first pair, and one per mirror
-    class of offsets in 2D (_mirror_classes), on two cells rebuilt on the
-    lattice's grid, which extend the mesh for the evaluator.  Pairs
-    that touch an off-lattice cell are grouped by class pair and centre
-    offset, one integral per group; with a clipped cell, whose class is its
-    own, each such group is a single pair.  Both stages share one evaluator
-    call.
+    one integral per mirror class of offsets (_mirror_classes), on two
+    cells rebuilt on the lattice's grid, which extend the mesh for the
+    evaluator.  Pairs that touch an off-lattice cell are grouped by class
+    pair and centre offset, one integral per group; with a clipped cell,
+    whose class is its own, each such group is a single pair.  Both stages
+    share one evaluator call.
     """
     centres, sides, cls, _ = _cell_classes(mesh)
-    n = len(cls)
+    n, dim = len(cls), mesh.domain.dim
     members, steps = _lattice(centres, sides, cls)
     pos = _positions(steps)
     oi, ol, first = _off_lattice_pairs(centres, sides, cls, members, lo, hi)
-    if mesh.domain.dim == 1:
-        offsets, li, ll = _lattice_pairs(members, pos)
-        group = np.arange(offsets.size)
-    else:
-        offsets, group, rebuilt = _mirror_classes(np.asarray(mesh.cells, dtype=float), sides, members, steps, pos)
-        li, ll = np.full(len(rebuilt) - 1, n), n + np.arange(1, len(rebuilt))
-        centres = np.concatenate([centres, 0.5 * (rebuilt[:, :2] + rebuilt[:, 2:4])])
-        sides = np.concatenate([sides, rebuilt[:, 2:4] - rebuilt[:, :2]])
-        measure = np.concatenate([mesh.cell_measure, np.prod(sides[n:], axis=1)])
-        mesh = replace(mesh, cells=mesh.cells + tuple(map(tuple, rebuilt.tolist())), cell_measure=measure)
+    offsets, group, rebuilt = _mirror_classes(mesh.cells, sides, members, steps, pos)
+    li, ll = np.full(len(rebuilt) - 1, n), n + np.arange(1, len(rebuilt))
+    centres = np.concatenate([centres, 0.5 * (rebuilt[:, :dim] + rebuilt[:, dim : 2 * dim])])
+    sides = np.concatenate([sides, rebuilt[:, dim : 2 * dim] - rebuilt[:, :dim]])
+    measure = np.concatenate([mesh.cell_measure, np.prod(sides[n:], axis=1)])
+    mesh = replace(mesh, cells=np.concatenate([mesh.cells, rebuilt]), cell_measure=measure)
     keep = _in_range(centres, sides, li, ll, lo, hi)
-    values = _ENGINES[mesh.domain.dim][0](
-        w, mesh, np.concatenate([li[keep], oi[first]]), np.concatenate([ll[keep], ol[first]]), lo, hi
-    )
+    values = _ENGINES[dim](w, mesh, np.concatenate([li[keep], oi[first]]), np.concatenate([ll[keep], ol[first]]), lo, hi)
     kept = np.count_nonzero(keep)
     class_values = np.zeros(li.size)
     class_values[keep] = values[:kept]
@@ -859,14 +821,37 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> StiffnessParts:
     return StiffnessParts(np.zeros(n), members, pos, table, off)
 
 
-# (pair evaluator, diagonal self-energies) per dimension
-_ENGINES = {1: (_pair_values_1d, _self_energies_1d), 2: (_pair_values_2d, _self_energies_2d)}
+# the pair evaluator per dimension
+_ENGINES = {1: _pair_values_1d, 2: _pair_values_2d}
+
+
+def _box_self_energy(w, cell) -> float:
+    """An unclipped cell's self-energy: the dimension's pair closed form on the cell paired with itself.
+
+    The 1D form is called through kernels: eigen's own name is wrapped to count pair integrals.
+    """
+    if cell.size == 2:
+        return float(kernels.cell_pair_tent_integral(w, cell[0], cell[1], cell[0], cell[1], 0.0, 1.0))
+    return rect_pair_integral_2d(w, cell, cell, 0.0, 1.0, _BOX_SELF_ORDER)
+
+
+def _self_energies(w, mesh: Mesh) -> np.ndarray:
+    """Diagonal self-energies: the closed form once per unclipped cell class, the polar rule once per orbit of clipped cells."""
+    cells = mesh.cells
+    _, _, cls, first = _cell_classes(mesh)
+    clipped = _clipped(cells)
+    out = np.array([0.0 if clipped[c] else _PAIR_WEIGHT * _box_self_energy(w, cells[c]) for c in first])[cls]
+    if clipped.any():
+        disk = _mesh_disk(mesh)
+        rebuilt, reps, at = _orbits(cells, disk, np.flatnonzero(clipped)[:, None])
+        out[clipped] = np.array([_self_energy_2d(w, rebuilt[k], disk) for k in reps[:, 0]])[at]
+    return out
 
 
 def _difference_matrix(w, mesh) -> StiffnessParts:
     """S(w): -_PAIR_WEIGHT x pair integrals below unit distance, self-energies on the diagonal."""
     P = _pair_matrix(w, mesh, 0.0, 1.0)
-    return replace(P, diag=_ENGINES[mesh.domain.dim][1](w, mesh), table=-_PAIR_WEIGHT * P.table, off=-_PAIR_WEIGHT * P.off)
+    return replace(P, diag=_self_energies(w, mesh), table=-_PAIR_WEIGHT * P.table, off=-_PAIR_WEIGHT * P.off)
 
 
 def _convolution_matrix(w, mesh) -> StiffnessParts:

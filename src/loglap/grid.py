@@ -281,7 +281,9 @@ class GridFunction:
         rng = np.random.default_rng(seed)
         lo, hi = self.box_lo, self.box_hi
         a = rng.uniform(lo, hi, size=(_HOLDER_SAMPLES, self.dim))
-        dist = np.exp(rng.uniform(np.log(_HOLDER_MIN_STEP * min(self.spacing)), np.log(1.0), _HOLDER_SAMPLES))
+        shortest = _HOLDER_MIN_STEP * min(self.spacing)
+        # distances from the shortest to 1, or the shortest alone where it exceeds 1
+        dist = np.exp(rng.uniform(np.log(shortest), np.log(max(shortest, 1.0)), _HOLDER_SAMPLES))
         direction = rng.normal(size=(_HOLDER_SAMPLES, self.dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         b = a + direction * dist[:, None]
@@ -395,7 +397,7 @@ def grid_from_dict(data: dict, validate: bool = False) -> GridFunction:
         )
     except PreconditionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise PreconditionError(f"malformed grid file: {exc}") from exc
     if validate:
         u.validate_holder()

@@ -1,8 +1,10 @@
 """Command-line front end: outputs, file round trips, exit codes."""
 
+import collections
 import csv
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -365,6 +367,151 @@ def test_overflowing_divided_differences_exit_code(tmp_path, capsys, method, val
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+_BEYOND_FLOAT = 10 ** 400  # an integer literal that no float holds
+
+
+@pytest.mark.parametrize("method", ["quad", "fft"])
+@pytest.mark.parametrize("field", ["origin", "spacing", "alpha", "const"])
+def test_integer_beyond_float_range_in_grid_exit_code(tmp_path, capsys, method, field):
+    # float() and math.isfinite raised OverflowError, which escaped as a traceback
+    grid = {"dim": 1, "origin": [0.0], "spacing": [0.5], "shape": [4],
+            "holder": {"alpha": 1.0, "const": 1.0}, "values": [0.0] * 4}
+    if field in ("alpha", "const"):
+        grid["holder"][field] = _BEYOND_FLOAT
+    else:
+        grid[field] = [_BEYOND_FLOAT]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid))
+    argv = ["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(bad), "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "malformed grid file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["quad", "fft"])
+def test_spacing_beyond_the_holder_sample_range_is_a_valid_grid(tmp_path, method):
+    # 1e-3 of the spacing exceeds 1, the top of the sampled distances: the range was reversed
+    grid = {"dim": 1, "origin": [-1.0], "spacing": [1e15], "shape": [3],
+            "holder": {"alpha": 1.0, "const": 1.0}, "values": [0.0] * 3}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "out.json"
+    assert main(["apply", "--op", "L", "--m", "1", "--method", method, "--grid", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["shape"] == [3]
+
+
+@pytest.mark.parametrize("piece, message", [
+    ({"type": "interval", "a": -_BEYOND_FLOAT, "b": 0.25}, "malformed domain file"),
+    ({"type": "interval", "a": -1e308, "b": 1e-300}, "diameter must be finite"),
+    ({"type": "interval", "a": 1e-154, "b": 1.79e308}, "diameter must be finite"),
+    ({"type": "disk", "cx": 0.0, "cy": 0.0, "r": 1.79e308}, "finite positive radius and area"),
+    ({"type": "disk", "cx": 0.0, "cy": 0.0, "r": 1e155}, "finite positive radius and area"),
+    ({"type": "disk", "cx": 0.0, "cy": 0.0, "r": 1e-310}, "finite positive radius and area"),
+    ({"type": "disk", "cx": 0.0, "cy": 0.0, "r": 5e-324}, "finite positive radius and area"),
+    ({"type": "disk", "cx": 1.0, "cy": 1.0, "r": 1e-17}, "finite positive radius and area"),  # cx +- r == cx
+], ids=["interval-integer-beyond-float", "interval-1e308-long", "interval-1.79e308-long",
+        "disk-r-1.79e308", "disk-r-1e155", "disk-r-1e-310", "disk-r-5e-324", "disk-r-below-an-ulp-of-centre"])
+def test_domain_beyond_float_range_exit_code(tmp_path, capsys, piece, message):
+    # each ended in a traceback: float() of the integer, round(inf) of a cell count, a NaN grid step, r ** 2
+    # overflowing, or a mesh with no cell kept
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1 if piece["type"] == "interval" else 2, "pieces": [piece]}))
+    assert main(["eig", "--form", "I", "--m", "1", "--domain", str(bad), "--cells", "10", "--count", "1"]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+_FUZZ_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-154, -1e-154, 1e154, -1e154, 1.79e308, -1.79e308,
+              math.nan, math.inf, -math.inf, _BEYOND_FLOAT, -_BEYOND_FLOAT, 10 ** 20, True, False, None, "0.5",
+              0.1, -0.1, 0.2, 0.3, 1.0, 2, 3, 7]
+_FUZZ_GRIDS = [
+    {"dim": 1, "origin": [-1.0], "spacing": [0.25], "shape": [8], "holder": {"alpha": 1.0, "const": 4.0},
+     "values": [0.0, 0.1, 0.4, 0.9, 0.9, 0.4, 0.1, 0.0]},
+    {"dim": 2, "origin": [-1.0, -1.0], "spacing": [0.5, 0.5], "shape": [4, 4], "holder": {"alpha": 1.0, "const": 4.0},
+     "values": [0.0] * 5 + [0.5, 0.5, 0.0, 0.0, 0.5, 0.5] + [0.0] * 5},
+]
+_FUZZ_DOMAINS = [
+    {"dim": 1, "pieces": [{"type": "interval", "a": -0.2, "b": 0.2}]},
+    {"dim": 1, "pieces": [{"type": "interval", "a": -0.25, "b": -0.05}, {"type": "interval", "a": 0.05, "b": 0.25}]},
+    {"dim": 2, "pieces": [{"type": "rect", "x0": -0.2, "y0": -0.2, "x1": 0.2, "y1": 0.2}]},
+    {"dim": 2, "pieces": [{"type": "disk", "cx": 0.0, "cy": 0.0, "r": 0.2}]},
+    {"dim": 2, "pieces": [{"type": "disk", "cx": 0.0, "cy": 0.0, "r": 0.1},
+                          {"type": "rect", "x0": 0.15, "y0": -0.05, "x1": 0.3, "y1": 0.05}]},
+]
+
+
+def _json_paths(node, path=()):
+    """The path of every value in a JSON tree, containers included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in children:
+        yield from _json_paths(v, path + (k,))
+
+
+def _mutated(data, rng):
+    """A copy of a valid file with one to three edits: a pool value or a rescaled float, a list one too short or
+    too long, or a missing key."""
+    data = json.loads(json.dumps(data))
+    for _ in range(rng.randint(1, 3)):
+        *up, key = rng.choice(list(_json_paths(data))[1:])
+        parent = data
+        for k in up:
+            parent = parent[k]
+        target, move = parent[key], rng.random()
+        if isinstance(target, list) and move < 0.25 and target:
+            target.pop()
+        elif isinstance(target, list) and move < 0.5:
+            target.append(rng.choice(_FUZZ_POOL))
+        elif isinstance(parent, dict) and move < 0.15:
+            del parent[key]
+        elif isinstance(target, float) and move < 0.4:
+            parent[key] = target * rng.choice([1e-300, 1e-150, 1e-15, 1e15, 1e150, 1e300])
+        else:
+            parent[key] = rng.choice(_FUZZ_POOL)
+    return data
+
+
+def _fuzz_argv(rng, tmp_path):
+    """One apply, eig or fk command line on files mutated from small valid ones (most cases), at most 20 cells."""
+
+    def write(name, templates):
+        data = rng.choice(templates)
+        path = tmp_path / name
+        path.write_text(json.dumps(_mutated(data, rng) if rng.random() < 0.9 else data))  # NaN/Infinity tokens
+        return str(path)
+
+    command = rng.choice(["apply", "eig", "fk"])
+    if command == "apply":
+        op = rng.choice(["K", "L", "fraclap", "riesz"])
+        param = ["--m", str(rng.choice([0, 1, 2]))] if op in ("K", "L") else ["--s", str(rng.choice([0.25, 0.5, 1.5]))]
+        return ["apply", "--op", op, *param, "--method", rng.choice(["quad", "fft"]),
+                "--grid", write("grid.json", _FUZZ_GRIDS), "--out", str(tmp_path / "out.json")]
+    if command == "eig":
+        return ["eig", "--form", rng.choice("IGQ"), "--m", str(rng.choice([1, 2])), "--domain", write("d.json", _FUZZ_DOMAINS),
+                "--cells", str(rng.choice([0, 1, 4, 12, 20])), "--count", str(rng.choice([1, 2])), "--out", str(tmp_path / "e.csv")]
+    return ["fk", "--m", str(rng.choice([1, 2])), "--domains", write("d0.json", _FUZZ_DOMAINS), write("d1.json", _FUZZ_DOMAINS),
+            "--cells-per-unit", str(rng.choice([1, 3, 5])), "--out", str(tmp_path / "fk.csv")]
+
+
+def test_fuzzed_input_files_exit_with_a_documented_code(tmp_path, capsys):
+    # bad numbers, wrong lengths and missing keys in grid and domain files end in an exit code, never a traceback
+    rng = random.Random(2026)
+    codes = collections.Counter()
+    for _ in range(300):
+        argv = _fuzz_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a usage error
+            code = exc.code
+        except Exception as exc:
+            files = [open(a).read() for a in argv if a.endswith(".json") and not a.endswith("out.json")]
+            pytest.fail(f"{argv[0]} raised {type(exc).__name__}: {exc} on {files}")
+        assert code in (0, 2, 3, 4), argv
+        codes[code] += 1
+    capsys.readouterr()
+    assert codes[0] > 0 and codes[3] > 0  # the fuzz reaches both working and rejected inputs
 
 
 @pytest.mark.parametrize("command", [

@@ -246,7 +246,7 @@ def test_tangent_boundary_cell_of_off_centre_disk():
     disk = Disk(0.06317071082430645, -0.09945229996597038, 0.2)
     mesh = mesh_rectangles(DomainSpec(2, (disk,)), 0.04)
     box = (0.22317071082430642, -0.1394522999659704, 0.26317071082430643, -0.09945229996597038)
-    assert box in [c[:4] for c in mesh.cells]
+    assert box in [tuple(c[:4]) for c in mesh.cells]
     assert circle_box_area(disk, *box) == pytest.approx(_circle_box_area_mpmath(disk, *box), abs=1e-15)
 
 

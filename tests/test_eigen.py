@@ -98,7 +98,7 @@ def test_convolution_part_nonzero_for_wide_domain():
 
 def _pair_matrix_by_brute_force(w, mesh, lo, hi, pairs=None):
     """The dimension's pair evaluator called on every pair (or the given ones), one at a time."""
-    evaluate, _ = eigen._ENGINES[mesh.domain.dim]
+    evaluate = eigen._ENGINES[mesh.domain.dim]
     if pairs is None:
         pairs = zip(*np.triu_indices(mesh.n_cells, k=1))
     P = np.zeros((mesh.n_cells, mesh.n_cells))
@@ -197,7 +197,7 @@ def test_combined_weights_match_the_sum_of_unit_orders(dim):
         ref = sum(wj * _pair_matrix(u, mesh, lo, hi).toarray() for wj, u in zip(w, units))
         assert np.max(np.abs(ref)) > 0.0
         assert np.max(np.abs(P - ref)) <= 1e-13 * np.max(np.abs(ref))
-    self_energies = eigen._ENGINES[dim][1]
+    self_energies = eigen._self_energies
     d = self_energies(w, mesh)
     ref = sum(wj * self_energies(u, mesh) for wj, u in zip(w, units))
     assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1164,7 +1164,7 @@ def test_clipped_self_energies_run_once_per_orbit(monkeypatch):
     mesh = _disk_mesh()
     w = alpha_coeffs(2, 2).alpha[1:]
     monkeypatch.setattr(eigen, "_self_energy_2d", spy)
-    diag = eigen._self_energies_2d(w, mesh)
+    diag = eigen._self_energies(w, mesh)
     assert len(calls) == 4  # 28 clipped cells
     for perm in _grid_symmetries(mesh):
         assert np.array_equal(diag[perm], diag)
@@ -1201,7 +1201,7 @@ def test_pair_matrix_temporaries_stay_within_the_chunk_budget(monkeypatch):
             tracemalloc.stop()
 
     peak = traced_peak()
-    monkeypatch.setitem(eigen._ENGINES, 2, (lambda w, mesh, i, l, lo, hi: np.zeros(len(i)), None))
+    monkeypatch.setitem(eigen._ENGINES, 2, lambda w, mesh, i, l, lo, hi: np.zeros(len(i)))
     baseline = traced_peak()
     assert baseline >= 8 * mesh.n_cells ** 2
     assert peak - baseline <= 32 * 8 * eigen._CHUNK
