@@ -2,22 +2,22 @@
 
 A GridFunction stores node values on a uniform grid in dimension 1 or 2 and
 is treated as identically zero outside its box.  Off-node samples come from
-cubic interpolation: the natural cubic spline in 1D, and in 2D the not-a-knot
-tensor-product cubic spline.  A cubic spline with a knot at every node of a
-uniform grid is a sum of shifted uniform cubic B-splines, so the 2D spline is
-stored as an (n0 + 2) x (n1 + 2) coefficient table from one banded solve per
-axis (n interpolation rows and the two not-a-knot rows, no jump of the third
-derivative at the second and the second-to-last node).  A sample then reads
-its cell from floor((x - origin) / spacing), four fixed cubic weights per
-axis, and the 4 x 4 window of coefficients around the cell; numpy does this
-elementwise in blocks of fixed length, so a sample's value does not depend
-on the other samples and the working set does not grow with their number.
-Points outside the box, NaN and infinities included, read 0.  Grids with
-fewer than 4 nodes on an axis interpolate linearly.  The declared
-Holder data (exponent alpha, constant C) must dominate the interpolant's
-modulus of continuity, which keeps the analytic truncation bounds of the
-singular quadrature honest.  Validation samples random short-distance pairs
-and rejects declarations the data violates.
+the not-a-knot cubic spline, a tensor product in 2D.  A cubic spline with a
+knot at every node of a uniform grid is a sum of shifted uniform cubic
+B-splines, so the spline is stored as a coefficient table, (n0 + 2) x (n1 + 2)
+or one row of n + 2 in 1D, from one banded solve per axis (n interpolation
+rows and the two not-a-knot rows, no jump of the third derivative at the
+second and the second-to-last node).  A sample then reads its cell from
+floor((x - origin) / spacing), four fixed cubic weights per axis, and the
+window of coefficients around the cell; numpy does this elementwise in blocks
+of fixed length, so a sample's value does not depend on the other samples and
+the working set does not grow with their number.  Points outside the box, NaN
+and infinities included, read 0.  Grids with fewer than 4 nodes on an axis
+interpolate linearly: the table holds the values, read with two hat weights
+per axis.  The declared Holder data (exponent alpha, constant C) must dominate
+the interpolant's modulus of continuity, which keeps the analytic truncation
+bounds of the singular quadrature honest.  Validation samples random
+short-distance pairs and rejects declarations the data violates.
 
 The node lattice is origin + i*spacing, i = 0..shape-1 per axis.  For
 Fourier work the box is treated as periodic with period shape*spacing.
@@ -32,14 +32,13 @@ from functools import cached_property
 
 import numpy as np
 import orjson
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.linalg import solve_banded
 
 from .errors import PreconditionError
 
 _HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
 _HOLDER_MIN_STEP = 1e-3  # shortest validate_holder distance, in units of the smallest spacing
-_SPLINE_BLOCK = 1 << 14  # samples per block of the 2D spline evaluator
+_SPLINE_BLOCK = 1 << 14  # samples per block of the spline evaluator
 
 
 def _not_a_knot_coefficients(values: np.ndarray, axis: int) -> np.ndarray:
@@ -74,47 +73,67 @@ def _cubic_weights(s: np.ndarray) -> tuple[np.ndarray, ...]:
     return r2, w1, w2, s2
 
 
+def _hat_weights(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The two hat functions nonzero at s in [0, 1], at the cell's left and right node."""
+    return 1.0 - s, s
+
+
+# row a: the power coefficients (s^0..s^3) of window weight a
+_CUBIC_POWERS = np.array([[1.0, -3.0, 3.0, -1.0], [4.0, 0.0, -6.0, 3.0], [1.0, 3.0, 3.0, -3.0], [0.0, 0.0, 0.0, 1.0]])
+_HAT_POWERS = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
 class _UniformTensorSpline:
-    """The 2D not-a-knot tensor spline of a grid, as a coefficient table and a blocked numpy evaluator."""
+    """The interpolant of a grid: a coefficient table (in 1D one row, read with weight 1) and a blocked evaluator."""
 
     def __init__(self, u: "GridFunction"):
-        self.coef = np.ascontiguousarray(_not_a_knot_coefficients(_not_a_knot_coefficients(u.values, 0), 1))
-        self.lo, self.hi = u.box_lo, u.box_hi
-        self.spacing = u.spacing
-        self.last_cell = (u.shape[0] - 2, u.shape[1] - 2)
+        coef = u.values.reshape((1,) * (2 - u.dim) + u.shape)
+        solved = range(2 - u.dim, 2) if min(u.shape) >= 4 else ()
+        for k, ax in enumerate(solved, start=1):
+            coef = _not_a_knot_coefficients(coef, ax)
+            # weights are >= 0 and sum to 6 per axis: finite 6^k max|coef| keeps samples and the next solve finite
+            if not math.isfinite(6.0 ** k * float(np.max(np.abs(coef)))):
+                raise PreconditionError("grid values give infinite spline slopes")
+        self.coef = np.ascontiguousarray(coef)
+        self.weights, self.powers = (_cubic_weights, _CUBIC_POWERS) if solved else (_hat_weights, _HAT_POWERS)
+        self.lo, self.hi, self.spacing = u.box_lo, u.box_hi, u.spacing
+        self.last_cell = tuple(n - 2 for n in u.shape)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        """Values at points of shape (m, 2), zero outside the box."""
+        """Values at points of shape (m, dim), zero outside the box."""
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _SPLINE_BLOCK):
             out[start : start + _SPLINE_BLOCK] = self._block(pts[start : start + _SPLINE_BLOCK])
         return out
 
     def _axis(self, coord: np.ndarray, inside: np.ndarray, ax: int):
-        """Cell index and the four weights along one axis; outside points are moved to the origin first."""
+        """Cell index and the window weights along one axis; outside points are moved to the origin first."""
         t = np.where(inside, (coord - self.lo[ax]) / self.spacing[ax], 0.0)
         cell = np.minimum(np.floor(t), self.last_cell[ax])
         t -= cell
         cell = cell.astype(np.intp)  # drops the float copy before the weights are made
-        return cell, _cubic_weights(t)
+        return cell, self.weights(t)
 
     def _block(self, pts: np.ndarray) -> np.ndarray:
         # elementwise only, so a sample's value does not depend on the block it falls in
-        x, y = pts[:, 0], pts[:, 1]
-        inside = (x >= self.lo[0]) & (x <= self.hi[0]) & (y >= self.lo[1]) & (y <= self.hi[1])
+        inside = (pts[:, 0] >= self.lo[0]) & (pts[:, 0] <= self.hi[0])
+        for ax in range(1, pts.shape[1]):
+            inside &= (pts[:, ax] >= self.lo[ax]) & (pts[:, ax] <= self.hi[ax])
         stride = self.coef.shape[1]
-        row, wx = self._axis(x, inside, 0)  # becomes the flat index of each window's first coefficient
-        row *= stride
-        cy, wy = self._axis(y, inside, 1)
-        row += cy
-        del cy  # each index array is dropped once folded in: the block's peak is what bounds memory
+        row, wy = self._axis(pts[:, -1], inside, -1)  # becomes the flat index of each window's first coefficient
+        wx = (1.0,)  # a 1D grid is the table's one row, read with weight 1
+        for ax in range(pts.shape[1] - 1):  # 2D: the window's first row
+            cx, wx = self._axis(pts[:, ax], inside, ax)
+            cx *= stride
+            row += cx
+            del cx  # each index array is dropped once folded in: the block's peak is what bounds memory
         flat = self.coef.ravel()
         acc = np.zeros(len(pts))
-        for a in range(4):  # window row a: coefficients (cell_x + a, cell_y + b), b = 0..3
+        for wa in wx:  # window row a: coefficients (cell_x + a, cell_y + b)
             along_y = flat.take(row) * wy[0]
-            for b in (1, 2, 3):
+            for b in range(1, len(wy)):
                 along_y += flat[b:].take(row) * wy[b]
-            along_y *= wx[a]
+            along_y *= wa
             acc += along_y
             row += stride
         return np.where(inside, acc, 0.0)
@@ -196,55 +215,36 @@ class GridFunction:
     # -- evaluation ----------------------------------------------------------
 
     @cached_property
-    def _interpolator(self):
-        # slopes need finite divided differences (scipy's CubicSpline raises a ValueError otherwise);
-        # one can overflow only when 2 max|u| / h does, so most grids skip the differences
+    def _interpolator(self) -> _UniformTensorSpline:
+        # spline slopes need finite divided differences; one can overflow only
+        # when 2 max|u| / h does, so most grids skip the differences
         peak = max(float(self.values.max()), -float(self.values.min()))
         if not all(math.isfinite(2.0 * peak / h) for h in self.spacing):
             with np.errstate(over="ignore"):
                 if not all(np.all(np.isfinite(np.diff(self.values, axis=ax) / h)) for ax, h in enumerate(self.spacing)):
                     raise PreconditionError("grid values' divided differences must be finite")
-        axes = self.axes()
-        if self.dim == 1:
-            if self.shape[0] >= 4:
-                try:  # finite divided differences can still solve to infinite slopes
-                    with np.errstate(over="ignore"):
-                        return CubicSpline(axes[0], self.values, bc_type="natural", extrapolate=False)
-                except ValueError as exc:
-                    raise PreconditionError("grid values give infinite spline slopes") from exc
-            return lambda x: np.interp(x, axes[0], self.values)
-        if min(self.shape) < 4:
-            linear = RegularGridInterpolator(axes, self.values, method="linear", bounds_error=False, fill_value=0.0)
-            return lambda pts: np.nan_to_num(linear(pts), nan=0.0, copy=False)  # NaN points read 0 too
         return _UniformTensorSpline(self)
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate at points (shape (..., dim) or (...,) in 1D); zero outside the box."""
         pts = np.asarray(points, dtype=float)
-        if self.dim == 1:
-            x = pts
-            inside = (x >= self.origin[0]) & (x <= self.box_hi[0])
-            out = np.zeros_like(np.asarray(x, dtype=float))
-            if np.any(inside):
-                vals = self._interpolator(np.asarray(x)[inside])
-                out[inside] = np.nan_to_num(vals, nan=0.0)
-            return out
-        return self._interpolator(pts.reshape(-1, 2)).reshape(pts.shape[:-1])
+        return self._interpolator(pts.reshape(-1, self.dim)).reshape(pts.shape[: pts.ndim + 1 - self.dim])
 
     def cell_coefficients(self) -> np.ndarray:
         """Local power coefficients of the 1D interpolant, shape (4, n - 1).
 
         On cell j the interpolant is sum_p D[p, j] s^p with s = x - x_j in
-        [0, h]: the natural cubic spline, or the linear interpolant (D[2] =
-        D[3] = 0) on grids with fewer than 4 nodes.
+        [0, h]: each window of the spline table times the power coefficients
+        of its weights, scaled by h^-p (D[2] = D[3] = 0 on the linear table).
         """
         if self.dim != 1:
             raise PreconditionError("cell coefficients are defined for 1D grids")
-        if self.shape[0] >= 4:
-            return self._interpolator.c[::-1].copy()
-        v = self.values
-        slope = np.diff(v) / self.spacing[0]
-        return np.stack([v[:-1], slope, np.zeros_like(slope), np.zeros_like(slope)])
+        table = self._interpolator
+        windows = np.lib.stride_tricks.sliding_window_view(table.coef[0], len(table.powers))
+        coef = table.powers.T @ windows.T
+        for p in (1, 2, 3):  # one h at a time: h^p itself can overflow, or underflow to 0
+            coef[p:] /= self.spacing[0]
+        return coef
 
     def contains(self, point) -> bool:
         p = np.atleast_1d(np.asarray(point, dtype=float))

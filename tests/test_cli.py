@@ -352,12 +352,16 @@ def test_subnormal_spacing_exit_code(tmp_path, capsys, method, origin):
     ([0.0, 1e308, -1e308, 0.0], [1.0], "divided differences must be finite"),
     ([0.0, 1.0, 1.0, 0.0], [1e-310], "divided differences must be finite"),
     ([[0.0, 1e308], [0.0, -1e308]], [1.0, 1.0], "divided differences must be finite"),
-    # finite divided differences whose natural-spline slopes solve to inf
+    # finite divided differences whose spline coefficients, or samples, overflow
     ([0.0, 1e308, 0.0, 0.0], [1.0], "infinite spline slopes"),
     ([0.0, 0.0, 1e308, 0.0, 0.0, 0.0], [1.0], "infinite spline slopes"),
-], ids=["overflowing-difference", "subnormal-spacing", "2d", "infinite-slope-4-nodes", "infinite-slope-6-nodes"])
+    ([0.0, 1.7e308, 1.7e308, 0.0, 0.0, 0.0], [1.0], "infinite spline slopes"),
+    (np.where(np.arange(25) == 12, 1.7e308, 0.0).reshape(5, 5), [1.0, 1.0], "infinite spline slopes"),
+    (np.where(np.arange(16) == 5, 1.7e308, 0.0).reshape(4, 4), [1.0, 1.0], "infinite spline slopes"),
+], ids=["overflowing-difference", "subnormal-spacing", "2d", "infinite-slope-4-nodes", "infinite-slope-6-nodes",
+        "infinite-samples-6-nodes", "infinite-slope-2d-5x5", "infinite-slope-2d-4x4"])
 def test_overflowing_divided_differences_exit_code(tmp_path, capsys, method, values, spacing, message):
-    # the spline's slopes would be infinite: scipy's CubicSpline raised a ValueError traceback
+    # the spline's coefficients or samples would be infinite: the spline solve raised a ValueError traceback
     dim = len(spacing)
     grid = {"dim": dim, "origin": [0.0] * dim, "spacing": spacing, "shape": list(np.shape(values)),
             "holder": {"alpha": 1.0, "const": 1.0}, "values": np.ravel(values).tolist()}
@@ -431,6 +435,11 @@ _FUZZ_GRIDS = [
      "values": [0.0, 0.1, 0.4, 0.9, 0.9, 0.4, 0.1, 0.0]},
     {"dim": 2, "origin": [-1.0, -1.0], "spacing": [0.5, 0.5], "shape": [4, 4], "holder": {"alpha": 1.0, "const": 4.0},
      "values": [0.0] * 5 + [0.5, 0.5, 0.0, 0.0, 0.5, 0.5] + [0.0] * 5},
+    # at spacing 1 a value near the float limit passes the divided-difference check and reaches the spline solve
+    {"dim": 1, "origin": [-4.0], "spacing": [1.0], "shape": [8], "holder": {"alpha": 1.0, "const": 4.0},
+     "values": [0.0, 0.1, 0.4, 0.9, 0.9, 0.4, 0.1, 0.0]},
+    {"dim": 2, "origin": [-2.0, -2.0], "spacing": [1.0, 1.0], "shape": [5, 5], "holder": {"alpha": 1.0, "const": 4.0},
+     "values": [0.0] * 6 + [0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0, 0.5, 0.5, 0.5] + [0.0] * 6},
 ]
 _FUZZ_DOMAINS = [
     {"dim": 1, "pieces": [{"type": "interval", "a": -0.2, "b": 0.2}]},
@@ -495,8 +504,10 @@ def _fuzz_argv(rng, tmp_path):
             "--cells-per-unit", str(rng.choice([1, 3, 5])), "--out", str(tmp_path / "fk.csv")]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fuzzed_input_files_exit_with_a_documented_code(tmp_path, capsys):
     # bad numbers, wrong lengths and missing keys in grid and domain files end in an exit code, never a traceback
+    # nor a RuntimeWarning
     rng = random.Random(2026)
     codes = collections.Counter()
     for _ in range(300):

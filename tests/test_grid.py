@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline, RegularGridInterpolator
 
 from loglap import PreconditionError, grid
 from loglap.grid import (
@@ -234,7 +234,38 @@ def test_nodes_follow_the_value_order():
     assert np.array_equal(_small_bump(8).nodes()[:, 0], _small_bump(8).axes()[0])
 
 
-# -- the 2D tensor spline ---------------------------------------------------------
+# -- the tensor spline --------------------------------------------------------------
+
+
+def _face_heavy_1d(n):
+    # nonzero and sloped at both faces, where the end conditions matter
+    x = np.linspace(-1.0, 2.0, n)
+    return GridFunction(1, (-1.0,), (x[1] - x[0],), (n,), np.cos(3.0 * x) + 0.5 * x, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 64])
+def test_1d_interpolant_is_the_not_a_knot_spline(n):
+    u = _face_heavy_1d(n)
+    ref = CubicSpline(u.axes()[0], u.values, bc_type="not-a-knot")
+    x = np.concatenate([np.random.default_rng(3).uniform(u.origin[0], u.box_hi[0], 5000), u.axes()[0]])
+    assert np.max(np.abs(u(x) - ref(x))) <= 1e-13 * u.sup_norm()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_1d_linear_fallback_is_np_interp(n):
+    u = _face_heavy_1d(n)
+    x = np.random.default_rng(3).uniform(u.origin[0], u.box_hi[0], 5000)
+    assert np.max(np.abs(u(x) - np.interp(x, u.axes()[0], u.values))) <= 1e-15 * u.sup_norm()
+    assert np.array_equal(u(np.array([u.origin[0] - 1e-9, u.box_hi[0] + 1e-9, np.nan])), np.zeros(3))
+
+
+def test_2d_linear_fallback_is_the_bilinear_interpolant():
+    h = (0.1, 0.15)
+    x, y = (hh * np.arange(n) for hh, n in zip(h, (3, 8)))
+    u = GridFunction(2, (0.0, 0.0), h, (3, 8), np.cos(x[:, None] + 2.0 * y[None, :]) + x[:, None], 1.0, 10.0)
+    ref = RegularGridInterpolator(u.axes(), u.values, method="linear")
+    pts = np.random.default_rng(3).uniform(u.box_lo, u.box_hi, size=(5000, 2))
+    assert np.max(np.abs(u(pts) - ref(pts))) <= 1e-15 * u.sup_norm()
 
 
 @pytest.mark.parametrize("n", [6, 32, 128])
@@ -289,13 +320,14 @@ def test_2d_non_finite_and_far_points_read_zero(shape):
     assert u(np.full((3, 4, 2), np.nan)).shape == (3, 4)
 
 
-def test_2d_interpolant_memory_does_not_grow_with_points():
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interpolant_memory_does_not_grow_with_points(dim):
     # 10^6 points: the traced peak is the output plus one block's temporaries
-    u = gaussian_bump(dim=2, halfwidth=2.0, nodes=64)
-    u(np.zeros((1, 2)))  # builds the coefficient table outside the trace
+    u = gaussian_bump(dim=dim, halfwidth=2.0, nodes=64)
+    u(np.zeros((1, dim)[:dim]))  # builds the coefficient table outside the trace
     extra = []
     for m in (10 ** 5, 10 ** 6):
-        pts = np.random.default_rng(4).uniform(-2.5, 2.5, size=(m, 2))
+        pts = np.random.default_rng(4).uniform(-2.5, 2.5, size=(m, dim)[:dim])  # bare coordinates in 1D
         tracemalloc.start()
         try:
             vals = u(pts)
