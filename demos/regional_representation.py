@@ -20,11 +20,11 @@ print("== h_{m,Omega} for centered balls ==")
 for m in (1, 2, 3):
     for r in (0.3, 0.7):
         dom = DomainSpec(1, (Interval(-r, r),))
-        got = h_regional(m, [0.0], dom, dim=1)
+        got = h_regional(m, [0.0], dom)
         expect = omega(1) * (-2.0 * math.log(r)) ** m / (2.0 * m)
         print(f"m={m} r={r}: {got:.10f} (closed form {expect:.10f})")
 dom2 = DomainSpec(2, (Disk(0.0, 0.0, 0.4),))
-print(f"2D disk, m=2: {h_regional(2, [0.0, 0.0], dom2, dim=2):.10f} "
+print(f"2D disk, m=2: {h_regional(2, [0.0, 0.0], dom2):.10f} "
       f"(closed form {omega(2) * (2 * math.log(1 / 0.4)) ** 2 / 4:.10f})")
 
 print("\n== split form vs direct evaluation ==")

@@ -80,9 +80,9 @@ def _read_json(path):
             raise PreconditionError(f"{path} is not a valid JSON file: {exc}") from exc
 
 
-def _load_grid_file(path, seed):
+def _load_grid_file(path):
     u = grid_from_dict(_read_json(path))
-    u.validate_holder(seed=seed)
+    u.validate_holder()
     return u
 
 
@@ -127,7 +127,7 @@ def cmd_apply(args) -> int:
         raise PreconditionError("operators K and L need --m")
     if args.op in ("fraclap", "riesz") and args.s is None:
         raise PreconditionError("fraclap and riesz need --s")
-    u = _load_grid_file(args.grid, args.seed)
+    u = _load_grid_file(args.grid)
     if args.method == "fft":
         kind = {"L": "log", "fraclap": "frac", "riesz": "riesz"}.get(args.op)
         if kind is None:
@@ -191,7 +191,6 @@ def cmd_expand(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="loglap", description="m-order logarithmic Laplacian toolkit")
     p.add_argument("--threads", type=_positive_int, default=None, help="worker threads of a 2D quadrature apply (default and cap: the process's CPUs)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized validation sampling")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("coeffs", help="coefficient ledger and kappa Taylor series")

@@ -120,8 +120,6 @@ def kappa2_frac(s: float, N: int) -> float:
 class KappaSeries:
     """Taylor coefficients kappa_i^(j)(0)/j! of kappa1 and kappa2 at s = 0."""
 
-    dim: int
-    order: int
     kappa1_coeffs: tuple[float, ...]
     kappa2_coeffs: tuple[float, ...]
 
@@ -164,12 +162,7 @@ def kappa_series(N: int, M: int) -> KappaSeries:
         raise PreconditionError(f"series order must be in [0, {_MAX_SERIES_ORDER}], got {M}")
     b = _exp_series(_log_kappa2_coeffs(N, M))
     c0 = c_dim(N)
-    return KappaSeries(
-        dim=N,
-        order=M,
-        kappa1_coeffs=tuple(c0 * bk for bk in b),
-        kappa2_coeffs=tuple(b),
-    )
+    return KappaSeries(kappa1_coeffs=tuple(c0 * bk for bk in b), kappa2_coeffs=tuple(b))
 
 
 @dataclass(frozen=True)

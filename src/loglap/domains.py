@@ -21,6 +21,9 @@ are intervals (lo, hi), 2D cells are boxes (x0, y0, x1, y1, clipped) whose
 flag marks a box clipped to the disk, with the clipped measure computed from
 the analytic circle-box area.  Clipped slivers below a relative threshold are
 merged into their inward neighbor to protect the mass-matrix conditioning.
+A mesh whose narrowest cell spans fewer than 1000 ulps of the domain's
+largest coordinate magnitude (the rule grid spacings follow) is refused:
+its cell bounds and measures would be rounding, not geometry.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from .errors import PreconditionError
 
 _SLIVER_FRACTION = 1e-3  # clipped cells below this share of a full box merge into a neighbour
+_MIN_CELL_ULPS = 1000.0  # narrowest cell side, in ulps of the largest coordinate magnitude
 
 
 class _Piece:
@@ -347,7 +351,16 @@ def mesh_intervals(domain: DomainSpec, n_cells: int) -> Mesh:
     counts = [max(1, round(n_cells * p.measure / total)) for p in domain.pieces]
     edges = [np.linspace(p.a, p.b, cnt + 1) for p, cnt in zip(domain.pieces, counts)]
     cells = np.concatenate([np.column_stack([e[:-1], e[1:]]) for e in edges])
-    return Mesh(domain=domain, cells=cells, cell_measure=cells[:, 1] - cells[:, 0])
+    return _resolved(Mesh(domain=domain, cells=cells, cell_measure=cells[:, 1] - cells[:, 0]))
+
+
+def _resolved(mesh: Mesh) -> Mesh:
+    """The mesh, unless a cell spans fewer than _MIN_CELL_ULPS ulps of the largest coordinate magnitude."""
+    lo, hi = mesh.corners()
+    ulp = math.ulp(max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi)))))
+    if not float(np.min(hi - lo)) >= _MIN_CELL_ULPS * ulp:
+        raise PreconditionError("mesh cells are too narrow to resolve at the domain's coordinates (under 1000 ulps)")
+    return mesh
 
 
 def _box_cells(xs, ys) -> np.ndarray:
@@ -390,7 +403,7 @@ def mesh_rectangles(domain: DomainSpec, target_h: float) -> Mesh:
                 boxes[best, 4] = 1.0
             cells.append(boxes[keep])
             measures.append(area[keep])
-    mesh = Mesh(domain=domain, cells=np.concatenate(cells), cell_measure=np.concatenate(measures))
+    mesh = _resolved(Mesh(domain=domain, cells=np.concatenate(cells), cell_measure=np.concatenate(measures)))
     total = float(np.sum(mesh.cell_measure))
     if abs(total - domain.measure()) > 1e-10 * max(1.0, domain.measure()):
         raise PreconditionError("mesh measures fail to partition the domain")

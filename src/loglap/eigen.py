@@ -29,16 +29,17 @@ positions, and Lat x is one real 1D correlation of the offset table with x
 scattered to those positions, applied by FFT.  Off is a symmetric CSR
 matrix of the pairs that touch an off-lattice cell.  S and A share the
 lattice, so I_m's parts are -2 table_S - table_A, -2 Off_S - Off_A and d.
-Storage is O(n) on lattice meshes.  FormMatrices.stiffness, the dense
-matrix, is built on first access; the Q form's PSD check (a Cholesky
-factorization) and dense eigh use it.
+Storage is O(n) on lattice meshes.  FormMatrices holds the parts and the
+mass diagonal; its stiffness, the dense matrix, is built on first access.
+The Q form's PSD check (a Cholesky factorization) and dense eigh use it.
 
 The lowest k eigenpairs of (stiffness, mass) come from Lanczos iteration
 (ARPACK) on the operator M^-1/2 K M^-1/2, started from a fixed-seed normal
 vector so that results are deterministic and modes of either parity are
 reached on symmetric domains; dense eigh serves only k >= n - 1.
 Eigenvectors are mass-orthonormal with the largest-magnitude entry made
-positive.  The residual check applies K from its parts too.
+positive.  The residual check applies K from its parts too, and bounds
+each pair's residual by its relative backward error, 1e-6 |K| max|v|.
 
 Mesh cells are one float64 array, (lo, hi) rows in 1D and (x0, y0, x1,
 y1, clipped) rows in 2D, read here as they are.  S and A share one pair
@@ -103,7 +104,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .coeffs import CoeffLedger, omega
+from .coeffs import CoeffLedger, alpha_coeffs, omega
 from .domains import Disk, Interval, Mesh, mesh_intervals, mesh_rectangles, ray_box, ray_disk
 from . import kernels
 from .errors import NumericalError, PreconditionError
@@ -180,9 +181,6 @@ class StiffnessParts:
         y[self.members] += np.fft.irfft(np.fft.rfft(occ, axis=0) * spectrum[col], size, axis=0)[at]
         return y
 
-    def __neg__(self) -> StiffnessParts:
-        return replace(self, diag=-self.diag, table=-self.table, off=-self.off)
-
     def __abs__(self) -> StiffnessParts:
         return replace(self, diag=np.abs(self.diag), table=np.abs(self.table), off=abs(self.off))
 
@@ -214,11 +212,8 @@ class StiffnessParts:
 
 @dataclass(frozen=True)
 class FormMatrices:
-    form_kind: str
     parts: StiffnessParts = field(repr=False)
     mass: np.ndarray  # diagonal entries (cell measures)
-    ledger: CoeffLedger | None
-    mesh: Mesh = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -234,8 +229,6 @@ class FormMatrices:
 class EigenResult:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # columns, mass-orthonormal
-    mesh: Mesh = field(repr=False)
-    form_kind: str = "I"
 
     def gap(self) -> float:
         """Spectral gap lambda_2 - lambda_1 (reported, never asserted positive)."""
@@ -859,15 +852,18 @@ def _convolution_matrix(w, mesh) -> StiffnessParts:
     return _pair_matrix(w, mesh, 1.0, np.inf)
 
 
-def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int | None = None) -> FormMatrices:
+def assemble(form_kind: str, ledger: CoeffLedger, mesh: Mesh) -> FormMatrices:
     """Stiffness/mass pair of I_m, G_m or Q_m on a cell mesh.
 
-    G needs only the kernel order (pass order= for a ledger-free call).
-    Q = I + c M (module docstring) needs the domain inside B_{r0/2}, where
-    the combined kernel is positive; its stiffness must come out PSD.
+    Every form takes the ledger of the mesh's dimension; G reads only its
+    order, ledger.m.  Q = I + c M (module docstring) needs the domain inside
+    B_{r0/2}, where the combined kernel is positive; its stiffness must come
+    out PSD.
     """
     if form_kind not in _FORM_KINDS:
         raise PreconditionError(f"form kind must be one of {_FORM_KINDS}")
+    if ledger is None or ledger.dim != mesh.domain.dim:
+        raise PreconditionError(f"every form needs a coefficient ledger of the mesh's dimension {mesh.domain.dim}")
     if mesh.max_cell_diameter() >= 1.0:
         raise PreconditionError("mesh cells must have diameter below the unit cutoff")
     mass = np.asarray(mesh.cell_measure, dtype=float)
@@ -875,12 +871,7 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
         raise PreconditionError("mass entries must be positive")
 
     if form_kind == "G":
-        n = order if order is not None else (ledger.m if ledger else None)
-        if n is None:
-            raise PreconditionError("G form needs a kernel order")
-        alpha0, w = 0.0, order_weights(n)
-    elif ledger is None:
-        raise PreconditionError("I and Q forms need a coefficient ledger")
+        alpha0, w = 0.0, order_weights(ledger.m)
     else:
         alpha0, w = ledger.alpha[0], ledger.alpha[1:]
     if form_kind == "Q":
@@ -894,7 +885,7 @@ def assemble(form_kind: str, ledger: CoeffLedger | None, mesh: Mesh, order: int 
     stiff = replace(stiff, diag=stiff.diag + alpha0 * mass)
     if mesh.domain.diameter() >= 1.0:
         stiff = stiff - _convolution_matrix(w, mesh)
-    mats = FormMatrices(form_kind, stiff, mass, ledger, mesh)
+    mats = FormMatrices(stiff, mass)
     if form_kind == "Q":
         _check_psd(mats.stiffness)
     return mats
@@ -958,20 +949,26 @@ def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
         if vecs[i, j] < 0:
             vecs[:, j] = -vecs[:, j]
     _check_pairs(matrices, vals, vecs)
-    return EigenResult(eigenvalues=vals, vectors=vecs, mesh=matrices.mesh, form_kind=matrices.form_kind)
+    return EigenResult(eigenvalues=vals, vectors=vecs)
 
 
 def _check_pairs(matrices: FormMatrices, vals, vecs) -> None:
+    """Refuse eigenpairs that lost mass-orthonormality, or whose residual max|Kv - lambda Mv| exceeds 1e-6 |K| max|v|.
+
+    |K| is the max row sum of |K|.  Kv scales with v, so the bound does
+    too: an M-orthonormal v grows like |Omega|^(-1/2), and a fixed bound
+    would fall below rounding on tiny domains.
+    """
     M = matrices.mass
     gram = vecs.T @ (M[:, None] * vecs)
     if float(np.max(np.abs(gram - np.eye(vals.size)))) > 1e-8:
         raise NumericalError("eigenvectors lost mass-orthonormality")
     K = matrices.parts
-    res = K @ vecs - (M[:, None] * vecs) * vals[None, :]
-    worst = float(np.max(np.abs(res)))
-    scale = _residual_scale(K)
-    if worst > 1e-6 * scale:
-        raise NumericalError(f"eigenpair residual {worst:.3e} exceeds 1e-6 * |A|")
+    res = np.max(np.abs(K @ vecs - (M[:, None] * vecs) * vals[None, :]), axis=0)
+    bound = 1e-6 * _residual_scale(K) * np.max(np.abs(vecs), axis=0)
+    if np.any(res > bound):
+        j = int(np.argmax(res / bound))
+        raise NumericalError(f"eigenpair residual {res[j]:.3e} exceeds 1e-6 * |A| * max|v| = {bound[j]:.3e}")
 
 
 def _residual_scale(K: StiffnessParts) -> float:
@@ -1063,12 +1060,12 @@ def faber_krahn_compare(ledger: CoeffLedger, domains, cells_per_unit: int) -> li
 
 
 def k_form_first_eig(n: int, mesh: Mesh, k: int = 1) -> EigenResult:
-    """Lowest eigenpairs of the dominant-kernel form G_n on a small domain.
+    """Lowest eigenpairs of the dominant-kernel form G_n, n = 1..8, on a small domain.
 
     Domains inside B_(1/2) have no point pairs at distance beyond one, so
     the convolution part of G_n vanishes identically.
     """
     if mesh.domain.bounding_radius() > 0.5 + 1e-12:
         raise PreconditionError("the dominant-kernel eigenproblem needs the domain inside B_(1/2)")
-    mats = assemble("G", None, mesh, order=n)
+    mats = assemble("G", alpha_coeffs(n, mesh.domain.dim), mesh)
     return eigensolve(mats, k)

@@ -18,7 +18,8 @@ Shifted base points s0 use R = tail((s-s0) L, n) * |xi|^(2 s0), the symbol
 form of expanding around B^(s0) u; the factor |xi|^(2 s0) is formed once per
 study.
 
-A study transforms its input once and inverts each sample's real
+A study samples the fixed orders DEFAULT_S_SAMPLES, s = 2^-4 down to
+2^-12.  It transforms its input once and inverts each sample's real
 multiplier with ``SpectrumGrid.invert``; the lattice layout stays in
 ``spectral``.
 
@@ -44,20 +45,10 @@ _SATURATION_FLOOR = 10.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class RemainderStudy:
-    side: str  # 'fraclap', 'riesz' or 'shifted'
-    n: int
-    s0: float
-    s_samples: tuple[float, ...]
+    s_samples: tuple[float, ...]  # DEFAULT_S_SAMPLES
     sup_norms: tuple[float, ...]
     l2_norms: tuple[float, ...]
     fitted_slope: float
-
-    def __post_init__(self):
-        s = np.asarray(self.s_samples)
-        if s.size and not np.all(np.diff(s) < 0):
-            raise PreconditionError("order samples must be strictly decreasing")
-        if not all(np.isfinite(self.sup_norms)) or not all(np.isfinite(self.l2_norms)):
-            raise PreconditionError("remainder norms must be finite")
 
 
 def _tail_terms(a: float, n: int) -> int:
@@ -149,51 +140,41 @@ def _norms(vals: np.ndarray, u: GridFunction, region) -> tuple[float, float]:
     return sup, l2
 
 
-def run_study(
-    side: str,
-    n: int,
-    u: GridFunction,
-    s_samples=DEFAULT_S_SAMPLES,
-    s0: float = 0.0,
-) -> RemainderStudy:
-    """Remainder norms over the central grid half and the fitted decay slope."""
+def run_study(side: str, n: int, u: GridFunction, s0: float = 0.0) -> RemainderStudy:
+    """Remainder norms over the central grid half at DEFAULT_S_SAMPLES and the fitted decay slope.
+
+    The nine samples span more than two decades, enough for the
+    least-squares line of log norm against log s.
+    """
     if n < 0:
         raise PreconditionError("expansion order must be >= 0")
     if side == "shifted":
         if not -u.dim / 2.0 + 0.25 <= s0 <= 2.0:
-            raise PreconditionError("shifted base point outside (-N/2 + margin, 2]")
+            raise PreconditionError("shifted base point outside [-N/2 + 1/4, 2]")
     spec = _spectrum(u, allow_mean=False)
     L, factor = _half_lattice(side, spec, s0)
     region = _central_region(u)
     sups, l2s = [], []
     sign = -1.0 if side == "riesz" else 1.0
-    for s in s_samples:
-        vals = spec.invert(_exp_tail(sign * float(s) * L, n) * factor)
+    for s in DEFAULT_S_SAMPLES:
+        vals = spec.invert(_exp_tail(sign * s * L, n) * factor)
         a, b = _norms(vals, u, region)
         sups.append(a)
         l2s.append(b)
-    slope = _fit_slope(np.asarray(s_samples, dtype=float), np.asarray(sups), u)
-    return RemainderStudy(
-        side=side,
-        n=n,
-        s0=s0,
-        s_samples=tuple(float(s) for s in s_samples),
-        sup_norms=tuple(sups),
-        l2_norms=tuple(l2s),
-        fitted_slope=slope,
-    )
+    if not all(np.isfinite(sups)) or not all(np.isfinite(l2s)):
+        raise PreconditionError("remainder norms must be finite")
+    return RemainderStudy(DEFAULT_S_SAMPLES, tuple(sups), tuple(l2s), _fit_slope(np.asarray(sups), u))
 
 
-def _fit_slope(s: np.ndarray, norms: np.ndarray, u: GridFunction) -> float:
-    if s.size < 5 or math.log10(s.max() / s.min()) < 2.0:
-        raise PreconditionError("slope fits need >= 5 samples spanning >= 2 decades")
+def _fit_slope(norms: np.ndarray, u: GridFunction) -> float:
+    """Slope of log norm against log s over DEFAULT_S_SAMPLES."""
     floor = _SATURATION_FLOOR * max(u.sup_norm(), 1.0)
     if np.all(norms <= floor):
         raise NumericalError("remainder saturated at the precision floor; no slope")
-    coeffs = np.polyfit(np.log(s), np.log(np.maximum(norms, 1e-300)), 1)
+    coeffs = np.polyfit(np.log(DEFAULT_S_SAMPLES), np.log(np.maximum(norms, 1e-300)), 1)
     return float(coeffs[0])
 
 
-def shifted_expansion_check(u: GridFunction, s0: float, n: int, s_samples=DEFAULT_S_SAMPLES) -> RemainderStudy:
+def shifted_expansion_check(u: GridFunction, s0: float, n: int) -> RemainderStudy:
     """Remainder study for the base-point expansion of B^s around s0."""
-    return run_study("shifted", n, u, s_samples=s_samples, s0=s0)
+    return run_study("shifted", n, u, s0=s0)

@@ -86,7 +86,6 @@ def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
 class CombinedKernel:
     """h_m(t) = sum alpha_j (-2 ln t)^(j-1) with its radii r0 (positivity) and rm."""
 
-    ledger: CoeffLedger
     poly: tuple[float, ...]  # p(tau) coefficients, tau = -2 ln t
     r0: float
     rm: float
@@ -110,7 +109,7 @@ def combined_kernel(ledger: CoeffLedger) -> CombinedKernel:
     else:
         tau_mono = _poly_largest_positive_root(dp)
         rm = r0 if tau_mono is None else min(r0, math.exp(-tau_mono / 2.0))
-    return CombinedKernel(ledger=ledger, poly=tuple(p), r0=r0, rm=rm)
+    return CombinedKernel(poly=tuple(p), r0=r0, rm=rm)
 
 
 def incomplete_log_integral(k: int, h, p: int = 0) -> float | np.ndarray:

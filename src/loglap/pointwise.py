@@ -15,6 +15,8 @@ per-direction upper limits at the support-box exit makes the tail integrals
 exact up to panel error (the integrand is smooth inside the box and
 identically zero beyond it).
 
+The angular rule is the pair of directions of the line in 1D and N_ANGLES
+midpoint angles in 2D, a module constant shared by every operator here.
 Antipodal directions are summed together, which realizes the principal-value
 symmetrization without a separate code path.  Evaluation of discontinuous
 data (indicators) is refused within the inner cut of any grid jump, since
@@ -22,12 +24,12 @@ the pointwise theory needs a Dini modulus at x.
 
 The batch operators take xs=None to mean every node of u.  On a 1D grid
 that is one lattice convolution: the same inner rule, binned by cell offset
-into moments of the spline's cell coefficients, and an outer integral exact
-per cell, applied to all nodes by FFT with an O(n) working set.  Points
-given explicitly, and every node of a 2D grid, go through one radial pass
-over fixed blocks of whole points' rays: each block forms its sample
-points, samples u, weights and sums them before the next, so the working
-set does not grow with the number of points.
+into moments (in cell units) of the spline's cell coefficients, and an
+outer integral exact per cell, applied to all nodes by FFT with an O(n)
+working set.  Points given explicitly, and every node of a 2D grid, go
+through one radial pass over fixed blocks of whole points' rays: each
+block forms its sample points, samples u, weights and sums them before the
+next, so the working set does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -74,15 +76,14 @@ class EvalReport:
 
     value: float
     truncation_bound: float
-    quadrature_panels: int
 
 
-def _directions(dim: int, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+def _directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     if dim == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    phi = 2.0 * math.pi * (np.arange(n_angles) + 0.5) / n_angles
+    phi = 2.0 * math.pi * (np.arange(N_ANGLES) + 0.5) / N_ANGLES
     thetas = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    weights = np.full(n_angles, 2.0 * math.pi / n_angles)
+    weights = np.full(N_ANGLES, 2.0 * math.pi / N_ANGLES)
     return thetas, weights
 
 
@@ -151,7 +152,7 @@ def _check_points(u: GridFunction, xs: np.ndarray) -> None:
     _check_dini_clearance(u, xs, INNER_CUT)
 
 
-def _radial_pass(u: GridFunction, xs: np.ndarray, n_angles: int, weight_of_tau, weight_of_sigma):
+def _radial_pass(u: GridFunction, xs: np.ndarray, weight_of_tau, weight_of_sigma):
     """Inner minus outer integral and u at the points, one block of whole points' rays at a time.
 
     A block holds the rays of _RAY_BLOCK // (rays per point) points, at least
@@ -160,7 +161,7 @@ def _radial_pass(u: GridFunction, xs: np.ndarray, n_angles: int, weight_of_tau, 
     the number of points.  Every sum runs along one point's own axes (tau or
     sigma nodes, then directions), so no value depends on its block.
     """
-    thetas, th_w = _directions(u.dim, n_angles)
+    thetas, th_w = _directions(u.dim)
     w_in = weight_of_tau(_INNER_TAU) * _INNER_W
     t_in = np.exp(-_INNER_TAU)
     un, uw = panel_rule(np.linspace(0.0, 1.0, OUTER_PANELS + 1), PANEL_ORDER)
@@ -188,17 +189,20 @@ def _radial_pass(u: GridFunction, xs: np.ndarray, n_angles: int, weight_of_tau, 
 def _lattice_pass(u: GridFunction, weight_of_tau, weight_of_sigma):
     """Inner minus outer integral at every node of a 1D grid, as correlations with the cell coefficients.
 
-    The interpolant is sum_p D[p, j] s^p on cell j.  A sample at x_i + y lies
-    in cell i + k, k = floor(y / h), at local position s = y - k h, and
+    The interpolant is sum_p D[p, j] s^p on cell j, in the cell's unit
+    coordinate s (cell_coefficients).  A sample at x_i + y lies at q = y / h
+    cell units from the node, in cell i + k, k = floor(q), at s = q - k, and
     k and s are the same for every node i.  So each integral bins its
     weights into a stencil S[p, k] of moments sum w s^p and correlates it
     with D by FFT; D is zero past the box, which is the zero extension.
-    The inner rule is the radial pass's, node for node.  The two cells
-    touching the node are summed in difference form, u(x_i) minus the
-    cubic, so small t does not cancel against u(x_i); at the end nodes,
-    where one of them lies outside the box, the difference is u(x_i) itself.
-    The outer integral over |t| >= 1 runs one Gauss panel per cell (split to
-    a ratio of at most 2 in t), which is exact up to round-off.
+    Every moment is a power of a number in [0, 1], so no power of h is
+    formed and extreme spacings stay finite.  The inner rule is the radial
+    pass's, node for node.  The two cells touching the node are summed in
+    difference form, u(x_i) minus the cubic, so small t does not cancel
+    against u(x_i); at the end nodes, where one of them lies outside the
+    box, the difference is u(x_i) itself.  The outer integral over
+    |t| >= 1 runs one Gauss panel per cell (split to a ratio of at most 2
+    in t), which is exact up to round-off.
     """
     n, h, u0 = u.shape[0], u.spacing[0], u.values
     coef = u.cell_coefficients()
@@ -212,22 +216,22 @@ def _lattice_pass(u: GridFunction, weight_of_tau, weight_of_sigma):
         hat = rfft(stencil[:, ::-1], fft_len, axis=1)
         return irfft(np.sum(hat * coef_hat, axis=0), fft_len)[n - 2:2 * n - 2]
 
-    # inner: both directions, the tau nodes twice
+    # inner: both directions, the tau nodes twice; sig is t in cell units
     w = weight_of_tau(_INNER_TAU) * _INNER_W
-    t = np.exp(-_INNER_TAU)
-    y = np.concatenate([t, -t])
-    k = np.floor(y / h)
-    near_plus, near_minus = t < h, t <= h  # k == 0 and k == -1
+    sig = np.exp(-_INNER_TAU) / h
+    q = np.concatenate([sig, -sig])
+    k = np.floor(q)
+    near_plus, near_minus = sig < 1.0, sig <= 1.0  # k == 0 and k == -1
     far = np.concatenate([~near_plus, ~near_minus])
     binned = far & (k >= kmin) & (k <= kmax)
     wy = np.concatenate([w, w])
-    in_pow = (y - k * h)[binned] ** np.arange(4)[:, None]
+    in_pow = (q - k)[binned] ** np.arange(4)[:, None]
     values = u0 * float(np.sum(wy[far])) - correlate(wy[binned], (k[binned] - kmin).astype(np.intp), in_pow)
-    # u(x_i) - u(x_i + t) on cell i and u(x_i) - u(x_i - t) on cell i - 1,
-    # as the p = 1..3 terms of the cubic's difference
-    tp, tm = t[near_plus], t[near_minus]
-    near_plus_pow = -np.stack([tp, tp ** 2, tp ** 3])
-    near_minus_pow = np.stack([tm, 2 * h * tm - tm ** 2, 3 * h * h * tm - 3 * h * tm ** 2 + tm ** 3])
+    # u(x_i) - u(x_i + t) on cell i (from s = 0) and u(x_i) - u(x_i - t) on
+    # cell i - 1 (from s = 1), as the p = 1..3 terms of the cubic's difference
+    sp, sm = sig[near_plus], sig[near_minus]
+    near_plus_pow = -np.stack([sp, sp ** 2, sp ** 3])
+    near_minus_pow = np.stack([sm, 2 * sm - sm ** 2, 3 * sm - 3 * sm ** 2 + sm ** 3])
     values[:-1] += (near_plus_pow @ w[near_plus]) @ coef[1:]
     values[1:] += (near_minus_pow @ w[near_minus]) @ coef[1:]
     values[0] += u0[0] * float(np.sum(w[near_minus]))
@@ -240,16 +244,16 @@ def _lattice_pass(u: GridFunction, weight_of_tau, weight_of_sigma):
     splits = 2.0 ** np.arange(1, math.ceil(math.log2(edges[0])) if edges.size else 1)
     t_bounds = np.concatenate([[1.0], splits, edges])
     sigma, sigma_w = panel_rule(np.log(t_bounds), PANEL_ORDER)
-    t_out = np.exp(sigma)
-    j = np.repeat(np.floor(0.5 * (t_bounds[:-1] + t_bounds[1:]) / h), PANEL_ORDER)
+    q_out, q_bounds = np.exp(sigma) / h, t_bounds / h
+    j = np.repeat(np.floor(0.5 * (q_bounds[:-1] + q_bounds[1:])), PANEL_ORDER)
     out_k = np.concatenate([j, -(j + 1)]).astype(np.intp) - kmin
-    out_pow = np.concatenate([t_out - j * h, (j + 1) * h - t_out]) ** np.arange(4)[:, None]
+    out_pow = np.concatenate([q_out - j, j + 1 - q_out]) ** np.arange(4)[:, None]
     w = weight_of_sigma(sigma) * sigma_w
     values -= correlate(np.concatenate([w, w]), out_k, out_pow)
     return values, u0, _INNER_BOUNDS.size - 1 + t_bounds.size - 1
 
 
-def _evaluate(u: GridFunction, xs, n_angles: int, weight_of_tau, weight_of_sigma):
+def _evaluate(u: GridFunction, xs, weight_of_tau, weight_of_sigma):
     """Inner integral (weight_of_tau) minus outer integral (weight_of_sigma), u at the points, and the panel count.
 
     The points are checked once.  xs None on a 1D grid is the lattice pass
@@ -260,7 +264,7 @@ def _evaluate(u: GridFunction, xs, n_angles: int, weight_of_tau, weight_of_sigma
     _check_points(u, points)
     if xs is None and u.dim == 1:
         return _lattice_pass(u, weight_of_tau, weight_of_sigma)
-    return _radial_pass(u, points, n_angles, weight_of_tau, weight_of_sigma)
+    return _radial_pass(u, points, weight_of_tau, weight_of_sigma)
 
 
 def _holder_bound_log(u: GridFunction, n: int, cut: float) -> float:
@@ -275,12 +279,12 @@ def _holder_bound_power(u: GridFunction, rate: float, cut: float) -> float:
     return omega(u.dim) * u.holder_constant * cut ** rate / rate
 
 
-def _log_term(u: GridFunction, xs, w, n_angles: int):
+def _log_term(u: GridFunction, xs, w):
     """sum_j w[j-1] K_j u at the points, u there, the Holder bound summed over the weights, the panels.
 
     The kernel is the polynomial w in 2 tau inside B1 and in -2 sigma outside.
     """
-    diff, u0, panels = _evaluate(u, xs, n_angles, lambda tau: polyval(2.0 * tau, w), lambda sig: polyval(-2.0 * sig, w))
+    diff, u0, panels = _evaluate(u, xs, lambda tau: polyval(2.0 * tau, w), lambda sig: polyval(-2.0 * sig, w))
     bound = sum(abs(wj) * _holder_bound_log(u, j, INNER_CUT) for j, wj in enumerate(w, 1))
     return diff, u0, bound, panels
 
@@ -289,22 +293,22 @@ def _log_term(u: GridFunction, xs, w, n_angles: int):
 # public operators
 
 
-def apply_K_batch(n: int, u: GridFunction, xs, n_angles: int = N_ANGLES):
+def apply_K_batch(n: int, u: GridFunction, xs):
     """K_n u(x) = int_{B1} (u(x)-u(y)) q_n dy - int_{|y-x|>1} u(y) q_n dy at many points, on the weights of q_n."""
-    values, _, bound, panels = _log_term(u, xs, order_weights(n), n_angles)
+    values, _, bound, panels = _log_term(u, xs, order_weights(n))
     return values, bound, panels
 
 
-def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None, n_angles: int = N_ANGLES):
+def apply_L_batch(m: int, u: GridFunction, xs, ledger: CoeffLedger | None = None):
     """Ledger combination sum_j alpha_j K_j u (with K_0 u = u) at many points."""
     led = ledger if ledger is not None else alpha_coeffs(m, u.dim)
     if led.m != m or led.dim != u.dim:
         raise PreconditionError("ledger order/dimension mismatch")
-    diff, u0, bound, panels = _log_term(u, xs, led.alpha[1:], n_angles)
+    diff, u0, bound, panels = _log_term(u, xs, led.alpha[1:])
     return led.alpha[0] * u0 + diff, bound, panels
 
 
-def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
+def frac_lap_batch(s: float, u: GridFunction, xs):
     """(-Delta)^s via the split c_{N,s} J-integral + kappa2(-s) u(x)."""
     if not 0.0 < s < 1.0:
         raise PreconditionError("fractional order must lie in (0, 1)")
@@ -312,18 +316,18 @@ def frac_lap_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
         raise PreconditionError(
             "declared Holder exponent must exceed 2s for the split singular integral"
         )
-    diff, u0, panels = _evaluate(u, xs, n_angles, lambda tau: np.exp(2.0 * s * tau), lambda sig: np.exp(-2.0 * s * sig))
+    diff, u0, panels = _evaluate(u, xs, lambda tau: np.exp(2.0 * s * tau), lambda sig: np.exp(-2.0 * s * sig))
     c = c_ns(s, u.dim)
     values = c * diff + kappa2_frac(s, u.dim) * u0
     bound = abs(c) * _holder_bound_power(u, u.holder_exponent - 2.0 * s, INNER_CUT)
     return values, bound, panels
 
 
-def riesz_batch(s: float, u: GridFunction, xs, n_angles: int = N_ANGLES):
+def riesz_batch(s: float, u: GridFunction, xs):
     """Phi_s * u via the compensated split kappa_{N,s} I-integral + kappa2(s) u(x)."""
     if not 0.0 < s < u.dim / 2.0:
         raise PreconditionError("Riesz order must lie in (0, N/2)")
-    diff, u0, panels = _evaluate(u, xs, n_angles, lambda tau: np.exp(-2.0 * s * tau), lambda sig: np.exp(2.0 * s * sig))
+    diff, u0, panels = _evaluate(u, xs, lambda tau: np.exp(-2.0 * s * tau), lambda sig: np.exp(2.0 * s * sig))
     kap = kappa_ns(s, u.dim)
     # I[u](x, y) = u(y) - u(x) inside B_1: the sign-flipped inner difference
     values = kap * -diff + kappa2_riesz(s, u.dim) * u0
@@ -342,13 +346,15 @@ def _segment_panels(a: float, b: float):
     return panel_rule(np.linspace(la, lb, n + 1), PANEL_ORDER)
 
 
-def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int = N_ANGLES) -> EvalReport:
+def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec) -> EvalReport:
     """K_m u(x) through the domain-split form with the h_{m,Omega} correction.
 
     T1 = int_Omega (u(x)-u(y)) q_m dy,  T2 = -int_{R^N \\ Omega} u(y) q_m dy,
     h term = h_{m,Omega}(x) u(x).  T1 and T2 run log-coordinate panels along
-    rays from x between the exact domain crossings, independently of the
-    batch operators; the h term is the closed form of h_regional.
+    rays from x between the exact domain crossings, on the batch operators'
+    angular rule but independently of their radial rules; the h term is the
+    closed form of h_regional.  Returns the value and its Holder remainder
+    bound.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if domain.dim != u.dim:
@@ -359,13 +365,12 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
     if not domain.contains(x):
         raise PreconditionError("evaluation point must lie inside the domain")
 
-    thetas, th_w = _directions(u.dim, n_angles)
+    thetas, th_w = _directions(u.dim)
     _, exit_t = ray_box(x, thetas.T, u.box_lo, u.box_hi)
     u0 = float(_sample(u, x))
     w = order_weights(m)
 
     total = 0.0
-    panels = 0
     for it, (theta, segs) in enumerate(zip(thetas, domain.ray_segments(x, thetas))):
         if not segs or segs[0][0] > 1e-14:
             raise PreconditionError("evaluation point sits on the domain boundary")
@@ -401,14 +406,13 @@ def regional_repr(m: int, u: GridFunction, x, domain: DomainSpec, n_angles: int 
             vals = _sample(u, x + t_nodes[:, None] * theta)
             f = (u0 - vals) if inside else (-vals)
             total += th_w[it] * float(np.sum(f * kernel * wts))
-            panels += len(wts) // PANEL_ORDER
 
-    value = total + h_regional(m, x, domain, u.dim, n_angles) * u0
+    value = total + h_regional(m, x, domain) * u0
     bound = _holder_bound_log(u, m, INNER_CUT)
-    return EvalReport(float(value), bound, panels)
+    return EvalReport(float(value), bound)
 
 
-def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES) -> float:
+def h_regional(m: int, x, domain: DomainSpec) -> float:
     """h_{m,Omega}(x) = int_{B1(x) \\ Omega} q_m - int_{Omega \\ B1(x)} q_m, in closed form on every ray at once.
 
     Along a ray q_m t^(N-1) dt = dP with P = radial_antiderivative, so the
@@ -416,9 +420,9 @@ def h_regional(m: int, x, domain: DomainSpec, dim: int, n_angles: int = N_ANGLES
     spans; the divergent P(0) cancels on the piece that holds x.  Each ray sums
     P(lower) - P(t_out) over the pieces it crosses, with lower = 1 on the
     piece holding x and t_in on every other.  The angular sum is the rule
-    of _directions (exact in 1D).
+    of _directions in the domain's dimension (exact in 1D).
     """
-    thetas, th_w = _directions(dim, n_angles)
+    thetas, th_w = _directions(domain.dim)
     t_in, t_out = domain.ray_spans(x, thetas)
     hit = t_out > t_in
     if not np.all(np.any(hit & (t_in == 0.0), axis=0)):

@@ -406,6 +406,59 @@ def test_spacing_beyond_the_holder_sample_range_is_a_valid_grid(tmp_path, method
     assert json.loads(out.read_text())["shape"] == [3]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("op", [["L", "--m", "1"], ["K", "--m", "2"], ["fraclap", "--s", "0.3"], ["riesz", "--s", "0.2"]],
+                         ids=["L1", "K2", "fraclap", "riesz"])
+@pytest.mark.parametrize("origin, spacing, const", [(-1.0, 2.5e299, 1.0), (0.0, 1e-120, 1e300), (-1.0, 2e307, 1.0)],
+                         ids=["spacing-2.5e299", "spacing-1e-120", "spacing-2e307"])
+def test_extreme_spacing_quad_apply_is_finite(tmp_path, op, origin, spacing, const):
+    # the lattice pass divided the cell coefficients by h^p and formed (t - j h)^p: it warned of
+    # overflow and invalid values, then exited 3 on its own non-finite output; at spacing 2e307 the
+    # sum of two cell edges overflowed and bincount raised a ValueError
+    grid = {"dim": 1, "origin": [origin], "spacing": [spacing], "shape": [8],
+            "holder": {"alpha": 1.0, "const": const}, "values": [0.0, 0.1, 0.4, 0.9, 0.9, 0.4, 0.1, 0.0]}
+    path, out = tmp_path / "grid.json", tmp_path / "out.json"
+    path.write_text(json.dumps(grid))
+    assert main(["apply", "--op", *op, "--method", "quad", "--grid", str(path), "--out", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    assert len(values) == 8 and all(math.isfinite(v) for v in values)
+
+
+def _first_eigenvalue(tmp_path, piece) -> float:
+    path, out = tmp_path / "domain.json", tmp_path / "eig.csv"
+    path.write_text(json.dumps({"dim": 2, "pieces": [piece]}))
+    assert main(["eig", "--form", "I", "--m", "1", "--domain", str(path), "--cells", "10", "--count", "1",
+                 "--out", str(out)]) == 0
+    return float(_read_csv(out)[1][0][1])
+
+
+@pytest.mark.parametrize("kind", ["disk", "square"])
+def test_tiny_domains_continue_the_decade_step(tmp_path, kind):
+    # below a measure of about 1e-20 the residual bound, fixed at 1e-6 |K| while Kv grows like
+    # |Omega|^(-1/2), fell below rounding: r = 1e-10 exited 4
+    def piece(r, c=0.0):
+        if kind == "disk":
+            return {"type": "disk", "cx": c, "cy": c, "r": r}
+        return {"type": "rect", "x0": c, "y0": c, "x1": c + r, "y1": c + r}
+
+    lam = [_first_eigenvalue(tmp_path, piece(r)) for r in (1e-8, 1e-9, 1e-10)]
+    assert lam[2] == pytest.approx(2.0 * lam[1] - lam[0], rel=1e-4)
+    if kind == "disk":  # cells of about 3000 ulps of their coordinates resolve the same disk
+        assert _first_eigenvalue(tmp_path, piece(1e-12, 1.0)) == pytest.approx(_first_eigenvalue(tmp_path, piece(1e-12)),
+                                                                              rel=1e-4)
+
+
+@pytest.mark.parametrize("cx, cy, r", [(1.0, 1.0, 2e-16), (1000.0, 0.0, 1e-11)])
+def test_unresolvable_tiny_disk_exit_code(tmp_path, capsys, cx, cy, r):
+    # cells a fraction of an ulp (or 58 ulps) of their coordinates wide: their bounds are rounding, and
+    # r = 2e-16 at (1, 1) gave lambda_1 = 61.65 against 146.11 for the same disk at the origin
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "pieces": [{"type": "disk", "cx": cx, "cy": cy, "r": r}]}))
+    assert main(["eig", "--form", "I", "--m", "1", "--domain", str(bad), "--cells", "10", "--count", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "too narrow to resolve" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("piece, message", [
     ({"type": "interval", "a": -_BEYOND_FLOAT, "b": 0.25}, "malformed domain file"),
     ({"type": "interval", "a": -1e308, "b": 1e-300}, "diameter must be finite"),

@@ -285,3 +285,14 @@ def test_json_round_trip():
     assert d2.measure() == pytest.approx(d.measure(), rel=1e-15)
     with pytest.raises(PreconditionError):
         domain_from_dict({"dim": 1, "pieces": [{"type": "blob"}]})
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: mesh_intervals(DomainSpec(1, (Interval(1.0, 1.0 + w),)), 10),
+    lambda w: mesh_rectangles(DomainSpec(2, (Rect(1.0, -1.0, 1.0 + w, -1.0 + w),)), w / 10),
+], ids=["intervals", "rectangles"])
+def test_meshes_refuse_cells_narrower_than_1000_ulps(build):
+    # the grid's spacing rule: a cell side below 1000 ulps of the largest coordinate magnitude
+    assert build(1e-11).n_cells >= 10  # sides of 1e-12, 4500 ulps of 1.0
+    with pytest.raises(PreconditionError, match="too narrow to resolve"):
+        build(1e-12)  # sides of 1e-13, 450 ulps

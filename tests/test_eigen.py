@@ -1,5 +1,6 @@
 """Galerkin forms and eigensolving: assembly oracles, variational facts, scaling."""
 
+import dataclasses
 import json
 import math
 import re
@@ -167,6 +168,17 @@ def test_uniform_pair_matrix_allocates_one_matrix():
     assert peak < 1.5 * 8 * mesh.n_cells ** 2
 
 
+@pytest.mark.parametrize("r", [0.4, 1e-10])
+def test_pair_check_catches_a_relative_eigenvalue_error_at_any_scale(r):
+    # the residual bound scales with max|v|, which grows like |Omega|^(-1/2): a bound fixed at
+    # 1e-6 |K| refused every eigenpair of the r = 1e-10 disk and would pass any error on it
+    dom = DomainSpec(2, (Disk(0.0, 0.0, r),))
+    mats = assemble("I", alpha_coeffs(1, 2), mesh_rectangles(dom, dom.diameter() / 3))
+    res = eigensolve(mats, 2)
+    with pytest.raises(NumericalError, match="residual"):
+        eigen._check_pairs(mats, res.eigenvalues * (1.0 + 1e-4), res.vectors)
+
+
 def test_pair_check_allocates_no_matrix_temporary():
     # the residual scale (max row sum of |K|) is reduced over row blocks
     mesh = mesh_intervals(DomainSpec(1, (Interval(-0.6, 0.6),)), 1200)
@@ -299,7 +311,7 @@ def test_stiffness_is_exactly_symmetric(dim):
         assert any(c[4] for c in wide.cells) and any(c[4] for c in small.cells)
     assert wide.domain.diameter() >= 1.0  # the convolution part is assembled too
     led = alpha_coeffs(2, dim)
-    for mats in (assemble("I", led, wide), assemble("G", None, wide, order=2), assemble("Q", led, small)):
+    for mats in (assemble("I", led, wide), assemble("G", led, wide), assemble("Q", led, small)):
         assert np.array_equal(mats.stiffness, mats.stiffness.T)
 
 
@@ -307,7 +319,7 @@ def test_first_order_form_decomposes_into_g_plus_mass():
     led = alpha_coeffs(1, 1)
     mesh = mesh_intervals(QUARTER, 50)
     mats_i = assemble("I", led, mesh)
-    mats_g = assemble("G", None, mesh, order=1)
+    mats_g = assemble("G", led, mesh)
     recon = led.alpha[0] * np.diag(mats_i.mass) + led.alpha[1] * mats_g.stiffness
     assert np.allclose(mats_i.stiffness, recon, atol=1e-13 * np.max(np.abs(mats_i.stiffness)))
 
@@ -325,6 +337,18 @@ def test_assemble_preconditions():
         assemble("X", led, mesh)
     with pytest.raises(PreconditionError):
         assemble("I", None, mesh)
+
+
+@pytest.mark.parametrize("form", ["I", "G", "Q"])
+def test_assemble_refuses_a_ledger_of_another_dimension(form):
+    # alpha depends on N: on the 0.3 square at h = 0.05 the 1D ledger gave lambda_1 = 82.61 against 49.38
+    meshes = {1: mesh_intervals(DomainSpec(1, (Interval(-0.2, 0.2),)), 20),
+              2: mesh_rectangles(DomainSpec(2, (Rect(-0.1, -0.1, 0.1, 0.1),)), 0.05)}
+    for dim, mesh in meshes.items():
+        for ledger in (alpha_coeffs(2, 3 - dim), None):
+            with pytest.raises(PreconditionError, match="ledger of the mesh's dimension"):
+                assemble(form, ledger, mesh)
+        assert assemble(form, alpha_coeffs(2, dim), mesh).n == mesh.n_cells
 
 
 def test_q_form_positive_semidefinite():
@@ -387,7 +411,12 @@ def test_psd_check_accepts_exactly_the_margin():
 
 def test_indefinite_q_stiffness_is_a_numerical_error(monkeypatch, tmp_path):
     real = eigen._difference_matrix
-    monkeypatch.setattr(eigen, "_difference_matrix", lambda w, mesh: -real(w, mesh))
+
+    def negated(w, mesh):
+        parts = real(w, mesh)
+        return dataclasses.replace(parts, diag=-parts.diag, table=-parts.table, off=-parts.off)
+
+    monkeypatch.setattr(eigen, "_difference_matrix", negated)
     led = alpha_coeffs(2, 1)
     mesh = mesh_intervals(QUARTER, 60)
     stiff = -real(led.alpha[1:], mesh).toarray() + (led.alpha[0] + _q_shift(led)) * np.diag(mesh.cell_measure)
@@ -532,7 +561,7 @@ def _operator_mesh(name, scale):
 def test_stiffness_operator_matches_the_dense_matrix(form, name):
     mesh = _operator_mesh(name, 0.4 if form == "Q" else 1.0)
     led = alpha_coeffs(2, mesh.domain.dim)
-    mats = assemble(form, led, mesh) if form != "G" else assemble("G", None, mesh, order=2)
+    mats = assemble(form, led, mesh)
     K = mats.stiffness
     assert np.array_equal(K, K.T)
     if name == "disk-88":
@@ -780,10 +809,13 @@ def test_2d_rect_assembly_and_eigensolve():
     assert np.all(v >= -1e-6 * np.max(np.abs(v)))
 
 
-def test_2d_whole_domain_energy_cross_check():
+def test_2d_whole_domain_energy_cross_check(monkeypatch):
     # (1_Omega, 1_Omega)_1 = 2 int_Omega int_{B1(x) \ Omega} q_1, computed
     # independently from the ray geometry of the domain itself
+    from loglap import pointwise
     from loglap.pointwise import h_regional
+
+    monkeypatch.setattr(pointwise, "N_ANGLES", 96)
 
     dom = DomainSpec(2, (Rect(-0.2, -0.15, 0.2, 0.15),))
     mesh = mesh_rectangles(dom, 0.05)
@@ -798,7 +830,7 @@ def test_2d_whole_domain_energy_cross_check():
     acc = 0.0
     for xv in xs:
         for yv in ys:
-            acc += h_regional(1, [xv, yv], dom, dim=2, n_angles=96)
+            acc += h_regional(1, [xv, yv], dom)
     area_cell = (0.4 / nx) * (0.3 / ny)
     rhs = 2.0 * acc * area_cell
     assert lhs == pytest.approx(rhs, rel=2e-2)

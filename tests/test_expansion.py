@@ -9,7 +9,6 @@ import pytest
 from loglap import NumericalError, PreconditionError
 from loglap.expansion import (
     DEFAULT_S_SAMPLES,
-    RemainderStudy,
     _central_region,
     _exp_tail,
     remainder,
@@ -146,24 +145,6 @@ def test_quotient_convergence_to_log_operator(bump, m):
 def test_study_refuses_negative_orders(bump, side, n):
     with pytest.raises(PreconditionError, match="expansion order"):
         run_study(side, n, bump, s0=0.5)
-
-
-def test_study_requires_enough_samples(bump):
-    with pytest.raises(PreconditionError):
-        run_study("fraclap", 1, bump, s_samples=(0.1, 0.05, 0.025))
-
-
-def test_study_sample_ordering_enforced():
-    with pytest.raises(PreconditionError):
-        RemainderStudy(
-            side="fraclap",
-            n=1,
-            s0=0.0,
-            s_samples=(0.01, 0.1),
-            sup_norms=(1.0, 1.0),
-            l2_norms=(1.0, 1.0),
-            fitted_slope=2.0,
-        )
 
 
 # -- the exponential tail against a high-precision oracle ------------------------

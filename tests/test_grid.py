@@ -132,7 +132,7 @@ def test_saved_values_read_back_bit_for_bit(tmp_path, shape, order):
     path = tmp_path / "u.json"
     save_grid(u, path)
     text = path.read_bytes()
-    assert np.array_equal(_bits(load_grid(path, validate=False).values), _bits(rows))
+    assert np.array_equal(_bits(grid_from_dict(json.loads(text)).values), _bits(rows))
     data = json.loads(text)
     assert np.array_equal(_bits(data["values"]), _bits(rows))
     assert data == grid_to_dict(u)  # the header fields too
@@ -146,7 +146,7 @@ def test_saved_strided_values_read_back(tmp_path):
     u = GridFunction(1, (0.0,), (0.1,), (8,), every_other, 1.0, 1.0)
     assert not u.values.flags.c_contiguous
     save_grid(u, tmp_path / "u.json")
-    assert np.array_equal(_bits(load_grid(tmp_path / "u.json", validate=False).values), _bits(every_other))
+    assert np.array_equal(_bits(grid_from_dict(json.loads((tmp_path / "u.json").read_text())).values), _bits(every_other))
 
 
 @pytest.mark.parametrize("origin, spacing, ok", [
@@ -210,7 +210,7 @@ def test_cell_coefficients_reproduce_the_interpolant(n):
     rng = np.random.default_rng(2)
     x = rng.uniform(u.origin[0], u.box_hi[0], 200)
     j = np.minimum(((x - u.origin[0]) // h).astype(int), n - 2)
-    s = x - u.axes()[0][j]
+    s = (x - u.axes()[0][j]) / h
     local = sum(D[p, j] * s ** p for p in range(4))
     assert np.allclose(local, u(x), rtol=0, atol=1e-13)
     assert np.allclose(D[0], u.values[:-1], rtol=0, atol=1e-15)

@@ -168,7 +168,8 @@ def test_radii_match_mpmath_roots(m, N):
 
 @pytest.mark.parametrize("m,N", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_kernel_positive_and_monotone_inside_radii(m, N):
-    ck = combined_kernel(alpha_coeffs(m, N))
+    led = alpha_coeffs(m, N)
+    ck = combined_kernel(led)
     h = lambda t: polyval(-2.0 * np.log(t), ck.poly)  # h_m(t) = p(tau) from its weight vector
     ts = np.linspace(1e-9, ck.r0 * (1 - 1e-6), 1000)
     vals = h(ts)
@@ -177,7 +178,7 @@ def test_kernel_positive_and_monotone_inside_radii(m, N):
     vm = h(tm)
     assert np.all(np.diff(vm) <= 1e-12 * np.max(np.abs(vm)))
     if ck.r0 < 1.0:
-        scale = max(1.0, float(np.max(np.abs(ck.ledger.alpha))))
+        scale = max(1.0, float(np.max(np.abs(led.alpha))))
         assert abs(float(h(ck.r0))) <= 1e-8 * scale
 
 

@@ -259,7 +259,7 @@ def test_riesz_first_order_limit(wide_bump):
 
 def test_h_regional_unit_ball_is_zero():
     dom = DomainSpec(1, (Interval(-1.0, 1.0),))
-    assert h_regional(2, [0.0], dom, dim=1) == pytest.approx(0.0, abs=1e-14)
+    assert h_regional(2, [0.0], dom) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -267,14 +267,14 @@ def test_h_regional_unit_ball_is_zero():
 def test_h_regional_small_ball_closed_form(m, r):
     dom = DomainSpec(1, (Interval(-r, r),))
     expect = omega(1) * (-2.0 * math.log(r)) ** m / (2.0 * m)
-    assert h_regional(m, [0.0], dom, dim=1) == pytest.approx(expect, rel=1e-13)
+    assert h_regional(m, [0.0], dom) == pytest.approx(expect, rel=1e-13)
 
 
 def test_h_regional_disk_closed_form():
     r = 0.4
     dom = DomainSpec(2, (Disk(0.0, 0.0, r),))
     expect = omega(2) * (-2.0 * math.log(r)) ** 2 / 4.0
-    assert h_regional(2, [0.0, 0.0], dom, dim=2) == pytest.approx(expect, rel=1e-12)
+    assert h_regional(2, [0.0, 0.0], dom) == pytest.approx(expect, rel=1e-12)
 
 
 def _ray_h_by_quad(m, dom, x, theta, t_max=2.0, steps=600):
@@ -321,15 +321,15 @@ def test_h_regional_matches_quad_along_each_ray_on_unions(m, pieces, x):
         phi = 2.0 * math.pi * (np.arange(64) + 0.5) / 64
         thetas, weights = np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(64, 2.0 * math.pi / 64)
     expect = sum(wt * _ray_h_by_quad(m, dom, x, theta) for theta, wt in zip(thetas, weights))
-    assert h_regional(m, x, dom, dim=dom.dim) == pytest.approx(expect, rel=1e-11, abs=1e-12)
+    assert h_regional(m, x, dom) == pytest.approx(expect, rel=1e-11, abs=1e-12)
 
 
 def test_h_regional_rejects_points_outside_the_open_domain():
     dom = DomainSpec(1, (Interval(-1.0, 0.0), Interval(0.0, 0.5)))
-    assert h_regional(1, [0.0], dom, dim=1) == pytest.approx(h_regional(1, [0.0], DomainSpec(1, (Interval(-1.0, 0.5),)), dim=1))
+    assert h_regional(1, [0.0], dom) == pytest.approx(h_regional(1, [0.0], DomainSpec(1, (Interval(-1.0, 0.5),))))
     for x in ([0.5], [0.7]):
         with pytest.raises(PreconditionError, match="outside the open domain"):
-            h_regional(1, x, dom, dim=1)
+            h_regional(1, x, dom)
 
 
 def test_regional_equals_apply_k_within_budgets():
@@ -372,11 +372,12 @@ def test_regional_nested_point_rejected():
         regional_repr(1, u, [[0.1]], dom)
 
 
-def test_regional_2d_disk_matches_apply_k():
+def test_regional_2d_disk_matches_apply_k(monkeypatch):
+    monkeypatch.setattr(pointwise, "N_ANGLES", 128)
     u = gaussian_bump(dim=2, halfwidth=1.5, nodes=96, width=0.4)
     dom = DomainSpec(2, (Disk(0.0, 0.0, 1.2),))
-    ra = regional_repr(1, u, [0.2, -0.1], dom, n_angles=128)
-    values, bound, _ = apply_K_batch(1, u, [0.2, -0.1], n_angles=128)
+    ra = regional_repr(1, u, [0.2, -0.1], dom)
+    values, bound, _ = apply_K_batch(1, u, [0.2, -0.1])
     assert ra.value == pytest.approx(values[0], abs=ra.truncation_bound + bound + 1e-6)
 
 
@@ -493,10 +494,11 @@ def test_dini_clearance_still_refuses_points_at_a_jump_or_a_nonzero_face(dim):
         pointwise._check_dini_clearance(face, np.vstack([safe, near_face]), cut)
 
 
-def test_none_in_2d_means_every_node():
+def test_none_in_2d_means_every_node(monkeypatch):
+    monkeypatch.setattr(pointwise, "N_ANGLES", 8)
     u = gaussian_bump(dim=2, halfwidth=1.0, nodes=5, width=0.5)
-    every, _, _ = apply_L_batch(1, u, None, n_angles=8)
-    explicit, _, _ = apply_L_batch(1, u, u.nodes(), n_angles=8)
+    every, _, _ = apply_L_batch(1, u, None)
+    explicit, _, _ = apply_L_batch(1, u, u.nodes())
     assert np.array_equal(every, explicit)
 
 
@@ -506,13 +508,14 @@ def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, dim, nodes):
     # points on a 1D grid, runs one block per point; the values are those of
     # the default blocks bit for bit, and the traced peak over all points
     # stays near the peak of one block's points
+    monkeypatch.setattr(pointwise, "N_ANGLES", 16)
     if dim == 2:
         u = gaussian_bump(dim=2, halfwidth=1.0, nodes=nodes, width=0.5)
         xs, rays = u.nodes(), 16
     else:
         u = gaussian_derivative_bump(dim=1, halfwidth=4.0, nodes=256, width=0.8)
         xs, rays = u.nodes()[np.linspace(3, 252, nodes).astype(int)], 2
-    whole, _, _ = apply_L_batch(2, u, xs, n_angles=16)  # default blocks; builds the interpolant
+    whole, _, _ = apply_L_batch(2, u, xs)  # default blocks; builds the interpolant
     assert pointwise._RAY_BLOCK >= 2 * rays
     monkeypatch.setattr(pointwise, "_RAY_BLOCK", rays)
     blocks = []
@@ -527,7 +530,7 @@ def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, dim, nodes):
     for pts in (xs[:1], None if dim == 2 else xs):
         tracemalloc.start()
         try:
-            blocked, _, _ = apply_L_batch(2, u, pts, n_angles=16)
+            blocked, _, _ = apply_L_batch(2, u, pts)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -537,15 +540,16 @@ def test_radial_chunks_bound_memory_and_keep_values(monkeypatch, dim, nodes):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_one_point_values_equal_batched_values(dim):
+def test_one_point_values_equal_batched_values(monkeypatch, dim):
     # the radial sums run along fixed axes, so a point's value does not
     # depend on how many other points share its batch
+    monkeypatch.setattr(pointwise, "N_ANGLES", 16)
     u = gaussian_derivative_bump(dim=dim, halfwidth=4.0, nodes=256 if dim == 1 else 32, width=0.8)
     nodes = u.nodes()
     xs = nodes[np.linspace(3, len(nodes) - 4, 37 if dim == 1 else 8).astype(int)]
     for batch_op, p in [(apply_L_batch, 2), (riesz_batch, 0.3), (frac_lap_batch, 0.3)]:
-        batched, _, _ = batch_op(p, u, xs, n_angles=16)
-        single = np.array([batch_op(p, u, x, n_angles=16)[0][0] for x in xs])
+        batched, _, _ = batch_op(p, u, xs)
+        single = np.array([batch_op(p, u, x)[0][0] for x in xs])
         assert np.array_equal(single, batched), batch_op.__name__
 
 
@@ -553,7 +557,8 @@ def test_one_point_values_equal_batched_values(dim):
 # two-dimensional quadrature vs the spectral oracle
 
 
-def test_2d_operators_match_spectral():
+def test_2d_operators_match_spectral(monkeypatch):
+    monkeypatch.setattr(pointwise, "N_ANGLES", 96)
     u = gaussian_derivative_bump(dim=2, halfwidth=6.0, nodes=192, width=0.8)
     ax = u.axes()[0]
     sel = [96 + k for k in (-12, -5, 0, 7, 13)]
@@ -563,11 +568,11 @@ def test_2d_operators_match_spectral():
             ("riesz", 0.1): apply_symbol(u, "riesz", 0.1)}
     for (kind, p), ref in refs.items():
         if kind == "L":
-            vals, _, _ = apply_L_batch(p, u, xs, n_angles=96)
+            vals, _, _ = apply_L_batch(p, u, xs)
         elif kind == "frac":
-            vals, _, _ = frac_lap_batch(p, u, xs, n_angles=96)
+            vals, _, _ = frac_lap_batch(p, u, xs)
         else:
-            vals, _, _ = riesz_batch(p, u, xs, n_angles=96)
+            vals, _, _ = riesz_batch(p, u, xs)
         refv = np.array([ref.values[i, j] for i in sel for j in sel])
         rel = np.max(np.abs(vals - refv)) / np.max(np.abs(ref.values))
         assert rel < 1e-3, (kind, p, rel)
