@@ -177,7 +177,7 @@ class DomainSpec:
             for q in self.pieces[i + 1 :]:
                 if _pieces_overlap(p, q):
                     raise PreconditionError("domain pieces must be pairwise disjoint")
-        with np.errstate(over="ignore"):  # coordinates beyond 1e154 apart overflow the norm
+        with np.errstate(over="ignore"):  # coordinates beyond 1.8e308 apart overflow their difference
             if not math.isfinite(self.diameter()):
                 raise PreconditionError("domain diameter must be finite")
         object.__setattr__(self, "pieces", tuple(self.pieces))
@@ -193,11 +193,11 @@ class DomainSpec:
 
     def diameter(self) -> float:
         pairs = itertools.combinations_with_replacement(self._extremal_points(), 2)
-        return max(float(np.linalg.norm(pi - pj)) + ri + rj for (pi, ri), (pj, rj) in pairs)
+        return max(math.hypot(*(pi - pj)) + ri + rj for (pi, ri), (pj, rj) in pairs)
 
     def bounding_radius(self) -> float:
         """sup |x| over the domain: containment radius in the origin-centered ball."""
-        return max(float(np.linalg.norm(p)) + r for p, r in self._extremal_points())
+        return max(math.hypot(*p) + r for p, r in self._extremal_points())
 
     def centroid(self) -> np.ndarray:
         return sum(p.measure * p.center() for p in self.pieces) / self.measure()
@@ -348,7 +348,7 @@ def mesh_intervals(domain: DomainSpec, n_cells: int) -> Mesh:
     if domain.dim != 1:
         raise PreconditionError("interval meshes are one-dimensional")
     total = domain.measure()
-    counts = [max(1, round(n_cells * p.measure / total)) for p in domain.pieces]
+    counts = [max(1, round(n_cells * (p.measure / total))) for p in domain.pieces]  # n_cells * measure can overflow
     edges = [np.linspace(p.a, p.b, cnt + 1) for p, cnt in zip(domain.pieces, counts)]
     cells = np.concatenate([np.column_stack([e[:-1], e[1:]]) for e in edges])
     return _resolved(Mesh(domain=domain, cells=cells, cell_measure=cells[:, 1] - cells[:, 0]))

@@ -30,13 +30,15 @@ scattered to those positions, applied by FFT.  Off is a symmetric CSR
 matrix of the pairs that touch an off-lattice cell.  S and A share the
 lattice, so I_m's parts are -2 table_S - table_A, -2 Off_S - Off_A and d.
 Storage is O(n) on lattice meshes.  FormMatrices holds the parts and the
-mass diagonal; its stiffness, the dense matrix, is built on first access.
-The Q form's PSD check (a Cholesky factorization) and dense eigh use it.
+mass diagonal.
 
 The lowest k eigenpairs of (stiffness, mass) come from Lanczos iteration
 (ARPACK) on the operator M^-1/2 K M^-1/2, started from a fixed-seed normal
 vector so that results are deterministic and modes of either parity are
-reached on symmetric domains; dense eigh serves only k >= n - 1.
+reached on symmetric domains; dense eigh on the n x n matrix, the only one
+any form builds, serves only k >= n - 1.  The Q form's PSD check is the
+same solve at k = 1: M is a positive diagonal, so K is PSD exactly when
+lambda_min(K, M) >= 0.
 Eigenvectors are mass-orthonormal with the largest-magnitude entry made
 positive.  The residual check applies K from its parts too, and bounds
 each pair's residual by its relative backward error, 1e-6 |K| max|v|.
@@ -122,6 +124,7 @@ _FORM_KINDS = ("I", "G", "Q")
 _GRADING = np.array([0.0, 1.0 / 1024.0, 1.0 / 256.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0])  # toward near targets
 _SELF_ORDER = 8  # clipped self-energy: box Gauss points per axis
 _SELF_ANGLE_ORDER = 10  # clipped self-energy: angular Gauss points per panel
+_NEAR_ANGLE_ORDER = 10  # near pairs with a clipped cell: angular Gauss points per wedge panel
 _BOX_SELF_ORDER = 24  # unclipped self-energy: angular Gauss points per panel (12 leaves an aspect-5 box up to 3e-10 off)
 _CHUNK = 1 << 13  # elements per chunk: point pairs of a far sum, rays of a near pair, 1D closed-form pairs
 _PAIR_BLOCK = 1 << 18  # candidate pairs per row block of the off-lattice pair search
@@ -189,21 +192,12 @@ class StiffnessParts:
         return replace(self, diag=self.diag - other.diag, table=self.table - other.table, off=self.off - other.off)
 
     def toarray(self) -> np.ndarray:
-        """The dense n x n matrix: the lattice block filled from the table, then Off and the diagonal.
-
-        The lattice block is a Toeplitz view of the table when the lattice
-        is one contiguous run, one row of table values per lattice cell
-        otherwise.
-        """
+        """The dense n x n matrix: the lattice block, one row of table values per lattice cell, then Off and the diagonal."""
         n, members, pos = self.diag.size, self.members, self.pos
         K = np.zeros((n, n))
         top = self.table.size // 2
-        if members[-1] - members[0] == pos.size - 1 and np.array_equal(pos, np.arange(pos.size)):
-            block = slice(members[0], members[-1] + 1)
-            K[block, block] = np.lib.stride_tricks.sliding_window_view(self.table, pos.size)[::-1]
-        else:
-            for row, a in zip(members, pos):
-                K[row, members] = self.table[top - a + pos]
+        for row, a in zip(members, pos):
+            K[row, members] = self.table[top - a + pos]
         off = self.off.tocoo()
         K[off.coords] = off.data
         K[np.diag_indices(n)] = self.diag
@@ -212,17 +206,14 @@ class StiffnessParts:
 
 @dataclass(frozen=True)
 class FormMatrices:
+    """A form's stiffness K as parts (StiffnessParts) and its diagonal mass M; parts.toarray() is the dense K."""
+
     parts: StiffnessParts = field(repr=False)
     mass: np.ndarray  # diagonal entries (cell measures)
 
     @property
     def n(self) -> int:
         return self.mass.size
-
-    @functools.cached_property
-    def stiffness(self) -> np.ndarray:
-        """The dense stiffness matrix, built from the parts on first access."""
-        return self.parts.toarray()
 
 
 @dataclass(frozen=True)
@@ -356,7 +347,7 @@ def _chord_rule(boxes, disk: Disk, order):
     return np.where(flip, v, u).reshape(shape), np.where(flip, u, v).reshape(shape), wts.reshape(shape)
 
 
-def _outer_rule(cell, disk, order, grade=(0, 0)):
+def _outer_rule(cell, disk, order, grade):
     """Points and weights on a cell, graded toward a near target (_sub_boxes).
 
     Tensor Gauss on the sub-boxes of an unclipped box; the chord rule on
@@ -381,7 +372,7 @@ def _circle_crossings(cell, disk):
     return np.where(vertical, edge[:, None], along)[hit], np.where(vertical, along, edge[:, None])[hit]
 
 
-def _wedge_rule(px, py, cell, order, extra=((), ())):
+def _wedge_rule(px, py, cell, order, extra):
     """Angular Gauss nodes covering the wedge a rectangle subtends from p.
 
     The radial entry/exit of a ray into a convex box is smooth in the angle
@@ -413,17 +404,17 @@ def _cell_span(p, d, cell, disk):
     return t_in, t_out
 
 
-def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi, order=10):
+def _inner_cell_integral_2d(w, px, py, target_cell, disk, lo, hi):
     """int_{C_l, lo<|p-y|<hi} k_w(p - y) dy per point p, by wedge angles and exact radii.
 
     The points run in chunks of at most _CHUNK rays.
     """
     extra = _circle_crossings(target_cell, disk) if disk is not None and target_cell[4] else ((), ())
-    step = max(1, _CHUNK // ((3 + len(extra[0])) * order))
+    step = max(1, _CHUNK // ((3 + len(extra[0])) * _NEAR_ANGLE_ORDER))
     out = np.empty(px.size)
     for s in range(0, px.size, step):
         x, y = px[s : s + step], py[s : s + step]
-        phi, wts = _wedge_rule(x, y, target_cell, order, extra)
+        phi, wts = _wedge_rule(x, y, target_cell, _NEAR_ANGLE_ORDER, extra)
         t_in, t_out = _cell_span((x[:, None], y[:, None]), (np.cos(phi), np.sin(phi)), target_cell, disk)
         out[s : s + step] = np.sum(_radial_segment(w, t_in, t_out, lo, hi) * wts, axis=1)
     return out
@@ -887,41 +878,38 @@ def assemble(form_kind: str, ledger: CoeffLedger, mesh: Mesh) -> FormMatrices:
         stiff = stiff - _convolution_matrix(w, mesh)
     mats = FormMatrices(stiff, mass)
     if form_kind == "Q":
-        _check_psd(mats.stiffness)
+        _check_psd(mats)
     return mats
 
 
-def _check_psd(stiff) -> None:
-    """Raise unless lambda_min(stiff) >= -1e-8 max|stiff|: Cholesky of the shifted matrix."""
-    scale = float(np.max(np.abs(stiff))) or 1.0
-    shifted = stiff.copy()
-    shifted[np.diag_indices_from(shifted)] += 1e-8 * scale
-    try:
-        # the transpose of the symmetric copy is Fortran-ordered, so it is factored in place
-        scipy.linalg.cholesky(shifted.T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        lam_min = float(scipy.linalg.eigvalsh(stiff, subset_by_index=[0, 0])[0])
-        raise NumericalError(f"Q stiffness not PSD: lambda_min={lam_min:.3e}") from None
+def _check_psd(matrices: FormMatrices) -> None:
+    """Raise unless lambda_min(K, M) >= -1e-8 max|K| / max M, lambda_min from the eigensolver's own solve at k = 1.
+
+    A negative lambda_min(K) gives lambda_min(K, M) <= lambda_min(K) / max M,
+    so this refuses every K with lambda_min(K) < -1e-8 max|K|; on a uniform
+    mesh the two rules are one.  max|K| is read from the parts.
+    """
+    K = matrices.parts
+    lam_min = float(np.min(_lowest_pairs(matrices, 1)[0]))
+    scale = max(float(np.max(np.abs(a), initial=0.0)) for a in (K.diag, K.table, K.off.data)) or 1.0
+    if lam_min < -1e-8 * scale / float(np.max(matrices.mass)):
+        raise NumericalError(f"Q stiffness not PSD: lambda_min={lam_min:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # eigensolving
 
 
-def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
-    """k smallest generalized eigenpairs of (stiffness, diagonal mass).
+def _lowest_pairs(matrices: FormMatrices, k: int):
+    """The k lowest eigenpairs (vals, vecs) of B = M^-1/2 K M^-1/2, in the solver's order, and M^-1/2.
 
-    Lanczos (ARPACK) on the operator x -> M^-1/2 K M^-1/2 x, with K applied
-    from its parts (StiffnessParts: the lattice block by FFT, the
-    off-lattice pairs as CSR), so no n x n array is formed.  It starts from
-    a fixed-seed normal vector, which reaches modes of either parity on
-    symmetric domains.  Dense eigh on the dense stiffness only where ARPACK
-    cannot run (k >= n - 1).
+    Lanczos (ARPACK) on B as an operator, with K applied from its parts
+    (StiffnessParts: the lattice block by FFT, the off-lattice pairs as
+    CSR), so no n x n array is formed.  It starts from a fixed-seed normal
+    vector, which reaches modes of either parity on symmetric domains.
+    Dense eigh on parts.toarray() only where ARPACK cannot run (k >= n - 1).
     """
-    n = matrices.n
-    if not 1 <= k <= n:
-        raise PreconditionError("eigenpair count must lie in [1, n_cells]")
-    K = matrices.parts
+    n, K = matrices.n, matrices.parts
     if not all(np.all(np.isfinite(a)) for a in (K.diag, K.table, K.off.data)):
         raise NumericalError("stiffness matrix has non-finite entries")
     d = 1.0 / np.sqrt(matrices.mass)
@@ -932,7 +920,7 @@ def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
 
     try:
         if k >= n - 1:
-            B = matrices.stiffness * d[:, None]
+            B = K.toarray() * d[:, None]
             B *= d
             vals, vecs = scipy.linalg.eigh(B, subset_by_index=[0, k - 1])
         else:
@@ -941,6 +929,14 @@ def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
             vals, vecs = scipy.sparse.linalg.eigsh(B, k, which="SA", v0=v0)
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return vals, vecs, d
+
+
+def eigensolve(matrices: FormMatrices, k: int) -> EigenResult:
+    """k smallest generalized eigenpairs of (stiffness, diagonal mass): _lowest_pairs, then the residual check."""
+    if not 1 <= k <= matrices.n:
+        raise PreconditionError("eigenpair count must lie in [1, n_cells]")
+    vals, vecs, d = _lowest_pairs(matrices, k)
     order = np.argsort(vals)
     vals, vecs = vals[order], d[:, None] * vecs[:, order]  # back to the original variables, M-orthonormal
     # deterministic sign: largest-magnitude entry positive

@@ -64,6 +64,18 @@ def test_measures_and_diameter():
     assert d2.bounding_radius() == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("piece, diameter, radius", [
+    (Interval(-1e308, 1e-300), 1e308, 1e308),
+    (Rect(-1e200, 0.0, 1e200, 1.0), 2e200, 1e200),
+    (Disk(3e160, 4e160, 1e150), 2e150, 5e160 + 1e150),
+], ids=["interval-1e308", "rect-2e200", "disk-5e160-off-centre"])
+def test_diameter_of_points_beyond_1e154_apart_is_finite(piece, diameter, radius):
+    # the norm squared its coordinates and overflowed beyond about 1.3e154, so these domains were refused
+    d = DomainSpec(1 if isinstance(piece, Interval) else 2, (piece,))
+    assert d.diameter() == pytest.approx(diameter, rel=1e-15)
+    assert d.bounding_radius() == pytest.approx(radius, rel=1e-15)
+
+
 def test_contains_and_centroid():
     d = DomainSpec(1, (Interval(0, 1), Interval(2, 3)))
     assert d.contains([0.5]) and d.contains([2.5]) and not d.contains([1.5])

@@ -312,7 +312,8 @@ def test_stiffness_is_exactly_symmetric(dim):
     assert wide.domain.diameter() >= 1.0  # the convolution part is assembled too
     led = alpha_coeffs(2, dim)
     for mats in (assemble("I", led, wide), assemble("G", led, wide), assemble("Q", led, small)):
-        assert np.array_equal(mats.stiffness, mats.stiffness.T)
+        K = mats.parts.toarray()
+        assert np.array_equal(K, K.T)
 
 
 def test_first_order_form_decomposes_into_g_plus_mass():
@@ -320,8 +321,9 @@ def test_first_order_form_decomposes_into_g_plus_mass():
     mesh = mesh_intervals(QUARTER, 50)
     mats_i = assemble("I", led, mesh)
     mats_g = assemble("G", led, mesh)
-    recon = led.alpha[0] * np.diag(mats_i.mass) + led.alpha[1] * mats_g.stiffness
-    assert np.allclose(mats_i.stiffness, recon, atol=1e-13 * np.max(np.abs(mats_i.stiffness)))
+    recon = led.alpha[0] * np.diag(mats_i.mass) + led.alpha[1] * mats_g.parts.toarray()
+    K = mats_i.parts.toarray()
+    assert np.allclose(K, recon, atol=1e-13 * np.max(np.abs(K)))
 
 
 def test_assemble_preconditions():
@@ -354,9 +356,8 @@ def test_assemble_refuses_a_ledger_of_another_dimension(form):
 def test_q_form_positive_semidefinite():
     led = alpha_coeffs(2, 1)
     mesh = mesh_intervals(QUARTER, 120)
-    mats = assemble("Q", led, mesh)
-    lam = np.linalg.eigvalsh(mats.stiffness)
-    assert lam[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
+    K = assemble("Q", led, mesh).parts.toarray()
+    assert np.linalg.eigvalsh(K)[0] >= -1e-8 * np.max(np.abs(K))
 
 
 def _q_shift(led):
@@ -376,7 +377,7 @@ def test_q_is_i_plus_a_mass_shift(m, domain):
     led = alpha_coeffs(m, domain.dim)
     mesh = mesh_intervals(domain, 200) if domain.dim == 1 else mesh_rectangles(domain, 0.04)  # 64 and 88 cells
     assert combined_kernel(led).r0 < 1.0
-    Q, I = assemble("Q", led, mesh).stiffness, assemble("I", led, mesh).stiffness
+    Q, I = assemble("Q", led, mesh).parts.toarray(), assemble("I", led, mesh).parts.toarray()
     c = _q_shift(led)
     assert abs(c) > 1.0
     assert np.max(np.abs(Q - I - c * np.diag(mesh.cell_measure))) <= 1e-13 * np.max(np.abs(Q))
@@ -387,29 +388,37 @@ def test_q_equals_i_where_the_positivity_radius_is_one():
     led = alpha_coeffs(2, 2)
     mesh = _disk_mesh()
     assert mesh.n_cells == 88 and combined_kernel(led).r0 == 1.0
-    assert np.array_equal(assemble("Q", led, mesh).stiffness, assemble("I", led, mesh).stiffness)
+    assert np.array_equal(assemble("Q", led, mesh).parts.toarray(), assemble("I", led, mesh).parts.toarray())
 
 
 def test_q_form_on_a_disk_is_psd_and_solves():
     led = alpha_coeffs(4, 2)
     mesh = _disk_mesh()
     mats = assemble("Q", led, mesh)
-    lam = np.linalg.eigvalsh(mats.stiffness)
-    assert lam[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
+    K = mats.parts.toarray()
+    assert np.linalg.eigvalsh(K)[0] >= -1e-8 * np.max(np.abs(K))
     res = eigensolve(mats, 2)
-    assert np.allclose(res.eigenvalues, scipy.linalg.eigh(mats.stiffness, np.diag(mats.mass), eigvals_only=True)[:2],
-                       rtol=1e-10)
+    assert np.allclose(res.eigenvalues, scipy.linalg.eigh(K, np.diag(mats.mass), eigvals_only=True)[:2], rtol=1e-10)
     assert np.all(res.vectors[:, 0] >= -1e-8 * np.max(np.abs(res.vectors[:, 0])))
 
 
+def _diagonal_form(diag):
+    """FormMatrices of a diagonal stiffness and unit mass: one lattice cell, no off-lattice pairs."""
+    n = len(diag)
+    parts = eigen.StiffnessParts(np.array(diag), np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(1),
+                                 scipy.sparse.csr_array((n, n)))
+    return eigen.FormMatrices(parts, np.ones(n))
+
+
 def test_psd_check_accepts_exactly_the_margin():
-    # lambda_min >= -1e-8 max|K| passes, below fails
-    eigen._check_psd(np.diag([1.0, 0.5, -0.5e-8]))
+    # lambda_min(K, M) >= -1e-8 max|K| / max M passes, below fails
+    eigen._check_psd(_diagonal_form([1.0, 0.5, -0.5e-8]))
     with pytest.raises(NumericalError, match="lambda_min=-2.000e-08"):
-        eigen._check_psd(np.diag([1.0, 0.5, -2e-8]))
+        eigen._check_psd(_diagonal_form([1.0, 0.5, -2e-8]))
 
 
 def test_indefinite_q_stiffness_is_a_numerical_error(monkeypatch, tmp_path):
+    # the message reports lambda_min(K, M); on the 88-cell disk the mass is not uniform
     real = eigen._difference_matrix
 
     def negated(w, mesh):
@@ -417,18 +426,37 @@ def test_indefinite_q_stiffness_is_a_numerical_error(monkeypatch, tmp_path):
         return dataclasses.replace(parts, diag=-parts.diag, table=-parts.table, off=-parts.off)
 
     monkeypatch.setattr(eigen, "_difference_matrix", negated)
+    disk = DomainSpec(2, (Disk(0.0, 0.0, 0.2),))
+    # the CLI's target width is the diameter over round(sqrt(cells)): 100 cells give the 88-cell disk
+    for domain, mesh, cells in ((QUARTER, mesh_intervals(QUARTER, 60), 60), (disk, _disk_mesh(), 100)):
+        led = alpha_coeffs(2, domain.dim)
+        mass = mesh.cell_measure
+        assert (np.ptp(mass) > 0.1 * np.max(mass)) == (domain.dim == 2)
+        stiff = -real(led.alpha[1:], mesh).toarray() + (led.alpha[0] + _q_shift(led)) * np.diag(mass)
+        lam_min = scipy.linalg.eigh(stiff, np.diag(mass), eigvals_only=True)[0]
+        assert lam_min < -1e-8 * np.max(np.abs(stiff)) / np.max(mass)
+        with pytest.raises(NumericalError, match=re.escape(f"lambda_min={lam_min:.3e}")):
+            assemble("Q", led, mesh)
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(domain_to_dict(domain)))
+        argv = ["eig", "--form", "Q", "--m", "2", "--domain", str(path), "--cells", str(cells), "--count", "1",
+                "--out", str(tmp_path / "eig.csv")]
+        assert cli.main(argv) == 4
+
+
+def test_q_check_peak_memory_stays_with_the_i_form():
+    # the PSD check is a k = 1 Lanczos run on the parts: the dense Cholesky check peaked at 256 MB on this mesh
+    mesh = mesh_intervals(QUARTER, 4000)
     led = alpha_coeffs(2, 1)
-    mesh = mesh_intervals(QUARTER, 60)
-    stiff = -real(led.alpha[1:], mesh).toarray() + (led.alpha[0] + _q_shift(led)) * np.diag(mesh.cell_measure)
-    lam_min = np.linalg.eigvalsh(stiff)[0]
-    assert lam_min < -1e-8 * np.max(np.abs(stiff))
-    with pytest.raises(NumericalError, match=re.escape(f"lambda_min={lam_min:.3e}")):
-        assemble("Q", led, mesh)
-    domain = tmp_path / "quarter.json"
-    domain.write_text(json.dumps(domain_to_dict(QUARTER)))
-    argv = ["eig", "--form", "Q", "--m", "2", "--domain", str(domain), "--cells", "60", "--count", "1",
-            "--out", str(tmp_path / "eig.csv")]
-    assert cli.main(argv) == 4
+    peaks = {}
+    for form in ("I", "Q"):
+        tracemalloc.start()
+        try:
+            eigensolve(assemble(form, led, mesh), 1)
+            peaks[form] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["Q"] <= peaks["I"] + 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +469,7 @@ def test_eigensolve_basic_properties():
     mats = assemble("I", led, mesh)
     res = eigensolve(mats, 6)
     assert np.all(np.diff(res.eigenvalues) >= -1e-12)
-    assert res.eigenvalues[0] >= -1e-8 * np.max(np.abs(mats.stiffness))  # even m
+    assert res.eigenvalues[0] >= -1e-8 * np.max(np.abs(mats.parts.toarray()))  # even m
     gram = res.vectors.T @ (mats.mass[:, None] * res.vectors)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
     # deterministic sign fix
@@ -456,10 +484,11 @@ def test_rayleigh_quotients_dominate_lambda1():
     mesh = mesh_intervals(QUARTER, 100)
     mats = assemble("I", led, mesh)
     res = eigensolve(mats, 1)
+    K = mats.parts.toarray()
     rng = np.random.default_rng(3)
     for _ in range(20):
         w = rng.normal(size=mesh.n_cells)
-        rq = (w @ mats.stiffness @ w) / (w @ (mats.mass * w))
+        rq = (w @ K @ w) / (w @ (mats.mass * w))
         assert rq >= res.eigenvalues[0] - 1e-8
 
 
@@ -508,7 +537,7 @@ def test_lanczos_matches_dense_eigh(name):
     mats, k = _lanczos_problem(name)
     res = eigensolve(mats, k)
     d = 1.0 / np.sqrt(mats.mass)
-    B = d[:, None] * mats.stiffness * d[None, :]
+    B = d[:, None] * mats.parts.toarray() * d[None, :]
     vals, vecs = scipy.linalg.eigh(0.5 * (B + B.T), subset_by_index=[0, k - 1])
     assert np.all(np.abs(res.eigenvalues - vals) <= 1e-10 * np.abs(vals))
     # eigenspaces: clusters of (numerically) equal eigenvalues, compared by their projectors
@@ -562,7 +591,7 @@ def test_stiffness_operator_matches_the_dense_matrix(form, name):
     mesh = _operator_mesh(name, 0.4 if form == "Q" else 1.0)
     led = alpha_coeffs(2, mesh.domain.dim)
     mats = assemble(form, led, mesh)
-    K = mats.stiffness
+    K = mats.parts.toarray()
     assert np.array_equal(K, K.T)
     if name == "disk-88":
         assert mesh.n_cells == 88 and mats.parts.off.nnz > 0
@@ -587,7 +616,7 @@ def test_lanczos_memory_does_not_grow_with_the_square_of_the_mesh():
     tracemalloc.start()
     try:
         mats = assemble("I", alpha_coeffs(1, 1), mesh)
-        res = eigensolve(mats, 3)  # never touches mats.stiffness, which would build the dense matrix
+        res = eigensolve(mats, 3)  # never builds the dense matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -893,7 +922,7 @@ def test_2d_disk_q_form_runs():
     mesh = mesh_rectangles(disk, 0.06)
     mats = assemble("Q", led, mesh)
     res = eigensolve(mats, 2)
-    assert res.eigenvalues[0] >= -1e-8 * np.max(np.abs(mats.stiffness))
+    assert res.eigenvalues[0] >= -1e-8 * np.max(np.abs(mats.parts.toarray()))
     assert np.all(np.diff(res.eigenvalues) >= -1e-12)
 
 
