@@ -5,9 +5,9 @@ radii, operator application (quadrature or FFT), Dirichlet eigenvalues,
 ball-minimality comparisons, and order-expansion studies.  Grids and domains
 travel as JSON (schemas in grid.py / domains.py); an output grid is written
 from its array buffer as compact JSON with shortest round-trip floats, and
-input is read with the standard json module, so NaN and Infinity tokens parse
-and then exit 3.  Tabular results are CSV with a header row and 17
-significant digits.
+input is read by grid.read_json (orjson, and the standard json module for
+what orjson refuses), so NaN and Infinity tokens parse and then exit 3.
+Tabular results are CSV with a header row and 17 significant digits.
 
 Exit codes: 0 success, 2 usage, 3 precondition violation or I/O error,
 4 numerical failure.  --threads splits the nodes of a 2D quadrature apply
@@ -36,7 +36,7 @@ from . import pointwise as _pointwise
 from . import spectral as _spectral
 from .domains import domain_from_dict, mesh_intervals, mesh_rectangles
 from .errors import LoglapError, NumericalError, PreconditionError
-from .grid import gaussian_derivative_bump, grid_from_dict, save_grid
+from .grid import gaussian_derivative_bump, load_grid, read_json, save_grid
 from .kernels import combined_kernel
 
 _FMT = "%.17g"
@@ -70,20 +70,6 @@ def _write_csv(path, header, rows):
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise PreconditionError(f"{path} is not a valid JSON file: {exc}") from exc
-
-
-def _load_grid_file(path):
-    u = grid_from_dict(_read_json(path))
-    u.validate_holder()
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +113,7 @@ def cmd_apply(args) -> int:
         raise PreconditionError("operators K and L need --m")
     if args.op in ("fraclap", "riesz") and args.s is None:
         raise PreconditionError("fraclap and riesz need --s")
-    u = _load_grid_file(args.grid)
+    u = load_grid(args.grid)
     if args.method == "fft":
         kind = {"L": "log", "fraclap": "frac", "riesz": "riesz"}.get(args.op)
         if kind is None:
@@ -153,7 +139,7 @@ def _domain_mesh(domain, cells):
 
 
 def cmd_eig(args) -> int:
-    domain = domain_from_dict(_read_json(args.domain))
+    domain = domain_from_dict(read_json(args.domain))
     mesh = _domain_mesh(domain, args.cells)
     ledger = _coeffs.alpha_coeffs(args.m, domain.dim)
     mats = _eigen.assemble(args.form, ledger, mesh)  # G takes its order from ledger.m
@@ -164,7 +150,7 @@ def cmd_eig(args) -> int:
 
 
 def cmd_fk(args) -> int:
-    domains = [domain_from_dict(_read_json(p)) for p in args.domains]
+    domains = [domain_from_dict(read_json(p)) for p in args.domains]
     ledger = _coeffs.alpha_coeffs(args.m, domains[0].dim)
     rows = _eigen.faber_krahn_compare(ledger, domains, args.cells_per_unit)
     _write_csv(

@@ -38,7 +38,8 @@ vector so that results are deterministic and modes of either parity are
 reached on symmetric domains; dense eigh on the n x n matrix, the only one
 any form builds, serves only k >= n - 1.  The Q form's PSD check is the
 same solve at k = 1: M is a positive diagonal, so K is PSD exactly when
-lambda_min(K, M) >= 0.
+lambda_min(K, M) >= 0.  A k = 1 solve is kept with the matrices, so
+eigensolve(Q, 1) after the check does not run it again.
 Eigenvectors are mass-orthonormal with the largest-magnitude entry made
 positive.  The residual check applies K from its parts too, and bounds
 each pair's residual by its relative backward error, 1e-6 |K| max|v|.
@@ -206,10 +207,16 @@ class StiffnessParts:
 
 @dataclass(frozen=True)
 class FormMatrices:
-    """A form's stiffness K as parts (StiffnessParts) and its diagonal mass M; parts.toarray() is the dense K."""
+    """A form's stiffness K as parts (StiffnessParts) and its diagonal mass M; parts.toarray() is the dense K.
+
+    _lowest holds the result of the first _lowest_pairs(self, 1) solve (for
+    Q, the PSD check's), which a later k = 1 solve returns; replace() starts
+    a copy without it.
+    """
 
     parts: StiffnessParts = field(repr=False)
     mass: np.ndarray  # diagonal entries (cell measures)
+    _lowest: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -908,7 +915,11 @@ def _lowest_pairs(matrices: FormMatrices, k: int):
     CSR), so no n x n array is formed.  It starts from a fixed-seed normal
     vector, which reaches modes of either parity on symmetric domains.
     Dense eigh on parts.toarray() only where ARPACK cannot run (k >= n - 1).
+    A k = 1 solve is kept on the matrices (FormMatrices._lowest) and not
+    repeated.
     """
+    if k == 1 and matrices._lowest is not None:
+        return matrices._lowest
     n, K = matrices.n, matrices.parts
     if not all(np.all(np.isfinite(a)) for a in (K.diag, K.table, K.off.data)):
         raise NumericalError("stiffness matrix has non-finite entries")
@@ -929,6 +940,8 @@ def _lowest_pairs(matrices: FormMatrices, k: int):
             vals, vecs = scipy.sparse.linalg.eigsh(B, k, which="SA", v0=v0)
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    if k == 1:
+        object.__setattr__(matrices, "_lowest", (vals, vecs, d))  # a frozen dataclass's cache field
     return vals, vecs, d
 
 

@@ -38,6 +38,9 @@ from .errors import PreconditionError
 
 _HOLDER_SAMPLES = 4000  # random point pairs per validate_holder check
 _HOLDER_MIN_STEP = 1e-3  # shortest validate_holder distance, in units of the smallest spacing
+# read_json's long-integer scan: digits read 0, bytes that may precede a fraction's or exponent's digits x, others a
+_INTEGER_SCAN = bytes(ord("0") if b in b"0123456789" else ord("x") if b in b".eE+" else ord("a") for b in range(256))
+_LONG_INTEGER = b"0" * 19  # 19 digits reach past int64; orjson reads integers beyond 64 bits as floats
 _SPLINE_BLOCK = 1 << 14  # samples per block of the spline evaluator
 
 
@@ -411,10 +414,36 @@ def save_grid(u: GridFunction, path) -> None:
         fh.write(orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
-def load_grid(path) -> GridFunction:
-    """Read a grid file and check its declared Holder data (validate_holder)."""
+def read_json(path):
+    """The JSON value in the file at path, for grid and domain files; PreconditionError if it is not JSON.
+
+    orjson parses the bytes.  The standard json module, on the file read as
+    UTF-8 text, takes what orjson refuses (NaN and Infinity tokens, numbers
+    beyond float range, any malformed file) and what it reads differently:
+    orjson makes integers beyond 64 bits floats, so a file with a run of 19
+    or more digits that does not follow a '.', 'e', 'E' or '+' (an integer
+    part, or digits inside a string) goes to json.  Every file is thus
+    accepted or refused as by json alone, with json's message, except that
+    nesting too deep for json's recursion is read by orjson or refused.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    scan = raw.translate(_INTEGER_SCAN)
+    if not (scan.startswith(_LONG_INTEGER) or b"a" + _LONG_INTEGER in scan):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError; nesting deeper than json reads
+            raise PreconditionError(f"{path} is not a valid JSON file: {exc}") from exc
+
+
+def load_grid(path) -> GridFunction:
+    """Read a grid file (read_json) and check its declared Holder data (validate_holder)."""
+    data = read_json(path)
     u = grid_from_dict(data)
     u.validate_holder()  # with data still alive: freeing it first measured a higher peak RSS
     return u

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.optimize import brentq
 
 from .coeffs import CoeffLedger
 from .errors import PreconditionError
@@ -54,11 +53,31 @@ def radial_antiderivative(w, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _bisect_root(poly, lo: float, hi: float) -> float:
+    """The endpoint with the smaller |poly| after bisecting [lo, hi] down to adjacent floats.
+
+    Runs while poly(lo) * poly(hi) < 0, so it stops early on an exact zero,
+    and ends when the midpoint rounds to an endpoint.
+    """
+    plo, phi = poly(lo), poly(hi)
+    while plo * phi < 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        pmid = poly(mid)
+        if (pmid < 0.0) == (plo < 0.0):
+            lo, plo = mid, pmid
+        else:
+            hi, phi = mid, pmid
+    return lo if abs(plo) <= abs(phi) else hi
+
+
 def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
     """Largest real root of sum_k coeffs[k] tau^k in (0, _ROOT_TAU_MAX], or None.
 
-    Companion-matrix roots refined by Brent's method whenever a sign change
-    brackets the root; near-double roots keep the polished companion value.
+    Companion-matrix roots refined by bisection (_bisect_root) whenever a
+    sign change brackets the root; near-double roots keep the companion
+    value.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
     if c.size == 0:
@@ -76,7 +95,7 @@ def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
     # polish on a bracket around the companion estimate
     lo, hi = best - 1e-3 * max(1.0, best), best + 1e-3 * max(1.0, best)
     if poly(lo) * poly(hi) < 0.0:
-        best = brentq(poly, lo, hi, xtol=1e-300)  # tiny xtol: stop on brentq's relative tolerance, 4 eps
+        best = _bisect_root(poly, lo, hi)
     if abs(poly(best)) > 1e-6 * scale * max(1.0, best ** (c.size - 1)):
         return None  # spurious companion artifact, no actual crossing
     return best

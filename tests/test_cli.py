@@ -5,15 +5,17 @@ import csv
 import json
 import math
 import random
+import re
 
 import numpy as np
+import orjson
 import pytest
 
 from loglap.cli import main
 from loglap.coeffs import EULER_GAMMA
 from loglap.domains import Disk, DomainSpec, Interval, domain_to_dict
 from loglap.grid import (
-    GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict, save_grid,
+    GridFunction, estimate_holder_constant, gaussian_derivative_bump, grid_from_dict, grid_to_dict, read_json, save_grid,
 )
 from loglap.pointwise import apply_L_batch
 from loglap.spectral import apply_symbol
@@ -576,6 +578,27 @@ def test_fuzzed_input_files_exit_with_a_documented_code(tmp_path, capsys):
         codes[code] += 1
     capsys.readouterr()
     assert codes[0] > 0 and codes[3] > 0  # the fuzz reaches both working and rejected inputs
+
+
+def test_fuzz_corpus_reads_as_the_json_module(tmp_path):
+    # the input files of test_fuzzed_input_files_exit_with_a_documented_code, from the same seed
+    rng = random.Random(2026)
+    counts = collections.Counter()
+    for _ in range(300):
+        for path in [a for a in _fuzz_argv(rng, tmp_path) if a.endswith(".json") and not a.endswith("out.json")]:
+            raw = open(path, "rb").read()
+            expected = repr(json.loads(raw.decode("utf-8")))
+            assert repr(read_json(path)) == expected, raw
+            long_digits = re.search(rb"\d{19}", raw) is not None  # orjson reads integers beyond 64 bits as floats
+            try:
+                fast = repr(orjson.loads(raw))
+            except orjson.JSONDecodeError:
+                counts["refused"] += 1
+                continue
+            counts["long digits" if long_digits else "accepted"] += 1
+            if not long_digits:
+                assert fast == expected, raw
+    assert counts["accepted"] > 0 and counts["refused"] > 0 and counts["long digits"] > 0, counts
 
 
 @pytest.mark.parametrize("command", [

@@ -459,6 +459,26 @@ def test_q_check_peak_memory_stays_with_the_i_form():
     assert peaks["Q"] <= peaks["I"] + 1e6
 
 
+def test_q_check_solve_serves_the_first_eigenpair(monkeypatch):
+    # the PSD check's k = 1 Lanczos run is the one eigensolve(mats, 1) needs: one eigsh call, not two
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    mats = assemble("Q", alpha_coeffs(2, 1), mesh_intervals(QUARTER, 200))
+    res = eigensolve(mats, 1)
+    assert calls == [1]
+    fresh = eigensolve(dataclasses.replace(mats), 1)  # a copy starts without the kept solve
+    assert calls == [1, 1]
+    assert np.array_equal(res.eigenvalues, fresh.eigenvalues) and np.array_equal(res.vectors, fresh.vectors)
+    eigensolve(mats, 2)
+    assert calls == [1, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # eigensolving
 

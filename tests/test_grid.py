@@ -1,6 +1,7 @@
 """Grid functions: geometry, interpolation, Holder validation, JSON round trip."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from loglap.grid import (
     grid_from_dict,
     grid_to_dict,
     load_grid,
+    read_json,
     save_grid,
 )
 
@@ -101,6 +103,58 @@ def test_bump_factories():
     assert g.dim == 2 and g.values.shape == (64, 64)
     ind = box_indicator(0.0, 1.0, nodes=512)
     assert set(np.unique(ind.values)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("text", [
+    '[NaN, Infinity, -Infinity]',  # orjson refuses these tokens
+    '[1e400, -1e400, 1.8e308]',  # and numbers beyond float range
+    '[100000000000000000000, -9223372036854775809, 9999999999999999999]',  # orjson would read these as floats
+    '[1.5, 12345678901234567890.5, 1e-1234567890123456789, "x12345678901234567890"]',  # long runs that are not integers
+    '{"a": 1.5, "b": [0.1, -0.0, 5e-324, 0.00012345678901234567, 123456789012345678], "a": 2}',  # orjson's own
+], ids=["non-finite-tokens", "beyond-float-range", "long-integers", "long-non-integers", "plain"])
+def test_read_json_gives_the_json_module_value(tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert repr(read_json(path)) == repr(json.loads(text))
+
+
+def test_read_json_takes_nesting_beyond_the_json_module(tmp_path):
+    # json.load raises RecursionError on these; orjson reads the first, and the second (NaN) goes to json
+    path = tmp_path / "f.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    value, depth = read_json(path), 0
+    while value:
+        value, depth = value[0], depth + 1
+    assert depth == 99_999
+    path.write_text("[" * 100_000 + "NaN" + "]" * 100_000)
+    with pytest.raises(PreconditionError, match="is not a valid JSON file: maximum recursion depth exceeded"):
+        read_json(path)
+
+
+def test_saved_grid_files_are_read_by_orjson(tmp_path, monkeypatch):
+    # save_grid writes small values with leading zeros (0.000123...), runs of 19+ digits that are no integer
+    u = gaussian_derivative_bump(dim=2, nodes=64, halfwidth=5.0)
+    path = tmp_path / "u.json"
+    save_grid(u, path)
+    assert re.search(rb"\.\d{19}", path.read_bytes())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_json fell back to the json module")
+
+    monkeypatch.setattr(json, "load", refuse)
+    assert np.array_equal(np.asarray(read_json(path)["values"]), u.values.reshape(-1))
+
+
+@pytest.mark.parametrize("raw", [b'{"dim": 1, "pieces": [', b'{\r\n"a": }', b'[1,]', b'', b'\xef\xbb\xbf{}', b'\xff'],
+                         ids=["truncated", "crlf", "trailing-comma", "empty", "bom", "not-utf8"])
+def test_read_json_refuses_with_the_json_module_message(tmp_path, raw):
+    path = tmp_path / "f.json"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as expected:
+        json.load(fh)
+    with pytest.raises(PreconditionError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path} is not a valid JSON file: {expected.value}"
 
 
 def test_json_round_trip_bit_exact(tmp_path):

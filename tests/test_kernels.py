@@ -10,7 +10,10 @@ from scipy import integrate
 
 from loglap import PreconditionError
 from loglap.coeffs import EULER_GAMMA, alpha_coeffs, omega
+from loglap import kernels
 from loglap.kernels import (
+    _bisect_root,
+    _poly_largest_positive_root,
     _tent_breaks,
     cell_pair_tent_integral,
     combined_kernel,
@@ -180,6 +183,46 @@ def test_kernel_positive_and_monotone_inside_radii(m, N):
     if ck.r0 < 1.0:
         scale = max(1.0, float(np.max(np.abs(led.alpha))))
         assert abs(float(h(ck.r0))) <= 1e-8 * scale
+
+
+def test_near_double_root_without_a_sign_change_keeps_the_companion_value(monkeypatch):
+    # (tau - 5)(tau - 5.0001): the bracket of +-5e-3 around 5.0001 holds both roots, so p > 0 at either end
+    c = np.polynomial.polynomial.polyfromroots([5.0, 5.0001])
+    lo, hi = 5.0001 - 5.0001e-3, 5.0001 + 5.0001e-3
+    assert polyval(lo, c) > 0.0 and polyval(hi, c) > 0.0
+    companion = max(r.real for r in np.polynomial.Polynomial(c).roots())
+
+    def no_bisection(*args):
+        raise AssertionError("bisection ran without a sign change")
+
+    monkeypatch.setattr(kernels, "_bisect_root", no_bisection)
+    assert _poly_largest_positive_root(c) == companion
+
+
+def test_bisection_ends_on_adjacent_floats():
+    # tau^2 - 2: no float is a root, so the bracket shrinks until its midpoint rounds to an endpoint
+    calls = []
+
+    def p(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    root = _bisect_root(p, 1.0, 2.0)
+    assert len(calls) <= 2 + 64
+    assert abs(root - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+    # a bracket of two adjacent floats ends at once, on the one with the smaller |p|
+    lo = math.sqrt(2.0)
+    hi = float(np.nextafter(lo, 3.0))
+    if p(lo) * p(hi) >= 0.0:
+        lo, hi = float(np.nextafter(lo, 0.0)), lo
+    calls.clear()
+    assert _bisect_root(p, lo, hi) == min((lo, hi), key=lambda x: abs(x * x - 2.0))
+    assert len(calls) == 2  # the two ends: their midpoint rounds onto one of them
+
+
+def test_bisection_stops_on_an_exact_zero():
+    assert _bisect_root(lambda x: x - 3.0, 2.0, 5.0) == 3.0  # 3.5, 2.75, 3.125, 2.9375, ... reaches 3 exactly
+    assert _bisect_root(lambda x: 3.0 - x, 1.0, 5.0) == 3.0  # the first midpoint is the root
 
 
 # ---------------------------------------------------------------------------
