@@ -41,6 +41,7 @@ _HOLDER_MIN_STEP = 1e-3  # shortest validate_holder distance, in units of the sm
 # read_json's long-integer scan: digits read 0, bytes that may precede a fraction's or exponent's digits x, others a
 _INTEGER_SCAN = bytes(ord("0") if b in b"0123456789" else ord("x") if b in b".eE+" else ord("a") for b in range(256))
 _LONG_INTEGER = b"0" * 19  # 19 digits reach past int64; orjson reads integers beyond 64 bits as floats
+_ORJSON_MAX_BRACKETS = 1000  # orjson's nesting limit differs between versions; up to 1000 levels all read alike
 _SPLINE_BLOCK = 1 << 14  # samples per block of the spline evaluator
 
 
@@ -422,14 +423,19 @@ def read_json(path):
     beyond float range, any malformed file) and what it reads differently:
     orjson makes integers beyond 64 bits floats, so a file with a run of 19
     or more digits that does not follow a '.', 'e', 'E' or '+' (an integer
-    part, or digits inside a string) goes to json.  Every file is thus
-    accepted or refused as by json alone, with json's message, except that
-    nesting too deep for json's recursion is read by orjson or refused.
+    part, or digits inside a string) goes to json.  So does a file with
+    more than _ORJSON_MAX_BRACKETS '[' and '{' bytes: it may nest deeper
+    than every orjson version reads alike, and json refuses nesting beyond
+    its recursion limit with its own message.  Every file is thus accepted
+    or refused as by json alone, with json's message, except that nesting
+    of at most 1000 levels, which json may refuse deep in a call stack, is
+    read.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     scan = raw.translate(_INTEGER_SCAN)
-    if not (scan.startswith(_LONG_INTEGER) or b"a" + _LONG_INTEGER in scan):
+    if (raw.count(b"[") + raw.count(b"{") <= _ORJSON_MAX_BRACKETS
+            and not (scan.startswith(_LONG_INTEGER) or b"a" + _LONG_INTEGER in scan)):
         try:
             return orjson.loads(raw)
         except orjson.JSONDecodeError:

@@ -53,6 +53,32 @@ def radial_antiderivative(w, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+
+
+def _compensated_horner(c: tuple[float, ...], x: float) -> float:
+    """sum_k c[k] x^k as accurate as Horner's scheme in twice the working precision.
+
+    Each step's product and sum rounding errors (Dekker's two-product and
+    Knuth's two-sum, both exact) are carried in a second Horner sum.
+    """
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    s, err = c[-1], 0.0
+    for a in reversed(c[:-1]):
+        t = _SPLIT * s
+        sh = t - (t - s)
+        sl = s - sh
+        p = s * x
+        pe = ((sh * xh - p) + sh * xl + sl * xh) + sl * xl
+        s = p + a
+        z = s - p
+        se = (p - (s - z)) + (a - z)
+        err = err * x + (pe + se)
+    return s + err
+
+
 def _bisect_root(poly, lo: float, hi: float) -> float:
     """The endpoint with the smaller |poly| after bisecting [lo, hi] down to adjacent floats.
 
@@ -77,7 +103,10 @@ def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
 
     Companion-matrix roots refined by bisection (_bisect_root) whenever a
     sign change brackets the root; near-double roots keep the companion
-    value.
+    value.  The bisection evaluates p by _compensated_horner: a plain float
+    Horner sum is rounding noise within a few ulps of the root, and both its
+    signs and the final choice between two adjacent floats would follow
+    that noise.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
     if c.size == 0:
@@ -95,7 +124,8 @@ def _poly_largest_positive_root(coeffs: np.ndarray) -> float | None:
     # polish on a bracket around the companion estimate
     lo, hi = best - 1e-3 * max(1.0, best), best + 1e-3 * max(1.0, best)
     if poly(lo) * poly(hi) < 0.0:
-        best = _bisect_root(poly, lo, hi)
+        terms = tuple(c.tolist())
+        best = _bisect_root(lambda tau: _compensated_horner(terms, tau), lo, hi)
     if abs(poly(best)) > 1e-6 * scale * max(1.0, best ** (c.size - 1)):
         return None  # spurious companion artifact, no actual crossing
     return best

@@ -225,6 +225,28 @@ def test_bisection_stops_on_an_exact_zero():
     assert _bisect_root(lambda x: 3.0 - x, 1.0, 5.0) == 3.0  # the first midpoint is the root
 
 
+def test_compensated_horner_keeps_what_plain_horner_loses():
+    # (tau - 1)^5 expanded, at 1 + 2^-12: the value 2^-60 is below plain Horner's rounding, which gives 0
+    c = np.polynomial.polynomial.polyfromroots([1.0] * 5)
+    tau = 1.0 + 2.0 ** -12
+    assert polyval(tau, c) == 0.0
+    assert kernels._compensated_horner(tuple(c.tolist()), tau) == 2.0 ** -60
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_polished_roots_are_correctly_rounded(m, N):
+    # tau* of p and tau** of p' lie within half an ulp of the exact roots of their float coefficients
+    p = np.array(alpha_coeffs(m, N).alpha[1:], dtype=float)
+    for c in (p, np.polynomial.polynomial.polyder(p)):
+        tau = _poly_largest_positive_root(c)
+        if tau is None:
+            continue
+        with mp.workdps(60):
+            exact = mp.findroot(lambda x: mp.polyval([mp.mpf(float(a)) for a in reversed(c)], x), mp.mpf(tau))
+            assert abs(mp.mpf(tau) - exact) <= np.spacing(tau) / 2
+
+
 # ---------------------------------------------------------------------------
 # 1D cell pair integrals
 
