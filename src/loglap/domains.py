@@ -18,9 +18,14 @@ a domain file that breaks these exits 3 rather than overflowing in a mesh.
 
 Meshes carry their cells as one float64 array with exact measures; 1D cells
 are intervals (lo, hi), 2D cells are boxes (x0, y0, x1, y1, clipped) whose
-flag marks a box clipped to the disk, with the clipped measure computed from
-the analytic circle-box area.  Clipped slivers below a relative threshold are
-merged into their inward neighbor to protect the mass-matrix conditioning.
+flag marks a box the disk's circle crosses, with the clipped measure computed
+from the analytic circle-box area; a box whose farthest corner lies in the
+disk is unclipped and keeps its box area.  Clipped slivers below a relative
+threshold are merged into their nearest kept cell to protect the
+mass-matrix conditioning.  Every 2D piece counts ceil(length / h) cells per
+axis, with a quotient within 1e-12 relative of an integer read as that
+integer, so pieces whose corners lie on one grid of step h are meshed on
+that grid.
 A mesh whose narrowest cell spans fewer than 1000 ulps of the domain's
 largest coordinate magnitude (the rule grid spacings follow) is refused:
 its cell bounds and measures would be rounding, not geometry.
@@ -370,35 +375,56 @@ def _box_cells(xs, ys) -> np.ndarray:
     return np.column_stack([x0.ravel(), y0.ravel(), x1.ravel(), y1.ravel(), np.zeros(x0.size)])
 
 
+def _cell_count(length: float, h: float, least: int) -> int:
+    """Cells of width at most h across length, and at least `least`.
+
+    That is ceil(length / h), but a quotient within 1e-12 relative of an
+    integer counts as that integer: (0.65 - 0.35) / 0.005 rounds to
+    60.00000000000001, whose ceil would put the piece off a 0.005 grid.
+    """
+    q = length / h
+    n = round(q)
+    return max(least, n if abs(q - n) <= 1e-12 * q else math.ceil(q))
+
+
 def mesh_rectangles(domain: DomainSpec, target_h: float) -> Mesh:
-    """Box mesh of a 2D domain; disk pieces get exact clipped boundary cells."""
+    """Box mesh of a 2D domain; disk pieces get exact clipped boundary cells.
+
+    A disk's grid is centred on it.  A box whose farthest corner lies in
+    the disk (to 1e-12 relative) is an unclipped cell with its box area;
+    the boxes the circle crosses take the exact circle-box area and the
+    clipped flag, and those it misses (area 0) are dropped.
+    """
     if domain.dim != 2:
         raise PreconditionError("rectangle meshes are two-dimensional")
     cells, measures = [], []
     for p in domain.pieces:
         if isinstance(p, Rect):
-            nx = max(1, math.ceil((p.x1 - p.x0) / target_h))
-            ny = max(1, math.ceil((p.y1 - p.y0) / target_h))
-            xs = np.linspace(p.x0, p.x1, nx + 1)
-            ys = np.linspace(p.y0, p.y1, ny + 1)
+            xs = np.linspace(p.x0, p.x1, _cell_count(p.x1 - p.x0, target_h, 1) + 1)
+            ys = np.linspace(p.y0, p.y1, _cell_count(p.y1 - p.y0, target_h, 1) + 1)
             cells.append(_box_cells(xs, ys))
             measures.append(np.outer(np.diff(xs), np.diff(ys)).ravel())
         else:
-            n = max(2, math.ceil(2 * p.r / target_h))
+            n = _cell_count(2 * p.r, target_h, 2)
             xs = np.linspace(p.cx - p.r, p.cx + p.r, n + 1)
             ys = np.linspace(p.cy - p.r, p.cy + p.r, n + 1)
             full = (xs[1] - xs[0]) * (ys[1] - ys[0])
             boxes = _box_cells(xs, ys)
-            area = np.array([circle_box_area(p, *box[:4]) for box in boxes])
+            rel = np.abs(boxes[:, :4] - [p.cx, p.cy, p.cx, p.cy])
+            farthest = np.hypot(*np.maximum(rel[:, :2], rel[:, 2:]).T)  # the farthest corner's distance
+            cut = np.flatnonzero(farthest > p.r * (1.0 + 1e-12))  # boxes the circle crosses or misses
+            area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+            area[cut] = [circle_box_area(p, *box[:4]) for box in boxes[cut]]
+            boxes[cut, 4] = 1.0
             inside = area > 0.0
             boxes, area = boxes[inside], area[inside]
-            boxes[:, 4] = area < full * (1.0 - 1e-12)
             # merge slivers into the kept cell whose centre is nearest, which is then clipped
             sliver = area < _SLIVER_FRACTION * full
             keep = np.flatnonzero(~sliver)
             centres = 0.5 * (boxes[:, :2] + boxes[:, 2:4])
+            kept = centres[keep]
             for s in np.flatnonzero(sliver):  # equally near cells (mirrored neighbours) go to the first
-                best = keep[np.argmin([math.hypot(cx - centres[s, 0], cy - centres[s, 1]) for cx, cy in centres[keep]])]
+                best = keep[np.argmin(np.hypot(*(kept - centres[s]).T))]
                 area[best] += area[s]
                 boxes[best, 4] = 1.0
             cells.append(boxes[keep])

@@ -24,11 +24,12 @@ self-energy alone: c = -2 omega_N (P(1) - P(r0)), P = radial_antiderivative.
 Every matrix is kept as three parts (StiffnessParts), K = diag(d) +
 Lat(table) + Off, and applied as an operator; no n x n array is built
 unless asked for.  d holds the self-energies plus alpha_0 M.  Lat is the
-lattice block, one value per integer offset: lattice cells sit at linear
-positions, and Lat x is one real 1D correlation of the offset table with x
-scattered to those positions, applied by FFT.  Off is a symmetric CSR
-matrix of the pairs that touch an off-lattice cell.  S and A share the
-lattice, so I_m's parts are -2 table_S - table_A, -2 Off_S - Off_A and d.
+lattice block, one value per integer offset of the lattice's box: lattice
+cells sit at linear positions, and Lat x is one real 1D correlation of the
+offset table with x scattered to those positions, applied by FFT.  Off is
+a symmetric CSR matrix of the pairs that touch an off-lattice cell.  S and
+A share the lattice, so I_m's parts are -2 table_S - table_A, -2 Off_S -
+Off_A and d.
 Storage is O(n) on lattice meshes.  FormMatrices holds the parts and the
 mass diagonal.
 
@@ -51,13 +52,14 @@ driver, the integral of k_w over cell pairs at distances in (lo, hi):
 dimensions.  Lattice cells, the cells of the most common class at integer
 multiples of its mean side from its first cell (uniform intervals, the
 gapped fk split, rectangles, a disk's unclipped interior), pair by integer
-offset, which makes the offset table.  An offset's mirror images give
-congruent pairs: +-k in 1D, (+-dx, +-dy) in 2D, with (dy, dx) too when the
-cells are squares.  Each such mirror class takes one integral, on two
-cells rebuilt on the lattice's grid, and its value fills every table
-position of the class (_mirror_classes).  Pairs
-that touch an off-lattice cell (a second width, clipped disk cells) are
-grouped by class pair and centre offset and integrated once per group.
+offset, which makes the offset table; a matvec reads only the offsets
+that occur.  An offset's mirror images give congruent pairs: +-k in 1D,
+(+-dx, +-dy) in 2D, with (dy, dx) too when the cells are squares.  Each
+such mirror class takes one integral, on two cells rebuilt on the
+lattice's grid, and its value fills every table position of the class
+(_mirror_classes).  Pairs that touch an off-lattice cell (a second width,
+clipped disk cells) are grouped by class pair and centre offset and
+integrated once per group.
 Every clipped cell is a class of its own, so a pair with a clipped cell
 is a group of one; those pairs share work by symmetry orbit (below).
 Entries are, in one dimension, the closed form (a Gauss rule on tent pieces
@@ -147,10 +149,13 @@ class StiffnessParts:
     """A symmetric cell matrix K = diag(d) + Lat(table) + Off, applied as K @ x.
 
     Lat is the lattice block: lattice cell members[j], at linear position
-    pos[j] (_positions), meets members[k] in table[top - pos[j] + pos[k]],
-    with table of length 2 top + 1 and top = pos.max().  Off is a symmetric
-    CSR matrix of the pairs that touch an off-lattice cell.  The diagonal,
-    the lattice pairs and the off-lattice pairs have disjoint supports.
+    pos[j] (_positions), meets members[k] in table[top - pos[j] + pos[k]].
+    The table holds one entry per offset of the lattice's box [-S, S] per
+    axis (S the largest step) in position order, so its length is 2 top + 1
+    with top the position of S; a product reads only the offsets that two
+    lattice cells span.  Off is a symmetric CSR matrix of the pairs that
+    touch an off-lattice cell.  The diagonal, the lattice pairs and the
+    off-lattice pairs have disjoint supports.
     """
 
     diag: np.ndarray
@@ -699,47 +704,35 @@ def _positions(steps) -> np.ndarray:
     return np.ravel_multi_index(tuple(steps.T), tuple(2 * steps.max(axis=0) + 1))
 
 
-def _lattice_offsets(pos) -> np.ndarray:
-    """The position offsets k > 0 that occur between lattice cells, read off the occupancy autocorrelation (by FFT)."""
-    occ = np.zeros(pos.max() + 1)
-    occ[pos] = 1.0
-    size = scipy.fft.next_fast_len(2 * occ.size - 1, real=True)
-    hit = np.fft.irfft(np.abs(np.fft.rfft(occ, size)) ** 2, size)[: occ.size] > 0.5
-    hit[0] = False
-    return np.flatnonzero(hit)
+def _mirror_classes(cells, sides, members, steps):
+    """Mirror classes of every offset of the lattice's box: (class of each, grid cells).
 
-
-def _mirror_classes(cells, sides, members, steps, pos):
-    """Mirror classes of the occurring offsets between lattice cells: (offsets, class of each, grid cells).
-
-    Each position offset decodes into its per-axis steps (_positions), and
-    an offset and its mirror images give congruent pairs of lattice cells:
-    the class key is the steps' moduli, |k| in 1D and (|dx|, |dy|) in 2D,
-    sorted when the cells are squares (sides equal to the 14 decimals of
-    _cell_classes), whose (dy, dx) is congruent too.  A class is
-    represented by two cells of the uniform grid with the lattice's mean
-    side (_lattice) from the first lattice cell's lower corner: the cell at
-    the corner and the one key steps away.  Grid edges are corner + j *
-    side, so touching cells share an edge exactly.  Returns the corner
-    cell, then one cell per class, (C + 1, cells' columns), unclipped.  A
-    class's value thus does not depend on which of its offsets occur.
+    The box is [-S, S] per axis, S = steps.max(axis=0), whose offsets,
+    raveled, are the table's positions (_positions) in order.  An offset and
+    its mirror images give congruent pairs of lattice cells: the class key
+    is the steps' moduli, |k| in 1D and (|dx|, |dy|) in 2D, sorted when the
+    cells are squares (sides equal to the 14 decimals of _cell_classes),
+    whose (dy, dx) is congruent too.  Classes are numbered in key order, so
+    class 0 is the zero offset.  A class is represented by a cell of the
+    uniform grid with the lattice's mean side (_lattice), key steps from the
+    first lattice cell's lower corner; class 0's cell is the corner cell
+    itself.  Grid edges are corner + j * side, so touching cells share an
+    edge exactly.  Returns the class of each table position and one
+    unclipped grid cell per class, (C, cells' columns).  A class's value
+    thus does not depend on which of its offsets occur.
     """
-    offsets = _lattice_offsets(pos)
-    dim = steps.shape[1]
-    rest, digits = offsets, []
-    for half in steps[:, :0:-1].max(axis=0):  # the balanced digits of the later axes, last first
-        digits.insert(0, (rest + half) % (2 * half + 1) - half)
-        rest = (rest - digits[0]) // (2 * half + 1)
-    key = np.abs(np.column_stack([rest, *digits]))
+    half = steps.max(axis=0)
+    dim = half.size
+    key = np.abs(np.indices(2 * half + 1).reshape(dim, -1).T - half)  # one row per table position
     square = np.round(sides[members[0]], 14)
     if np.all(square == square[0]):
         key.sort(axis=1)
-    keys, group = np.unique(key, axis=0, return_inverse=True)
-    at = np.concatenate([np.zeros((1, dim), dtype=keys.dtype), keys])
-    side, corner = sides[members].mean(axis=0), cells[members[0], :dim]
+    _, first, group = np.unique(np.ravel_multi_index(tuple(key.T), (half.max() + 1,) * dim),
+                                return_index=True, return_inverse=True)
+    at, side, corner = key[first], sides[members].mean(axis=0), cells[members[0], :dim]
     grid = np.zeros((len(at), cells.shape[1]))
     grid[:, :dim], grid[:, dim : 2 * dim] = corner + at * side, corner + (at + 1) * side
-    return offsets, group.ravel(), grid
+    return group, grid
 
 
 def _off_lattice_pairs(centres, sides, cls, members, lo, hi):
@@ -780,36 +773,32 @@ def _pair_matrix(w, mesh: Mesh, lo, hi) -> StiffnessParts:
 
     Pairs whose distance range [dist - r_sum, dist + r_sum] misses (lo, hi)
     are skipped.  Lattice cells pair by offset, kept as the offset table:
-    one integral per mirror class of offsets (_mirror_classes), on two
-    cells rebuilt on the lattice's grid, which extend the mesh for the
-    evaluator.  Pairs that touch an off-lattice cell are grouped by class
-    pair and centre offset, one integral per group; with a clipped cell,
-    whose class is its own, each such group is a single pair.  Both stages
-    share one evaluator call.
+    one integral per nonzero mirror class of the box's offsets
+    (_mirror_classes), between the class-0 grid cell and the class's own,
+    which extend the mesh's cells for the evaluator.  Pairs that touch an
+    off-lattice cell are grouped by class pair and centre offset, one
+    integral per group; with a clipped cell, whose class is its own, each
+    such group is a single pair.  Both stages share one evaluator call.
     """
     centres, sides, cls, _ = _cell_classes(mesh)
     n, dim = len(cls), mesh.domain.dim
     members, steps = _lattice(centres, sides, cls)
-    pos = _positions(steps)
     oi, ol, first = _off_lattice_pairs(centres, sides, cls, members, lo, hi)
-    offsets, group, rebuilt = _mirror_classes(mesh.cells, sides, members, steps, pos)
+    group, rebuilt = _mirror_classes(mesh.cells, sides, members, steps)
     li, ll = np.full(len(rebuilt) - 1, n), n + np.arange(1, len(rebuilt))
     centres = np.concatenate([centres, 0.5 * (rebuilt[:, :dim] + rebuilt[:, dim : 2 * dim])])
     sides = np.concatenate([sides, rebuilt[:, dim : 2 * dim] - rebuilt[:, :dim]])
-    measure = np.concatenate([mesh.cell_measure, np.prod(sides[n:], axis=1)])
-    mesh = replace(mesh, cells=np.concatenate([mesh.cells, rebuilt]), cell_measure=measure)
+    mesh = replace(mesh, cells=np.concatenate([mesh.cells, rebuilt]))
     keep = _in_range(centres, sides, li, ll, lo, hi)
     values = _ENGINES[dim](w, mesh, np.concatenate([li[keep], oi[first]]), np.concatenate([ll[keep], ol[first]]), lo, hi)
     kept = np.count_nonzero(keep)
-    class_values = np.zeros(li.size)
-    class_values[keep] = values[:kept]
-    top = pos.max()
-    table = np.zeros(2 * top + 1)  # table[top + k]: value at position offset k
-    table[top + offsets] = table[top - offsets] = class_values[group]
+    class_values = np.zeros(len(rebuilt))  # class 0, the zero offset, stays 0
+    class_values[1:][keep] = values[:kept]
+    table = class_values[group]
     group_values = values[kept:][np.cumsum(first) - 1]
     rows, cols = np.concatenate([oi, ol]), np.concatenate([ol, oi])
     off = scipy.sparse.csr_array((np.concatenate([group_values, group_values]), (rows, cols)), shape=(n, n))
-    return StiffnessParts(np.zeros(n), members, pos, table, off)
+    return StiffnessParts(np.zeros(n), members, _positions(steps), table, off)
 
 
 # the pair evaluator per dimension
@@ -890,15 +879,16 @@ def assemble(form_kind: str, ledger: CoeffLedger, mesh: Mesh) -> FormMatrices:
 
 
 def _check_psd(matrices: FormMatrices) -> None:
-    """Raise unless lambda_min(K, M) >= -1e-8 max|K| / max M, lambda_min from the eigensolver's own solve at k = 1.
+    """Raise unless lambda_min(K, M) >= -1e-8 max|diag K| / max M, lambda_min from the eigensolver's own solve at k = 1.
 
     A negative lambda_min(K) gives lambda_min(K, M) <= lambda_min(K) / max M,
-    so this refuses every K with lambda_min(K) < -1e-8 max|K|; on a uniform
-    mesh the two rules are one.  max|K| is read from the parts.
+    so this refuses every K with lambda_min(K) < -1e-8 max|diag K|; on a
+    uniform mesh the two rules are one.  max|diag K| is max|K| whenever K is
+    PSD, as |K_il| <= sqrt(K_ii K_ll), and it reads no table entry at an
+    offset that no matvec uses.
     """
-    K = matrices.parts
     lam_min = float(np.min(_lowest_pairs(matrices, 1)[0]))
-    scale = max(float(np.max(np.abs(a), initial=0.0)) for a in (K.diag, K.table, K.off.data)) or 1.0
+    scale = float(np.max(np.abs(matrices.parts.diag), initial=0.0)) or 1.0
     if lam_min < -1e-8 * scale / float(np.max(matrices.mass)):
         raise NumericalError(f"Q stiffness not PSD: lambda_min={lam_min:.3e}")
 

@@ -270,6 +270,21 @@ def test_off_centre_disks_partition():
         assert np.sum(mesh.cell_measure) == pytest.approx(domain.measure(), rel=1e-10)
 
 
+def test_disk_cells_are_clipped_exactly_where_the_circle_crosses_their_box():
+    # a kept cell is flagged when its box's nearest point lies inside the circle and its farthest corner
+    # outside; the flags then keep the centred grid's symmetry under x -> -x and x <-> y
+    h, r = 0.005, 0.2
+    cells = mesh_rectangles(DomainSpec(2, (Disk(0.0, 0.0, r),)), h).cells
+    x0, y0, x1, y1, flag = cells.T
+    near = np.hypot(np.maximum(np.maximum(x0, -x1), 0.0), np.maximum(np.maximum(y0, -y1), 0.0))
+    far = np.hypot(np.maximum(-x0, x1), np.maximum(-y0, y1))
+    assert np.array_equal(flag > 0.0, (near < r) & (far > r))
+    assert np.count_nonzero(flag) == 308
+    as_set = lambda c: {(*np.round(row[:4] / h, 6), row[4]) for row in c}  # mirrored linspace edges differ by ulps
+    for image in (cells[:, [2, 1, 0, 3, 4]] * [-1, 1, -1, 1, 1], cells[:, [1, 0, 3, 2, 4]]):
+        assert as_set(image) == as_set(cells)
+
+
 def test_mesh_intervals_partition_exact():
     d = DomainSpec(1, (Interval(-0.25, 0.25),))
     mesh = mesh_intervals(d, 100)

@@ -1175,7 +1175,7 @@ def test_unequal_cell_sides_keep_transposed_offsets_apart():
     centres, sides, cls, _ = eigen._cell_classes(mesh)
     members, steps = eigen._lattice(centres, sides, cls)
     assert members.size == mesh.n_cells and sides[0, 0] < sides[0, 1]
-    offsets, group, grid = eigen._mirror_classes(np.asarray(mesh.cells), sides, members, steps, eigen._positions(steps))
+    group, grid = eigen._mirror_classes(np.asarray(mesh.cells), sides, members, steps)
     keys = np.rint((grid[1:, :2] - grid[0, :2]) / sides[0]).astype(int)
     assert len(keys) == 9 * 7 - 1  # every (|dx|, |dy|) but (0, 0): (dx, dy) and (dy, dx) apart
     P = _pair_matrix(alpha_coeffs(2, 2).alpha[1:], mesh, 0.0, 1.0).toarray()
@@ -1286,6 +1286,14 @@ def test_pair_matrix_temporaries_stay_within_the_chunk_budget(monkeypatch):
     baseline = traced_peak()
     assert baseline >= 8 * mesh.n_cells ** 2
     assert peak - baseline <= 32 * 8 * eigen._CHUNK
+
+
+def test_two_rectangle_union_is_one_lattice():
+    # (0.65 - 0.35) / 0.005 rounds to 60.00000000000001: read as 60 columns, the second piece stays on the first's grid
+    union = DomainSpec(2, (Rect(0.0, 0.0, 0.3, 0.2), Rect(0.35, 0.05, 0.65, 0.25)))
+    mesh = mesh_rectangles(union, 0.005)
+    assert mesh.n_cells == _lattice_size(mesh) == 4800
+    assert assemble("I", alpha_coeffs(2, 2), mesh).parts.off.nnz == 0
 
 
 def test_off_lattice_pair_search_works_in_row_blocks(monkeypatch):
